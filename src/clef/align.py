@@ -283,6 +283,33 @@ class AlignBatch:
 
 
 @dataclass
+class AlignRows:
+    """Per-record Stage II inputs: row i of ``ids``, ``patches`` and ``ehr``
+    belongs to ``records[i]``."""
+    records: list
+    ids: np.ndarray             # (R, N)
+    patches: np.ndarray         # (R, N, P)
+    ehr: list[EhrInput]
+
+    def batch(self, rows: np.ndarray) -> AlignBatch:
+        return AlignBatch(
+            ids=self.ids[rows], patches=self.patches[rows],
+            valid=np.ones((len(rows), self.ids.shape[1]), dtype=bool),
+            texts=[self.records[i].report or "" for i in rows],
+            report_present=np.array([self.records[i].report is not None
+                                     for i in rows]),
+            ehr=[self.ehr[i] for i in rows])
+
+    def sampler(self, batch_size: int):
+        """``stage2_train`` batch source: rows drawn uniformly, with
+        replacement, from the step rng."""
+        def batches(step, rng):
+            return self.batch(rng.integers(0, len(self.records),
+                                           size=batch_size))
+        return batches
+
+
+@dataclass
 class Stage2Losses:
     total: float
     report: float

@@ -365,36 +365,6 @@ def evaluate_probe(head: ProbeHead, x_val, y_val, x_test, y_test) -> ProbeMetric
 
 
 # ---------------------------------------------------------------------------
-# embedding protocol
-
-
-def session_windows(values: np.ndarray, window_frames: int,
-                    pad_value: float = -1.0) -> list[np.ndarray]:
-    """Non-overlapping windows along time; the final window is right-padded.
-
-    All encoders are evaluated through this same path (protocol parity).
-    """
-    c, h, w = values.shape
-    if w == 0:
-        raise DataError("empty spectrogram")
-    out = []
-    for start in range(0, w, window_frames):
-        chunk = values[:, :, start:start + window_frames]
-        if chunk.shape[2] < window_frames:
-            pad = np.full((c, h, window_frames - chunk.shape[2]), pad_value,
-                          dtype=values.dtype)
-            chunk = np.concatenate([chunk, pad], axis=2)
-        out.append(chunk)
-    return out
-
-
-def pool_window_embeddings(embeddings: list[np.ndarray]) -> np.ndarray:
-    if not embeddings:
-        raise DataError("no window embeddings to pool")
-    return np.mean(np.stack(embeddings, axis=0), axis=0)
-
-
-# ---------------------------------------------------------------------------
 # full runs
 
 
@@ -435,14 +405,17 @@ def run_task(task: TaskSpec, table: CohortTable,
         xs[name] = np.stack([embeddings[r.patient_id] for r in rows]) \
             if rows else np.zeros((0, 1))
         ys[name] = np.array([r.label for r in rows])
-    for name in ("val", "test"):
-        if (ys[name] == 1).sum() < task.min_positives:
-            return TaskResult(task.task_id, task.axis, len(table.rows),
-                              int((ys["test"] == 1).sum()),
-                              float("nan"), float("nan"),
-                              float("nan"), float("nan"),
-                              skipped=f"fewer than {task.min_positives} "
-                                      f"positives in {name}")
+    # AUROC on val and test needs both classes there
+    reasons = [f"fewer than {task.min_positives} positives in {name}"
+               for name in ("val", "test")
+               if (ys[name] == 1).sum() < task.min_positives]
+    reasons += [f"no negatives in {name}" for name in ("val", "test")
+                if not (ys[name] == 0).any()]
+    if reasons:
+        return TaskResult(task.task_id, task.axis, len(table.rows),
+                          int((ys["test"] == 1).sum()),
+                          float("nan"), float("nan"),
+                          float("nan"), float("nan"), skipped=reasons[0])
     aurocs, baccs = [], []
     for s in range(cfg.n_seeds):
         head, _ = train_probe(xs["train"], ys["train"], xs["val"], ys["val"],

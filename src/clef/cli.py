@@ -114,20 +114,36 @@ def _load_spectrograms(spec_dir: Path) -> tuple[list[str], np.ndarray, np.ndarra
             np.stack(avail))
 
 
-def _load_tokens(tok_dir: Path) -> tuple[list[str], np.ndarray, int, str]:
+def _load_sessions(profile: Profile, tok_dir: Path, spec_dir: Path,
+                   session_ids: list[str] | None = None,
+                   ) -> tuple[np.ndarray, np.ndarray, int]:
+    """Token ids (S, N), spectrogram patches (S, N, P) and the codebook size
+    for ``session_ids`` (default: the token index order), each row read by
+    session id from ``<sid>.tok`` and ``<sid>.spc``."""
     index_path = tok_dir / "tokens.json"
     if not index_path.exists():
         raise DataError(f"missing token index {index_path}")
     with open(index_path) as fh:
         index = json.load(fh)
-    ids = []
-    for sid in index["sessions"]:
-        indices, k, file_sid = vqtok.read_tokens(tok_dir / f"{sid}.tok")
+    indexed = set(index["sessions"])
+    if not indexed or {p.stem for p in spec_dir.glob("*.spc")} != indexed:
+        raise DataError(f"{spec_dir} and {index_path} list different sessions "
+                        "or none")
+    if session_ids is None:
+        session_ids = index["sessions"]
+    unknown = [sid for sid in session_ids if sid not in indexed]
+    if unknown:
+        raise DataError(f"sessions missing from {index_path}: {unknown[:5]}")
+    ids, patches = [], []
+    for sid in session_ids:
+        grid, _k, file_sid = vqtok.read_tokens(tok_dir / f"{sid}.tok")
         if file_sid != sid:
             raise DataError(f"{sid}.tok: session id mismatch ({file_sid})")
-        ids.append(indices.reshape(-1))
-    return index["sessions"], np.stack(ids), int(index["codebook_size"]), \
-        index["codebook_sha"]
+        ids.append(grid.reshape(-1))
+        values = dsp.read_spectrogram(spec_dir / f"{sid}.spc").values
+        patches.append(mim.extract_patches(values, profile.mim.patch_h,
+                                           profile.mim.patch_w))
+    return np.stack(ids), np.stack(patches), int(index["codebook_size"])
 
 
 def _codebook_sha(entries: np.ndarray) -> str:
@@ -140,12 +156,6 @@ def _build_mim_model(profile: Profile, codebook_size: int,
     return mim.MimModel(codebook_size, profile.n_channels,
                         profile.grid_shape, profile.mim,
                         np.random.default_rng(seed))
-
-
-def _patches_for(profile: Profile, values: np.ndarray) -> np.ndarray:
-    cfg = profile.mim
-    return np.stack([mim.extract_patches(v, cfg.patch_h, cfg.patch_w)
-                     for v in values])
 
 
 def _encoder_weights_from_checkpoint(ckpt: dict) -> dict[str, np.ndarray]:
@@ -184,18 +194,15 @@ def gen_cohort(ctx, out):
     (out / "sessions").mkdir(parents=True, exist_ok=True)
     records, phenotypes = cohortgen.generate_records(profile.cohort, seed)
     cohortgen.write_records(out / "records.json", records)
-    days, sids = {}, {}
     for i, session in enumerate(cohortgen.iter_sessions(
             profile.cohort, seed, records, phenotypes)):
         cohortgen.write_session(out / "sessions" / f"{session.session_id}.raw",
                                 session)
-        days[session.patient_id] = session.session_day
-        sids[session.patient_id] = session.session_id
         if (i + 1) % 50 == 0 or i + 1 == len(records):
             click.echo(f"sessions\t{i + 1}/{len(records)}")
     with open(out / "days.json", "w") as fh:
-        json.dump({"session_days": days, "session_ids": sids}, fh, indent=1,
-                  sort_keys=True)
+        json.dump({"session_days": cohortgen.session_days(
+            profile.cohort, seed, records)}, fh, indent=1, sort_keys=True)
     manifest.output_ids = {"records.json": "", "sessions": "", "days.json": ""}
     write_manifest(out, manifest)
 
@@ -329,12 +336,8 @@ def train_mim_cmd(ctx, tok_dir, spec_dir, out, steps):
                          {"tokens": Path(tok_dir),
                           "spectrograms": Path(spec_dir)})
     seed = manifest.stage_seeds["mim"]
-    tok_sids, ids, codebook_size, _sha = _load_tokens(Path(tok_dir))
-    spec_sids, values, _avail = _load_spectrograms(Path(spec_dir))
-    if tok_sids != spec_sids:
-        raise DataError("token cache and spectrogram cache list different "
-                        "sessions")
-    patches = _patches_for(profile, values)
+    ids, patches, codebook_size = _load_sessions(profile, Path(tok_dir),
+                                                 Path(spec_dir))
     result = mim.stage1_train(ids, patches, codebook_size, profile.n_channels,
                               profile.grid_shape, profile.mim, seed,
                               steps=steps)
@@ -380,12 +383,9 @@ def train_align_cmd(ctx, cohort_dir, tok_dir, spec_dir, init_path, out, steps):
                           "init": Path(init_path)})
     seed = manifest.stage_seeds["align"]
     records = cohortgen.read_records(cohort_dir / "records.json")
-    tok_sids, ids, codebook_size, _sha = _load_tokens(Path(tok_dir))
-    _spec_sids, values, _avail = _load_spectrograms(Path(spec_dir))
-    if len(records) != len(tok_sids):
-        raise DataError(f"{len(records)} records vs {len(tok_sids)} token "
-                        "caches")
-    patches = _patches_for(profile, values)
+    ids, patches, codebook_size = _load_sessions(
+        profile, Path(tok_dir), Path(spec_dir),
+        [r.session_id for r in records])
     ckpt = grad.load_checkpoint(Path(init_path))
     if ckpt["meta"].get("kind") != "mim":
         raise DataError(f"{init_path}: not a Stage I checkpoint")
@@ -396,22 +396,12 @@ def train_align_cmd(ctx, cohort_dir, tok_dir, spec_dir, init_path, out, steps):
                         _encoder_weights_from_checkpoint(ckpt).items()}
     phenotypes = cohortgen.default_phenotypes(profile.cohort.channel_names)
     dx_vocab, med_vocab = cohortgen.vocabularies(profile.cohort, phenotypes)
-    ehr_inputs = [align.ehr_input_from_record(r, dx_vocab, med_vocab)
-                  for r in records]
-    valid_all = np.ones(ids.shape, dtype=bool)
-    b = profile.align.batch_size
-
-    def batches(step, rng):
-        pick = rng.integers(0, ids.shape[0], size=b)
-        return align.AlignBatch(
-            ids=ids[pick], patches=patches[pick], valid=valid_all[pick],
-            texts=[records[i].report or "" for i in pick],
-            report_present=np.array([records[i].report is not None
-                                     for i in pick]),
-            ehr=[ehr_inputs[i] for i in pick])
-
+    rows = align.AlignRows(records, ids, patches,
+                           [align.ehr_input_from_record(r, dx_vocab, med_vocab)
+                            for r in records])
     provider = align.HashedNgramProvider()
-    result = align.stage2_train(model, stage1_ema, provider, batches,
+    result = align.stage2_train(model, stage1_ema, provider,
+                                rows.sampler(profile.align.batch_size),
                                 profile.align, seed, steps=steps)
     total = len(result.losses)
     for i in range(0, total, max(1, total // 20)):
@@ -508,30 +498,33 @@ def probe_cmd(ctx, cohort_dir, tok_dir, spec_dir, ckpt_path, out):
     seed = manifest.stage_seeds["probe"]
     records = cohortgen.read_records(cohort_dir / "records.json")
     with open(cohort_dir / "days.json") as fh:
-        day_index = json.load(fh)
-    tok_sids, ids, codebook_size, _sha = _load_tokens(Path(tok_dir))
-    _spec_sids, values, _avail = _load_spectrograms(Path(spec_dir))
-    patches = _patches_for(profile, values)
+        session_days = json.load(fh)["session_days"]
     ckpt = grad.load_checkpoint(Path(ckpt_path))
+    kind = ckpt["meta"].get("kind")
+    if kind not in ("mim", "align"):
+        raise DataError(f"{ckpt_path}: {kind} checkpoint holds no encoder")
+    ids, patches, codebook_size = _load_sessions(
+        profile, Path(tok_dir), Path(spec_dir),
+        [r.session_id for r in records])
     model = _build_mim_model(profile, codebook_size, 0)
     weights = _encoder_weights_from_checkpoint(ckpt)
-    if ckpt["meta"].get("kind") == "align":
+    if kind == "align":
         weights = {k[len("eeg."):]: v for k, v in weights.items()
                    if k.startswith("eeg.")}
-    grad.assign_parameters(model.named_parameters(), weights, strict=False)
-    embeddings = {}
-    for start in range(0, ids.shape[0], 32):
-        u = mim.session_embedding(model, ids[start:start + 32],
-                                  patches[start:start + 32])
-        for j, vec in enumerate(u):
-            embeddings[records[start + j].patient_id] = vec
+    params = model.named_parameters()
+    grad.assign_parameters({n: params[n] for n in
+                            model.encoder_parameter_names()}, weights)
+    u = np.concatenate([
+        mim.session_embedding(model, ids[i:i + 32], patches[i:i + 32])
+        for i in range(0, len(records), 32)])
     tasks = bench.default_tasks(
         cohortgen.default_phenotypes(profile.cohort.channel_names),
         profile.bench)
-    results = bench.benchmark_run(tasks, records,
-                                  day_index["session_days"],
-                                  day_index["session_ids"],
-                                  embeddings, profile.bench, seed)
+    results = bench.benchmark_run(
+        tasks, records, session_days,
+        {r.patient_id: r.session_id for r in records},
+        {r.patient_id: vec for r, vec in zip(records, u)},
+        profile.bench, seed)
     out = Path(out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w") as fh:

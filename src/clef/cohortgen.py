@@ -44,10 +44,6 @@ class PhenotypeSpec:
     chronic: bool = True
 
     @property
-    def ehr_codes(self) -> frozenset[str]:
-        return frozenset(self.dx_codes) | frozenset(self.med_codes)
-
-    @property
     def max_abs_delta_db(self) -> float:
         return max((abs(e.power_delta_db) for e in self.spectral_effects),
                    default=0.0)
@@ -85,6 +81,7 @@ class MedicationEvent:
 @dataclass
 class PatientRecord:
     patient_id: str
+    session_id: str
     age_years: int
     sex: str
     race: str
@@ -106,7 +103,6 @@ class RawSession:
     channel_available: np.ndarray  # (C,) bool
     duration_s: float
     sample_rate: float = 200.0
-    session_day: int = 0
 
     def replace_samples(self, samples: np.ndarray) -> "RawSession":
         return replace(self, samples=samples)
@@ -339,9 +335,9 @@ def _patient_record(config: CohortConfig, phenotypes: list[PhenotypeSpec],
         frozenset(e.code for e in med_events
                   if e.code.startswith("med_background") and not e.prn)
     return PatientRecord(
-        patient_id=f"p{index:05d}", age_years=age, sex=sex, race=race,
-        site=site, setting=setting, medications=medications,
-        diagnoses=diagnoses, phenotypes=active,
+        patient_id=f"p{index:05d}", session_id=f"s{index:05d}",
+        age_years=age, sex=sex, race=race, site=site, setting=setting,
+        medications=medications, diagnoses=diagnoses, phenotypes=active,
         diagnosis_events=sorted(dx_events, key=lambda e: (e.code, e.day, e.source)),
         medication_events=sorted(med_events, key=lambda e: (e.code, e.day)))
 
@@ -386,32 +382,29 @@ def generate_records(config: CohortConfig, seed: int,
 
 
 def build_session(config: CohortConfig, record: PatientRecord,
-                  phenotypes: list[PhenotypeSpec], seed: int,
-                  index: int) -> RawSession:
-    """Waveform for one patient, derived from the same per-patient seed
-    stream as the record (safe to build sessions in parallel)."""
-    ss = _patient_seeds(seed, config.n_patients)[index]
-    rng = np.random.default_rng(ss.spawn(1)[0])
+                  phenotypes: list[PhenotypeSpec],
+                  ss: np.random.SeedSequence) -> RawSession:
+    """Waveform for one patient, drawn from the first child of the patient's
+    seed ``ss`` (safe to build sessions in parallel)."""
+    # the child that ss.spawn(1) returns on a fresh ss; spawn itself would
+    # mutate ss and hand out a different child on a second call
+    rng = np.random.default_rng(np.random.SeedSequence(
+        ss.entropy, spawn_key=ss.spawn_key + (0,)))
     active = [p for p in phenotypes if p.name in record.phenotypes]
     samples = synthesize_signal(config, active, rng)
     avail = np.ones(config.n_channels, dtype=bool)
     if config.n_channels > 1 and rng.random() < 0.05:
         avail[int(rng.integers(0, config.n_channels))] = False
-    session_day = 0
-    # recover the session day sampled in _patient_record's stream
-    day_rng = np.random.default_rng(ss)
-    session_day = int(day_rng.integers(400, config.session_day_range))
     return RawSession(
-        session_id=f"s{index:05d}", patient_id=record.patient_id,
+        session_id=record.session_id, patient_id=record.patient_id,
         samples=samples, channel_available=avail,
-        duration_s=config.duration_s, sample_rate=config.sample_rate,
-        session_day=session_day)
+        duration_s=config.duration_s, sample_rate=config.sample_rate)
 
 
 def session_days(config: CohortConfig, seed: int,
                  records: list[PatientRecord]) -> dict[str, int]:
     """Patient id -> session day, without synthesizing any waveform."""
-    seeds = _patient_seeds(seed, config.n_patients)
+    seeds = _patient_seeds(seed, len(records))
     out = {}
     for rec, ss in zip(records, seeds):
         rng = np.random.default_rng(ss)
@@ -419,22 +412,12 @@ def session_days(config: CohortConfig, seed: int,
     return out
 
 
-def generate_cohort(config: CohortConfig, seed: int,
-                    phenotypes: list[PhenotypeSpec] | None = None,
-                    ) -> tuple[list[PatientRecord], list[RawSession], list[PhenotypeSpec]]:
-    """Full cohort in memory; prefer ``iter_sessions`` for large configs."""
-    records, phenotypes = generate_records(config, seed, phenotypes)
-    sessions = [build_session(config, rec, phenotypes, seed, i)
-                for i, rec in enumerate(records)]
-    return records, sessions, phenotypes
-
-
 def iter_sessions(config: CohortConfig, seed: int,
                   records: list[PatientRecord],
                   phenotypes: list[PhenotypeSpec]):
-    """Stream sessions one at a time (identical content to generate_cohort)."""
-    for i, rec in enumerate(records):
-        yield build_session(config, rec, phenotypes, seed, i)
+    """Stream the sessions of ``records`` one at a time, in record order."""
+    for rec, ss in zip(records, _patient_seeds(seed, len(records))):
+        yield build_session(config, rec, phenotypes, ss)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +443,8 @@ def read_records(path) -> list[PatientRecord]:
     for d in payload:
         try:
             records.append(PatientRecord(
-                patient_id=d["patient_id"], age_years=int(d["age_years"]),
+                patient_id=d["patient_id"], session_id=d["session_id"],
+                age_years=int(d["age_years"]),
                 sex=d["sex"], race=d["race"], site=d["site"],
                 setting=d["setting"],
                 medications=frozenset(d["medications"]),

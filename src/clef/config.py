@@ -97,7 +97,6 @@ class CohortConfig:
 class TokenizerConfig:
     codebook_size: int = 64
     latent_dim: int = 32
-    base_channels: int = 16
     level_channels: list[int] = field(default_factory=lambda: [16, 24, 32, 32, 32])
     # (freq, time) stride per level; total 16x in frequency, 8x in time.
     level_strides: list[tuple[int, int]] = field(
@@ -161,7 +160,6 @@ class EhrVocabConfig:
 class AlignConfig:
     d_model: int = 64           # shared embedding dim, equals MIM d_model
     proj_dim: int = 64          # pi-head output dim d'
-    text_dim: int = 768
     text_max_len: int = 64
     refiner_depth: int = 2
     n_heads: int = 4
@@ -182,7 +180,6 @@ class AlignConfig:
 class BenchConfig:
     controls_per_case: int = 10
     min_positives: int = 2
-    split_train: float = 0.8
     split_val: float = 0.1
     split_test: float = 0.1
     probe_hidden: int = 1536
@@ -218,11 +215,6 @@ class Profile:
             h //= sf
             w //= st
         return h, w
-
-    @property
-    def context_samples(self) -> int:
-        """Samples per model context window (one full session at desk scale)."""
-        return int(self.cohort.duration_s * self.dsp.sample_rate)
 
     def content_hash(self) -> str:
         payload = json.dumps(dataclasses.asdict(self), sort_keys=True, default=str)

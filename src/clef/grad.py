@@ -19,6 +19,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from scipy.special import erf as _erf
 
+from .errors import DataError
+
 DTYPE = np.float32
 
 
@@ -54,12 +56,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     # operator sugar
     def __add__(self, other):
@@ -692,14 +688,6 @@ class AdamW:
                 update = update + self.weight_decay * p.data
             p.data = (p.data - lr * update).astype(DTYPE)
 
-    def state_dict(self) -> dict:
-        return {"t": self.t, "m": self.m, "v": self.v}
-
-    def load_state_dict(self, state: dict) -> None:
-        self.t = int(state["t"])
-        self.m = [np.asarray(a) for a in state["m"]]
-        self.v = [np.asarray(a) for a in state["v"]]
-
 
 def adam_gan(params: Iterable[Tensor], lr: float) -> AdamW:
     return AdamW(params, lr=lr, beta1=0.0, beta2=0.99, weight_decay=0.0)
@@ -725,10 +713,6 @@ class Ema:
         for k, p in params.items():
             self.shadow[k] = ema_update(self.shadow[k], p.data, self.decay)
 
-    def copy_to(self, params: dict[str, Tensor]) -> None:
-        for k, p in params.items():
-            p.data = self.shadow[k].copy()
-
 
 def ema_update(shadow: np.ndarray, live: np.ndarray, decay: float) -> np.ndarray:
     return (decay * shadow.astype(np.float64)
@@ -743,16 +727,14 @@ CHECKPOINT_VERSION = 1
 
 def save_checkpoint(path, params: dict[str, Tensor],
                     ema: Ema | None = None,
-                    optimizer: AdamW | None = None,
                     meta: dict | None = None) -> None:
-    """Named-parameter table with optional EMA/optimizer state and a
-    versioned JSON header, in an npz container."""
+    """Named-parameter table with an optional EMA shadow and a versioned
+    JSON header, in an npz container."""
     arrays: dict[str, np.ndarray] = {}
     header = {
         "version": CHECKPOINT_VERSION,
         "param_names": sorted(params),
         "has_ema": ema is not None,
-        "has_optimizer": optimizer is not None,
         "meta": meta or {},
     }
     for name, p in params.items():
@@ -761,11 +743,6 @@ def save_checkpoint(path, params: dict[str, Tensor],
         header["ema_decay"] = ema.decay
         for name, arr in ema.shadow.items():
             arrays[f"ema/{name}"] = arr
-    if optimizer is not None:
-        arrays["opt/t"] = np.asarray(optimizer.t)
-        for i, (m, v) in enumerate(zip(optimizer.m, optimizer.v)):
-            arrays[f"opt/m/{i}"] = m
-            arrays[f"opt/v/{i}"] = v
     arrays["__header__"] = np.frombuffer(
         json.dumps(header, sort_keys=True).encode(), dtype=np.uint8)
     np.savez_compressed(path, **arrays)
@@ -780,28 +757,18 @@ def load_checkpoint(path) -> dict:
         ema = None
         if header["has_ema"]:
             ema = {n: z[f"ema/{n}"].copy() for n in header["param_names"]}
-        opt = None
-        if header["has_optimizer"]:
-            t = int(z["opt/t"])
-            m, v = [], []
-            i = 0
-            while f"opt/m/{i}" in z:
-                m.append(z[f"opt/m/{i}"].copy())
-                v.append(z[f"opt/v/{i}"].copy())
-                i += 1
-            opt = {"t": t, "m": m, "v": v}
-    return {"params": params, "ema": ema, "optimizer": opt,
-            "meta": header.get("meta", {}), "ema_decay": header.get("ema_decay")}
+    return {"params": params, "ema": ema, "meta": header.get("meta", {}),
+            "ema_decay": header.get("ema_decay")}
 
 
-def assign_parameters(params: dict[str, Tensor], table: dict[str, np.ndarray],
-                      strict: bool = True) -> None:
+def assign_parameters(params: dict[str, Tensor],
+                      table: dict[str, np.ndarray]) -> None:
+    """Copy ``table`` into every parameter of ``params``; all must be there."""
     missing = set(params) - set(table)
-    if strict and missing:
-        raise KeyError(f"checkpoint missing parameters: {sorted(missing)[:5]} ...")
+    if missing:
+        raise DataError(f"checkpoint missing parameters: {sorted(missing)[:5]} ...")
     for name, p in params.items():
-        if name in table:
-            if p.data.shape != table[name].shape:
-                raise ShapeError(
-                    f"{name}: checkpoint shape {table[name].shape} vs model {p.data.shape}")
-            p.data = table[name].astype(DTYPE).copy()
+        if p.data.shape != table[name].shape:
+            raise ShapeError(
+                f"{name}: checkpoint shape {table[name].shape} vs model {p.data.shape}")
+        p.data = table[name].astype(DTYPE).copy()

@@ -114,20 +114,6 @@ def stage1(tokens):
     return {"result": res, "elapsed": time.time() - t0}
 
 
-def _align_batch_maker(records, ids, patches, ehr_inputs):
-    valid = np.ones(ids.shape, dtype=bool)
-
-    def batches(step, rng):
-        pick = rng.integers(0, len(records), size=P.align.batch_size)
-        return align.AlignBatch(
-            ids=ids[pick], patches=patches[pick], valid=valid[pick],
-            texts=[records[i].report or "" for i in pick],
-            report_present=np.array([records[i].report is not None
-                                     for i in pick]),
-            ehr=[ehr_inputs[i] for i in pick])
-    return batches
-
-
 def _batched_embeddings(model, ids, patches, chunk=50):
     out = [mim.session_embedding(model, ids[s:s + chunk], patches[s:s + chunk])
            for s in range(0, ids.shape[0], chunk)]
@@ -148,16 +134,11 @@ def stage2(cohort, tokens, stage1):
 
     t0 = time.time()
     provider = align.HashedNgramProvider()
-    batches = _align_batch_maker(records, ids, patches, ehr_inputs)
-    res2 = align.stage2_train(res1.model, res1.ema, provider, batches,
+    rows = align.AlignRows(records, ids, patches, ehr_inputs)
+    res2 = align.stage2_train(res1.model, res1.ema, provider,
+                              rows.sampler(P.align.batch_size),
                               P.align, seed=7, steps=500)
-    pool = np.arange(0, len(records), 6)[:64]
-    eval_batch = align.AlignBatch(
-        ids=ids[pool], patches=patches[pool],
-        valid=np.ones(ids[pool].shape, dtype=bool),
-        texts=[records[i].report or "" for i in pool],
-        report_present=np.array([records[i].report is not None for i in pool]),
-        ehr=[ehr_inputs[i] for i in pool])
+    eval_batch = rows.batch(np.arange(0, len(records), 6)[:64])
     top1 = align.retrieval_top1(res2.align_model, res2.mim_model, eval_batch)
     emb_align = _batched_embeddings(res2.mim_model, ids, patches)
     return {"result": res2, "top1": top1, "emb_recon": emb_recon,
@@ -497,10 +478,11 @@ def test_concept_holdout_transfer(cohort, tokens, stage1, stage2):
     res1 = stage1["result"]
     model = mim.MimModel(P.tokenizer.codebook_size, P.cohort.n_channels,
                          P.grid_shape, P.mim, np.random.default_rng(13))
-    batches = _align_batch_maker(filtered, tokens["ids"], tokens["patches"],
-                                 ehr_inputs)
+    rows = align.AlignRows(filtered, tokens["ids"], tokens["patches"],
+                           ehr_inputs)
     res = align.stage2_train(model, res1.ema, align.HashedNgramProvider(),
-                             batches, P.align, seed=19, steps=60)
+                             rows.sampler(P.align.batch_size), P.align,
+                             seed=19, steps=60)
     emb = _batched_embeddings(res.mim_model, tokens["ids"], tokens["patches"])
     sids = {r.patient_id: f"s{i:04d}" for i, r in enumerate(records)}
     task = bench.TaskSpec(task_id="disease/spindle_dropout", axis="disease",

@@ -1,7 +1,8 @@
 """Benchmark tests: splits, EHR/report label rules, exact matching with
 audit invariants, rank-based AUROC against a pair-counting oracle, BACC
-threshold selection, probe training on separable embeddings, the shared
-windowing path, and a full cohort-scale run with synthetic embeddings."""
+threshold selection, probe training on separable embeddings, skips for
+splits AUROC cannot score, and a full cohort-scale run with synthetic
+embeddings."""
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ CFG = BenchConfig()
 def _rec(pid, age=55, sex="F", site="site0", setting="Routine",
          dx_events=(), med_events=(), report=None):
     return PatientRecord(
-        patient_id=pid, age_years=age, sex=sex, race="White", site=site,
+        patient_id=pid, session_id=f"s_{pid}", age_years=age, sex=sex, race="White", site=site,
         setting=setting, medications=frozenset(), diagnoses=frozenset(),
         report=report, diagnosis_events=list(dx_events),
         medication_events=list(med_events))
@@ -267,29 +268,6 @@ def test_bacc_threshold_selection():
 
 
 # ---------------------------------------------------------------------------
-# windowing
-
-
-def test_session_windows_exact_and_padded():
-    values = np.arange(2 * 3 * 8, dtype=np.float32).reshape(2, 3, 8)
-    exact = bench.session_windows(values, window_frames=4)
-    assert len(exact) == 2
-    np.testing.assert_array_equal(np.concatenate(exact, axis=2), values)
-    padded = bench.session_windows(values, window_frames=5)
-    assert len(padded) == 2 and padded[1].shape == (2, 3, 5)
-    assert np.all(padded[1][:, :, 3:] == -1.0)
-    with pytest.raises(DataError):
-        bench.session_windows(values[:, :, :0], 4)
-    with pytest.raises(DataError):
-        bench.pool_window_embeddings([])
-
-
-def test_pool_window_embeddings_mean():
-    a, b = np.ones(4), 3.0 * np.ones(4)
-    np.testing.assert_allclose(bench.pool_window_embeddings([a, b]), 2.0)
-
-
-# ---------------------------------------------------------------------------
 # probing
 
 
@@ -322,6 +300,30 @@ def test_probe_deterministic_per_seed():
     np.testing.assert_array_equal(h1.scores(x_va), h2.scores(x_va))
     h3, _ = bench.train_probe(x_tr, y_tr, x_va, y_va, cfg, seed=8)
     assert not np.array_equal(h3.scores(x_va), h1.scores(x_va))
+
+
+@pytest.mark.parametrize("empty", ["val", "test"])
+def test_run_task_skips_split_without_negatives(empty):
+    """A val or test split holding only positives cannot be scored by AUROC;
+    the task is skipped, and an earlier positives shortfall keeps its reason."""
+    splits = ["train"] * 4 + ["val"] * 3 + ["test"] * 3
+    labels = [1, 1, 0, 0] + [1, 1, 0] + [1, 1, 0]
+    rows = [bench.Row(f"p{i}", f"s{i}", lab, i, split)
+            for i, (lab, split) in enumerate(zip(labels, splits))]
+    for r in rows:
+        if r.split == empty:
+            r.label = 1
+    table = bench.CohortTable("t", rows)
+    task = bench.TaskSpec("t", "disease", codes=frozenset({"dx"}))
+    emb = {r.patient_id: np.full(2, float(i), dtype=np.float32)
+           for i, r in enumerate(rows)}
+    cfg = BenchConfig(probe_hidden=4, probe_epochs=1, n_seeds=1)
+    result = bench.run_task(task, table, emb, cfg, seed_base=0)
+    assert result.skipped == f"no negatives in {empty}"
+    rows[-1].label = 0
+    rows[-2].label = 0
+    assert bench.run_task(task, table, emb, cfg, 0).skipped == \
+        "fewer than 2 positives in test"
 
 
 # ---------------------------------------------------------------------------

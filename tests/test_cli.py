@@ -1,6 +1,7 @@
 """CLI tests: the full desk pipeline end to end on a tiny cohort, exit-code
-mapping, sequential-training and codebook-hash refusals, manifest
-reproducibility, seed splitting, and config schema completeness."""
+mapping, sequential-training, codebook-hash and checkpoint-kind refusals,
+the session-id join, manifest reproducibility, seed splitting, and config
+schema completeness."""
 
 import dataclasses
 import json
@@ -10,6 +11,8 @@ import pytest
 
 from clef import cli as climod
 from clef import config as cfgmod
+from clef import dsp, vqtok
+from clef.errors import DataError
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +124,49 @@ def test_tokenize_refuses_codebook_mismatch(pipeline, tmp_path, capsys):
     assert "codebook" in capsys.readouterr().err
 
 
+def test_probe_refuses_non_encoder_checkpoint(pipeline, tmp_path, capsys):
+    argv = pipeline["base"] + [
+        "probe", "--cohort", str(pipeline["cohort"]),
+        "--tokens", str(pipeline["tokens"]),
+        "--spectrograms", str(pipeline["spec"]),
+        "--ckpt", str(pipeline["tok_ckpt"]),
+        "--out", str(tmp_path / "results.json")]
+    assert climod.main(argv) == climod.EXIT_DATA
+    assert "tokenizer checkpoint holds no encoder" in capsys.readouterr().err
+    assert not (tmp_path / "results.json").exists()
+
+
+def test_sessions_join_by_id_not_by_sorted_position(tmp_path):
+    """Sorted file names put s100000 before s99999; rows must still follow
+    the requested ids, and an id without files must be refused."""
+    profile = cfgmod.get_profile("desk")
+    tok, spec = tmp_path / "tokens", tmp_path / "spec"
+    tok.mkdir()
+    spec.mkdir()
+    generation_order = ["s99999", "s100000"]
+    for i, sid in enumerate(generation_order):
+        vqtok.write_tokens(tok / f"{sid}.tok",
+                           np.full((1, 2), i + 1, dtype=np.int64), 4, sid)
+        dsp.write_spectrogram(spec / f"{sid}.spc", dsp.Spectrogram(
+            values=np.full((2, 16, 16), 0.25 * (i + 1), dtype=np.float32),
+            freq_res_hz=0.25, frame_stride_s=5.0,
+            channel_available=np.ones(2, dtype=bool)))
+    (tok / "tokens.json").write_text(json.dumps(
+        {"codebook_sha": "x", "codebook_size": 4,
+         "sessions": sorted(generation_order)}))
+    ids, patches, k = climod._load_sessions(profile, tok, spec,
+                                            generation_order)
+    assert k == 4
+    assert ids.tolist() == [[1, 1], [2, 2]]
+    assert patches.shape == (2, 2, 2 * 16 * 8)
+    assert np.all(patches[0] == 0.25) and np.all(patches[1] == 0.5)
+    with pytest.raises(DataError, match="s12345"):
+        climod._load_sessions(profile, tok, spec, ["s99999", "s12345"])
+    (spec / "s100000.spc").unlink()
+    with pytest.raises(DataError, match="different sessions"):
+        climod._load_sessions(profile, tok, spec)
+
+
 def test_exit_codes(tmp_path, capsys):
     # unknown profile: usage error
     assert climod.main(["--profile", "nope", "gen-cohort",
@@ -197,12 +243,12 @@ _SCHEMA_PATHS = [
     "mim.mask_lo", "mim.mask_hi", "mim.r_drop", "mim.label_smoothing",
     "mim.pool_includes_proxy", "mim.lr", "mim.weight_decay",
     "mim.warmup_steps", "mim.ema_decay",
-    "align.d_model", "align.proj_dim", "align.text_dim", "align.text_max_len",
+    "align.d_model", "align.proj_dim", "align.text_max_len",
     "align.refiner_depth", "align.tau", "align.r_drop", "align.lr",
     "align.ema_decay", "align.ehr.n_dx", "align.ehr.n_med",
     "align.ehr.dx_slots", "align.ehr.med_slots",
-    "bench.controls_per_case", "bench.min_positives", "bench.split_train",
-    "bench.split_val", "bench.split_test", "bench.probe_hidden",
+    "bench.controls_per_case", "bench.min_positives", "bench.split_val",
+    "bench.split_test", "bench.probe_hidden",
     "bench.probe_epochs", "bench.probe_lr", "bench.probe_weight_decay",
     "bench.n_seeds", "bench.chronicity_window_days",
     "bench.med_completion_window_days",

@@ -23,19 +23,38 @@ def test_records_deterministic():
     assert any(ra != rc for ra, rc in zip(a, c))
 
 
+def _sessions(cfg, seed):
+    records, phenos = cohortgen.generate_records(cfg, seed)
+    return records, list(cohortgen.iter_sessions(cfg, seed, records, phenos))
+
+
 def test_sessions_deterministic_and_streaming_equivalent():
     cfg = _small_cfg(n=6)
-    records, sessions, phenos = cohortgen.generate_cohort(cfg, seed=3)
-    streamed = list(cohortgen.iter_sessions(cfg, 3, records, phenos))
-    for s, t in zip(sessions, streamed):
+    records, sessions = _sessions(cfg, seed=3)
+    _, again = _sessions(cfg, seed=3)
+    for rec, s, t in zip(records, sessions, again):
         assert np.array_equal(s.samples, t.samples)
         assert np.array_equal(s.channel_available, t.channel_available)
-        assert s.session_day == t.session_day
+        assert (s.session_id, s.patient_id) == (rec.session_id, rec.patient_id)
+
+
+def test_session_seed_matches_per_session_spawn():
+    """Spawning the patient seeds once per cohort draws the same waveform as
+    re-spawning them for every session, the derivation this replaced."""
+    cfg = _small_cfg(n=5, duration=20.0)
+    records, sessions = _sessions(cfg, seed=9)
+    phenos = cohortgen.default_phenotypes(cfg.channel_names)
+    for i, (rec, s) in enumerate(zip(records, sessions)):
+        ss = np.random.SeedSequence(9).spawn(cfg.n_patients)[i]
+        rng = np.random.default_rng(ss.spawn(1)[0])
+        active = [p for p in phenos if p.name in rec.phenotypes]
+        assert np.array_equal(s.samples,
+                              cohortgen.synthesize_signal(cfg, active, rng))
 
 
 def test_session_geometry():
     cfg = _small_cfg(n=4)
-    _, sessions, _ = cohortgen.generate_cohort(cfg, seed=1)
+    _, sessions = _sessions(cfg, seed=1)
     for s in sessions:
         assert s.samples.shape == (cfg.n_channels, int(cfg.duration_s * cfg.sample_rate))
         assert s.samples.dtype == np.float32
@@ -161,7 +180,7 @@ def test_phenotype_validation():
 
 def test_waveform_roundtrip(tmp_path):
     cfg = _small_cfg(n=2)
-    _, sessions, _ = cohortgen.generate_cohort(cfg, seed=8)
+    _, sessions = _sessions(cfg, seed=8)
     s = sessions[0]
     s.channel_available[3] = False
     path = tmp_path / "w.raw"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from clef import grad
+from clef.errors import DataError
 from clef.grad import Tensor
 
 from fdcheck import check_gradients
@@ -295,16 +296,18 @@ def test_checkpoint_roundtrip(tmp_path):
     opt.step()
     ema.update(params)
     path = tmp_path / "ckpt.npz"
-    grad.save_checkpoint(path, params, ema=ema, optimizer=opt, meta={"stage": "test"})
+    grad.save_checkpoint(path, params, ema=ema, meta={"stage": "test"})
     loaded = grad.load_checkpoint(path)
     assert loaded["meta"]["stage"] == "test"
+    assert loaded["ema_decay"] == 0.999
     assert set(loaded["params"]) == {"a", "b"}
     assert np.array_equal(loaded["params"]["a"], params["a"].data)
     assert np.array_equal(loaded["ema"]["b"], ema.shadow["b"])
-    assert loaded["optimizer"]["t"] == 1
     fresh = {k: Tensor(np.zeros_like(v.data), requires_grad=True) for k, v in params.items()}
     grad.assign_parameters(fresh, loaded["params"])
     assert np.array_equal(fresh["a"].data, params["a"].data)
+    with pytest.raises(DataError):
+        grad.assign_parameters(fresh, {"a": loaded["params"]["a"]})
 
 
 def test_module_collects_nested_parameters():
