@@ -23,6 +23,7 @@ from . import align, bench, cohortgen, dsp, grad, mim, summarize, vqtok
 from .config import (ConfigError, PROFILE_NAMES, PSG_CHANNELS, Profile,
                      load_profile)
 from .errors import DataError, NumericError
+from .parallel import map_ordered
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -52,9 +53,10 @@ def _sha256_file(path: Path) -> str:
 def _hash_input(path: Path) -> str:
     if path.is_dir():
         h = hashlib.sha256()
-        for sub in sorted(p for p in path.rglob("*") if p.is_file()):
+        files = sorted(p for p in path.rglob("*") if p.is_file())
+        for sub, digest in zip(files, list(map_ordered(_sha256_file, files))):
             h.update(str(sub.relative_to(path)).encode())
-            h.update(_sha256_file(sub).encode())
+            h.update(digest.encode())
         return h.hexdigest()[:16]
     return _sha256_file(path)
 
@@ -105,13 +107,18 @@ def _load_spectrograms(spec_dir: Path) -> tuple[list[str], np.ndarray, np.ndarra
     paths = sorted(spec_dir.glob("*.spc"))
     if not paths:
         raise DataError(f"no .spc files in {spec_dir}")
-    values, avail = [], []
-    for p in paths:
+    values = avail = None
+    for i, p in enumerate(paths):
         spec = dsp.read_spectrogram(p)
-        values.append(spec.values)
-        avail.append(spec.channel_available)
-    return ([p.stem for p in paths], np.stack(values).astype(np.float32),
-            np.stack(avail))
+        if values is None:  # filled in place: one copy of the set at a time
+            values = np.empty((len(paths),) + spec.values.shape, np.float32)
+            avail = np.empty((len(paths), len(spec.channel_available)), bool)
+        elif spec.values.shape != values.shape[1:]:
+            raise DataError(f"{p}: spectrogram shape {spec.values.shape} "
+                            f"differs from {values.shape[1:]}")
+        values[i] = spec.values
+        avail[i] = spec.channel_available
+    return [p.stem for p in paths], values, avail
 
 
 def _load_sessions(profile: Profile, tok_dir: Path, spec_dir: Path,
@@ -225,9 +232,13 @@ def dsp_cmd(ctx, cohort_dir, out):
     paths = sorted((cohort_dir / "sessions").glob("*.raw"))
     if not paths:
         raise DataError(f"no .raw sessions in {cohort_dir / 'sessions'}")
-    for i, path in enumerate(paths):
+
+    def spectrogram(path: Path) -> dsp.Spectrogram:
         session = cohortgen.read_session(path)
-        spec = dsp.session_spectrogram(session, profile.dsp, tapers)
+        return dsp.session_spectrogram(session, profile.dsp, tapers)
+
+    for i, (spec, path) in enumerate(zip(map_ordered(spectrogram, paths),
+                                         paths)):
         dsp.write_spectrogram(out / f"{path.stem}.spc", spec)
         if (i + 1) % 50 == 0 or i + 1 == len(paths):
             click.echo(f"spectrograms\t{i + 1}/{len(paths)}")

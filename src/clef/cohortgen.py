@@ -21,6 +21,7 @@ import numpy as np
 from .config import (CohortConfig, RACE_CATEGORIES, SETTING_CATEGORIES,
                      SEX_CATEGORIES)
 from .errors import DataError
+from .parallel import map_ordered
 
 SITES = ["site_a", "site_b"]
 
@@ -415,9 +416,13 @@ def session_days(config: CohortConfig, seed: int,
 def iter_sessions(config: CohortConfig, seed: int,
                   records: list[PatientRecord],
                   phenotypes: list[PhenotypeSpec]):
-    """Stream the sessions of ``records`` one at a time, in record order."""
-    for rec, ss in zip(records, _patient_seeds(seed, len(records))):
-        yield build_session(config, rec, phenotypes, ss)
+    """Stream the sessions of ``records`` in record order, built on every
+    CPU the process may use (``parallel.map_ordered``)."""
+    def build(job) -> RawSession:
+        record, ss = job
+        return build_session(config, record, phenotypes, ss)
+
+    return map_ordered(build, zip(records, _patient_seeds(seed, len(records))))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ which is what the adaptive GAN weight uses to replay a graph.
 from __future__ import annotations
 
 import json
+import zipfile
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -749,14 +750,23 @@ def save_checkpoint(path, params: dict[str, Tensor],
 
 
 def load_checkpoint(path) -> dict:
-    with np.load(path) as z:
-        header = json.loads(bytes(z["__header__"]).decode())
-        if header["version"] != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {header['version']}")
-        params = {n: z[f"param/{n}"].copy() for n in header["param_names"]}
-        ema = None
-        if header["has_ema"]:
-            ema = {n: z[f"ema/{n}"].copy() for n in header["param_names"]}
+    """A file that is not a checkpoint of this version is a ``DataError``
+    naming ``path``."""
+    try:
+        with np.load(path) as z:
+            header = json.loads(bytes(z["__header__"]).decode())
+            version = header.get("version")
+            if version == CHECKPOINT_VERSION:
+                params = {n: z[f"param/{n}"].copy()
+                          for n in header["param_names"]}
+                ema = None
+                if header["has_ema"]:
+                    ema = {n: z[f"ema/{n}"].copy()
+                           for n in header["param_names"]}
+    except (ValueError, KeyError, TypeError, zipfile.BadZipFile) as exc:
+        raise DataError(f"{path}: not a readable checkpoint ({exc})") from exc
+    if version != CHECKPOINT_VERSION:
+        raise DataError(f"{path}: unsupported checkpoint version {version}")
     return {"params": params, "ema": ema, "meta": header.get("meta", {}),
             "ema_decay": header.get("ema_decay")}
 
@@ -769,6 +779,6 @@ def assign_parameters(params: dict[str, Tensor],
         raise DataError(f"checkpoint missing parameters: {sorted(missing)[:5]} ...")
     for name, p in params.items():
         if p.data.shape != table[name].shape:
-            raise ShapeError(
+            raise DataError(
                 f"{name}: checkpoint shape {table[name].shape} vs model {p.data.shape}")
         p.data = table[name].astype(DTYPE).copy()

@@ -1,10 +1,12 @@
 """CLI tests: the full desk pipeline end to end on a tiny cohort, exit-code
-mapping, sequential-training, codebook-hash and checkpoint-kind refusals,
-the session-id join, manifest reproducibility, seed splitting, and config
+mapping, sequential-training, codebook-hash, checkpoint-kind and
+checkpoint-geometry refusals, the session-id join, the spectrogram loader's
+memory, manifest reproducibility, seed splitting, and config
 schema completeness."""
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -134,6 +136,46 @@ def test_probe_refuses_non_encoder_checkpoint(pipeline, tmp_path, capsys):
     assert climod.main(argv) == climod.EXIT_DATA
     assert "tokenizer checkpoint holds no encoder" in capsys.readouterr().err
     assert not (tmp_path / "results.json").exists()
+
+
+def test_probe_refuses_checkpoint_of_other_geometry(pipeline, tmp_path,
+                                                    capsys):
+    overrides = json.loads(pipeline["config"].read_text())
+    overrides["mim"]["d_model"] = 32
+    overrides["align"]["d_model"] = 32
+    config = tmp_path / "narrow.json"
+    config.write_text(json.dumps(overrides))
+    argv = ["--profile", "desk", "--config", str(config), "--seed", "11",
+            "probe", "--cohort", str(pipeline["cohort"]),
+            "--tokens", str(pipeline["tokens"]),
+            "--spectrograms", str(pipeline["spec"]),
+            "--ckpt", str(pipeline["align_ckpt"]),
+            "--out", str(tmp_path / "results.json")]
+    assert climod.main(argv) == climod.EXIT_DATA
+    assert "token_table" in capsys.readouterr().err
+    assert not (tmp_path / "results.json").exists()
+
+
+def test_load_spectrograms_holds_one_copy(tmp_path):
+    """The stacked set is filled in place: peak traced memory stays within
+    twice its size (once for the result, once for slack)."""
+    rng = np.random.default_rng(0)
+    expected = rng.uniform(-1, 1, size=(20, 8, 64, 128)).astype(np.float32)
+    for i, values in enumerate(expected):
+        dsp.write_spectrogram(tmp_path / f"s{i:02d}.spc", dsp.Spectrogram(
+            values=values, freq_res_hz=0.25, frame_stride_s=5.0,
+            channel_available=np.arange(8) != i % 8))
+    tracemalloc.start()
+    try:
+        sids, values, avail = climod._load_spectrograms(tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sids == [f"s{i:02d}" for i in range(20)]
+    assert values.dtype == np.float32 and np.array_equal(values, expected)
+    assert avail.tolist() == [(np.arange(8) != i % 8).tolist()
+                              for i in range(20)]
+    assert peak <= 2 * expected.nbytes + (1 << 20)
 
 
 def test_sessions_join_by_id_not_by_sorted_position(tmp_path):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -308,6 +310,31 @@ def test_checkpoint_roundtrip(tmp_path):
     assert np.array_equal(fresh["a"].data, params["a"].data)
     with pytest.raises(DataError):
         grad.assign_parameters(fresh, {"a": loaded["params"]["a"]})
+
+
+def test_checkpoint_load_errors_name_the_file(tmp_path):
+    params = {"a": Tensor(np.zeros((3, 2), np.float32), requires_grad=True)}
+    path = tmp_path / "ckpt.npz"
+    grad.save_checkpoint(path, params)
+    with pytest.raises(DataError, match=r"a: checkpoint shape \(3, 2\)"):
+        grad.assign_parameters(
+            {"a": Tensor(np.zeros((2, 3), np.float32))},
+            grad.load_checkpoint(path)["params"])
+    with np.load(path) as z:
+        arrays = dict(z)
+    header = json.loads(bytes(arrays["__header__"]).decode())
+    header["version"] = 99
+    arrays["__header__"] = np.frombuffer(json.dumps(header).encode(), np.uint8)
+    np.savez(path, **arrays)
+    with pytest.raises(DataError, match="ckpt.npz: unsupported checkpoint version 99"):
+        grad.load_checkpoint(path)
+    for junk in (b"not an npz at all", b"PK\x03\x04 truncated"):
+        path.write_bytes(junk)
+        with pytest.raises(DataError, match="ckpt.npz: not a readable checkpoint"):
+            grad.load_checkpoint(path)
+    np.save(tmp_path / "plain.npy", np.zeros(3))
+    with pytest.raises(DataError, match="plain.npy: not a readable checkpoint"):
+        grad.load_checkpoint(tmp_path / "plain.npy")
 
 
 def test_module_collects_nested_parameters():
