@@ -19,7 +19,7 @@ import numpy as np
 from . import grad, mim
 from .config import (AlignConfig, EhrVocabConfig, N_AGE_BINS, RACE_CATEGORIES,
                      SEX_CATEGORIES)
-from .errors import DataError, NumericError
+from .errors import DataError
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +131,7 @@ def ehr_input_from_record(record, dx_vocab: list[str], med_vocab: list[str]) -> 
 
 
 class ReportEncoder(grad.Module):
-    def __init__(self, cfg: AlignConfig, rng: np.random.Generator):
-        d = cfg.d_model
+    def __init__(self, cfg: AlignConfig, d: int, rng: np.random.Generator):
         self.w_in = grad.param((TextEmbeddingProvider.dim, d), rng)
         self.b_in = grad.param((d,), rng, zeros=True)
         self.pos = grad.param((cfg.text_max_len, d), rng, scale=0.02)
@@ -152,8 +151,7 @@ class ReportEncoder(grad.Module):
 
 
 class EhrEncoder(grad.Module):
-    def __init__(self, cfg: AlignConfig, rng: np.random.Generator):
-        d = cfg.d_model
+    def __init__(self, cfg: AlignConfig, d: int, rng: np.random.Generator):
         v = cfg.ehr
         self.vocab = v
         self.e_age = grad.param((N_AGE_BINS, d), rng, scale=0.02)
@@ -248,15 +246,12 @@ def clip_loss(a: grad.Tensor, b: grad.Tensor, tau: float = 0.07,
 
 
 class AlignModel(grad.Module):
-    def __init__(self, cfg: AlignConfig, rng: np.random.Generator):
-        if cfg.proj_dim != cfg.d_model:
-            # v_rep / v_ehr live in d_model space; the pi heads must land there
-            raise DataError(
-                f"proj_dim {cfg.proj_dim} != d_model {cfg.d_model} unsupported")
-        self.report_encoder = ReportEncoder(cfg, rng)
-        self.ehr_encoder = EhrEncoder(cfg, rng)
-        self.pi_rep = grad.param((cfg.d_model, cfg.proj_dim), rng)
-        self.pi_ehr = grad.param((cfg.d_model, cfg.proj_dim), rng)
+    # d is the EEG encoder's width: u, v_rep and v_ehr share one space
+    def __init__(self, cfg: AlignConfig, d: int, rng: np.random.Generator):
+        self.report_encoder = ReportEncoder(cfg, d, rng)
+        self.ehr_encoder = EhrEncoder(cfg, d, rng)
+        self.pi_rep = grad.param((d, d), rng)
+        self.pi_ehr = grad.param((d, d), rng)
         self.cfg = cfg
 
 
@@ -344,8 +339,6 @@ def stage2_step(align_model: AlignModel, mim_model: mim.MimModel,
     ehr_loss = clip_loss(grad.matmul(u, align_model.pi_ehr), v_ehr,
                          cfg.tau, None)
     total = rep_loss.value + ehr_loss.value
-    if not np.isfinite(total.data):
-        raise NumericError("non-finite Stage II loss")
     return total, Stage2Losses(total=float(total.data),
                                report=float(rep_loss.value.data),
                                ehr=float(ehr_loss.value.data),
@@ -359,54 +352,51 @@ def stage2_step(align_model: AlignModel, mim_model: mim.MimModel,
 @dataclass
 class Stage2Result:
     align_model: AlignModel
-    mim_model: mim.MimModel
     ema: grad.Ema
     losses: list[Stage2Losses]
 
 
-def audit_stage1_provenance(mim_model: mim.MimModel, stage1_ema: grad.Ema) -> None:
-    """Stage II must start from Stage I EMA weights: assert coverage."""
-    keep = set(mim_model.encoder_parameter_names())
-    missing = keep - set(stage1_ema.shadow)
-    if missing:
-        raise DataError(
-            f"stage2 init: stage1 EMA missing encoder parameters {sorted(missing)[:5]}")
+_EEG = "eeg."  # prefix of the encoder's names in a Stage II checkpoint
 
 
-def init_from_stage1(mim_model: mim.MimModel, stage1_ema: grad.Ema) -> None:
-    audit_stage1_provenance(mim_model, stage1_ema)
-    params = mim_model.named_parameters()
-    for name in mim_model.encoder_parameter_names():
-        params[name].data = stage1_ema.shadow[name].astype(grad.DTYPE).copy()
-
-
-def stage2_train(mim_model: mim.MimModel, stage1_ema: grad.Ema,
-                 provider: TextEmbeddingProvider, batches, cfg: AlignConfig,
-                 seed: int, steps: int | None = None) -> Stage2Result:
-    """``batches`` is a callable (step, rng) -> AlignBatch."""
-    init_from_stage1(mim_model, stage1_ema)
-    rng = np.random.default_rng(seed)
-    align_model = AlignModel(cfg, rng)
+def trained_parameters(align_model: AlignModel,
+                       mim_model: mim.MimModel) -> dict[str, grad.Tensor]:
+    """The alignment model's parameters plus the encoder's, under ``eeg.``."""
     trained = dict(align_model.named_parameters())
     mim_params = mim_model.named_parameters()
     for name in mim_model.encoder_parameter_names():
-        trained[f"eeg.{name}"] = mim_params[name]
-    opt = grad.AdamW(trained.values(), lr=cfg.lr, beta1=cfg.beta1,
-                     beta2=cfg.beta2, weight_decay=cfg.weight_decay)
-    ema = grad.Ema(trained, cfg.ema_decay)
-    total_steps = steps if steps is not None else cfg.steps
+        trained[_EEG + name] = mim_params[name]
+    return trained
+
+
+def encoder_weights(ckpt: dict) -> dict[str, np.ndarray]:
+    """Encoder weights of a ``mim`` or ``align`` checkpoint, EMA preferred."""
+    weights = ckpt["ema"] if ckpt["ema"] is not None else ckpt["params"]
+    if ckpt["meta"].get("kind") != "align":
+        return weights
+    return {k[len(_EEG):]: v for k, v in weights.items() if k.startswith(_EEG)}
+
+
+def stage2_train(mim_model: mim.MimModel, provider: TextEmbeddingProvider,
+                 batches, cfg: AlignConfig, seed: int,
+                 steps: int | None = None) -> Stage2Result:
+    """``grad.train`` over the alignment model and the encoder of
+    ``mim_model`` (Stage I weights on entry); ``batches(step, rng)`` gives
+    each step's ``AlignBatch``."""
+    rng = np.random.default_rng(seed)
+    align_model = AlignModel(cfg, mim_model.cfg.d_model, rng)
     history = []
-    for step in range(total_steps):
-        batch = batches(step, rng)
-        loss, losses = stage2_step(align_model, mim_model, provider, batch,
-                                   rng, cfg.r_drop)
-        opt.zero_grad()
-        loss.backward()
-        opt.step(lr=grad.cosine_lr(step, total_steps, cfg.lr, cfg.warmup_steps))
-        ema.update(trained)
+
+    def step_loss(step):
+        loss, losses = stage2_step(align_model, mim_model, provider,
+                                   batches(step, rng), rng, cfg.r_drop)
         history.append(losses)
-    return Stage2Result(align_model=align_model, mim_model=mim_model,
-                        ema=ema, losses=history)
+        return loss
+
+    ema = grad.train(trained_parameters(align_model, mim_model), cfg,
+                     steps if steps is not None else cfg.steps, step_loss,
+                     "Stage II")
+    return Stage2Result(align_model=align_model, ema=ema, losses=history)
 
 
 def retrieval_top1(align_model: AlignModel, mim_model: mim.MimModel,

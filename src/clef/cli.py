@@ -103,7 +103,14 @@ def _manifest(ctx, command: str, stage: str,
 # shared loaders
 
 
+def _require_manifest(spec_dir: Path) -> None:
+    # dsp writes its manifest last: without one the set may be partial
+    if not (spec_dir / "manifest.json").exists():
+        raise DataError(f"{spec_dir}: no manifest.json, dsp did not finish")
+
+
 def _load_spectrograms(spec_dir: Path) -> tuple[list[str], np.ndarray, np.ndarray]:
+    _require_manifest(spec_dir)
     paths = sorted(spec_dir.glob("*.spc"))
     if not paths:
         raise DataError(f"no .spc files in {spec_dir}")
@@ -127,6 +134,7 @@ def _load_sessions(profile: Profile, tok_dir: Path, spec_dir: Path,
     """Token ids (S, N), spectrogram patches (S, N, P) and the codebook size
     for ``session_ids`` (default: the token index order), each row read by
     session id from ``<sid>.tok`` and ``<sid>.spc``."""
+    _require_manifest(spec_dir)
     index_path = tok_dir / "tokens.json"
     if not index_path.exists():
         raise DataError(f"missing token index {index_path}")
@@ -163,11 +171,6 @@ def _build_mim_model(profile: Profile, codebook_size: int,
     return mim.MimModel(codebook_size, profile.n_channels,
                         profile.grid_shape, profile.mim,
                         np.random.default_rng(seed))
-
-
-def _encoder_weights_from_checkpoint(ckpt: dict) -> dict[str, np.ndarray]:
-    # prefer the EMA shadow when present
-    return ckpt["ema"] if ckpt["ema"] is not None else ckpt["params"]
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +230,7 @@ def dsp_cmd(ctx, cohort_dir, out):
                          {"sessions": cohort_dir / "sessions"})
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
+    (out / "manifest.json").unlink(missing_ok=True)  # until every .spc is in
     tapers = dsp.compute_dpss(profile.dsp.window, profile.dsp.nw,
                               profile.dsp.k_max, profile.dsp.eigen_threshold)
     paths = sorted((cohort_dir / "sessions").glob("*.raw"))
@@ -401,17 +405,14 @@ def train_align_cmd(ctx, cohort_dir, tok_dir, spec_dir, init_path, out, steps):
     if ckpt["meta"].get("kind") != "mim":
         raise DataError(f"{init_path}: not a Stage I checkpoint")
     model = _build_mim_model(profile, codebook_size, seed)
-    stage1_ema = grad.Ema(model.named_parameters(),
-                          ckpt["ema_decay"] or profile.mim.ema_decay)
-    stage1_ema.shadow = {k: v.copy() for k, v in
-                        _encoder_weights_from_checkpoint(ckpt).items()}
+    mim.load_encoder(model, align.encoder_weights(ckpt))
     phenotypes = cohortgen.default_phenotypes(profile.cohort.channel_names)
     dx_vocab, med_vocab = cohortgen.vocabularies(profile.cohort, phenotypes)
     rows = align.AlignRows(records, ids, patches,
                            [align.ehr_input_from_record(r, dx_vocab, med_vocab)
                             for r in records])
     provider = align.HashedNgramProvider()
-    result = align.stage2_train(model, stage1_ema, provider,
+    result = align.stage2_train(model, provider,
                                 rows.sampler(profile.align.batch_size),
                                 profile.align, seed, steps=steps)
     total = len(result.losses)
@@ -419,12 +420,9 @@ def train_align_cmd(ctx, cohort_dir, tok_dir, spec_dir, init_path, out, steps):
         h = result.losses[i]
         click.echo(f"step\t{i + 1}\ttotal\t{h.total:.5f}"
                    f"\treport\t{h.report:.5f}\tehr\t{h.ehr:.5f}")
-    trained = dict(result.align_model.named_parameters())
-    mim_params = result.mim_model.named_parameters()
-    for name in result.mim_model.encoder_parameter_names():
-        trained[f"eeg.{name}"] = mim_params[name]
     out = Path(out)
     out.parent.mkdir(parents=True, exist_ok=True)
+    trained = align.trained_parameters(result.align_model, model)
     grad.save_checkpoint(out, trained, ema=result.ema,
                          meta={"kind": "align",
                                "codebook_size": codebook_size,
@@ -518,13 +516,7 @@ def probe_cmd(ctx, cohort_dir, tok_dir, spec_dir, ckpt_path, out):
         profile, Path(tok_dir), Path(spec_dir),
         [r.session_id for r in records])
     model = _build_mim_model(profile, codebook_size, 0)
-    weights = _encoder_weights_from_checkpoint(ckpt)
-    if kind == "align":
-        weights = {k[len("eeg."):]: v for k, v in weights.items()
-                   if k.startswith("eeg.")}
-    params = model.named_parameters()
-    grad.assign_parameters({n: params[n] for n in
-                            model.encoder_parameter_names()}, weights)
+    mim.load_encoder(model, align.encoder_weights(ckpt))
     u = np.concatenate([
         mim.session_embedding(model, ids[i:i + 32], patches[i:i + 32])
         for i in range(0, len(records), 32)])

@@ -113,9 +113,7 @@ class TokenizerConfig:
     # short revival interval: at desk step counts the codebook must recover
     # dead entries within the training run, not after it
     dead_code_steps: int = 50
-    lr: float = 1e-3
-    beta1: float = 0.0
-    beta2: float = 0.99
+    lr: float = 1e-3             # both Adam optimizers: beta1=0, beta2=0.99
     batch_size: int = 16
     steps: int = 200
     adv_start_step: int = 10_000_000  # GAN off by default at desk scale
@@ -158,8 +156,7 @@ class EhrVocabConfig:
 
 @dataclass
 class AlignConfig:
-    d_model: int = 64           # shared embedding dim, equals MIM d_model
-    proj_dim: int = 64          # pi-head output dim d'
+    # the shared embedding width is the encoder's: mim.d_model
     text_max_len: int = 64
     refiner_depth: int = 2
     n_heads: int = 4
@@ -247,15 +244,13 @@ def _paper(name: str, depth: int, d_model: int, n_heads: int) -> Profile:
         disc_channels=[64, 128, 256],
         lambda_code=0.8, lambda_commit=0.2, gamma_diff=4.0,
         p_psg=0.3, p_drop=0.1, ramp_steps=100_000,
-        lr=1.44e-4, beta1=0.0, beta2=0.99,
-        batch_size=32, steps=200_000, adv_start_step=0)
+        lr=1.44e-4, batch_size=32, steps=200_000, adv_start_step=0)
     p.mim = MimConfig(
         depth=depth, d_model=d_model, n_heads=n_heads, dec_depth=4,
         dropout=0.1, lr=5e-4, batch_size=128, ema_decay=0.999)
     p.align = AlignConfig(
-        d_model=d_model, proj_dim=d_model, text_max_len=256,
-        refiner_depth=4, n_heads=8, lr=5e-4, batch_size=128,
-        ema_decay=0.9999,
+        text_max_len=256, refiner_depth=4, n_heads=8, lr=5e-4,
+        batch_size=128, ema_decay=0.9999,
         ehr=EhrVocabConfig(n_dx=178, n_med=205, dx_slots=30, med_slots=50))
     p.bench = BenchConfig(min_positives=15)
     return p

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from scipy.special import erf as _erf
 
-from .errors import DataError
+from .errors import DataError, NumericError
 
 DTYPE = np.float32
 
@@ -718,6 +718,24 @@ class Ema:
 def ema_update(shadow: np.ndarray, live: np.ndarray, decay: float) -> np.ndarray:
     return (decay * shadow.astype(np.float64)
             + (1.0 - decay) * live.astype(np.float64)).astype(live.dtype)
+
+
+def train(params: dict[str, Tensor], cfg, steps: int,
+          step_loss: Callable[[int], Tensor], stage: str) -> Ema:
+    """AdamW + cosine LR + EMA, all from ``cfg``, over ``step_loss(step)``;
+    a non-finite loss raises before that step's update."""
+    opt = AdamW(params.values(), lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
+                weight_decay=cfg.weight_decay)
+    ema = Ema(params, cfg.ema_decay)
+    for step in range(steps):
+        loss = step_loss(step)
+        if not np.isfinite(loss.data):
+            raise NumericError(f"non-finite {stage} loss at step {step}")
+        opt.zero_grad()
+        loss.backward()
+        opt.step(lr=cosine_lr(step, steps, cfg.lr, cfg.warmup_steps))
+        ema.update(params)
+    return ema
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,14 @@ class MimModel(grad.Module):
                 if not name.startswith(discard_prefixes)]
 
 
+def load_encoder(model: MimModel, weights: dict[str, np.ndarray]) -> None:
+    """Strict copy of ``weights`` into every encoder parameter of ``model``:
+    a missing name or a shape of another geometry is a ``DataError``."""
+    params = model.named_parameters()
+    grad.assign_parameters({n: params[n] for n in
+                            model.encoder_parameter_names()}, weights)
+
+
 def extract_patches(values: np.ndarray, ph: int, pw: int) -> np.ndarray:
     """(C, H, W) spectrogram -> (N, C*ph*pw) raw patches, one per token."""
     c, h, w = values.shape
@@ -293,32 +301,27 @@ class Stage1Result:
 def stage1_train(ids: np.ndarray, patches: np.ndarray, codebook_size: int,
                  n_channels: int, grid_hw: tuple[int, int], cfg: MimConfig,
                  seed: int, steps: int | None = None) -> Stage1Result:
-    """AdamW + cosine schedule + EMA over an in-memory token dataset.
+    """``grad.train`` over an in-memory token dataset.
 
     ``ids``: (M, N) token grids; ``patches``: (M, N, P) raw patches.
     """
     rng = np.random.default_rng(seed)
     model = MimModel(codebook_size, n_channels, grid_hw, cfg, rng)
-    params = model.named_parameters()
-    opt = grad.AdamW(params.values(), lr=cfg.lr, beta1=cfg.beta1,
-                     beta2=cfg.beta2, weight_decay=cfg.weight_decay)
-    ema = grad.Ema(params, cfg.ema_decay)
-    total = steps if steps is not None else cfg.steps
     batch_rng = np.random.default_rng(seed + 1)
     losses, accs = [], []
     n = ids.shape[1]
-    for step in range(total):
+
+    def step_loss(step):
         pick = batch_rng.integers(0, ids.shape[0], size=cfg.batch_size)
         plan = sample_mask_plan(n, cfg, batch_rng, batch=cfg.batch_size)
         out = mim_forward(model, ids[pick], patches[pick], plan)
         loss = mim_loss(out.logits, out.targets, cfg.label_smoothing)
-        if not np.isfinite(loss.data):
-            raise NumericError(f"non-finite Stage I loss at step {step}")
-        opt.zero_grad()
-        loss.backward()
-        opt.step(lr=grad.cosine_lr(step, total, cfg.lr, cfg.warmup_steps))
-        ema.update(params)
         losses.append(float(loss.data))
         accs.append(float(np.mean(
             np.argmax(out.logits.data, axis=1) == out.targets)))
+        return loss
+
+    ema = grad.train(model.named_parameters(), cfg,
+                     steps if steps is not None else cfg.steps, step_loss,
+                     "Stage I")
     return Stage1Result(model=model, ema=ema, losses=losses, masked_acc=accs)

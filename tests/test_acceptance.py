@@ -129,18 +129,18 @@ def stage2(cohort, tokens, stage1):
                   for r in records]
     res1 = stage1["result"]
     # session embeddings at the exact initialization Stage II starts from
-    align.init_from_stage1(res1.model, res1.ema)
+    mim.load_encoder(res1.model, res1.ema.shadow)
     emb_recon = _batched_embeddings(res1.model, ids, patches)
 
     t0 = time.time()
     provider = align.HashedNgramProvider()
     rows = align.AlignRows(records, ids, patches, ehr_inputs)
-    res2 = align.stage2_train(res1.model, res1.ema, provider,
+    res2 = align.stage2_train(res1.model, provider,
                               rows.sampler(P.align.batch_size),
                               P.align, seed=7, steps=500)
     eval_batch = rows.batch(np.arange(0, len(records), 6)[:64])
-    top1 = align.retrieval_top1(res2.align_model, res2.mim_model, eval_batch)
-    emb_align = _batched_embeddings(res2.mim_model, ids, patches)
+    top1 = align.retrieval_top1(res2.align_model, res1.model, eval_batch)
+    emb_align = _batched_embeddings(res1.model, ids, patches)
     return {"result": res2, "top1": top1, "emb_recon": emb_recon,
             "emb_align": emb_align, "ehr_inputs": ehr_inputs,
             "elapsed": time.time() - t0}
@@ -396,10 +396,11 @@ def test_stage1_smoke(spectra, tokenizer_run, tokens, stage1):
 def test_stage2_smoke(stage2):
     # the near-ln(B) identity needs a wide embedding: cosine similarities of
     # random d-dim vectors spread ~1/sqrt(d), so d=64 overshoots ln 64 badly
-    cfg512 = get_profile("paper-small").align
+    paper_small = get_profile("paper-small")
+    cfg512, d512 = paper_small.align, paper_small.mim.d_model
     rng = np.random.default_rng(3)
-    model = align.AlignModel(cfg512, rng)
-    u = grad.Tensor(rng.standard_normal((64, cfg512.d_model)).astype(grad.DTYPE))
+    model = align.AlignModel(cfg512, d512, rng)
+    u = grad.Tensor(rng.standard_normal((64, d512)).astype(grad.DTYPE))
     ehr = [align.EhrInput(
         age_bin=int(rng.integers(0, 10)), sex_id=int(rng.integers(0, 3)),
         race_id=int(rng.integers(0, 8)),
@@ -480,10 +481,11 @@ def test_concept_holdout_transfer(cohort, tokens, stage1, stage2):
                          P.grid_shape, P.mim, np.random.default_rng(13))
     rows = align.AlignRows(filtered, tokens["ids"], tokens["patches"],
                            ehr_inputs)
-    res = align.stage2_train(model, res1.ema, align.HashedNgramProvider(),
-                             rows.sampler(P.align.batch_size), P.align,
-                             seed=19, steps=60)
-    emb = _batched_embeddings(res.mim_model, tokens["ids"], tokens["patches"])
+    mim.load_encoder(model, res1.ema.shadow)
+    align.stage2_train(model, align.HashedNgramProvider(),
+                       rows.sampler(P.align.batch_size), P.align,
+                       seed=19, steps=60)
+    emb = _batched_embeddings(model, tokens["ids"], tokens["patches"])
     sids = {r.patient_id: f"s{i:04d}" for i, r in enumerate(records)}
     task = bench.TaskSpec(task_id="disease/spindle_dropout", axis="disease",
                           codes=frozenset(held.dx_codes), chronic=held.chronic)

@@ -54,9 +54,9 @@ def test_provider_empty_text():
 
 
 def test_report_embed_padding_extension_invariant():
-    cfg = _cfg(d_model=32, n_heads=4, refiner_depth=2, text_max_len=16)
+    cfg = _cfg(n_heads=4, refiner_depth=2, text_max_len=16)
     rng = np.random.default_rng(0)
-    enc = align.ReportEncoder(cfg, rng)
+    enc = align.ReportEncoder(cfg, 32, rng)
     feats = np.zeros((1, 16, 768), dtype=np.float32)
     feats[0, :3] = rng.normal(size=(3, 768))
     mask = np.zeros((1, 16), dtype=bool)
@@ -69,8 +69,8 @@ def test_report_embed_padding_extension_invariant():
 
 
 def test_report_embed_single_token_identity():
-    cfg = _cfg(d_model=32, n_heads=4, refiner_depth=2, text_max_len=4)
-    enc = align.ReportEncoder(cfg, np.random.default_rng(1))
+    cfg = _cfg(n_heads=4, refiner_depth=2, text_max_len=4)
+    enc = align.ReportEncoder(cfg, 32, np.random.default_rng(1))
     feats = np.random.default_rng(2).normal(size=(1, 4, 768)).astype(np.float32)
     mask = np.zeros((1, 4), dtype=bool)
     mask[0, 0] = True
@@ -90,12 +90,12 @@ def test_report_embed_single_token_identity():
 
 
 def _ehr_cfg():
-    return _cfg(d_model=32, n_heads=4, refiner_depth=2)
+    return _cfg(n_heads=4, refiner_depth=2)
 
 
 def test_ehr_permutation_invariance():
     cfg = _ehr_cfg()
-    enc = align.EhrEncoder(cfg, np.random.default_rng(3))
+    enc = align.EhrEncoder(cfg, 32, np.random.default_rng(3))
     a = align.EhrInput(3, 0, 2, dx_ids=(5, 1, 3), med_ids=(7, 2, 9))
     b = align.EhrInput(3, 0, 2, dx_ids=(1, 3, 5), med_ids=(9, 7, 2))
     va = enc([a]).data
@@ -105,7 +105,7 @@ def test_ehr_permutation_invariance():
 
 def test_ehr_dedup_default():
     cfg = _ehr_cfg()
-    enc = align.EhrEncoder(cfg, np.random.default_rng(4))
+    enc = align.EhrEncoder(cfg, 32, np.random.default_rng(4))
     a = align.EhrInput(3, 1, 2, dx_ids=(5, 5, 1), med_ids=(7,))
     b = align.EhrInput(3, 1, 2, dx_ids=(5, 1), med_ids=(7,))
     assert np.array_equal(enc([a]).data, enc([b]).data)
@@ -121,7 +121,7 @@ def test_ehr_truncation_keeps_lowest_ids():
 
 def test_ehr_empty_sets_demographics_only():
     cfg = _ehr_cfg()
-    enc = align.EhrEncoder(cfg, np.random.default_rng(5))
+    enc = align.EhrEncoder(cfg, 32, np.random.default_rng(5))
     inp = align.EhrInput(2, 1, 3, dx_ids=(), med_ids=())
     _, _, _, _, _, mask = enc.assemble([inp])
     assert mask.sum() == 3
@@ -208,10 +208,8 @@ def test_clip_loss_nonnegative_and_asymptotically_zero():
 def _tiny_stage2(seed=10):
     mcfg = MimConfig(d_model=32, n_heads=4, depth=1, dec_depth=1)
     mmodel = mim.MimModel(16, 2, (4, 8), mcfg, np.random.default_rng(seed))
-    ema = grad.Ema(mmodel.named_parameters(), 0.999)
-    acfg = _cfg(d_model=32, proj_dim=32, n_heads=4, refiner_depth=1,
-                text_max_len=16, batch_size=4)
-    return mmodel, ema, acfg
+    acfg = _cfg(n_heads=4, refiner_depth=1, text_max_len=16, batch_size=4)
+    return mmodel, acfg
 
 
 def _batch(rng, b=4, with_reports=True):
@@ -227,8 +225,8 @@ def _batch(rng, b=4, with_reports=True):
 
 
 def test_stage2_step_additivity():
-    mmodel, ema, acfg = _tiny_stage2()
-    amodel = align.AlignModel(acfg, np.random.default_rng(11))
+    mmodel, acfg = _tiny_stage2()
+    amodel = align.AlignModel(acfg, 32, np.random.default_rng(11))
     provider = align.HashedNgramProvider(max_len=16)
     batch = _batch(np.random.default_rng(12))
     _, losses = align.stage2_step(amodel, mmodel, provider, batch, rng=None)
@@ -245,9 +243,8 @@ def test_stage2_random_init_loss_near_ln_b():
     # scale as 1/sqrt(d), so run this check at d=512
     mcfg = MimConfig(d_model=512, n_heads=8, depth=1, dec_depth=1)
     mmodel = mim.MimModel(16, 2, (4, 8), mcfg, np.random.default_rng(13))
-    acfg = _cfg(d_model=512, proj_dim=512, n_heads=8, refiner_depth=1,
-                text_max_len=16)
-    amodel = align.AlignModel(acfg, np.random.default_rng(14))
+    acfg = _cfg(n_heads=8, refiner_depth=1, text_max_len=16)
+    amodel = align.AlignModel(acfg, 512, np.random.default_rng(14))
     provider = align.HashedNgramProvider(max_len=16)
     batch = _batch(np.random.default_rng(15), b=64)
     _, losses = align.stage2_step(amodel, mmodel, provider, batch, rng=None)
@@ -256,23 +253,34 @@ def test_stage2_random_init_loss_near_ln_b():
 
 
 def test_stage2_requires_stage1_provenance():
-    mmodel, ema, acfg = _tiny_stage2()
-    bad_ema = grad.Ema({"not_a_param": grad.Tensor(np.zeros(1))}, 0.999)
-    with pytest.raises(DataError):
-        align.audit_stage1_provenance(mmodel, bad_ema)
-    align.audit_stage1_provenance(mmodel, ema)  # full coverage passes
+    """Stage II starts from Stage I weights: the encoder loader refuses a
+    table that misses an encoder parameter, and ignores the decoder's."""
+    mmodel, acfg = _tiny_stage2()
+    stage1 = mim.MimModel(16, 2, (4, 8), mmodel.cfg, np.random.default_rng(99))
+    weights = {k: p.data for k, p in stage1.named_parameters().items()}
+    with pytest.raises(DataError, match="missing"):
+        mim.load_encoder(mmodel, {"not_a_param": np.zeros(1)})
+    mim.load_encoder(mmodel, {k: v for k, v in weights.items()
+                              if k in mmodel.encoder_parameter_names()})
+    params = mmodel.named_parameters()
+    assert all(np.array_equal(params[k].data, weights[k])
+               for k in mmodel.encoder_parameter_names())
+    assert not np.array_equal(params["head_w"].data, weights["head_w"])
 
 
 def test_stage2_train_updates_and_ema():
-    mmodel, ema, acfg = _tiny_stage2()
+    mmodel, acfg = _tiny_stage2()
     provider = align.HashedNgramProvider(max_len=16)
     data_rng = np.random.default_rng(16)
     fixed = _batch(data_rng)
 
-    result = align.stage2_train(mmodel, ema, provider,
+    result = align.stage2_train(mmodel, provider,
                                 lambda step, rng: fixed, acfg, seed=17, steps=3)
     assert len(result.losses) == 3
-    assert any(k.startswith("eeg.") for k in result.ema.shadow)
+    trained = align.trained_parameters(result.align_model, mmodel)
+    assert set(result.ema.shadow) == set(trained)
+    assert {k[len("eeg."):] for k in trained if k.startswith("eeg.")} == \
+        set(mmodel.encoder_parameter_names())
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """CLI tests: the full desk pipeline end to end on a tiny cohort, exit-code
-mapping, sequential-training, codebook-hash, checkpoint-kind and
-checkpoint-geometry refusals, the session-id join, the spectrogram loader's
-memory, manifest reproducibility, seed splitting, and config
-schema completeness."""
+mapping, sequential-training, codebook-hash, checkpoint-kind,
+checkpoint-geometry and partial-spectrogram refusals, the session-id join,
+the spectrogram loader's memory, manifest reproducibility, seed splitting,
+and config schema completeness."""
 
 import dataclasses
 import json
@@ -142,7 +142,6 @@ def test_probe_refuses_checkpoint_of_other_geometry(pipeline, tmp_path,
                                                     capsys):
     overrides = json.loads(pipeline["config"].read_text())
     overrides["mim"]["d_model"] = 32
-    overrides["align"]["d_model"] = 32
     config = tmp_path / "narrow.json"
     config.write_text(json.dumps(overrides))
     argv = ["--profile", "desk", "--config", str(config), "--seed", "11",
@@ -156,6 +155,59 @@ def test_probe_refuses_checkpoint_of_other_geometry(pipeline, tmp_path,
     assert not (tmp_path / "results.json").exists()
 
 
+def test_train_align_refuses_stage1_checkpoint_of_other_geometry(
+        pipeline, tmp_path, capsys):
+    overrides = json.loads(pipeline["config"].read_text())
+    overrides["mim"]["d_model"] = 32
+    config = tmp_path / "narrow.json"
+    config.write_text(json.dumps(overrides))
+    argv = ["--profile", "desk", "--config", str(config), "--seed", "11",
+            "train-align", "--cohort", str(pipeline["cohort"]),
+            "--tokens", str(pipeline["tokens"]),
+            "--spectrograms", str(pipeline["spec"]),
+            "--init", str(pipeline["mim_ckpt"]),
+            "--out", str(tmp_path / "align.npz")]
+    assert climod.main(argv) == climod.EXIT_DATA
+    assert "token_table" in capsys.readouterr().err
+    assert not (tmp_path / "align.npz").exists()
+
+
+def _four_patient_cohort(tmp_path):
+    """Global options, the cohort directory and its third session's path."""
+    config = tmp_path / "four.json"
+    config.write_text(json.dumps({"cohort": {"n_patients": 4}}))
+    base = ["--config", str(config), "--seed", "3"]
+    cohort = tmp_path / "cohort"
+    assert climod.main(base + ["gen-cohort", "--out", str(cohort)]) == 0
+    return base, cohort, sorted((cohort / "sessions").glob("*.raw"))[2]
+
+
+def test_partial_dsp_output_is_refused(tmp_path, capsys):
+    base, cohort, bad = _four_patient_cohort(tmp_path)
+    bad.write_bytes(bad.read_bytes()[:5000])
+    spec = tmp_path / "spec"
+    assert climod.main(base + ["dsp", "--cohort", str(cohort),
+                               "--out", str(spec)]) == climod.EXIT_DATA
+    assert list(spec.glob("*.spc"))  # the sessions before the bad one
+    capsys.readouterr()
+    assert climod.main(base + ["train-tokenizer", "--spectrograms", str(spec),
+                               "--out", str(tmp_path / "tok.npz"),
+                               "--steps", "1"]) == climod.EXIT_DATA
+    assert "manifest.json" in capsys.readouterr().err
+    assert not (tmp_path / "tok.npz").exists()
+
+
+def test_failed_dsp_rerun_removes_the_old_manifest(tmp_path):
+    base, cohort, bad = _four_patient_cohort(tmp_path)
+    spec = tmp_path / "spec"
+    argv = base + ["dsp", "--cohort", str(cohort), "--out", str(spec)]
+    assert climod.main(argv) == 0
+    assert (spec / "manifest.json").exists()
+    bad.write_bytes(bad.read_bytes()[:5000])
+    assert climod.main(argv) == climod.EXIT_DATA
+    assert not (spec / "manifest.json").exists()
+
+
 def test_load_spectrograms_holds_one_copy(tmp_path):
     """The stacked set is filled in place: peak traced memory stays within
     twice its size (once for the result, once for slack)."""
@@ -165,6 +217,7 @@ def test_load_spectrograms_holds_one_copy(tmp_path):
         dsp.write_spectrogram(tmp_path / f"s{i:02d}.spc", dsp.Spectrogram(
             values=values, freq_res_hz=0.25, frame_stride_s=5.0,
             channel_available=np.arange(8) != i % 8))
+    (tmp_path / "manifest.json").write_text("{}")
     tracemalloc.start()
     try:
         sids, values, avail = climod._load_spectrograms(tmp_path)
@@ -193,6 +246,7 @@ def test_sessions_join_by_id_not_by_sorted_position(tmp_path):
             values=np.full((2, 16, 16), 0.25 * (i + 1), dtype=np.float32),
             freq_res_hz=0.25, frame_stride_s=5.0,
             channel_available=np.ones(2, dtype=bool)))
+    (spec / "manifest.json").write_text("{}")
     (tok / "tokens.json").write_text(json.dumps(
         {"codebook_sha": "x", "codebook_size": 4,
          "sessions": sorted(generation_order)}))
@@ -225,6 +279,17 @@ def test_exit_codes(tmp_path, capsys):
                         "--out", str(tmp_path / "s")])
     assert code == climod.EXIT_DATA
     assert "sessions" in capsys.readouterr().err
+
+
+def test_removed_config_keys_are_refused():
+    """Stage II's width is mim.d_model, and the tokenizer's Adam betas are
+    fixed: these keys are gone, and setting one is a config error."""
+    for path in ("align.d_model", "align.proj_dim", "tokenizer.beta1",
+                 "tokenizer.beta2"):
+        section, key = path.split(".")
+        with pytest.raises(cfgmod.ConfigError, match=path):
+            cfgmod.apply_overrides(cfgmod.get_profile("desk"),
+                                   {section: {key: 1}})
 
 
 def test_missing_input_path_named_in_message(tmp_path, capsys):
@@ -278,16 +343,14 @@ _SCHEMA_PATHS = [
     "tokenizer.lambda_code", "tokenizer.lambda_commit", "tokenizer.gamma_diff",
     "tokenizer.adv_weight_clamp", "tokenizer.p_psg", "tokenizer.p_drop",
     "tokenizer.ramp_steps", "tokenizer.dead_code_steps", "tokenizer.lr",
-    "tokenizer.beta1", "tokenizer.beta2", "tokenizer.batch_size",
-    "tokenizer.steps", "tokenizer.adv_start_step",
+    "tokenizer.batch_size", "tokenizer.steps", "tokenizer.adv_start_step",
     "mim.depth", "mim.d_model", "mim.n_heads", "mim.dec_depth",
     "mim.patch_h", "mim.patch_w", "mim.mask_mu", "mim.mask_sigma",
     "mim.mask_lo", "mim.mask_hi", "mim.r_drop", "mim.label_smoothing",
     "mim.pool_includes_proxy", "mim.lr", "mim.weight_decay",
     "mim.warmup_steps", "mim.ema_decay",
-    "align.d_model", "align.proj_dim", "align.text_max_len",
-    "align.refiner_depth", "align.tau", "align.r_drop", "align.lr",
-    "align.ema_decay", "align.ehr.n_dx", "align.ehr.n_med",
+    "align.text_max_len", "align.refiner_depth", "align.tau", "align.r_drop",
+    "align.lr", "align.ema_decay", "align.ehr.n_dx", "align.ehr.n_med",
     "align.ehr.dx_slots", "align.ehr.med_slots",
     "bench.controls_per_case", "bench.min_positives", "bench.split_val",
     "bench.split_test", "bench.probe_hidden",

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from clef import grad
-from clef.errors import DataError
+from clef.config import MimConfig
+from clef.errors import DataError, NumericError
 from clef.grad import Tensor
 
 from fdcheck import check_gradients
@@ -285,6 +286,68 @@ def test_training_trajectory_deterministic():
         return w.data.copy()
 
     assert np.array_equal(run(), run())
+
+
+def _bowl():
+    rng = np.random.default_rng(5)
+    params = {"w": Tensor(rng.normal(size=(3, 4)).astype(np.float32),
+                          requires_grad=True),
+              "b": Tensor(rng.normal(size=(4,)).astype(np.float32),
+                          requires_grad=True)}
+    target = rng.normal(size=(3, 4)).astype(np.float32)
+    return params, lambda step: grad.l2(params["w"] + params["b"], target)
+
+
+def _hand_rolled(cfg, total, run):
+    """``run`` steps of a ``total``-step AdamW + cosine + EMA schedule."""
+    params, loss_at = _bowl()
+    opt = grad.AdamW(params.values(), lr=cfg.lr, beta1=cfg.beta1,
+                     beta2=cfg.beta2, weight_decay=cfg.weight_decay)
+    ema = grad.Ema(params, cfg.ema_decay)
+    for step in range(run):
+        loss = loss_at(step)
+        opt.zero_grad()
+        loss.backward()
+        opt.step(lr=grad.cosine_lr(step, total, cfg.lr, cfg.warmup_steps))
+        ema.update(params)
+    return params, ema
+
+
+def test_train_matches_hand_rolled_loop():
+    cfg = MimConfig(lr=0.05, warmup_steps=2, ema_decay=0.8)
+    params, loss_at = _bowl()
+    ema = grad.train(params, cfg, 6, loss_at, "test")
+    ref, ref_ema = _hand_rolled(cfg, 6, 6)
+    for k in params:
+        assert np.array_equal(params[k].data, ref[k].data)
+        assert np.array_equal(ema.shadow[k], ref_ema.shadow[k])
+
+
+def test_train_raises_before_updating_on_a_non_finite_loss(monkeypatch):
+    """NaN at step 2: the parameters and the EMA stay as step 1 left them."""
+    cfg = MimConfig(lr=0.05, warmup_steps=0, ema_decay=0.8)
+    ref, ref_ema = _hand_rolled(cfg, 5, 2)
+    emas = []
+
+    class RecordingEma(grad.Ema):
+        def __init__(self, params, decay):
+            super().__init__(params, decay)
+            emas.append(self)
+
+    monkeypatch.setattr(grad, "Ema", RecordingEma)
+    params, loss_at = _bowl()
+
+    def nan_at_two(step):
+        loss = loss_at(step)
+        return loss * float("nan") if step == 2 else loss
+
+    with pytest.raises(NumericError, match="Stage T loss at step 2"):
+        grad.train(params, cfg, 5, nan_at_two, "Stage T")
+    assert len(emas) == 1
+    for k in params:
+        assert np.array_equal(params[k].data, ref[k].data)
+        assert np.array_equal(emas[0].shadow[k], ref_ema.shadow[k])
+    assert not np.array_equal(ref_ema.shadow["w"], _bowl()[0]["w"].data)
 
 
 def test_checkpoint_roundtrip(tmp_path):
