@@ -1,7 +1,8 @@
 """Stage II cross-modal alignment.
 
-Report text runs through a pluggable frozen embedding provider (reference
-implementation: seeded character-trigram hashing), a linear projection, a
+Report text runs through a frozen embedding provider (seeded
+character-trigram hashing, one feature row per word), is cut to
+``text_max_len`` words, and goes through a linear projection, a
 learnable-position self-attention refiner, and masked mean pooling.  EHR
 facts run through a permutation-invariant set encoder over demographic,
 diagnosis, and medication codebooks.  Both are aligned to the pooled EEG
@@ -26,16 +27,7 @@ from .errors import DataError
 # text provider
 
 
-class TextEmbeddingProvider:
-    """text -> (features (L, dim), mask (L,)) with L <= max_len, deterministic."""
-
-    dim = 768
-
-    def embed(self, text: str) -> tuple[np.ndarray, np.ndarray]:
-        raise NotImplementedError
-
-
-class HashedNgramProvider(TextEmbeddingProvider):
+class HashedNgramProvider:
     """Character-trigram hashing per word, through a fixed seeded projection.
 
     Dependency-free stand-in for a frozen pretrained text encoder: the same
@@ -43,8 +35,9 @@ class HashedNgramProvider(TextEmbeddingProvider):
     differ somewhere in feature space with overwhelming probability.
     """
 
-    def __init__(self, max_len: int = 64, seed: int = 1234):
-        self.max_len = max_len
+    dim = 768
+
+    def __init__(self, seed: int = 1234):
         rng = np.random.default_rng(seed)
         self.projection = rng.normal(
             0.0, 1.0 / np.sqrt(self.dim), size=(self.dim, self.dim)
@@ -69,17 +62,14 @@ class HashedNgramProvider(TextEmbeddingProvider):
         self._word_cache[word] = feature
         return feature
 
-    def embed(self, text: str) -> tuple[np.ndarray, np.ndarray]:
+    def embed(self, text: str) -> np.ndarray:
+        """(words, dim) features, one row per word; a text without words is
+        a single zero row."""
         words = [w.strip(".,;:()").lower() for w in text.split()]
-        words = [w for w in words if w][: self.max_len]
-        mask = np.zeros(self.max_len, dtype=bool)
-        feats = np.zeros((self.max_len, self.dim), dtype=np.float32)
-        for i, w in enumerate(words):
-            feats[i] = self._word_feature(w)
-            mask[i] = True
-        if not mask.any():
-            mask[0] = True  # empty text: a single zero token
-        return feats, mask
+        words = [w for w in words if w]
+        if not words:
+            return np.zeros((1, self.dim), dtype=np.float32)
+        return np.stack([self._word_feature(w) for w in words])
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +122,7 @@ def ehr_input_from_record(record, dx_vocab: list[str], med_vocab: list[str]) -> 
 
 class ReportEncoder(grad.Module):
     def __init__(self, cfg: AlignConfig, d: int, rng: np.random.Generator):
-        self.w_in = grad.param((TextEmbeddingProvider.dim, d), rng)
+        self.w_in = grad.param((HashedNgramProvider.dim, d), rng)
         self.b_in = grad.param((d,), rng, zeros=True)
         self.pos = grad.param((cfg.text_max_len, d), rng, scale=0.02)
         self.blocks = [mim._Block(d, cfg.n_heads, 4, rng)
@@ -255,15 +245,15 @@ class AlignModel(grad.Module):
         self.cfg = cfg
 
 
-def report_embed(texts: list[str], provider: TextEmbeddingProvider,
+def report_embed(texts: list[str], provider: HashedNgramProvider,
                  encoder: ReportEncoder, max_len: int) -> grad.Tensor:
-    feats = np.zeros((len(texts), max_len, TextEmbeddingProvider.dim),
-                     dtype=np.float32)
+    """Each text's first ``max_len`` word rows, padded and masked."""
+    feats = np.zeros((len(texts), max_len, provider.dim), dtype=np.float32)
     mask = np.zeros((len(texts), max_len), dtype=bool)
     for i, text in enumerate(texts):
-        f, m = provider.embed(text)
-        feats[i, :f.shape[0]] = f[:max_len]
-        mask[i, :m.shape[0]] = m[:max_len]
+        f = provider.embed(text)[:max_len]
+        feats[i, :len(f)] = f
+        mask[i, :len(f)] = True
     return encoder(feats, mask)
 
 
@@ -313,7 +303,7 @@ class Stage2Losses:
 
 
 def stage2_step(align_model: AlignModel, mim_model: mim.MimModel,
-                provider: TextEmbeddingProvider, batch: AlignBatch,
+                provider: HashedNgramProvider, batch: AlignBatch,
                 rng: np.random.Generator | None = None,
                 r_drop: float = 0.25) -> tuple[grad.Tensor, Stage2Losses]:
     """L_Align = L_Report + L_EHR on one batch; returns the loss graph root."""
@@ -328,7 +318,7 @@ def stage2_step(align_model: AlignModel, mim_model: mim.MimModel,
                 keep[i, np.flatnonzero(valid[i])[0]] = True
         valid = valid & keep
     u = mim.mim_forward(mim_model, batch.ids, batch.patches,
-                        plan=None, valid=valid).u
+                        plan=None, valid=valid, train_rng=rng).u
     present = batch.report_present.astype(bool)
     texts = [t if p else "" for t, p in zip(batch.texts, present)]
     v_rep = report_embed(texts, provider, align_model.report_encoder,
@@ -377,7 +367,7 @@ def encoder_weights(ckpt: dict) -> dict[str, np.ndarray]:
     return {k[len(_EEG):]: v for k, v in weights.items() if k.startswith(_EEG)}
 
 
-def stage2_train(mim_model: mim.MimModel, provider: TextEmbeddingProvider,
+def stage2_train(mim_model: mim.MimModel, provider: HashedNgramProvider,
                  batches, cfg: AlignConfig, seed: int,
                  steps: int | None = None) -> Stage2Result:
     """``grad.train`` over the alignment model and the encoder of

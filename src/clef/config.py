@@ -5,9 +5,14 @@ here.  A profile is a named bundle of per-stage configs; ``desk`` is small
 enough to train end-to-end on a laptop CPU, the ``paper-*`` profiles carry
 the full-scale constants.
 
-Profiles can be overridden from a JSON file or from environment variables
-prefixed ``CLEF_`` (``CLEF_DSP__STRIDE=250`` sets ``profile.dsp.stride``).
-Unknown keys are rejected.
+Profiles are overridden from one nested JSON file (``--config``), and
+from nothing else.  An unknown key, or a value whose JSON type differs from
+the default's (an int is accepted for a float), is a ``ConfigError``.
+``dsp.sample_rate``, ``dsp.freq_res_hz``, ``mim.pool_includes_proxy`` and
+``tokenizer.codebook_data_init`` are gone and refused like any unknown key.
+
+The DSP has no sample rate of its own: it reads the rate from each
+session's ``.raw`` header, and its bin width is that rate / ``dsp.window``.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field
 
 
@@ -45,7 +49,6 @@ N_AGE_BINS = 11  # ten decade-wide bins plus one N/A slot
 
 @dataclass
 class DspConfig:
-    sample_rate: float = 200.0
     band_lo_hz: float = 0.1
     band_hi_hz: float = 75.0
     bandpass_order: int = 4
@@ -57,15 +60,14 @@ class DspConfig:
     nw: float = 2.0
     k_max: int = 4
     eigen_threshold: float = 0.9
-    freq_res_hz: float = 0.25
     band_top_hz: float = 32.0    # spectrogram covers [0, band_top)
     db_lo: float = -40.0
     db_hi: float = 40.0
     power_floor: float = 1e-12
 
-    @property
-    def n_freq_bins(self) -> int:
-        return int(round(self.band_top_hz / self.freq_res_hz))
+    def n_freq_bins(self, sample_rate: float) -> int:
+        """Bins of width ``sample_rate / window`` below ``band_top_hz``."""
+        return int(round(self.band_top_hz * self.window / sample_rate))
 
     def n_frames(self, n_samples: int) -> int:
         """Frames start at multiples of ``stride``; the tail of the signal is
@@ -106,7 +108,6 @@ class TokenizerConfig:
     lambda_commit: float = 0.2
     gamma_diff: float = 4.0
     adv_weight_clamp: float = 1e4
-    codebook_data_init: bool = True  # seed entries from first-batch latents
     p_psg: float = 0.3
     p_drop: float = 0.1
     ramp_steps: int = 200
@@ -135,7 +136,6 @@ class MimConfig:
     mask_hi: float = 1.0
     r_drop: float = 0.25
     label_smoothing: float = 0.1
-    pool_includes_proxy: bool = False
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.95
@@ -206,8 +206,9 @@ class Profile:
     @property
     def grid_shape(self) -> tuple[int, int]:
         """Token grid (H', W') implied by DSP output and tokenizer strides."""
-        h = self.dsp.n_freq_bins
-        w = self.dsp.n_frames(int(self.cohort.duration_s * self.dsp.sample_rate))
+        rate = self.cohort.sample_rate
+        h = self.dsp.n_freq_bins(rate)
+        w = self.dsp.n_frames(int(self.cohort.duration_s * rate))
         for sf, st in self.tokenizer.level_strides:
             h //= sf
             w //= st
@@ -272,27 +273,20 @@ def get_profile(name: str = "desk") -> Profile:
     except KeyError:
         raise ConfigError(
             f"unknown profile {name!r}; expected one of {sorted(_BUILDERS)}")
-    profile = builder()
-    _apply_env_overrides(profile)
-    return profile
+    return builder()
 
 
-def _coerce(current, raw):
-    if isinstance(current, bool):
-        if isinstance(raw, bool):
-            return raw
-        return str(raw).lower() in ("1", "true", "yes")
-    if isinstance(current, int) and not isinstance(current, bool):
-        return int(raw)
-    if isinstance(current, float):
+def _coerce(key: str, current, raw):
+    """``raw`` if its JSON type is that of ``current``; an int may stand for
+    a float, and each item of a list must fit the default's first item."""
+    if isinstance(current, float) and type(raw) is int:
         return float(raw)
-    if isinstance(current, list):
-        if isinstance(raw, str):
-            raw = json.loads(raw)
-        if not isinstance(raw, list):
-            raise ConfigError(f"expected list, got {type(raw).__name__}")
+    if isinstance(current, (list, tuple)) and type(raw) is list:
+        return [_coerce(key, current[0], r) for r in raw] if current else raw
+    if type(raw) is type(current):
         return raw
-    return raw
+    raise ConfigError(f"{key!r} expects {type(current).__name__}, "
+                      f"got {type(raw).__name__} {raw!r}")
 
 
 def _set_path(profile: Profile, path: list[str], raw) -> None:
@@ -309,7 +303,7 @@ def _set_path(profile: Profile, path: list[str], raw) -> None:
     current = getattr(obj, leaf)
     if dataclasses.is_dataclass(current):
         raise ConfigError(f"{'.'.join(path)!r} is a section, not a value")
-    setattr(obj, leaf, _coerce(current, raw))
+    setattr(obj, leaf, _coerce('.'.join(path), current, raw))
 
 
 def apply_overrides(profile: Profile, overrides: dict) -> Profile:
@@ -328,18 +322,11 @@ def load_profile(name: str, config_path: str | None = None) -> Profile:
     profile = get_profile(name)
     if config_path:
         with open(config_path) as fh:
-            overrides = json.load(fh)
+            try:
+                overrides = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{config_path}: not JSON ({exc})") from exc
+        if not isinstance(overrides, dict):
+            raise ConfigError(f"{config_path}: expected a JSON object")
         apply_overrides(profile, overrides)
-        _apply_env_overrides(profile)
     return profile
-
-
-_ENV_PREFIX = "CLEF_"
-
-
-def _apply_env_overrides(profile: Profile) -> None:
-    for key, value in os.environ.items():
-        if not key.startswith(_ENV_PREFIX):
-            continue
-        path = [p.lower() for p in key[len(_ENV_PREFIX):].split("__")]
-        _set_path(profile, path, value)

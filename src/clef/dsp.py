@@ -3,12 +3,13 @@
 The front end of the whole pipeline: zero-phase IIR band-pass plus notch
 cascade, DPSS (Slepian) tapers from the symmetric tridiagonal operator, and
 an eigenvalue-weighted multitaper spectrogram normalized into [-1, 1].
+The sample rate is each session's own; the bin width is rate / window.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import signal
@@ -18,36 +19,19 @@ from .config import DspConfig
 from .errors import DataError
 
 
-@dataclass
-class FilterSpec:
-    band_lo_hz: float = 0.1
-    band_hi_hz: float = 75.0
-    order: int = 4
-    notch_base_hz: float = 60.0
-    notch_q: float = 30.0
-    nyquist_margin_hz: float = 2.0
-    zero_phase: bool = True
+def notch_frequencies(cfg: DspConfig, sample_rate: float) -> list[float]:
+    """Line-noise harmonics strictly below Nyquist.
 
-    @classmethod
-    def from_config(cls, cfg: DspConfig) -> "FilterSpec":
-        return cls(band_lo_hz=cfg.band_lo_hz, band_hi_hz=cfg.band_hi_hz,
-                   order=cfg.bandpass_order, notch_base_hz=cfg.notch_base_hz,
-                   notch_q=cfg.notch_q,
-                   nyquist_margin_hz=cfg.notch_nyquist_margin_hz)
-
-    def notch_frequencies(self, sample_rate: float) -> list[float]:
-        """Line-noise harmonics strictly below Nyquist.
-
-        Notches within ``nyquist_margin_hz`` of Nyquist are excluded: a notch
-        at the folding frequency itself is degenerate.
-        """
-        nyq = sample_rate / 2.0
-        out = []
-        f = self.notch_base_hz
-        while f < nyq - self.nyquist_margin_hz:
-            out.append(f)
-            f += self.notch_base_hz
-        return out
+    Notches within ``notch_nyquist_margin_hz`` of Nyquist are excluded: a
+    notch at the folding frequency itself is degenerate.
+    """
+    nyq = sample_rate / 2.0
+    out = []
+    f = cfg.notch_base_hz
+    while f < nyq - cfg.notch_nyquist_margin_hz:
+        out.append(f)
+        f += cfg.notch_base_hz
+    return out
 
 
 @dataclass
@@ -79,17 +63,17 @@ class Spectrogram:
         return self.values.shape
 
 
-def _filter_cascade(spec: FilterSpec, sample_rate: float) -> np.ndarray:
+def _filter_cascade(cfg: DspConfig, sample_rate: float) -> np.ndarray:
     """Band-pass then notch sections, as a single sos cascade."""
-    sos = signal.butter(spec.order, [spec.band_lo_hz, spec.band_hi_hz],
+    sos = signal.butter(cfg.bandpass_order, [cfg.band_lo_hz, cfg.band_hi_hz],
                         btype="bandpass", fs=sample_rate, output="sos")
-    for f0 in spec.notch_frequencies(sample_rate):
-        b, a = signal.iirnotch(f0, spec.notch_q, fs=sample_rate)
+    for f0 in notch_frequencies(cfg, sample_rate):
+        b, a = signal.iirnotch(f0, cfg.notch_q, fs=sample_rate)
         sos = np.vstack([sos, signal.tf2sos(b, a)])
     return sos
 
 
-def preprocess(session, spec: FilterSpec):
+def preprocess(session, cfg: DspConfig):
     """Zero-phase (forward-backward) filtering of every available channel.
 
     Returns a new session of identical shape; unavailable channels are passed
@@ -98,10 +82,10 @@ def preprocess(session, spec: FilterSpec):
     samples = np.asarray(session.samples, dtype=np.float64)
     if not np.all(np.isfinite(samples)):
         raise DataError(f"session {session.session_id}: non-finite samples")
-    sos = _filter_cascade(spec, session.sample_rate)
+    sos = _filter_cascade(cfg, session.sample_rate)
     # the low-edge highpass has a multi-second time constant; pad generously
     padlen = min(samples.shape[1] - 1,
-                 int(3.0 * session.sample_rate / max(spec.band_lo_hz, 1e-3)))
+                 int(3.0 * session.sample_rate / max(cfg.band_lo_hz, 1e-3)))
     out = samples.copy()
     for c in range(samples.shape[0]):
         if session.channel_available[c]:
@@ -161,8 +145,9 @@ def multitaper_spectrogram(session, tapers: TaperSet, cfg: DspConfig) -> Spectro
     """Eigenvalue-weighted multitaper power, in dB, clamped into [-1, 1].
 
     Per frame and channel: P(f) = sum_k lam_k |FFT(x v_k)(f)|^2
-    / (sum_k lam_k * f_s), then 10 log10(P + eps) mapped linearly from
-    [db_lo, db_hi] onto [-1, 1] with a hard clamp.
+    / (sum_k lam_k * f_s), with f_s the session's sample rate, then
+    10 log10(P + eps) mapped linearly from [db_lo, db_hi] onto [-1, 1] with
+    a hard clamp.
     """
     samples = np.asarray(session.samples, dtype=np.float64)
     n_ch, t = samples.shape
@@ -172,9 +157,13 @@ def multitaper_spectrogram(session, tapers: TaperSet, cfg: DspConfig) -> Spectro
     if tapers.length != cfg.window:
         raise DataError(f"taper length {tapers.length} != window {cfg.window}")
     n_frames = cfg.n_frames(t)
-    n_bins = cfg.n_freq_bins
+    fs = session.sample_rate
+    n_bins = cfg.n_freq_bins(fs)
+    if n_bins > cfg.window // 2 + 1:
+        raise DataError(f"session {session.session_id}: band top "
+                        f"{cfg.band_top_hz} Hz above Nyquist of {fs} Hz")
     lam = tapers.concentrations
-    norm = lam.sum() * cfg.sample_rate
+    norm = lam.sum() * fs
     values = np.full((n_ch, n_bins, n_frames), -1.0, dtype=np.float32)
     span = (cfg.db_hi - cfg.db_lo) / 2.0
     mid = (cfg.db_hi + cfg.db_lo) / 2.0
@@ -194,8 +183,8 @@ def multitaper_spectrogram(session, tapers: TaperSet, cfg: DspConfig) -> Spectro
         power /= norm
         db = 10.0 * np.log10(power + cfg.power_floor)
         values[c] = np.clip((db - mid) / span, -1.0, 1.0).T.astype(np.float32)
-    return Spectrogram(values=values, freq_res_hz=cfg.freq_res_hz,
-                       frame_stride_s=cfg.stride / cfg.sample_rate,
+    return Spectrogram(values=values, freq_res_hz=fs / cfg.window,
+                       frame_stride_s=cfg.stride / fs,
                        channel_available=np.asarray(session.channel_available, bool),
                        db_lo=cfg.db_lo, db_hi=cfg.db_hi)
 
@@ -205,7 +194,7 @@ def session_spectrogram(session, cfg: DspConfig,
     """Preprocess + multitaper in one call (the standard path)."""
     if tapers is None:
         tapers = compute_dpss(cfg.window, cfg.nw, cfg.k_max, cfg.eigen_threshold)
-    filtered = preprocess(session, FilterSpec.from_config(cfg))
+    filtered = preprocess(session, cfg)
     return multitaper_spectrogram(filtered, tapers, cfg)
 
 

@@ -759,7 +759,6 @@ def save_checkpoint(path, params: dict[str, Tensor],
     for name, p in params.items():
         arrays[f"param/{name}"] = p.data
     if ema is not None:
-        header["ema_decay"] = ema.decay
         for name, arr in ema.shadow.items():
             arrays[f"ema/{name}"] = arr
     arrays["__header__"] = np.frombuffer(
@@ -785,8 +784,7 @@ def load_checkpoint(path) -> dict:
         raise DataError(f"{path}: not a readable checkpoint ({exc})") from exc
     if version != CHECKPOINT_VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
-    return {"params": params, "ema": ema, "meta": header.get("meta", {}),
-            "ema_decay": header.get("ema_decay")}
+    return {"params": params, "ema": ema, "meta": header.get("meta", {})}
 
 
 def assign_parameters(params: dict[str, Tensor],

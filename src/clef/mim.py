@@ -243,8 +243,7 @@ def mim_forward(model: MimModel, ids: np.ndarray, patches: np.ndarray,
     enc = grad.layernorm(x, model.enc_ln_g, model.enc_ln_b)
 
     pool_mask = keep_full.copy()
-    if not model.cfg.pool_includes_proxy:
-        pool_mask[:, 0] = False
+    pool_mask[:, 0] = False     # u pools the session tokens, not the proxy
     u = grad.mean_pool_masked(enc, grad.Tensor(pool_mask.astype(grad.DTYPE)))
 
     if plan is None:
@@ -314,7 +313,8 @@ def stage1_train(ids: np.ndarray, patches: np.ndarray, codebook_size: int,
     def step_loss(step):
         pick = batch_rng.integers(0, ids.shape[0], size=cfg.batch_size)
         plan = sample_mask_plan(n, cfg, batch_rng, batch=cfg.batch_size)
-        out = mim_forward(model, ids[pick], patches[pick], plan)
+        out = mim_forward(model, ids[pick], patches[pick], plan,
+                          train_rng=batch_rng)
         loss = mim_loss(out.logits, out.targets, cfg.label_smoothing)
         losses.append(float(loss.data))
         accs.append(float(np.mean(

@@ -348,7 +348,7 @@ class VqTrainer:
                                                       values.shape[1], self.rng))
             for i in range(b)])
         z = tok.encode(grad.Tensor(planes))
-        if self.step_count == 0 and cfg.codebook_data_init:
+        if self.step_count == 0:
             # seed the codebook from the first batch's latents so entries
             # start inside the latent distribution instead of near zero
             flat = z.data.transpose(0, 2, 3, 1).reshape(

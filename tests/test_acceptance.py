@@ -237,8 +237,8 @@ def test_dsp_taper_and_spectrogram_properties():
     orth = float(np.abs(tapers.tapers @ tapers.tapers.T
                         - np.eye(tapers.k)).max())
 
-    n = int(40.0 * cfg.sample_rate)
-    t = np.arange(n) / cfg.sample_rate
+    n = int(40.0 * 200.0)
+    t = np.arange(n) / 200.0
     sine = cohortgen.RawSession(
         session_id="sine", patient_id="p", duration_s=40.0,
         samples=(10.0 * np.sin(2 * np.pi * 8.0 * t))[None, :].astype(np.float32),
@@ -251,15 +251,15 @@ def test_dsp_taper_and_spectrogram_properties():
     noise = cohortgen.RawSession(
         session_id="wn", patient_id="p", duration_s=160.0,
         samples=(sigma * rng.standard_normal(
-            (1, int(160 * cfg.sample_rate)))).astype(np.float32),
+            (1, int(160 * 200.0)))).astype(np.float32),
         channel_available=np.array([True]))
     g2 = dsp.multitaper_spectrogram(noise, tapers, cfg)
     mid = (cfg.db_hi + cfg.db_lo) / 2.0
     span = (cfg.db_hi - cfg.db_lo) / 2.0
     level = float(np.mean(10.0 ** ((g2.values[0] * span + mid) / 10.0)))
-    expect = sigma ** 2 / cfg.sample_rate
+    expect = sigma ** 2 / 200.0
 
-    frames = cfg.n_frames(int(1280.0 * cfg.sample_rate))
+    frames = cfg.n_frames(int(1280.0 * 200.0))
     elapsed = time.time() - t0
     _verdict("dsp tapers and spectrogram", {
         "k==3": tapers.k == 3,

@@ -22,31 +22,48 @@ def _cfg(**kw):
 # text provider
 
 
+def _words(n):
+    return " ".join(f"w{i}" for i in range(n))
+
+
 def test_provider_deterministic_and_bounded():
-    p = align.HashedNgramProvider(max_len=16)
-    f1, m1 = p.embed("patient shows generalized slowing today")
-    f2, m2 = p.embed("patient shows generalized slowing today")
-    assert np.array_equal(f1, f2) and np.array_equal(m1, m2)
-    assert f1.shape == (16, 768)
-    long_text = " ".join(["word"] * 100)
-    f3, m3 = p.embed(long_text)
-    assert m3.sum() == 16
+    """One row per word from the provider; the only cut is report_embed's
+    ``max_len``."""
+    p = align.HashedNgramProvider()
+    f1 = p.embed("patient shows generalized slowing today")
+    f2 = p.embed("patient shows generalized slowing today")
+    assert np.array_equal(f1, f2)
+    assert f1.shape == (5, 768)
+    assert p.embed(_words(100)).shape == (100, 768)
+    enc = align.ReportEncoder(_cfg(n_heads=4, refiner_depth=1,
+                                   text_max_len=16),
+                              32, np.random.default_rng(0))
+    assert np.array_equal(
+        align.report_embed([_words(100)], p, enc, 16).data,
+        align.report_embed([_words(16)], p, enc, 16).data)
+
+
+def test_report_embed_reads_up_to_text_max_len():
+    p = align.HashedNgramProvider()
+    enc = align.ReportEncoder(_cfg(n_heads=4, refiner_depth=1,
+                                   text_max_len=128),
+                              32, np.random.default_rng(0))
+    full = align.report_embed([_words(100)], p, enc, 128).data
+    head = align.report_embed([_words(64)], p, enc, 128).data
+    assert not np.allclose(full, head)
 
 
 def test_provider_distinguishes_phrases():
-    p = align.HashedNgramProvider(max_len=32)
-    f1, m1 = p.embed("the record shows generalized slowing")
-    f2, m2 = p.embed("the record shows diffuse beta activity")
-    v1 = f1[m1].mean(axis=0)
-    v2 = f2[m2].mean(axis=0)
+    p = align.HashedNgramProvider()
+    v1 = p.embed("the record shows generalized slowing").mean(axis=0)
+    v2 = p.embed("the record shows diffuse beta activity").mean(axis=0)
     cos = v1 @ v2 / (np.linalg.norm(v1) * np.linalg.norm(v2))
     assert cos < 0.999
 
 
 def test_provider_empty_text():
-    p = align.HashedNgramProvider(max_len=8)
-    f, m = p.embed("")
-    assert m.sum() == 1 and np.all(f == 0.0)
+    f = align.HashedNgramProvider().embed("")
+    assert f.shape == (1, 768) and np.all(f == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +244,7 @@ def _batch(rng, b=4, with_reports=True):
 def test_stage2_step_additivity():
     mmodel, acfg = _tiny_stage2()
     amodel = align.AlignModel(acfg, 32, np.random.default_rng(11))
-    provider = align.HashedNgramProvider(max_len=16)
+    provider = align.HashedNgramProvider()
     batch = _batch(np.random.default_rng(12))
     _, losses = align.stage2_step(amodel, mmodel, provider, batch, rng=None)
     assert abs(losses.total - (losses.report + losses.ehr)) < 1e-6
@@ -245,7 +262,7 @@ def test_stage2_random_init_loss_near_ln_b():
     mmodel = mim.MimModel(16, 2, (4, 8), mcfg, np.random.default_rng(13))
     acfg = _cfg(n_heads=8, refiner_depth=1, text_max_len=16)
     amodel = align.AlignModel(acfg, 512, np.random.default_rng(14))
-    provider = align.HashedNgramProvider(max_len=16)
+    provider = align.HashedNgramProvider()
     batch = _batch(np.random.default_rng(15), b=64)
     _, losses = align.stage2_step(amodel, mmodel, provider, batch, rng=None)
     assert abs(losses.ehr - np.log(64)) / np.log(64) < 0.15
@@ -270,7 +287,7 @@ def test_stage2_requires_stage1_provenance():
 
 def test_stage2_train_updates_and_ema():
     mmodel, acfg = _tiny_stage2()
-    provider = align.HashedNgramProvider(max_len=16)
+    provider = align.HashedNgramProvider()
     data_rng = np.random.default_rng(16)
     fixed = _batch(data_rng)
 

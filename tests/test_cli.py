@@ -281,11 +281,49 @@ def test_exit_codes(tmp_path, capsys):
     assert "sessions" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overrides, key", [
+    ({"tokenizer": {"steps": "abc"}}, "tokenizer.steps"),
+    ({"cohort": {"n_patients": [3]}}, "cohort.n_patients"),
+    ({"mim": {"d_model": 64.9}}, "mim.d_model"),
+    ({"mim": {"dropout": True}}, "mim.dropout"),
+    ({"tokenizer": {"level_channels": 16}}, "tokenizer.level_channels"),
+    ({"tokenizer": {"level_channels": ["a", 2, 3, 4, 5]}},
+     "tokenizer.level_channels"),
+    ({"tokenizer": {"level_strides": [[2, 2.5]]}}, "tokenizer.level_strides"),
+])
+def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, overrides, key):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(overrides))
+    assert climod.main(["--config", str(bad), "gen-cohort",
+                        "--out", str(tmp_path / "c")]) == climod.EXIT_CONFIG
+    assert key in capsys.readouterr().err
+
+
+def test_config_int_stands_for_float_and_lists_keep_their_items():
+    profile = cfgmod.apply_overrides(cfgmod.get_profile("desk"), {
+        "mim": {"dropout": 0},
+        "tokenizer": {"level_strides": [[2, 2], [1, 1]]}})
+    assert profile.mim.dropout == 0.0 and type(profile.mim.dropout) is float
+    assert profile.tokenizer.level_strides == [[2, 2], [1, 1]]
+
+
+def test_config_file_not_a_json_object_exits_2(tmp_path, capsys):
+    for i, text in enumerate(["[1, 2]", "{not json"]):
+        bad = tmp_path / f"bad{i}.json"
+        bad.write_text(text)
+        assert climod.main(["--config", str(bad), "gen-cohort",
+                            "--out", str(tmp_path / "c")]) == climod.EXIT_CONFIG
+        assert str(bad) in capsys.readouterr().err
+
+
 def test_removed_config_keys_are_refused():
-    """Stage II's width is mim.d_model, and the tokenizer's Adam betas are
-    fixed: these keys are gone, and setting one is a config error."""
+    """Stage II's width is mim.d_model, the tokenizer's Adam betas are fixed,
+    the DSP takes its rate from each session, u never pools the proxy and
+    the codebook is always seeded from data: these keys are gone, and
+    setting one is a config error."""
     for path in ("align.d_model", "align.proj_dim", "tokenizer.beta1",
-                 "tokenizer.beta2"):
+                 "tokenizer.beta2", "dsp.sample_rate", "dsp.freq_res_hz",
+                 "mim.pool_includes_proxy", "tokenizer.codebook_data_init"):
         section, key = path.split(".")
         with pytest.raises(cfgmod.ConfigError, match=path):
             cfgmod.apply_overrides(cfgmod.get_profile("desk"),
@@ -321,20 +359,23 @@ def test_stage_seeds_distinct_and_deterministic():
     assert climod.stage_seed(8, "mim") != seeds["mim"]
 
 
-def test_env_override_applies(monkeypatch):
+def test_env_variables_leave_profile_unchanged(monkeypatch, tmp_path):
+    """``--config`` is the one override channel: CLEF_* variables are
+    ignored, known keys and unknown ones alike."""
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"mim": {"steps": 5}}))
+    before = cfgmod.load_profile("desk", str(config)).content_hash()
     monkeypatch.setenv("CLEF_TOKENIZER__STEPS", "17")
-    profile = cfgmod.load_profile("desk")
-    assert profile.tokenizer.steps == 17
     monkeypatch.setenv("CLEF_TOKENIZER__NOT_A_KNOB", "1")
-    with pytest.raises(cfgmod.ConfigError):
-        cfgmod.load_profile("desk")
+    assert cfgmod.load_profile("desk").tokenizer.steps == 200
+    assert cfgmod.load_profile("desk", str(config)).content_hash() == before
 
 
 # every hyperparameter cited by other modules must resolve through Profile
 _SCHEMA_PATHS = [
-    "dsp.sample_rate", "dsp.band_lo_hz", "dsp.band_hi_hz", "dsp.notch_base_hz",
+    "dsp.band_lo_hz", "dsp.band_hi_hz", "dsp.notch_base_hz",
     "dsp.notch_q", "dsp.window", "dsp.stride", "dsp.nw", "dsp.eigen_threshold",
-    "dsp.freq_res_hz", "dsp.band_top_hz", "dsp.db_lo", "dsp.db_hi",
+    "dsp.band_top_hz", "dsp.db_lo", "dsp.db_hi",
     "dsp.power_floor",
     "cohort.n_patients", "cohort.n_channels", "cohort.duration_s",
     "cohort.report_fraction", "cohort.session_day_range",
@@ -347,7 +388,7 @@ _SCHEMA_PATHS = [
     "mim.depth", "mim.d_model", "mim.n_heads", "mim.dec_depth",
     "mim.patch_h", "mim.patch_w", "mim.mask_mu", "mim.mask_sigma",
     "mim.mask_lo", "mim.mask_hi", "mim.r_drop", "mim.label_smoothing",
-    "mim.pool_includes_proxy", "mim.lr", "mim.weight_decay",
+    "mim.lr", "mim.weight_decay",
     "mim.warmup_steps", "mim.ema_decay",
     "align.text_max_len", "align.refiner_depth", "align.tau", "align.r_drop",
     "align.lr", "align.ema_decay", "align.ehr.n_dx", "align.ehr.n_med",

@@ -107,7 +107,7 @@ def test_visible_effect_survives_spectrogram():
         sess = cohortgen.RawSession("s", "p", x, np.ones(cfg.n_channels, bool),
                                     cfg.duration_s)
         spec = dsp.session_spectrogram(sess, dcfg)
-        bins = slice(int(1.0 / dcfg.freq_res_hz), int(4.0 / dcfg.freq_res_hz))
+        bins = slice(int(1.0 / spec.freq_res_hz), int(4.0 / spec.freq_res_hz))
         return spec.values[:, bins, :].mean()
 
     span = (dcfg.db_hi - dcfg.db_lo) / 2.0

@@ -86,7 +86,7 @@ _LEN_S = 60.0
 def test_preprocess_removes_dc():
     fs = 200.0
     x = np.full(int(_LEN_S * fs), 5.0)
-    out = dsp.preprocess(_session(x, fs), dsp.FilterSpec())
+    out = dsp.preprocess(_session(x, fs), DspConfig())
     trim = int(_TRIM_S * fs)
     assert np.abs(out.samples[0, trim:-trim]).max() < 1e-3
 
@@ -95,7 +95,7 @@ def test_preprocess_preserves_10hz_zero_phase():
     fs = 200.0
     t = np.arange(int(_LEN_S * fs)) / fs
     x = np.sin(2 * np.pi * 10.0 * t)
-    out = dsp.preprocess(_session(x, fs), dsp.FilterSpec())
+    out = dsp.preprocess(_session(x, fs), DspConfig())
     trim = int(_TRIM_S * fs)
     y = out.samples[0, trim:-trim].astype(np.float64)
     ref = x[trim:-trim]
@@ -109,7 +109,7 @@ def test_preprocess_attenuates_line_noise():
     fs = 200.0
     t = np.arange(int(_LEN_S * fs)) / fs
     x = np.sin(2 * np.pi * 60.0 * t)
-    out = dsp.preprocess(_session(x, fs), dsp.FilterSpec())
+    out = dsp.preprocess(_session(x, fs), DspConfig())
     trim = int(_TRIM_S * fs)
     y = out.samples[0, trim:-trim].astype(np.float64)
     atten_db = 20 * np.log10(np.sqrt(np.mean(x[trim:-trim] ** 2))
@@ -121,7 +121,7 @@ def test_preprocess_skips_unavailable_channels():
     fs = 200.0
     x = np.tile(np.full(int(10 * fs), 3.0, dtype=np.float32), (2, 1))
     sess = _session(x, fs, avail=[True, False])
-    out = dsp.preprocess(sess, dsp.FilterSpec())
+    out = dsp.preprocess(sess, DspConfig())
     assert np.array_equal(out.samples[1], x[1])
     assert not np.array_equal(out.samples[0], x[0])
 
@@ -130,15 +130,15 @@ def test_preprocess_rejects_nonfinite():
     x = np.zeros(4000, dtype=np.float32)
     x[100] = np.nan
     with pytest.raises(DataError):
-        dsp.preprocess(_session(x), dsp.FilterSpec())
+        dsp.preprocess(_session(x), DspConfig())
 
 
 def test_notch_frequencies_respect_nyquist():
-    spec = dsp.FilterSpec()
-    assert spec.notch_frequencies(200.0) == [60.0]
-    assert spec.notch_frequencies(500.0) == [60.0, 120.0, 180.0, 240.0]
+    cfg = DspConfig()
+    assert dsp.notch_frequencies(cfg, 200.0) == [60.0]
+    assert dsp.notch_frequencies(cfg, 500.0) == [60.0, 120.0, 180.0, 240.0]
     # 240 Hz sits exactly at a 480 Hz Nyquist: excluded by the margin
-    assert spec.notch_frequencies(480.0) == [60.0, 120.0, 180.0]
+    assert dsp.notch_frequencies(cfg, 480.0) == [60.0, 120.0, 180.0]
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +154,9 @@ def _cfg(**kw) -> DspConfig:
 
 def test_spectrogram_shape_paper_geometry():
     cfg = _cfg()
-    n = int(1280.0 * cfg.sample_rate)
+    n = int(1280.0 * 200.0)
     assert cfg.n_frames(n) == 2048
-    assert cfg.n_freq_bins == 128
+    assert cfg.n_freq_bins(200.0) == 128
 
 
 def test_frame_count_sweep():
@@ -169,7 +169,7 @@ def test_frame_count_sweep():
 def test_sinusoid_lands_in_expected_bin():
     # 8 Hz at 0.25 Hz resolution falls in bin 32
     cfg = _cfg()
-    fs = cfg.sample_rate
+    fs = 200.0
     t = np.arange(int(40 * fs)) / fs
     x = np.sin(2 * np.pi * 8.0 * t)
     ts = dsp.compute_dpss(cfg.window, cfg.nw, cfg.k_max, cfg.eigen_threshold)
@@ -180,18 +180,43 @@ def test_sinusoid_lands_in_expected_bin():
     assert np.all(np.argmax(interior, axis=0) == 32)
 
 
+def test_bin_width_follows_the_session_rate(tmp_path):
+    # a 250 Hz session: bins are 250/800 Hz wide, the .spc header says so,
+    # and a 12 Hz sine peaks within one bin of the bin labelled 12 Hz
+    cfg = _cfg()
+    fs = 250.0
+    t = np.arange(int(40 * fs)) / fs
+    x = np.sin(2 * np.pi * 12.0 * t)
+    ts = dsp.compute_dpss(cfg.window, cfg.nw, cfg.k_max, cfg.eigen_threshold)
+    dsp.write_spectrogram(tmp_path / "s.spc",
+                          dsp.multitaper_spectrogram(_session(x, fs), ts, cfg))
+    spec = dsp.read_spectrogram(tmp_path / "s.spc")
+    width = spec.freq_res_hz
+    assert width == 250.0 / 800
+    assert spec.values.shape[1] == cfg.n_freq_bins(fs) == round(32.0 / width)
+    peak = np.argmax(spec.values[0].mean(axis=1))
+    assert abs(peak * width - 12.0) <= width
+
+
+def test_band_above_nyquist_rejected():
+    cfg = _cfg()
+    ts = dsp.compute_dpss(cfg.window, cfg.nw, cfg.k_max, cfg.eigen_threshold)
+    with pytest.raises(DataError, match="Nyquist"):
+        dsp.multitaper_spectrogram(_session(np.zeros(4000), 50.0), ts, cfg)
+
+
 def test_zero_signal_maps_to_floor():
     cfg = _cfg()
-    x = np.zeros(int(10 * cfg.sample_rate), dtype=np.float32)
+    x = np.zeros(int(10 * 200.0), dtype=np.float32)
     ts = dsp.compute_dpss(cfg.window, cfg.nw, cfg.k_max, cfg.eigen_threshold)
-    spec = dsp.multitaper_spectrogram(_session(x, cfg.sample_rate), ts, cfg)
+    spec = dsp.multitaper_spectrogram(_session(x), ts, cfg)
     assert np.all(spec.values == -1.0)
 
 
 def test_white_noise_psd_level():
     # mean linear-power PSD of N(0, sigma^2) noise is sigma^2 / f_s
     cfg = _cfg()
-    fs = cfg.sample_rate
+    fs = 200.0
     sigma = 3.0
     rng = np.random.default_rng(7)
     x = rng.normal(0.0, sigma, size=int(300 * fs))
@@ -210,19 +235,19 @@ def test_white_noise_psd_level():
 def test_values_bounded():
     cfg = _cfg()
     rng = np.random.default_rng(0)
-    x = rng.normal(0.0, 500.0, size=(2, int(10 * cfg.sample_rate)))
+    x = rng.normal(0.0, 500.0, size=(2, int(10 * 200.0)))
     ts = dsp.compute_dpss(cfg.window, cfg.nw, cfg.k_max, cfg.eigen_threshold)
-    spec = dsp.multitaper_spectrogram(_session(x, cfg.sample_rate), ts, cfg)
+    spec = dsp.multitaper_spectrogram(_session(x), ts, cfg)
     assert spec.values.min() >= -1.0 and spec.values.max() <= 1.0
 
 
 def test_unavailable_channel_emits_floor():
     cfg = _cfg()
     rng = np.random.default_rng(1)
-    x = rng.normal(size=(2, int(10 * cfg.sample_rate)))
+    x = rng.normal(size=(2, int(10 * 200.0)))
     ts = dsp.compute_dpss(cfg.window, cfg.nw, cfg.k_max, cfg.eigen_threshold)
     spec = dsp.multitaper_spectrogram(
-        _session(x, cfg.sample_rate, avail=[False, True]), ts, cfg)
+        _session(x, avail=[False, True]), ts, cfg)
     assert np.all(spec.values[0] == -1.0)
     assert not np.all(spec.values[1] == -1.0)
 
@@ -230,10 +255,10 @@ def test_unavailable_channel_emits_floor():
 def test_spectrogram_deterministic():
     cfg = _cfg()
     rng = np.random.default_rng(2)
-    x = rng.normal(size=(2, int(10 * cfg.sample_rate)))
+    x = rng.normal(size=(2, int(10 * 200.0)))
     ts = dsp.compute_dpss(cfg.window, cfg.nw, cfg.k_max, cfg.eigen_threshold)
-    a = dsp.multitaper_spectrogram(_session(x, cfg.sample_rate), ts, cfg)
-    b = dsp.multitaper_spectrogram(_session(x, cfg.sample_rate), ts, cfg)
+    a = dsp.multitaper_spectrogram(_session(x), ts, cfg)
+    b = dsp.multitaper_spectrogram(_session(x), ts, cfg)
     assert np.array_equal(a.values, b.values)
 
 
@@ -247,10 +272,10 @@ def test_short_session_rejected():
 def test_spectrogram_cache_roundtrip(tmp_path):
     cfg = _cfg()
     rng = np.random.default_rng(3)
-    x = rng.normal(size=(3, int(10 * cfg.sample_rate)))
+    x = rng.normal(size=(3, int(10 * 200.0)))
     ts = dsp.compute_dpss(cfg.window, cfg.nw, cfg.k_max, cfg.eigen_threshold)
     spec = dsp.multitaper_spectrogram(
-        _session(x, cfg.sample_rate, avail=[True, False, True]), ts, cfg)
+        _session(x, avail=[True, False, True]), ts, cfg)
     path = tmp_path / "s.spc"
     dsp.write_spectrogram(path, spec)
     back = dsp.read_spectrogram(path)

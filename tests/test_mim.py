@@ -236,6 +236,21 @@ def test_stage1_learns_deterministic_successor():
     assert set(result.ema.shadow) == set(result.model.named_parameters())
 
 
+def test_stage1_dropout_is_seeded_and_applied():
+    rng = np.random.default_rng(3)
+    ids = rng.integers(0, 16, size=(8, 32))
+    patches = rng.normal(size=(8, 32, 2 * 16 * 8)).astype(np.float32)
+
+    def losses(p):
+        cfg = _cfg(d_model=32, n_heads=4, depth=1, dec_depth=1, batch_size=4,
+                   dropout=p)
+        return mim.stage1_train(ids, patches, 16, 2, (4, 8), cfg, seed=5,
+                                steps=2).losses
+
+    assert losses(0.5) == losses(0.5)
+    assert losses(0.5) != losses(0.0)
+
+
 def test_encoder_parameter_names_exclude_decoder():
     model, _ = _model()
     keep = model.encoder_parameter_names()
