@@ -261,7 +261,6 @@ def report_embed(texts: list[str], provider: HashedNgramProvider,
 class AlignBatch:
     ids: np.ndarray             # (B, N) token grids
     patches: np.ndarray         # (B, N, P)
-    valid: np.ndarray           # (B, N)
     texts: list[str]            # "" where absent
     report_present: np.ndarray  # (B,)
     ehr: list[EhrInput]
@@ -279,7 +278,6 @@ class AlignRows:
     def batch(self, rows: np.ndarray) -> AlignBatch:
         return AlignBatch(
             ids=self.ids[rows], patches=self.patches[rows],
-            valid=np.ones((len(rows), self.ids.shape[1]), dtype=bool),
             texts=[self.records[i].report or "" for i in rows],
             report_present=np.array([self.records[i].report is not None
                                      for i in rows]),
@@ -308,17 +306,14 @@ def stage2_step(align_model: AlignModel, mim_model: mim.MimModel,
                 r_drop: float = 0.25) -> tuple[grad.Tensor, Stage2Losses]:
     """L_Align = L_Report + L_EHR on one batch; returns the loss graph root."""
     cfg = align_model.cfg
-    valid = batch.valid
+    keep = None
     if rng is not None and r_drop > 0.0:
-        # token dropping: each valid position excluded with prob r_drop,
-        # guaranteed at least one surviving position per row
-        keep = rng.random(valid.shape) >= r_drop
-        for i in range(valid.shape[0]):
-            if not (valid[i] & keep[i]).any():
-                keep[i, np.flatnonzero(valid[i])[0]] = True
-        valid = valid & keep
+        # token dropping: each position excluded with prob r_drop; a row
+        # that loses every position keeps its first
+        keep = rng.random(batch.ids.shape) >= r_drop
+        keep[~keep.any(axis=1), 0] = True
     u = mim.mim_forward(mim_model, batch.ids, batch.patches,
-                        plan=None, valid=valid, train_rng=rng).u
+                        keep=keep, train_rng=rng).u
     present = batch.report_present.astype(bool)
     texts = [t if p else "" for t, p in zip(batch.texts, present)]
     v_rep = report_embed(texts, provider, align_model.report_encoder,
@@ -392,8 +387,7 @@ def stage2_train(mim_model: mim.MimModel, provider: HashedNgramProvider,
 def retrieval_top1(align_model: AlignModel, mim_model: mim.MimModel,
                    batch: AlignBatch) -> float:
     """EEG -> EHR retrieval accuracy over the batch as candidate pool."""
-    u = mim.mim_forward(mim_model, batch.ids, batch.patches,
-                        plan=None, valid=batch.valid).u
+    u = mim.mim_forward(mim_model, batch.ids, batch.patches).u
     q = _l2_normalize(grad.matmul(u, align_model.pi_ehr)).data
     v = _l2_normalize(align_model.ehr_encoder(batch.ehr)).data
     ranks = np.argmax(q @ v.T, axis=1)

@@ -160,7 +160,6 @@ def covariates(record) -> tuple[int, str, str, str]:
 @dataclass
 class Row:
     patient_id: str
-    session_id: str
     label: int
     group: int
     split: str = ""
@@ -177,8 +176,7 @@ class CohortTable:
 
 
 def match_controls(task_id: str, cases: list[str], pool: list[str],
-                   records_by_id: dict, sessions_by_patient: dict[str, str],
-                   k: int, seed: int) -> CohortTable:
+                   records_by_id: dict, k: int, seed: int) -> CohortTable:
     """Exact covariate matching, <= k controls per case, sampling without
     replacement across cases.  Inputs are order-canonicalized (sorted) before
     any random draw so shuffled callers get identical tables."""
@@ -189,7 +187,7 @@ def match_controls(task_id: str, cases: list[str], pool: list[str],
     for pid in sorted(set(pool)):
         by_cell.setdefault(covariates(records_by_id[pid]), []).append(pid)
     for group, case in enumerate(sorted(set(cases))):
-        table.rows.append(Row(case, sessions_by_patient[case], 1, group))
+        table.rows.append(Row(case, 1, group))
         eligible = [p for p in by_cell.get(covariates(records_by_id[case]), [])
                     if p not in used]
         take = min(k, len(eligible))
@@ -199,7 +197,7 @@ def match_controls(task_id: str, cases: list[str], pool: list[str],
         picked = rng.choice(eligible, size=take, replace=False)
         for pid in sorted(picked):
             used.add(pid)
-            table.rows.append(Row(pid, sessions_by_patient[pid], 0, group))
+            table.rows.append(Row(pid, 0, group))
     return table
 
 
@@ -382,18 +380,18 @@ class TaskResult:
     skipped: str = ""
 
 
-def build_task_table(task: TaskSpec, records, session_days, session_ids,
+def build_task_table(task: TaskSpec, records, session_days,
                      split: dict[str, str], cfg: BenchConfig,
-                     seed: int) -> tuple[CohortTable, dict[str, int]]:
+                     seed: int) -> CohortTable:
     labels = label_patients(task, records, session_days, cfg)
     cases = [p for p, lab in labels.items() if lab == 1]
     pool = [p for p, lab in labels.items() if lab == 0]
     records_by_id = {r.patient_id: r for r in records}
     table = match_controls(task.task_id, cases, pool, records_by_id,
-                           session_ids, cfg.controls_per_case, seed)
+                           cfg.controls_per_case, seed)
     for row in table.rows:
         row.split = split[row.patient_id]
-    return table, labels
+    return table
 
 
 def run_task(task: TaskSpec, table: CohortTable,
@@ -431,15 +429,15 @@ def run_task(task: TaskSpec, table: CohortTable,
                       per_seed_auroc=[float(a) for a in aurocs])
 
 
-def benchmark_run(tasks: list[TaskSpec], records, session_days, session_ids,
+def benchmark_run(tasks: list[TaskSpec], records, session_days,
                   embeddings: dict[str, np.ndarray], cfg: BenchConfig,
                   seed: int) -> list[TaskResult]:
     split = patient_split([r.patient_id for r in records], cfg, seed)
     records_by_id = {r.patient_id: r for r in records}
     results = []
     for i, task in enumerate(tasks):
-        table, _ = build_task_table(task, records, session_days, session_ids,
-                                    split, cfg, seed + 1000 + i)
+        table = build_task_table(task, records, session_days, split, cfg,
+                                 seed + 1000 + i)
         audit_table(table, records_by_id, split, cfg.controls_per_case)
         results.append(run_task(task, table, embeddings, cfg,
                                 seed + 2000 + 10 * i))

@@ -103,14 +103,14 @@ def _manifest(ctx, command: str, stage: str,
 # shared loaders
 
 
-def _require_manifest(spec_dir: Path) -> None:
-    # dsp writes its manifest last: without one the set may be partial
-    if not (spec_dir / "manifest.json").exists():
-        raise DataError(f"{spec_dir}: no manifest.json, dsp did not finish")
+def _require_manifest(out: Path, stage: str) -> None:
+    # dsp and tokenize write their manifest last: without one, a partial set
+    if not (out / "manifest.json").exists():
+        raise DataError(f"{out}: no manifest.json, {stage} did not finish")
 
 
 def _load_spectrograms(spec_dir: Path) -> tuple[list[str], np.ndarray, np.ndarray]:
-    _require_manifest(spec_dir)
+    _require_manifest(spec_dir, "dsp")
     paths = sorted(spec_dir.glob("*.spc"))
     if not paths:
         raise DataError(f"no .spc files in {spec_dir}")
@@ -133,8 +133,10 @@ def _load_sessions(profile: Profile, tok_dir: Path, spec_dir: Path,
                    ) -> tuple[np.ndarray, np.ndarray, int]:
     """Token ids (S, N), spectrogram patches (S, N, P) and the codebook size
     for ``session_ids`` (default: the token index order), each row read by
-    session id from ``<sid>.tok`` and ``<sid>.spc``."""
-    _require_manifest(spec_dir)
+    session id from ``<sid>.tok`` and ``<sid>.spc``; a token grid other
+    than ``profile.grid_shape`` is refused."""
+    _require_manifest(spec_dir, "dsp")
+    _require_manifest(tok_dir, "tokenize")
     index_path = tok_dir / "tokens.json"
     if not index_path.exists():
         raise DataError(f"missing token index {index_path}")
@@ -151,26 +153,22 @@ def _load_sessions(profile: Profile, tok_dir: Path, spec_dir: Path,
         raise DataError(f"sessions missing from {index_path}: {unknown[:5]}")
     ids, patches = [], []
     for sid in session_ids:
-        grid, _k, file_sid = vqtok.read_tokens(tok_dir / f"{sid}.tok")
+        path = tok_dir / f"{sid}.tok"
+        grid, _k, file_sid = vqtok.read_tokens(path)
         if file_sid != sid:
             raise DataError(f"{sid}.tok: session id mismatch ({file_sid})")
+        if grid.shape != profile.grid_shape:
+            raise DataError(f"{path}: token grid {grid.shape}, the profile's "
+                            f"is {profile.grid_shape}")
         ids.append(grid.reshape(-1))
         values = dsp.read_spectrogram(spec_dir / f"{sid}.spc").values
-        patches.append(mim.extract_patches(values, profile.mim.patch_h,
-                                           profile.mim.patch_w))
+        patches.append(mim.extract_patches(values, *profile.patch_shape))
     return np.stack(ids), np.stack(patches), int(index["codebook_size"])
 
 
 def _codebook_sha(entries: np.ndarray) -> str:
     return hashlib.sha256(
         np.ascontiguousarray(entries, dtype="<f4").tobytes()).hexdigest()[:16]
-
-
-def _build_mim_model(profile: Profile, codebook_size: int,
-                     seed: int) -> mim.MimModel:
-    return mim.MimModel(codebook_size, profile.n_channels,
-                        profile.grid_shape, profile.mim,
-                        np.random.default_rng(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +320,8 @@ def tokenize_cmd(ctx, spec_dir, ckpt_path, out):
                 f"{out}: existing token cache was produced by codebook "
                 f"{existing.get('codebook_sha')}, checkpoint has {sha}")
     out.mkdir(parents=True, exist_ok=True)
+    for done in (index_path, out / "manifest.json"):  # until every .tok is in
+        done.unlink(missing_ok=True)
     sids, values, avail = _load_spectrograms(Path(spec_dir))
     indices = vqtok.tokenize_sessions(tokenizer, values, avail)
     for sid, grid in zip(sids, indices):
@@ -353,9 +353,8 @@ def train_mim_cmd(ctx, tok_dir, spec_dir, out, steps):
     seed = manifest.stage_seeds["mim"]
     ids, patches, codebook_size = _load_sessions(profile, Path(tok_dir),
                                                  Path(spec_dir))
-    result = mim.stage1_train(ids, patches, codebook_size, profile.n_channels,
-                              profile.grid_shape, profile.mim, seed,
-                              steps=steps)
+    result = mim.stage1_train(ids, patches, codebook_size, profile.grid_shape,
+                              profile.mim, seed, steps=steps)
     total = len(result.losses)
     for i in range(0, total, max(1, total // 20)):
         click.echo(f"step\t{i + 1}\tloss\t{result.losses[i]:.5f}"
@@ -404,7 +403,8 @@ def train_align_cmd(ctx, cohort_dir, tok_dir, spec_dir, init_path, out, steps):
     ckpt = grad.load_checkpoint(Path(init_path))
     if ckpt["meta"].get("kind") != "mim":
         raise DataError(f"{init_path}: not a Stage I checkpoint")
-    model = _build_mim_model(profile, codebook_size, seed)
+    model = mim.MimModel(codebook_size, patches.shape[2], profile.grid_shape,
+                         profile.mim, np.random.default_rng(seed))
     mim.load_encoder(model, align.encoder_weights(ckpt))
     phenotypes = cohortgen.default_phenotypes(profile.cohort.channel_names)
     dx_vocab, med_vocab = cohortgen.vocabularies(profile.cohort, phenotypes)
@@ -515,7 +515,8 @@ def probe_cmd(ctx, cohort_dir, tok_dir, spec_dir, ckpt_path, out):
     ids, patches, codebook_size = _load_sessions(
         profile, Path(tok_dir), Path(spec_dir),
         [r.session_id for r in records])
-    model = _build_mim_model(profile, codebook_size, 0)
+    model = mim.MimModel(codebook_size, patches.shape[2], profile.grid_shape,
+                         profile.mim, np.random.default_rng(0))
     mim.load_encoder(model, align.encoder_weights(ckpt))
     u = np.concatenate([
         mim.session_embedding(model, ids[i:i + 32], patches[i:i + 32])
@@ -525,7 +526,6 @@ def probe_cmd(ctx, cohort_dir, tok_dir, spec_dir, ckpt_path, out):
         profile.bench)
     results = bench.benchmark_run(
         tasks, records, session_days,
-        {r.patient_id: r.session_id for r in records},
         {r.patient_id: vec for r, vec in zip(records, u)},
         profile.bench, seed)
     out = Path(out)

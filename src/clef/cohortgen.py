@@ -103,7 +103,7 @@ class RawSession:
     samples: np.ndarray           # (C, T) float32 microvolts
     channel_available: np.ndarray  # (C,) bool
     duration_s: float
-    sample_rate: float = 200.0
+    sample_rate: float
 
     def replace_samples(self, samples: np.ndarray) -> "RawSession":
         return replace(self, samples=samples)

@@ -8,11 +8,17 @@ the full-scale constants.
 Profiles are overridden from one nested JSON file (``--config``), and
 from nothing else.  An unknown key, or a value whose JSON type differs from
 the default's (an int is accepted for a float), is a ``ConfigError``.
-``dsp.sample_rate``, ``dsp.freq_res_hz``, ``mim.pool_includes_proxy`` and
-``tokenizer.codebook_data_init`` are gone and refused like any unknown key.
+``dsp.sample_rate``, ``dsp.freq_res_hz``, ``mim.pool_includes_proxy``,
+``tokenizer.codebook_data_init``, ``mim.patch_h`` and ``mim.patch_w`` are
+gone and refused like any unknown key.
 
 The DSP has no sample rate of its own: it reads the rate from each
 session's ``.raw`` header, and its bin width is that rate / ``dsp.window``.
+
+The Stage I patch behind each token is the tokenizer's total stride, and a
+spectrogram that it does not tile is a ``ConfigError`` at ``load_profile``
+(exit 2).  The CLI refuses a ``.tok`` of another grid, or a token directory
+without a manifest, with exit 3.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 
@@ -128,8 +135,6 @@ class MimConfig:
     dec_depth: int = 2
     mlp_ratio: int = 4
     dropout: float = 0.0
-    patch_h: int = 16
-    patch_w: int = 8
     mask_mu: float = 0.55
     mask_sigma: float = 0.15
     mask_lo: float = 0.25
@@ -204,15 +209,24 @@ class Profile:
         return self.cohort.n_channels
 
     @property
+    def patch_shape(self) -> tuple[int, int]:
+        """Spectrogram cells behind one token: the tokenizer's total stride."""
+        strides = self.tokenizer.level_strides
+        return math.prod(s[0] for s in strides), math.prod(s[1] for s in strides)
+
+    @property
     def grid_shape(self) -> tuple[int, int]:
-        """Token grid (H', W') implied by DSP output and tokenizer strides."""
+        """Token grid (H', W'): the spectrogram tiled by ``patch_shape``."""
         rate = self.cohort.sample_rate
         h = self.dsp.n_freq_bins(rate)
         w = self.dsp.n_frames(int(self.cohort.duration_s * rate))
-        for sf, st in self.tokenizer.level_strides:
-            h //= sf
-            w //= st
-        return h, w
+        ph, pw = self.patch_shape
+        if min(h, w, ph, pw) <= 0 or h % ph or w % pw:
+            raise ConfigError(
+                f"spectrogram {h}x{w} (cohort.sample_rate, cohort.duration_s, "
+                "dsp.window, dsp.stride, dsp.band_top_hz) is not a positive "
+                f"multiple of the patch {ph}x{pw} (tokenizer.level_strides)")
+        return h // ph, w // pw
 
     def content_hash(self) -> str:
         payload = json.dumps(dataclasses.asdict(self), sort_keys=True, default=str)
@@ -329,4 +343,5 @@ def load_profile(name: str, config_path: str | None = None) -> Profile:
         if not isinstance(overrides, dict):
             raise ConfigError(f"{config_path}: expected a JSON object")
         apply_overrides(profile, overrides)
+    profile.grid_shape  # a grid that does not tile is a ConfigError here
     return profile

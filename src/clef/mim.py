@@ -44,20 +44,15 @@ def sample_mask_ratio(mu: float, sigma: float, lo: float, hi: float,
 
 
 def sample_mask_plan(n: int, cfg: MimConfig, rng: np.random.Generator,
-                     valid: np.ndarray | None = None,
                      batch: int = 1) -> MaskPlan:
     """Independent per-sample plans over ``n`` positions."""
     masked = np.zeros((batch, n), dtype=bool)
     dropped = np.zeros((batch, n), dtype=bool)
     ratios = np.empty(batch)
     for b in range(batch):
-        ok = np.ones(n, dtype=bool) if valid is None else valid[b].astype(bool)
-        ratio = sample_mask_ratio(cfg.mask_mu, cfg.mask_sigma,
-                                  cfg.mask_lo, cfg.mask_hi, rng)
-        ratios[b] = ratio
-        candidates = np.flatnonzero(ok)
-        m = int(np.ceil(ratio * candidates.size))
-        chosen = rng.choice(candidates, size=min(m, candidates.size),
+        ratios[b] = sample_mask_ratio(cfg.mask_mu, cfg.mask_sigma,
+                                      cfg.mask_lo, cfg.mask_hi, rng)
+        chosen = rng.choice(n, size=min(int(np.ceil(ratios[b] * n)), n),
                             replace=False)
         masked[b, chosen] = True
         n_drop = int(chosen.size * cfg.r_drop)
@@ -128,15 +123,14 @@ def _ln_params(d):
 
 
 class MimModel(grad.Module):
-    def __init__(self, codebook_size: int, n_channels: int,
+    def __init__(self, codebook_size: int, patch_dim: int,
                  grid_hw: tuple[int, int], cfg: MimConfig,
                  rng: np.random.Generator):
+        # patch_dim: width of one raw patch row, C * ph * pw
         h, w = grid_hw
-        self.grid_hw = grid_hw
         self.n_positions = h * w
         d = cfg.d_model
         self.cfg = cfg
-        patch_dim = n_channels * cfg.patch_h * cfg.patch_w
         self.token_table = grad.param((codebook_size, d), rng, scale=0.02)
         self.w_patch = grad.param((patch_dim, d), rng)
         self.p_freq = grad.param((h, d), rng, scale=0.02)
@@ -227,13 +221,15 @@ class MimForward:
 
 def mim_forward(model: MimModel, ids: np.ndarray, patches: np.ndarray,
                 plan: MaskPlan | None = None,
-                valid: np.ndarray | None = None,
+                keep: np.ndarray | None = None,
                 train_rng: np.random.Generator | None = None) -> MimForward:
+    """``keep`` (B, N): positions the encoder sees and u pools (default all);
+    a plan's dropped positions are left out as well."""
     b, n = ids.shape
-    if valid is None:
-        valid = np.ones((b, n), dtype=bool)
     x = embed_inputs(model, ids, patches, plan)
-    kept = valid if plan is None else (valid & ~plan.dropped)
+    kept = np.ones((b, n), dtype=bool) if keep is None else keep
+    if plan is not None:
+        kept = kept & ~plan.dropped
     keep_full = np.concatenate(
         [np.ones((b, 1), dtype=bool), kept], axis=1)    # proxy always attends
     bias = _attention_bias(keep_full)
@@ -257,13 +253,11 @@ def mim_forward(model: MimModel, ids: np.ndarray, patches: np.ndarray,
     f = grad.Tensor(fill.astype(grad.DTYPE)[:, :, None])
     y = enc * grad.Tensor(1.0 - f.data) + proxy_rep * f
     y = y + grad.reshape(model.p_full, (1, n + 1, -1))
-    valid_full = np.concatenate([np.ones((b, 1), dtype=bool), valid], axis=1)
-    dec_bias = _attention_bias(valid_full)
-    for block in model.decoder:
-        y = block(y, dec_bias, p_drop, train_rng)
+    for block in model.decoder:     # the decoder attends over every slot
+        y = block(y, None, p_drop, train_rng)
     y = grad.layernorm(y, model.dec_ln_g, model.dec_ln_b)
 
-    rows, cols = np.nonzero(plan.masked & valid)
+    rows, cols = np.nonzero(plan.masked)
     hidden = grad.getitem(y, (rows, cols + 1))              # (|M|, d)
     hidden = grad.gelu(grad.matmul(hidden, model.head_w) + model.head_b)
     hidden = grad.layernorm(hidden, model.head_ln_g, model.head_ln_b)
@@ -278,11 +272,9 @@ def mim_loss(logits: grad.Tensor, targets: np.ndarray,
 
 
 def session_embedding(model: MimModel, ids: np.ndarray,
-                      patches: np.ndarray,
-                      valid: np.ndarray | None = None) -> np.ndarray:
+                      patches: np.ndarray) -> np.ndarray:
     """Inference-mode pooled embedding u for a batch of sessions."""
-    out = mim_forward(model, ids, patches, plan=None, valid=valid)
-    return out.u.data.copy()
+    return mim_forward(model, ids, patches).u.data.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -298,14 +290,14 @@ class Stage1Result:
 
 
 def stage1_train(ids: np.ndarray, patches: np.ndarray, codebook_size: int,
-                 n_channels: int, grid_hw: tuple[int, int], cfg: MimConfig,
+                 grid_hw: tuple[int, int], cfg: MimConfig,
                  seed: int, steps: int | None = None) -> Stage1Result:
     """``grad.train`` over an in-memory token dataset.
 
     ``ids``: (M, N) token grids; ``patches``: (M, N, P) raw patches.
     """
     rng = np.random.default_rng(seed)
-    model = MimModel(codebook_size, n_channels, grid_hw, cfg, rng)
+    model = MimModel(codebook_size, patches.shape[2], grid_hw, cfg, rng)
     batch_rng = np.random.default_rng(seed + 1)
     losses, accs = [], []
     n = ids.shape[1]

@@ -100,7 +100,7 @@ def tokens(tokenizer_run, spectra):
     grids = vqtok.tokenize_sessions(tokenizer_run["trainer"].tokenizer,
                                     spectra["values"], spectra["avail"])
     ids = grids.reshape(grids.shape[0], -1)
-    patches = np.stack([mim.extract_patches(v, P.mim.patch_h, P.mim.patch_w)
+    patches = np.stack([mim.extract_patches(v, *P.patch_shape)
                         for v in spectra["values"]])
     return {"ids": ids, "patches": patches, "elapsed": time.time() - t0}
 
@@ -109,7 +109,7 @@ def tokens(tokenizer_run, spectra):
 def stage1(tokens):
     t0 = time.time()
     res = mim.stage1_train(tokens["ids"], tokens["patches"],
-                           P.tokenizer.codebook_size, P.cohort.n_channels,
+                           P.tokenizer.codebook_size,
                            P.grid_shape, P.mim, seed=2, steps=300)
     return {"result": res, "elapsed": time.time() - t0}
 
@@ -240,7 +240,7 @@ def test_dsp_taper_and_spectrogram_properties():
     n = int(40.0 * 200.0)
     t = np.arange(n) / 200.0
     sine = cohortgen.RawSession(
-        session_id="sine", patient_id="p", duration_s=40.0,
+        session_id="sine", patient_id="p", duration_s=40.0, sample_rate=200.0,
         samples=(10.0 * np.sin(2 * np.pi * 8.0 * t))[None, :].astype(np.float32),
         channel_available=np.array([True]))
     gram = dsp.multitaper_spectrogram(sine, tapers, cfg)
@@ -249,7 +249,7 @@ def test_dsp_taper_and_spectrogram_properties():
     rng = np.random.default_rng(0)
     sigma = 5.0
     noise = cohortgen.RawSession(
-        session_id="wn", patient_id="p", duration_s=160.0,
+        session_id="wn", patient_id="p", duration_s=160.0, sample_rate=200.0,
         samples=(sigma * rng.standard_normal(
             (1, int(160 * 200.0)))).astype(np.float32),
         channel_available=np.array([True]))
@@ -423,11 +423,10 @@ def test_stage2_smoke(stage2):
 
 def _disease_results(cohort, embeddings, seed=17):
     records = cohort["records"]
-    sids = {r.patient_id: f"s{i:04d}" for i, r in enumerate(records)}
     tasks = [t for t in bench.default_tasks(cohort["phenos"], P.bench)
              if t.axis == "disease"]
     embs = {r.patient_id: embeddings[i] for i, r in enumerate(records)}
-    results = bench.benchmark_run(tasks, records, cohort["days"], sids,
+    results = bench.benchmark_run(tasks, records, cohort["days"],
                                   embs, P.bench, seed=seed)
     return {r.task_id: r for r in results if not r.skipped}
 
@@ -477,8 +476,9 @@ def test_concept_holdout_transfer(cohort, tokens, stage1, stage2):
     ehr_inputs = [align.ehr_input_from_record(r, dx_vocab, med_vocab)
                   for r in filtered]
     res1 = stage1["result"]
-    model = mim.MimModel(P.tokenizer.codebook_size, P.cohort.n_channels,
-                         P.grid_shape, P.mim, np.random.default_rng(13))
+    model = mim.MimModel(P.tokenizer.codebook_size,
+                         tokens["patches"].shape[2], P.grid_shape, P.mim,
+                         np.random.default_rng(13))
     rows = align.AlignRows(filtered, tokens["ids"], tokens["patches"],
                            ehr_inputs)
     mim.load_encoder(model, res1.ema.shadow)
@@ -486,11 +486,10 @@ def test_concept_holdout_transfer(cohort, tokens, stage1, stage2):
                        rows.sampler(P.align.batch_size), P.align,
                        seed=19, steps=60)
     emb = _batched_embeddings(model, tokens["ids"], tokens["patches"])
-    sids = {r.patient_id: f"s{i:04d}" for i, r in enumerate(records)}
     task = bench.TaskSpec(task_id="disease/spindle_dropout", axis="disease",
                           codes=frozenset(held.dx_codes), chronic=held.chronic)
     embs = {r.patient_id: emb[i] for i, r in enumerate(records)}
-    results = bench.benchmark_run([task], records, cohort["days"], sids,
+    results = bench.benchmark_run([task], records, cohort["days"],
                                   embs, P.bench, seed=23)
     finite = (not results[0].skipped
               and np.isfinite(results[0].per_seed_auroc).all())
@@ -507,7 +506,6 @@ def test_concept_holdout_transfer(cohort, tokens, stage1, stage2):
 def test_benchmark_table_integrity(cohort):
     records, phenos = cohort["records"], cohort["phenos"]
     records_by_id = {r.patient_id: r for r in records}
-    sids = {r.patient_id: f"s{i:04d}" for i, r in enumerate(records)}
     tasks = bench.default_tasks(phenos, P.bench)
     rng = np.random.default_rng(31)
     audits_ok = True
@@ -517,9 +515,9 @@ def test_benchmark_table_integrity(cohort):
         task = tasks[int(rng.integers(0, len(tasks)))]
         split = bench.patient_split([r.patient_id for r in records], P.bench,
                                     seed=int(rng.integers(0, 10_000)))
-        table, _ = bench.build_task_table(task, records, cohort["days"], sids,
-                                          split, P.bench,
-                                          seed=int(rng.integers(0, 10_000)))
+        table = bench.build_task_table(task, records, cohort["days"],
+                                       split, P.bench,
+                                       seed=int(rng.integers(0, 10_000)))
         try:
             bench.audit_table(table, records_by_id, split,
                               P.bench.controls_per_case)

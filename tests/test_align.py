@@ -224,7 +224,7 @@ def test_clip_loss_nonnegative_and_asymptotically_zero():
 
 def _tiny_stage2(seed=10):
     mcfg = MimConfig(d_model=32, n_heads=4, depth=1, dec_depth=1)
-    mmodel = mim.MimModel(16, 2, (4, 8), mcfg, np.random.default_rng(seed))
+    mmodel = mim.MimModel(16, 2 * 16 * 8, (4, 8), mcfg, np.random.default_rng(seed))
     acfg = _cfg(n_heads=4, refiner_depth=1, text_max_len=16, batch_size=4)
     return mmodel, acfg
 
@@ -232,12 +232,11 @@ def _tiny_stage2(seed=10):
 def _batch(rng, b=4, with_reports=True):
     ids = rng.integers(0, 16, size=(b, 32))
     patches = rng.normal(size=(b, 32, 2 * 16 * 8)).astype(np.float32)
-    valid = np.ones((b, 32), dtype=bool)
     texts = [f"report number {i} shows generalized slowing" for i in range(b)]
     present = np.full(b, with_reports)
     ehr = [align.EhrInput(i % 10, i % 3, i % 8, (i % 20,), ((i + 1) % 20,))
            for i in range(b)]
-    return align.AlignBatch(ids=ids, patches=patches, valid=valid, texts=texts,
+    return align.AlignBatch(ids=ids, patches=patches, texts=texts,
                             report_present=present, ehr=ehr)
 
 
@@ -259,7 +258,7 @@ def test_stage2_random_init_loss_near_ln_b():
     # the near-uniform-logit regime needs a wide embedding: random cosines
     # scale as 1/sqrt(d), so run this check at d=512
     mcfg = MimConfig(d_model=512, n_heads=8, depth=1, dec_depth=1)
-    mmodel = mim.MimModel(16, 2, (4, 8), mcfg, np.random.default_rng(13))
+    mmodel = mim.MimModel(16, 2 * 16 * 8, (4, 8), mcfg, np.random.default_rng(13))
     acfg = _cfg(n_heads=8, refiner_depth=1, text_max_len=16)
     amodel = align.AlignModel(acfg, 512, np.random.default_rng(14))
     provider = align.HashedNgramProvider()
@@ -273,7 +272,7 @@ def test_stage2_requires_stage1_provenance():
     """Stage II starts from Stage I weights: the encoder loader refuses a
     table that misses an encoder parameter, and ignores the decoder's."""
     mmodel, acfg = _tiny_stage2()
-    stage1 = mim.MimModel(16, 2, (4, 8), mmodel.cfg, np.random.default_rng(99))
+    stage1 = mim.MimModel(16, 2 * 16 * 8, (4, 8), mmodel.cfg, np.random.default_rng(99))
     weights = {k: p.data for k, p in stage1.named_parameters().items()}
     with pytest.raises(DataError, match="missing"):
         mim.load_encoder(mmodel, {"not_a_param": np.zeros(1)})

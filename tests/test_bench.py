@@ -158,10 +158,9 @@ def _matching_records(n_cases=4, n_pool=60):
 def test_match_exact_covariates_and_cap():
     records = _matching_records()
     by_id = {r.patient_id: r for r in records}
-    sessions = {r.patient_id: "sess_" + r.patient_id for r in records}
     cases = [r.patient_id for r in records if r.patient_id.startswith("case")]
     pool = [r.patient_id for r in records if r.patient_id.startswith("ctrl")]
-    table = bench.match_controls("t", cases, pool, by_id, sessions, k=10, seed=0)
+    table = bench.match_controls("t", cases, pool, by_id, k=10, seed=0)
     groups = {}
     for row in table.rows:
         groups.setdefault(row.group, []).append(row)
@@ -181,10 +180,9 @@ def test_match_exact_covariates_and_cap():
 def test_match_without_replacement_across_cases():
     records = _matching_records()
     by_id = {r.patient_id: r for r in records}
-    sessions = {r.patient_id: "s" for r in records}
     cases = [f"case{i}" for i in range(4)]
     pool = [r.patient_id for r in records if r.patient_id.startswith("ctrl")]
-    table = bench.match_controls("t", cases, pool, by_id, sessions, k=10, seed=1)
+    table = bench.match_controls("t", cases, pool, by_id, k=10, seed=1)
     controls = [r.patient_id for r in table.rows if r.label == 0]
     assert len(controls) == len(set(controls))
 
@@ -192,13 +190,12 @@ def test_match_without_replacement_across_cases():
 def test_match_order_canonicalized():
     records = _matching_records()
     by_id = {r.patient_id: r for r in records}
-    sessions = {r.patient_id: "s" for r in records}
     cases = [f"case{i}" for i in range(4)]
     pool = [r.patient_id for r in records if r.patient_id.startswith("ctrl")]
     rng = np.random.default_rng(5)
-    a = bench.match_controls("t", cases, pool, by_id, sessions, k=5, seed=9)
+    a = bench.match_controls("t", cases, pool, by_id, k=5, seed=9)
     b = bench.match_controls("t", list(rng.permutation(cases)),
-                             list(rng.permutation(pool)), by_id, sessions,
+                             list(rng.permutation(pool)), by_id,
                              k=5, seed=9)
     assert [(r.patient_id, r.label, r.group) for r in a.rows] == \
         [(r.patient_id, r.label, r.group) for r in b.rows]
@@ -209,19 +206,19 @@ def test_audit_catches_violations():
     by_id = {r.patient_id: r for r in records}
     split = {r.patient_id: "train" for r in records}
     good = bench.CohortTable("t", rows=[
-        bench.Row("case0", "s", 1, 0), bench.Row("ctrl000", "s", 0, 0)])
+        bench.Row("case0", 1, 0), bench.Row("ctrl000", 0, 0)])
     bench.audit_table(good, by_id, split, k=10)
     dup = bench.CohortTable("t", rows=[
-        bench.Row("case0", "s", 1, 0), bench.Row("case0", "s", 0, 0)])
+        bench.Row("case0", 1, 0), bench.Row("case0", 0, 0)])
     with pytest.raises(DataError):
         bench.audit_table(dup, by_id, split, k=10)
     mismatch = bench.CohortTable("t", rows=[
-        bench.Row("case_lonely", "s", 1, 0), bench.Row("ctrl000", "s", 0, 0)])
+        bench.Row("case_lonely", 1, 0), bench.Row("ctrl000", 0, 0)])
     with pytest.raises(DataError):
         bench.audit_table(mismatch, by_id, split, k=10)
     over = bench.CohortTable("t", rows=[
-        bench.Row("case0", "s", 1, 0)] + [
-        bench.Row(f"ctrl{i:03d}", "s", 0, 0) for i in range(12)])
+        bench.Row("case0", 1, 0)] + [
+        bench.Row(f"ctrl{i:03d}", 0, 0) for i in range(12)])
     with pytest.raises(DataError):
         bench.audit_table(over, by_id, split, k=10)
 
@@ -308,7 +305,7 @@ def test_run_task_skips_split_without_negatives(empty):
     the task is skipped, and an earlier positives shortfall keeps its reason."""
     splits = ["train"] * 4 + ["val"] * 3 + ["test"] * 3
     labels = [1, 1, 0, 0] + [1, 1, 0] + [1, 1, 0]
-    rows = [bench.Row(f"p{i}", f"s{i}", lab, i, split)
+    rows = [bench.Row(f"p{i}", lab, i, split)
             for i, (lab, split) in enumerate(zip(labels, splits))]
     for r in rows:
         if r.split == empty:
@@ -334,7 +331,6 @@ def test_benchmark_run_on_generated_cohort():
     cohort_cfg = CohortConfig(n_patients=240)
     records, phenotypes = cohortgen.generate_records(cohort_cfg, seed=21)
     days = cohortgen.session_days(cohort_cfg, 21, records)
-    session_ids = {r.patient_id: f"s_{r.patient_id}" for r in records}
     tasks = bench.default_tasks(phenotypes, CFG)[:6]
     # synthetic embeddings that encode phenotype membership noisily
     names = [p.name for p in phenotypes]
@@ -348,7 +344,7 @@ def test_benchmark_run_on_generated_cohort():
         embeddings[rec.patient_id] = e
     cfg = BenchConfig(probe_hidden=32, probe_epochs=10, probe_lr=3e-3,
                       probe_batch_size=16, n_seeds=2)
-    results = bench.benchmark_run(tasks, records, days, session_ids,
+    results = bench.benchmark_run(tasks, records, days,
                                   embeddings, cfg, seed=5)
     assert len(results) == 6
     scored = [r for r in results if not r.skipped]
@@ -367,16 +363,15 @@ def test_benchmark_run_deterministic():
     cohort_cfg = CohortConfig(n_patients=120)
     records, phenotypes = cohortgen.generate_records(cohort_cfg, seed=3)
     days = cohortgen.session_days(cohort_cfg, 3, records)
-    session_ids = {r.patient_id: f"s_{r.patient_id}" for r in records}
     tasks = bench.default_tasks(phenotypes, CFG)[:2]
     rng = np.random.default_rng(1)
     embeddings = {r.patient_id: rng.normal(size=8).astype(np.float32)
                   for r in records}
     cfg = BenchConfig(probe_hidden=8, probe_epochs=2, n_seeds=1,
                       min_positives=1)
-    a = bench.benchmark_run(tasks, records, days, session_ids, embeddings,
+    a = bench.benchmark_run(tasks, records, days, embeddings,
                             cfg, seed=2)
-    b = bench.benchmark_run(tasks, records, days, session_ids, embeddings,
+    b = bench.benchmark_run(tasks, records, days, embeddings,
                             cfg, seed=2)
     assert [(r.task_id, r.per_seed_auroc, r.skipped) for r in a] == \
         [(r.task_id, r.per_seed_auroc, r.skipped) for r in b]

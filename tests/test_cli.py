@@ -1,11 +1,12 @@
 """CLI tests: the full desk pipeline end to end on a tiny cohort, exit-code
 mapping, sequential-training, codebook-hash, checkpoint-kind,
-checkpoint-geometry and partial-spectrogram refusals, the session-id join,
-the spectrogram loader's memory, manifest reproducibility, seed splitting,
-and config schema completeness."""
+checkpoint-geometry, token-grid and partial-output refusals, the session-id
+join, the spectrogram loader's memory, manifest reproducibility, seed
+splitting, config schema completeness and the shape walk of every profile."""
 
 import dataclasses
 import json
+import shutil
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 
 from clef import cli as climod
 from clef import config as cfgmod
-from clef import dsp, vqtok
+from clef import dsp, mim, vqtok
 from clef.errors import DataError
 
 
@@ -208,6 +209,34 @@ def test_failed_dsp_rerun_removes_the_old_manifest(tmp_path):
     assert not (spec / "manifest.json").exists()
 
 
+def test_failed_tokenize_rerun_leaves_no_usable_tokens(pipeline, tmp_path,
+                                                      monkeypatch, capsys):
+    """tokenize removes its index and manifest before the first .tok and
+    writes them last: a rerun that fails part way is refused downstream."""
+    tokens = tmp_path / "tokens"
+    shutil.copytree(pipeline["tokens"], tokens)
+    write_tokens, calls = vqtok.write_tokens, []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        write_tokens(*args)
+
+    monkeypatch.setattr(vqtok, "write_tokens", failing)
+    with pytest.raises(OSError, match="disk full"):
+        climod.main(pipeline["base"] + [
+            "tokenize", "--spectrograms", str(pipeline["spec"]),
+            "--ckpt", str(pipeline["tok_ckpt"]), "--out", str(tokens)])
+    capsys.readouterr()
+    assert climod.main(pipeline["base"] + [
+        "train-mim", "--tokens", str(tokens),
+        "--spectrograms", str(pipeline["spec"]),
+        "--out", str(tmp_path / "mim.npz"), "--steps", "1"]) == climod.EXIT_DATA
+    assert "manifest.json" in capsys.readouterr().err
+    assert not (tmp_path / "mim.npz").exists()
+
+
 def test_load_spectrograms_holds_one_copy(tmp_path):
     """The stacked set is filled in place: peak traced memory stays within
     twice its size (once for the result, once for slack)."""
@@ -231,36 +260,84 @@ def test_load_spectrograms_holds_one_copy(tmp_path):
     assert peak <= 2 * expected.nbytes + (1 << 20)
 
 
+def _write_sessions(tmp_path, sids, grid_shape, values):
+    """Finished token and spectrogram directories holding ``sids``: session
+    i has token grid ``grid_shape`` filled with i + 1 and spectrogram
+    ``values * (i + 1)``."""
+    tok, spec = tmp_path / "tokens", tmp_path / "spec"
+    tok.mkdir()
+    spec.mkdir()
+    for i, sid in enumerate(sids):
+        vqtok.write_tokens(tok / f"{sid}.tok",
+                           np.full(grid_shape, i + 1, dtype=np.int64), 4, sid)
+        dsp.write_spectrogram(spec / f"{sid}.spc", dsp.Spectrogram(
+            values=(values * (i + 1)).astype(np.float32), freq_res_hz=0.25,
+            frame_stride_s=5.0,
+            channel_available=np.ones(len(values), dtype=bool)))
+    for d in (tok, spec):
+        (d / "manifest.json").write_text("{}")
+    (tok / "tokens.json").write_text(json.dumps(
+        {"codebook_sha": "x", "codebook_size": 4, "sessions": sorted(sids)}))
+    return tok, spec
+
+
 def test_sessions_join_by_id_not_by_sorted_position(tmp_path):
     """Sorted file names put s100000 before s99999; rows must still follow
     the requested ids, and an id without files must be refused."""
     profile = cfgmod.get_profile("desk")
-    tok, spec = tmp_path / "tokens", tmp_path / "spec"
-    tok.mkdir()
-    spec.mkdir()
     generation_order = ["s99999", "s100000"]
-    for i, sid in enumerate(generation_order):
-        vqtok.write_tokens(tok / f"{sid}.tok",
-                           np.full((1, 2), i + 1, dtype=np.int64), 4, sid)
-        dsp.write_spectrogram(spec / f"{sid}.spc", dsp.Spectrogram(
-            values=np.full((2, 16, 16), 0.25 * (i + 1), dtype=np.float32),
-            freq_res_hz=0.25, frame_stride_s=5.0,
-            channel_available=np.ones(2, dtype=bool)))
-    (spec / "manifest.json").write_text("{}")
-    (tok / "tokens.json").write_text(json.dumps(
-        {"codebook_sha": "x", "codebook_size": 4,
-         "sessions": sorted(generation_order)}))
+    tok, spec = _write_sessions(tmp_path, generation_order, (4, 8),
+                                np.full((2, 64, 64), 0.25))
     ids, patches, k = climod._load_sessions(profile, tok, spec,
                                             generation_order)
     assert k == 4
-    assert ids.tolist() == [[1, 1], [2, 2]]
-    assert patches.shape == (2, 2, 2 * 16 * 8)
+    assert ids.tolist() == [[1] * 32, [2] * 32]
+    assert patches.shape == (2, 32, 2 * 16 * 8)
     assert np.all(patches[0] == 0.25) and np.all(patches[1] == 0.5)
     with pytest.raises(DataError, match="s12345"):
         climod._load_sessions(profile, tok, spec, ["s99999", "s12345"])
     (spec / "s100000.spc").unlink()
     with pytest.raises(DataError, match="different sessions"):
         climod._load_sessions(profile, tok, spec)
+
+
+def test_patches_are_cut_at_the_tokenizer_stride(tmp_path):
+    """The Stage I patch is the tokenizer's total stride: a time stride of 2
+    at the fourth level gives 8x16 patches on an 8x4 grid."""
+    profile = cfgmod.apply_overrides(cfgmod.get_profile("desk"), {
+        "tokenizer": {"level_strides": [[2, 2], [2, 2], [2, 2], [1, 2],
+                                        [1, 1]]}})
+    assert profile.patch_shape == (8, 16) and profile.grid_shape == (8, 4)
+    values = np.random.default_rng(0).normal(size=(2, 64, 64))
+    tok, spec = _write_sessions(tmp_path, ["s0"], (8, 4), values)
+    _, patches, _ = climod._load_sessions(profile, tok, spec)
+    assert np.array_equal(
+        patches[0], mim.extract_patches(values.astype(np.float32), 8, 16))
+
+
+def test_token_grid_of_other_layout_is_refused(tmp_path, capsys):
+    """An 8x4 grid holds as many tokens as desk's 4x8, but its patches lie
+    elsewhere: train-mim refuses it and names the file."""
+    tok, spec = _write_sessions(tmp_path, ["s0", "s1"], (8, 4),
+                                np.zeros((8, 64, 64)))
+    assert climod.main(["train-mim", "--tokens", str(tok),
+                        "--spectrograms", str(spec),
+                        "--out", str(tmp_path / "mim.npz"),
+                        "--steps", "1"]) == climod.EXIT_DATA
+    assert str(tok / "s0.tok") in capsys.readouterr().err
+    assert not (tmp_path / "mim.npz").exists()
+
+
+def test_grid_that_does_not_tile_exits_2_at_load(tmp_path, capsys):
+    """At 250 Hz desk's spectrogram is 51x80, which 16x8 patches do not
+    tile: the profile is refused before any stage runs."""
+    bad = tmp_path / "rate.json"
+    bad.write_text(json.dumps({"cohort": {"sample_rate": 250.0}}))
+    assert climod.main(["--config", str(bad), "gen-cohort",
+                        "--out", str(tmp_path / "c")]) == climod.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "cohort.sample_rate" in err and "tokenizer.level_strides" in err
+    assert not (tmp_path / "c").exists()
 
 
 def test_exit_codes(tmp_path, capsys):
@@ -318,12 +395,14 @@ def test_config_file_not_a_json_object_exits_2(tmp_path, capsys):
 
 def test_removed_config_keys_are_refused():
     """Stage II's width is mim.d_model, the tokenizer's Adam betas are fixed,
-    the DSP takes its rate from each session, u never pools the proxy and
-    the codebook is always seeded from data: these keys are gone, and
-    setting one is a config error."""
+    the DSP takes its rate from each session, u never pools the proxy, the
+    codebook is always seeded from data and the Stage I patch is the
+    tokenizer's stride: these keys are gone, and setting one is a config
+    error."""
     for path in ("align.d_model", "align.proj_dim", "tokenizer.beta1",
                  "tokenizer.beta2", "dsp.sample_rate", "dsp.freq_res_hz",
-                 "mim.pool_includes_proxy", "tokenizer.codebook_data_init"):
+                 "mim.pool_includes_proxy", "tokenizer.codebook_data_init",
+                 "mim.patch_h", "mim.patch_w"):
         section, key = path.split(".")
         with pytest.raises(cfgmod.ConfigError, match=path):
             cfgmod.apply_overrides(cfgmod.get_profile("desk"),
@@ -386,7 +465,7 @@ _SCHEMA_PATHS = [
     "tokenizer.ramp_steps", "tokenizer.dead_code_steps", "tokenizer.lr",
     "tokenizer.batch_size", "tokenizer.steps", "tokenizer.adv_start_step",
     "mim.depth", "mim.d_model", "mim.n_heads", "mim.dec_depth",
-    "mim.patch_h", "mim.patch_w", "mim.mask_mu", "mim.mask_sigma",
+    "mim.mask_mu", "mim.mask_sigma",
     "mim.mask_lo", "mim.mask_hi", "mim.r_drop", "mim.label_smoothing",
     "mim.lr", "mim.weight_decay",
     "mim.warmup_steps", "mim.ema_decay",
@@ -412,8 +491,24 @@ def test_config_schema_completeness(path):
 
 
 def test_profiles_all_buildable():
+    """Every profile's geometry, walked through the tokenizer's conv
+    arithmetic (kernel 3, padding 1) without allocating a weight."""
     for name in cfgmod.PROFILE_NAMES:
         profile = cfgmod.get_profile(name)
         assert profile.content_hash()
-        h, w = profile.grid_shape
-        assert h > 0 and w > 0
+        gh, gw = profile.grid_shape
+        assert gh > 0 and gw > 0
+        rate = profile.cohort.sample_rate
+        spectrogram = (profile.dsp.n_freq_bins(rate), profile.dsp.n_frames(
+            int(profile.cohort.duration_s * rate)))
+        h, w = spectrogram
+        for sf, st in profile.tokenizer.level_strides:    # encoder
+            h, w = (h + 2 - 3) // sf + 1, (w + 2 - 3) // st + 1
+        assert (h, w) == (gh, gw), name
+        for sf, st in reversed(profile.tokenizer.level_strides):  # decoder
+            h, w = (h - 1) * sf + 1 + (sf - 1), (w - 1) * st + 1 + (st - 1)
+        assert (h, w) == spectrogram, name
+        c, (ph, pw) = profile.n_channels, profile.patch_shape
+        values = np.zeros((c,) + spectrogram, dtype=np.uint8)
+        assert mim.extract_patches(values, ph, pw).shape == \
+            (gh * gw, c * ph * pw), name

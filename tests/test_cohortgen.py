@@ -105,7 +105,7 @@ def test_visible_effect_survives_spectrogram():
 
     def band_mean(x):
         sess = cohortgen.RawSession("s", "p", x, np.ones(cfg.n_channels, bool),
-                                    cfg.duration_s)
+                                    cfg.duration_s, cfg.sample_rate)
         spec = dsp.session_spectrogram(sess, dcfg)
         bins = slice(int(1.0 / spec.freq_res_hz), int(4.0 / spec.freq_res_hz))
         return spec.values[:, bins, :].mean()
