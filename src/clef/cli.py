@@ -22,7 +22,7 @@ import numpy as np
 from . import align, bench, cohortgen, dsp, grad, mim, summarize, vqtok
 from .config import (ConfigError, PROFILE_NAMES, PSG_CHANNELS, Profile,
                      load_profile)
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, parsing
 from .parallel import map_ordered
 
 EXIT_CONFIG = 2
@@ -109,23 +109,29 @@ def _require_manifest(out: Path, stage: str) -> None:
         raise DataError(f"{out}: no manifest.json, {stage} did not finish")
 
 
-def _load_spectrograms(spec_dir: Path) -> tuple[list[str], np.ndarray, np.ndarray]:
+def _load_spectrograms(profile: Profile, spec_dir: Path,
+                       session_ids: list[str] | None = None,
+                       ) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Ids, values (S, C, H, W) and availability (S, C) of ``session_ids``
+    (default: every ``.spc`` by name); a shape not the profile's is refused."""
     _require_manifest(spec_dir, "dsp")
-    paths = sorted(spec_dir.glob("*.spc"))
-    if not paths:
+    if session_ids is None:
+        session_ids = [p.stem for p in sorted(spec_dir.glob("*.spc"))]
+    if not session_ids:
         raise DataError(f"no .spc files in {spec_dir}")
-    values = avail = None
-    for i, p in enumerate(paths):
-        spec = dsp.read_spectrogram(p)
-        if values is None:  # filled in place: one copy of the set at a time
-            values = np.empty((len(paths),) + spec.values.shape, np.float32)
-            avail = np.empty((len(paths), len(spec.channel_available)), bool)
-        elif spec.values.shape != values.shape[1:]:
-            raise DataError(f"{p}: spectrogram shape {spec.values.shape} "
-                            f"differs from {values.shape[1:]}")
+    (gh, gw), (ph, pw) = profile.grid_shape, profile.patch_shape
+    shape = (profile.n_channels, gh * ph, gw * pw)
+    values = np.empty((len(session_ids),) + shape, np.float32)
+    avail = np.empty((len(session_ids), shape[0]), bool)
+    for i, sid in enumerate(session_ids):
+        path = spec_dir / f"{sid}.spc"
+        spec = dsp.read_spectrogram(path)
+        if spec.values.shape != shape:
+            raise DataError(f"{path}: spectrogram shape {spec.values.shape}, "
+                            f"the profile's is {shape}")
         values[i] = spec.values
         avail[i] = spec.channel_available
-    return [p.stem for p in paths], values, avail
+    return session_ids, values, avail
 
 
 def _load_sessions(profile: Profile, tok_dir: Path, spec_dir: Path,
@@ -133,16 +139,12 @@ def _load_sessions(profile: Profile, tok_dir: Path, spec_dir: Path,
                    ) -> tuple[np.ndarray, np.ndarray, int]:
     """Token ids (S, N), spectrogram patches (S, N, P) and the codebook size
     for ``session_ids`` (default: the token index order), each row read by
-    session id from ``<sid>.tok`` and ``<sid>.spc``; a token grid other
-    than ``profile.grid_shape`` is refused."""
-    _require_manifest(spec_dir, "dsp")
+    session id; a token grid other than ``profile.grid_shape`` is refused."""
     _require_manifest(tok_dir, "tokenize")
     index_path = tok_dir / "tokens.json"
-    if not index_path.exists():
-        raise DataError(f"missing token index {index_path}")
-    with open(index_path) as fh:
+    with parsing(index_path) as fh:
         index = json.load(fh)
-    indexed = set(index["sessions"])
+        indexed, k = set(index["sessions"]), int(index["codebook_size"])
     if not indexed or {p.stem for p in spec_dir.glob("*.spc")} != indexed:
         raise DataError(f"{spec_dir} and {index_path} list different sessions "
                         "or none")
@@ -151,19 +153,16 @@ def _load_sessions(profile: Profile, tok_dir: Path, spec_dir: Path,
     unknown = [sid for sid in session_ids if sid not in indexed]
     if unknown:
         raise DataError(f"sessions missing from {index_path}: {unknown[:5]}")
-    ids, patches = [], []
+    ids = []
     for sid in session_ids:
         path = tok_dir / f"{sid}.tok"
         grid, _k, file_sid = vqtok.read_tokens(path)
-        if file_sid != sid:
-            raise DataError(f"{sid}.tok: session id mismatch ({file_sid})")
-        if grid.shape != profile.grid_shape:
-            raise DataError(f"{path}: token grid {grid.shape}, the profile's "
-                            f"is {profile.grid_shape}")
+        if (file_sid, grid.shape) != (sid, profile.grid_shape):
+            raise DataError(f"{path}: holds {file_sid} on a {grid.shape} grid, "
+                            f"not {sid} on the profile's {profile.grid_shape}")
         ids.append(grid.reshape(-1))
-        values = dsp.read_spectrogram(spec_dir / f"{sid}.spc").values
-        patches.append(mim.extract_patches(values, *profile.patch_shape))
-    return np.stack(ids), np.stack(patches), int(index["codebook_size"])
+    _, values, _ = _load_spectrograms(profile, spec_dir, session_ids)
+    return np.stack(ids), mim.extract_patches(values, *profile.patch_shape), k
 
 
 def _codebook_sha(entries: np.ndarray) -> str:
@@ -261,7 +260,7 @@ def train_tokenizer_cmd(ctx, spec_dir, out, steps):
     manifest = _manifest(ctx, "train-tokenizer", "tokenizer",
                          {"spectrograms": Path(spec_dir)})
     seed = manifest.stage_seeds["tokenizer"]
-    _, values, avail = _load_spectrograms(Path(spec_dir))
+    _, values, avail = _load_spectrograms(profile, Path(spec_dir))
     psg = tuple(i for i, name in enumerate(profile.cohort.channel_names)
                 if name in set(PSG_CHANNELS))
     trainer, history = vqtok.train_tokenizer(values, avail, profile.tokenizer,
@@ -313,16 +312,15 @@ def tokenize_cmd(ctx, spec_dir, ckpt_path, out):
     out = Path(out)
     index_path = out / "tokens.json"
     if index_path.exists():
-        with open(index_path) as fh:
-            existing = json.load(fh)
-        if existing.get("codebook_sha") != sha:
-            raise DataError(
-                f"{out}: existing token cache was produced by codebook "
-                f"{existing.get('codebook_sha')}, checkpoint has {sha}")
+        with parsing(index_path) as fh:
+            existing = json.load(fh)["codebook_sha"]
+        if existing != sha:
+            raise DataError(f"{out}: existing token cache was produced by "
+                            f"codebook {existing}, checkpoint has {sha}")
+    sids, values, avail = _load_spectrograms(profile, Path(spec_dir))
     out.mkdir(parents=True, exist_ok=True)
     for done in (index_path, out / "manifest.json"):  # until every .tok is in
         done.unlink(missing_ok=True)
-    sids, values, avail = _load_spectrograms(Path(spec_dir))
     indices = vqtok.tokenize_sessions(tokenizer, values, avail)
     for sid, grid in zip(sids, indices):
         vqtok.write_tokens(out / f"{sid}.tok", grid,
@@ -506,7 +504,7 @@ def probe_cmd(ctx, cohort_dir, tok_dir, spec_dir, ckpt_path, out):
                           "ckpt": Path(ckpt_path)})
     seed = manifest.stage_seeds["probe"]
     records = cohortgen.read_records(cohort_dir / "records.json")
-    with open(cohort_dir / "days.json") as fh:
+    with parsing(cohort_dir / "days.json") as fh:
         session_days = json.load(fh)["session_days"]
     ckpt = grad.load_checkpoint(Path(ckpt_path))
     kind = ckpt["meta"].get("kind")
@@ -545,9 +543,8 @@ def probe_cmd(ctx, cohort_dir, tok_dir, spec_dir, ckpt_path, out):
               type=click.Path(exists=True, dir_okay=False))
 def report_cmd(results_path):
     """Per-axis aggregate table (mean +/- sd) for a finished probe run."""
-    with open(results_path) as fh:
-        raw = json.load(fh)
-    results = [bench.TaskResult(**r) for r in raw]
+    with parsing(results_path) as fh:
+        results = [bench.TaskResult(**r) for r in json.load(fh)]
     click.echo("task\taxis\tn_rows\tauroc_mean\tauroc_sd\tbacc_mean\tbacc_sd")
     for r in results:
         if r.skipped:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import (CohortConfig, RACE_CATEGORIES, SETTING_CATEGORIES,
                      SEX_CATEGORIES)
-from .errors import DataError
+from .errors import DataError, parsing
 from .parallel import map_ordered
 
 SITES = ["site_a", "site_b"]
@@ -442,11 +442,9 @@ def write_records(path, records: list[PatientRecord]) -> None:
 
 
 def read_records(path) -> list[PatientRecord]:
-    with open(path) as fh:
-        payload = json.load(fh)
     records = []
-    for d in payload:
-        try:
+    with parsing(path) as fh:
+        for d in json.load(fh):
             records.append(PatientRecord(
                 patient_id=d["patient_id"], session_id=d["session_id"],
                 age_years=int(d["age_years"]),
@@ -460,8 +458,6 @@ def read_records(path) -> list[PatientRecord]:
                                   for e in d.get("diagnosis_events", [])],
                 medication_events=[MedicationEvent(**e)
                                    for e in d.get("medication_events", [])]))
-        except (KeyError, TypeError) as exc:
-            raise DataError(f"{path}: malformed record entry: {exc}")
     return records
 
 

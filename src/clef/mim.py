@@ -170,13 +170,13 @@ def load_encoder(model: MimModel, weights: dict[str, np.ndarray]) -> None:
 
 
 def extract_patches(values: np.ndarray, ph: int, pw: int) -> np.ndarray:
-    """(C, H, W) spectrogram -> (N, C*ph*pw) raw patches, one per token."""
-    c, h, w = values.shape
+    """(..., C, H, W) spectrograms -> (..., N, C*ph*pw) patches, one per token."""
+    *lead, c, h, w = values.shape
     if h % ph or w % pw:
         raise DataError(f"spectrogram {h}x{w} not divisible by patch {ph}x{pw}")
     gh, gw = h // ph, w // pw
-    p = values.reshape(c, gh, ph, gw, pw).transpose(1, 3, 0, 2, 4)
-    return p.reshape(gh * gw, c * ph * pw)
+    p = np.moveaxis(values.reshape(*lead, c, gh, ph, gw, pw), (-4, -2), (-5, -4))
+    return p.reshape(*lead, gh * gw, c * ph * pw)
 
 
 def embed_inputs(model: MimModel, ids: np.ndarray, patches: np.ndarray,

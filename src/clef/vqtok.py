@@ -267,17 +267,17 @@ def mask_sample(schedule: MaskSchedule, step: int, n_channels: int,
 
 
 def encoder_planes(values: np.ndarray, available: np.ndarray) -> np.ndarray:
-    """Stack masked spectrograms with 0/1 availability planes -> (2C, H, W).
+    """Stack masked spectrograms with 0/1 availability planes:
+    (..., C, H, W) values and (..., C) availability -> (..., 2C, H, W).
 
     Unavailable channels are forced to the clamp floor so the encoder never
     sees stale content behind a zero mask plane.
     """
-    c, h, w = values.shape
-    masked = values.copy()
-    masked[~available] = -1.0
-    planes = np.empty((2 * c, h, w), dtype=np.float32)
-    planes[:c] = masked
-    planes[c:] = available[:, None, None].astype(np.float32)
+    c = values.shape[-3]
+    planes = np.empty((*values.shape[:-3], 2 * c, *values.shape[-2:]), np.float32)
+    planes[..., :c, :, :] = values
+    planes[..., :c, :, :][~available] = -1.0
+    planes[..., c:, :, :] = available[..., None, None]
     return planes
 
 
@@ -340,13 +340,9 @@ class VqTrainer:
         the discriminator's real sample stay unmasked.
         """
         cfg, tok = self.cfg, self.tokenizer
-        b = values.shape[0]
-        planes = np.stack([
-            encoder_planes(values[i],
-                           available[i] & mask_sample(self.schedule,
-                                                      self.step_count,
-                                                      values.shape[1], self.rng))
-            for i in range(b)])
+        keep = [mask_sample(self.schedule, self.step_count, values.shape[1],
+                            self.rng) for _ in range(values.shape[0])]
+        planes = encoder_planes(values, available & np.array(keep))
         z = tok.encode(grad.Tensor(planes))
         if self.step_count == 0:
             # seed the codebook from the first batch's latents so entries
@@ -421,10 +417,8 @@ def tokenize_sessions(tokenizer: Tokenizer, values: np.ndarray,
     """Inference-mode token indices for (N, C, H, W) spectrograms."""
     out = []
     for i in range(0, values.shape[0], batch_size):
-        chunk = values[i:i + batch_size]
-        avail = available[i:i + batch_size]
-        planes = np.stack([encoder_planes(chunk[j], avail[j])
-                           for j in range(chunk.shape[0])])
+        planes = encoder_planes(values[i:i + batch_size],
+                                available[i:i + batch_size])
         z = tokenizer.encode(grad.Tensor(planes))
         out.append(nearest_indices(z.data.transpose(0, 2, 3, 1),
                                    tokenizer.codebook.entries.data))

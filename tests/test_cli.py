@@ -1,8 +1,9 @@
 """CLI tests: the full desk pipeline end to end on a tiny cohort, exit-code
 mapping, sequential-training, codebook-hash, checkpoint-kind,
 checkpoint-geometry, token-grid and partial-output refusals, the session-id
-join, the spectrogram loader's memory, manifest reproducibility, seed
-splitting, config schema completeness and the shape walk of every profile."""
+join, the spectrogram loader's memory and geometry check, malformed JSON
+artifacts, manifest reproducibility, seed splitting, config schema
+completeness and the shape walk of every profile."""
 
 import dataclasses
 import json
@@ -239,9 +240,10 @@ def test_failed_tokenize_rerun_leaves_no_usable_tokens(pipeline, tmp_path,
 
 def test_load_spectrograms_holds_one_copy(tmp_path):
     """The stacked set is filled in place: peak traced memory stays within
-    twice its size (once for the result, once for slack)."""
+    twice its size (once for the result, once for slack).  Twenty desk
+    sessions are enough that three copies of the set would break that."""
     rng = np.random.default_rng(0)
-    expected = rng.uniform(-1, 1, size=(20, 8, 64, 128)).astype(np.float32)
+    expected = rng.uniform(-1, 1, size=(20, 8, 64, 64)).astype(np.float32)
     for i, values in enumerate(expected):
         dsp.write_spectrogram(tmp_path / f"s{i:02d}.spc", dsp.Spectrogram(
             values=values, freq_res_hz=0.25, frame_stride_s=5.0,
@@ -249,7 +251,8 @@ def test_load_spectrograms_holds_one_copy(tmp_path):
     (tmp_path / "manifest.json").write_text("{}")
     tracemalloc.start()
     try:
-        sids, values, avail = climod._load_spectrograms(tmp_path)
+        sids, values, avail = climod._load_spectrograms(
+            cfgmod.get_profile("desk"), tmp_path)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -287,12 +290,12 @@ def test_sessions_join_by_id_not_by_sorted_position(tmp_path):
     profile = cfgmod.get_profile("desk")
     generation_order = ["s99999", "s100000"]
     tok, spec = _write_sessions(tmp_path, generation_order, (4, 8),
-                                np.full((2, 64, 64), 0.25))
+                                np.full((8, 64, 64), 0.25))
     ids, patches, k = climod._load_sessions(profile, tok, spec,
                                             generation_order)
     assert k == 4
     assert ids.tolist() == [[1] * 32, [2] * 32]
-    assert patches.shape == (2, 32, 2 * 16 * 8)
+    assert patches.shape == (2, 32, 8 * 16 * 8)
     assert np.all(patches[0] == 0.25) and np.all(patches[1] == 0.5)
     with pytest.raises(DataError, match="s12345"):
         climod._load_sessions(profile, tok, spec, ["s99999", "s12345"])
@@ -308,7 +311,7 @@ def test_patches_are_cut_at_the_tokenizer_stride(tmp_path):
         "tokenizer": {"level_strides": [[2, 2], [2, 2], [2, 2], [1, 2],
                                         [1, 1]]}})
     assert profile.patch_shape == (8, 16) and profile.grid_shape == (8, 4)
-    values = np.random.default_rng(0).normal(size=(2, 64, 64))
+    values = np.random.default_rng(0).normal(size=(8, 64, 64))
     tok, spec = _write_sessions(tmp_path, ["s0"], (8, 4), values)
     _, patches, _ = climod._load_sessions(profile, tok, spec)
     assert np.array_equal(
@@ -326,6 +329,57 @@ def test_token_grid_of_other_layout_is_refused(tmp_path, capsys):
                         "--steps", "1"]) == climod.EXIT_DATA
     assert str(tok / "s0.tok") in capsys.readouterr().err
     assert not (tmp_path / "mim.npz").exists()
+
+
+@pytest.mark.parametrize("command", ["train-tokenizer", "tokenize",
+                                     "train-mim"])
+def test_spectrogram_of_other_shape_is_refused(pipeline, tmp_path, capsys,
+                                               command):
+    """8x64x128 spectrograms (dsp at stride 500) tile into a 4x16 grid, not
+    desk's 4x8: each stage that reads them names the file and writes
+    nothing, and a finished token cache in the output directory stays."""
+    tok, spec = _write_sessions(tmp_path, ["s0", "s1"], (4, 8),
+                                np.zeros((8, 64, 128)))
+    out = tmp_path / "out"
+    shutil.copytree(pipeline["tokens"], out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    argv = {"train-tokenizer": ["--out", str(out / "tok.npz")],
+            "tokenize": ["--ckpt", str(pipeline["tok_ckpt"]),
+                         "--out", str(out)],
+            "train-mim": ["--tokens", str(tok), "--out", str(out / "mim.npz")]}
+    assert climod.main(pipeline["base"] + [
+        command, "--spectrograms", str(spec)] + argv[command]) \
+        == climod.EXIT_DATA
+    assert str(spec / "s0.spc") in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("name, text, command", [
+    ("records.json", "{not json", "select-prompt"),
+    ("days.json", '{"days": {}}', "probe"),
+    ("tokens.json", '{"codebook_size": 4}', "train-mim"),
+    ("results.json", "[{", "report"),
+    ("results.json", '[{"task_id": "t"}]', "report"),
+])
+def test_malformed_json_artifact_exits_3(pipeline, tmp_path, capsys, name,
+                                         text, command):
+    """A JSON artifact that does not parse, or lacks what the stage reads
+    from it, is a data error that names the file; nothing is written."""
+    cohort, tokens = tmp_path / "cohort", tmp_path / "tokens"
+    shutil.copytree(pipeline["cohort"], cohort)
+    shutil.copytree(pipeline["tokens"], tokens)
+    bad = {"records.json": cohort, "days.json": cohort, "tokens.json": tokens,
+           "results.json": tmp_path}[name] / name
+    bad.write_text(text)
+    out, spec = tmp_path / "out.json", ["--spectrograms", str(pipeline["spec"])]
+    argv = {"select-prompt": ["--cohort", str(cohort), "--out", str(out)],
+            "probe": ["--cohort", str(cohort), "--tokens", str(tokens)] + spec
+            + ["--ckpt", str(pipeline["align_ckpt"]), "--out", str(out)],
+            "train-mim": ["--tokens", str(tokens)] + spec + ["--out", str(out)],
+            "report": ["--results", str(bad)]}[command]
+    assert climod.main(pipeline["base"] + [command] + argv) == climod.EXIT_DATA
+    assert str(bad) in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_grid_that_does_not_tile_exits_2_at_load(tmp_path, capsys):

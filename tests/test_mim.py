@@ -83,6 +83,12 @@ def test_extract_patches_roundtrip():
     assert np.array_equal(patches[1 * 8 + 2], expected)
     with pytest.raises(DataError):
         mim.extract_patches(values, 16, 7)
+    # a leading batch axis gives the per-session patches, stacked
+    batch = rng.normal(size=(2, 3, 3, 64, 64)).astype(np.float32)
+    patches = mim.extract_patches(batch, 16, 8)
+    assert patches.shape == (2, 3, 4 * 8, 3 * 16 * 8)
+    assert np.array_equal(patches, np.stack([
+        [mim.extract_patches(v, 16, 8) for v in vs] for vs in batch]))
 
 
 def _model(k=16, cfg=None, seed=6):

@@ -1,6 +1,11 @@
 """QA-consistency tests: agreement canonicalization, mock client behavior,
 identity/worst-case score ordering, hand-computed averages, candidate
-selection, question-set blindness, and the question file format."""
+selection, question-set blindness, the socket client's line protocol and
+the question file format."""
+
+import json
+import socketserver
+import threading
 
 import numpy as np
 import pytest
@@ -179,6 +184,91 @@ def test_retries_then_counted_as_failure():
     assert result.score == 0.0
     assert result.failures == 1
     assert client.calls == 3  # initial call plus two retries
+
+
+# ---------------------------------------------------------------------------
+# socket client
+
+
+@pytest.fixture
+def llm_server():
+    """A loopback server that speaks the client's one-JSON-line protocol and
+    answers as the mock does.  Yields its address, the requests it got, and
+    the set of ops it must refuse with ``{"ok": false}``."""
+    requests, refused = [], set()
+
+    class Handler(socketserver.StreamRequestHandler):
+        def handle(self):
+            req = json.loads(self.rfile.readline())
+            requests.append(req)
+            op = req["op"]
+            if op in refused:
+                reply = {"ok": False, "error": "overloaded"}
+            elif op == "summarize":
+                reply = {"ok": True, "text": MOCK.summarize(
+                    req["report"], req["prompt"], req["max_tokens"])}
+            elif op == "answer":
+                reply = {"ok": True, "text": MOCK.answer(
+                    req["text"], sm.Question(req["question"], req["kind"]))}
+            else:
+                reply = {"ok": True,
+                         "text": str(MOCK.judge_similarity(req["a"], req["b"]))}
+            self.wfile.write(json.dumps(reply).encode() + b"\n")
+
+    server = socketserver.TCPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"127.0.0.1:{server.server_address[1]}", requests, refused
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_socket_client_round_trips_the_protocol(llm_server):
+    address, requests, _ = llm_server
+    client = sm.SocketLlmClient(address, timeout_s=10.0)
+    report = _reports(1)[0]
+    question = sm.Question("Describe the posterior dominant rhythm.",
+                           "free_text")
+    assert client.summarize(report, "summarize the findings", 16) == \
+        MOCK.summarize(report, "summarize the findings", 16)
+    assert client.answer(report, question) == MOCK.answer(report, question)
+    assert client.judge_similarity("a b c", "b c d") == 0.5
+    assert requests == [
+        {"op": "summarize", "report": report,
+         "prompt": "summarize the findings", "max_tokens": 16},
+        {"op": "answer", "text": report, "question": question.text,
+         "kind": "free_text"},
+        {"op": "judge", "a": "a b c", "b": "b c d"}]
+    # a whole scoring run over the socket scores as the mock does
+    cand = sm.Candidate("findings", "summarize the findings", 128)
+    reports = _reports(3)
+    assert sm.qa_consistency(reports, _questions(), cand, client) == \
+        sm.qa_consistency(reports, _questions(), cand, MOCK)
+
+
+def test_socket_client_refusal_is_retried_then_counted(llm_server):
+    address, requests, refused = llm_server
+    refused.add("summarize")
+    client = sm.SocketLlmClient(address, timeout_s=10.0)
+    with pytest.raises(RuntimeError, match="overloaded"):
+        client.summarize("report", "prompt", 8)
+    requests.clear()
+    reports = _reports(2)
+    result = sm.qa_consistency(reports, _questions(),
+                               sm.Candidate("p", "x", 100), client, retries=1)
+    assert result.score == 0.0 and result.failures == 2
+    assert [r["op"] for r in requests] == ["summarize"] * 4  # two tries each
+
+
+@pytest.mark.parametrize("address", ["localhost", "localhost:", ":8000",
+                                     "localhost:port", "127.0.0.1:-1"])
+def test_socket_client_refuses_malformed_address(address):
+    with pytest.raises(DataError, match="host:port"):
+        sm.SocketLlmClient(address)
 
 
 # ---------------------------------------------------------------------------

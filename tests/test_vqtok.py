@@ -181,6 +181,15 @@ def test_encoder_planes_layout():
     assert np.all(planes[1] == -1.0)       # masked channel forced to floor
     assert np.all(planes[0] == 0.5)
     assert np.all(planes[3:] == avail[:, None, None])
+    # a leading batch axis gives the per-session planes, stacked
+    rng = np.random.default_rng(1)
+    batch = rng.normal(size=(2, 3, 3, 4, 4)).astype(np.float32)
+    avails = rng.random((2, 3, 3)) < 0.5
+    planes = vqtok.encoder_planes(batch, avails)
+    assert planes.shape == (2, 3, 6, 4, 4) and planes.dtype == np.float32
+    assert np.array_equal(planes, np.stack([
+        [vqtok.encoder_planes(v, a) for v, a in zip(vs, avs)]
+        for vs, avs in zip(batch, avails)]))
 
 
 # ---------------------------------------------------------------------------
