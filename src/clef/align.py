@@ -314,13 +314,13 @@ def stage2_step(align_model: AlignModel, mim_model: mim.MimModel,
         keep[~keep.any(axis=1), 0] = True
     u = mim.mim_forward(mim_model, batch.ids, batch.patches,
                         keep=keep, train_rng=rng).u
-    present = batch.report_present.astype(bool)
-    texts = [t if p else "" for t, p in zip(batch.texts, present)]
-    v_rep = report_embed(texts, provider, align_model.report_encoder,
-                         cfg.text_max_len)
+    # only rows with a report reach the report loss, so only they are encoded
+    rows = np.flatnonzero(batch.report_present)
+    v_rep = report_embed([batch.texts[i] for i in rows], provider,
+                         align_model.report_encoder, cfg.text_max_len)
     v_ehr = align_model.ehr_encoder(batch.ehr)
-    rep_loss = clip_loss(grad.matmul(u, align_model.pi_rep), v_rep,
-                         cfg.tau, present)
+    rep_loss = clip_loss(grad.getitem(grad.matmul(u, align_model.pi_rep), rows),
+                         v_rep, cfg.tau)
     ehr_loss = clip_loss(grad.matmul(u, align_model.pi_ehr), v_ehr,
                          cfg.tau, None)
     total = rep_loss.value + ehr_loss.value

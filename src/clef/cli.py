@@ -538,13 +538,24 @@ def probe_cmd(ctx, cohort_dir, tok_dir, spec_dir, ckpt_path, out):
     write_manifest(out, manifest)
 
 
+def _task_result(row: dict) -> bench.TaskResult:
+    """One ``results.json`` row; a field of the wrong type is a TypeError."""
+    r = bench.TaskResult(**row)
+    numbers = (r.n_rows, r.n_pos_test, r.auroc_mean, r.auroc_sd,
+               r.bacc_mean, r.bacc_sd)
+    if any(type(v) not in (int, float) for v in numbers) or \
+            any(type(v) is not str for v in (r.task_id, r.axis, r.skipped)):
+        raise TypeError(f"task {r.task_id!r}: a field has the wrong type")
+    return r
+
+
 @cli.command("report")
 @click.option("--results", "results_path", required=True,
               type=click.Path(exists=True, dir_okay=False))
 def report_cmd(results_path):
     """Per-axis aggregate table (mean +/- sd) for a finished probe run."""
     with parsing(results_path) as fh:
-        results = [bench.TaskResult(**r) for r in json.load(fh)]
+        results = [_task_result(r) for r in json.load(fh)]
     click.echo("task\taxis\tn_rows\tauroc_mean\tauroc_sd\tbacc_mean\tbacc_sd")
     for r in results:
         if r.skipped:

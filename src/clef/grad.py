@@ -3,7 +3,9 @@
 Provides exactly the operator set the rest of the pipeline needs: dense and
 convolutional primitives, attention building blocks, the losses, AdamW-style
 optimizers, EMA shadowing, and checkpoint persistence.  Data lives in 32-bit
-floats; reductions accumulate in 64-bit.
+floats (``DTYPE``); reductions accumulate in 64-bit.  Elementwise work runs
+in the input's dtype, so constants are cast to it rather than promoting the
+arrays to float64; the gradient checks run the same code at float64.
 
 A ``Tensor`` records its parents and a vector-Jacobian product per parent;
 ``backward`` walks the tape in reverse topological order exactly once.
@@ -251,21 +253,32 @@ def relu(a) -> Tensor:
     return _make(a.data * mask, [(a, lambda g: g * mask)])
 
 
+_INV_SQRT_2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
 def gelu(a) -> Tensor:
-    """Exact (erf-based) GELU."""
+    """Exact (erf-based) GELU, x·Φ(x), elementwise in the input's dtype:
+    erf runs its float32 loop on float32 data."""
     a = _wrap(a)
     x = a.data
-    cdf = 0.5 * (1.0 + _erf(x / np.sqrt(2.0)))
-    data = (x * cdf).astype(DTYPE)
+    f = x.dtype.type
+    cdf = _erf(x * f(_INV_SQRT_2))
+    cdf += 1
+    cdf *= f(0.5)
 
     def vjp(g):
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x.astype(np.float64) ** 2)
-        return (g * (cdf + x * pdf)).astype(DTYPE)
+        # Φ(x) + x·φ(x), built in one buffer
+        out = np.square(x)
+        out *= f(-0.5)
+        np.exp(out, out=out)
+        out *= f(_INV_SQRT_2PI)
+        out *= x
+        out += cdf
+        out *= g
+        return out
 
-    return _make(data, [(a, vjp)])
+    return _make(x * cdf, [(a, vjp)])
 
 
 def abs_(a) -> Tensor:
@@ -351,9 +364,19 @@ def stop_gradient(a) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """``a @ b``.  A matrix ``b`` (a weight) takes every leading row of ``a``
+    in one GEMM; a batched ``b`` (attention) goes through ``np.matmul``."""
     a, b = _wrap(a), _wrap(b)
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul: inner dims differ, {a.data.shape} @ {b.data.shape}")
+    if b.ndim == 2:
+        k, n = b.data.shape
+        a2 = a.data.reshape(-1, k)
+        data = (a2 @ b.data).reshape(a.data.shape[:-1] + (n,))
+        return _make(data, [
+            (a, lambda g: (g.reshape(-1, n) @ b.data.T).reshape(a.data.shape)),
+            (b, lambda g: a2.T @ g.reshape(-1, n)),
+        ])
     data = np.matmul(a.data, b.data)
 
     def vjp_a(g):
@@ -399,20 +422,24 @@ def softmax(a, axis: int = -1) -> Tensor:
 
 
 def layernorm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then scale and shift."""
+    """Normalize over the last axis, then scale and shift.  The mean and
+    variance (and the VJP's two row means) accumulate in float64 and are
+    cast to the input's dtype; every elementwise term stays in that dtype."""
     x, gamma, beta = _wrap(x), _wrap(gamma), _wrap(beta)
-    mu = x.data.mean(axis=-1, keepdims=True, dtype=np.float64)
-    var = x.data.astype(np.float64).var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = ((x.data - mu) * inv).astype(DTYPE)
+    dt = x.data.dtype
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True, dtype=np.float64).astype(dt)
+    var = np.square(xhat).mean(axis=-1, keepdims=True, dtype=np.float64)
+    inv = (1.0 / np.sqrt(var + eps)).astype(dt)
+    xhat *= inv
     data = xhat * gamma.data + beta.data
-    n = x.data.shape[-1]
 
     def vjp_x(g):
-        gh = (g * gamma.data).astype(np.float64)
-        term = gh - gh.mean(axis=-1, keepdims=True) \
-            - xhat * (gh * xhat).mean(axis=-1, keepdims=True)
-        return (term * inv).astype(DTYPE)
+        gh = g * gamma.data
+        dot = (gh * xhat).mean(axis=-1, keepdims=True, dtype=np.float64).astype(dt)
+        gh -= gh.mean(axis=-1, keepdims=True, dtype=np.float64).astype(dt)
+        gh -= xhat * dot
+        gh *= inv
+        return gh
 
     def vjp_gamma(g):
         return _sum_to_shape(g * xhat, gamma.data.shape)
@@ -420,7 +447,7 @@ def layernorm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     def vjp_beta(g):
         return _sum_to_shape(g, beta.data.shape)
 
-    return _make(data.astype(DTYPE), [(x, vjp_x), (gamma, vjp_gamma), (beta, vjp_beta)])
+    return _make(data, [(x, vjp_x), (gamma, vjp_gamma), (beta, vjp_beta)])
 
 
 def scaled_dot_attention(q, k, v, mask_bias=None) -> Tensor:
@@ -770,7 +797,8 @@ def load_checkpoint(path) -> dict:
     """A file that is not a checkpoint of this version is a ``DataError``
     naming ``path``."""
     try:
-        with np.load(path) as z:
+        # np.load leaves a path's file open when the zip does not parse
+        with open(path, "rb") as fh, np.load(fh) as z:
             header = json.loads(bytes(z["__header__"]).decode())
             version = header.get("version")
             if version == CHECKPOINT_VERSION:

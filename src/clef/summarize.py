@@ -182,15 +182,22 @@ class SocketLlmClient(LlmClient):
         self.timeout_s = timeout_s
 
     def _call(self, payload: dict) -> str:
+        """The reply's text; a reply that is not a JSON object, or that says
+        ``ok: false``, is a ``RuntimeError`` (retried and counted)."""
         with socket.create_connection((self.host, self.port),
                                       timeout=self.timeout_s) as conn:
             conn.sendall(json.dumps(payload).encode() + b"\n")
-            fh = conn.makefile("rb")
-            line = fh.readline()
+            with conn.makefile("rb") as fh:
+                line = fh.readline()
         if not line:
             raise ConnectionError("empty response from LLM server")
-        response = json.loads(line)
-        if not response.get("ok"):
+        try:
+            response = json.loads(line)
+            ok = response.get("ok")
+        except (ValueError, AttributeError):
+            raise RuntimeError(f"LLM server reply is not a JSON object: "
+                               f"{line[:80]!r}") from None
+        if not ok:
             raise RuntimeError(f"LLM server error: {response.get('error')}")
         return str(response.get("text", ""))
 
@@ -203,7 +210,12 @@ class SocketLlmClient(LlmClient):
                            "question": question.text, "kind": question.kind})
 
     def judge_similarity(self, a: str, b: str) -> float:
-        return float(self._call({"op": "judge", "a": a, "b": b}))
+        text = self._call({"op": "judge", "a": a, "b": b})
+        try:
+            return float(text)
+        except ValueError:
+            raise RuntimeError(f"LLM judge reply is not a number: "
+                               f"{text[:80]!r}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -254,6 +254,33 @@ def test_stage2_step_additivity():
     assert abs(l2.total - l2.ehr) < 1e-6
 
 
+def test_stage2_encodes_only_report_rows(monkeypatch):
+    """On a mixed batch the report loss equals the old encode-every-row
+    loss, and report_embed sees only the rows that have a report."""
+    mmodel, acfg = _tiny_stage2()
+    amodel = align.AlignModel(acfg, 32, np.random.default_rng(11))
+    provider = align.HashedNgramProvider()
+    batch = _batch(np.random.default_rng(12), b=6)
+    batch.report_present = np.array([True, False, True, True, False, True])
+    seen, real = [], align.report_embed
+
+    def spy(texts, *args):
+        seen.append(list(texts))
+        return real(texts, *args)
+
+    monkeypatch.setattr(align, "report_embed", spy)
+    _, losses = align.stage2_step(amodel, mmodel, provider, batch, rng=None)
+    monkeypatch.undo()
+    assert seen == [[t for t, p in zip(batch.texts, batch.report_present) if p]]
+    u = mim.mim_forward(mmodel, batch.ids, batch.patches).u
+    every_row = align.report_embed(batch.texts, provider,
+                                   amodel.report_encoder, acfg.text_max_len)
+    old = align.clip_loss(grad.matmul(u, amodel.pi_rep), every_row, acfg.tau,
+                          batch.report_present)
+    assert abs(losses.report - float(old.value.data)) <= 1e-5
+    assert not losses.report_absent_batch
+
+
 def test_stage2_random_init_loss_near_ln_b():
     # the near-uniform-logit regime needs a wide embedding: random cosines
     # scale as 1/sqrt(d), so run this check at d=512

@@ -360,11 +360,16 @@ def test_spectrogram_of_other_shape_is_refused(pipeline, tmp_path, capsys,
     ("tokens.json", '{"codebook_size": 4}', "train-mim"),
     ("results.json", "[{", "report"),
     ("results.json", '[{"task_id": "t"}]', "report"),
+    ("results.json", json.dumps([{
+        "task_id": "t", "axis": "a", "n_rows": 4, "n_pos_test": 1,
+        "auroc_mean": "high", "auroc_sd": 0.0, "bacc_mean": 0.5,
+        "bacc_sd": 0.0, "skipped": ""}]), "report"),
 ])
 def test_malformed_json_artifact_exits_3(pipeline, tmp_path, capsys, name,
                                          text, command):
     """A JSON artifact that does not parse, or lacks what the stage reads
-    from it, is a data error that names the file; nothing is written."""
+    from it, or holds a value of the wrong type, is a data error that names
+    the file; nothing is written or printed."""
     cohort, tokens = tmp_path / "cohort", tmp_path / "tokens"
     shutil.copytree(pipeline["cohort"], cohort)
     shutil.copytree(pipeline["tokens"], tokens)
@@ -378,7 +383,8 @@ def test_malformed_json_artifact_exits_3(pipeline, tmp_path, capsys, name,
             "train-mim": ["--tokens", str(tokens)] + spec + ["--out", str(out)],
             "report": ["--results", str(bad)]}[command]
     assert climod.main(pipeline["base"] + [command] + argv) == climod.EXIT_DATA
-    assert str(bad) in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert str(bad) in captured.err and captured.out == ""
     assert not out.exists()
 
 

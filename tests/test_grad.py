@@ -111,6 +111,68 @@ def test_fd_attention_and_pooling(seed):
         [(2, 3, 4)], seed)
 
 
+# ---------------------------------------------------------------------------
+# float32 kernels against float64 references
+
+
+def _forward_and_vjp(op, arrays, g):
+    """``op``'s float32 output and the gradients that ``g`` pulls back to
+    each input (sum(op * g) hands ``g`` to the op's VJPs unchanged)."""
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    out = op(*leaves)
+    return out.data, grad.grads(grad.sum_(grad.mul(out, Tensor(g))), leaves)
+
+
+def test_gelu_float32_matches_float64_reference():
+    from scipy.special import erf
+    rng = np.random.default_rng(0)
+    x = rng.normal(0.0, 3.0, size=(4, 65, 32)).astype(np.float32)
+    g = rng.normal(size=x.shape).astype(np.float32)
+    out, (gx,) = _forward_and_vjp(grad.gelu, [x], g)
+    assert out.dtype == np.float32 and gx.dtype == np.float32
+    x64 = x.astype(np.float64)
+    cdf = 0.5 * (1.0 + erf(x64 / np.sqrt(2.0)))
+    pdf = np.exp(-0.5 * x64 ** 2) / np.sqrt(2.0 * np.pi)
+    assert np.abs(out - x64 * cdf).max() <= 2e-6
+    assert np.abs(gx - g * (cdf + x64 * pdf)).max() <= 2e-6
+
+
+def test_layernorm_float32_matches_float64_reference():
+    rng = np.random.default_rng(1)
+    x = (rng.normal(0.0, 2.0, size=(4, 65, 32)) + 5.0).astype(np.float32)
+    gamma = rng.normal(1.0, 0.5, size=32).astype(np.float32)
+    beta = rng.normal(size=32).astype(np.float32)
+    g = rng.normal(size=x.shape).astype(np.float32)
+    out, grads_ = _forward_and_vjp(grad.layernorm, [x, gamma, beta], g)
+    assert out.dtype == np.float32
+    assert all(gr.dtype == np.float32 for gr in grads_)
+    x64, g64 = x.astype(np.float64), g.astype(np.float64)
+    inv = 1.0 / np.sqrt(x64.var(axis=-1, keepdims=True) + 1e-5)
+    xhat = (x64 - x64.mean(axis=-1, keepdims=True)) * inv
+    gh = g64 * gamma
+    ref = [inv * (gh - gh.mean(axis=-1, keepdims=True)
+                  - xhat * (gh * xhat).mean(axis=-1, keepdims=True)),
+           (g64 * xhat).sum(axis=(0, 1)), g64.sum(axis=(0, 1))]
+    for got, want in zip([out] + grads_, [xhat * gamma + beta] + ref):
+        assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+
+
+def test_matmul_by_matrix_is_one_gemm():
+    """A 3-D ``a`` against a matrix: the forward and ``vjp_a`` keep the bits
+    of ``np.matmul``; ``vjp_b`` equals the batched product summed over the
+    batch within float32 rounding."""
+    rng = np.random.default_rng(2)
+    a = rng.normal(size=(4, 65, 64)).astype(np.float32)
+    b = rng.normal(size=(64, 96)).astype(np.float32)
+    g = rng.normal(size=(4, 65, 96)).astype(np.float32)
+    out, (ga, gb) = _forward_and_vjp(grad.matmul, [a, b], g)
+    assert np.array_equal(out, np.matmul(a, b))
+    assert np.array_equal(ga, np.matmul(g, b.T))
+    want = np.matmul(a.transpose(0, 2, 1), g).sum(axis=0)
+    assert gb.shape == b.shape and gb.dtype == np.float32
+    assert np.abs(gb - want).max() <= 1e-5 * np.abs(want).max()
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_fd_losses(seed):
     targets = np.array([1, 0, 3])

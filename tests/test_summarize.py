@@ -190,21 +190,27 @@ def test_retries_then_counted_as_failure():
 # socket client
 
 
+REFUSED = b'{"ok": false, "error": "overloaded"}'
+NOT_JSON = b"not json"
+
+
 @pytest.fixture
 def llm_server():
     """A loopback server that speaks the client's one-JSON-line protocol and
     answers as the mock does.  Yields its address, the requests it got, and
-    the set of ops it must refuse with ``{"ok": false}``."""
-    requests, refused = [], set()
+    a dict of faults: op -> the raw line sent back in place of the answer
+    (``REFUSED``, ``NOT_JSON``, ...)."""
+    requests, faults = [], {}
 
     class Handler(socketserver.StreamRequestHandler):
         def handle(self):
             req = json.loads(self.rfile.readline())
             requests.append(req)
             op = req["op"]
-            if op in refused:
-                reply = {"ok": False, "error": "overloaded"}
-            elif op == "summarize":
+            if op in faults:
+                self.wfile.write(faults[op] + b"\n")
+                return
+            if op == "summarize":
                 reply = {"ok": True, "text": MOCK.summarize(
                     req["report"], req["prompt"], req["max_tokens"])}
             elif op == "answer":
@@ -219,7 +225,7 @@ def llm_server():
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
-        yield f"127.0.0.1:{server.server_address[1]}", requests, refused
+        yield f"127.0.0.1:{server.server_address[1]}", requests, faults
     finally:
         server.shutdown()
         server.server_close()
@@ -251,8 +257,8 @@ def test_socket_client_round_trips_the_protocol(llm_server):
 
 
 def test_socket_client_refusal_is_retried_then_counted(llm_server):
-    address, requests, refused = llm_server
-    refused.add("summarize")
+    address, requests, faults = llm_server
+    faults["summarize"] = REFUSED
     client = sm.SocketLlmClient(address, timeout_s=10.0)
     with pytest.raises(RuntimeError, match="overloaded"):
         client.summarize("report", "prompt", 8)
@@ -262,6 +268,31 @@ def test_socket_client_refusal_is_retried_then_counted(llm_server):
                                sm.Candidate("p", "x", 100), client, retries=1)
     assert result.score == 0.0 and result.failures == 2
     assert [r["op"] for r in requests] == ["summarize"] * 4  # two tries each
+
+
+@pytest.mark.parametrize("op, reply", [
+    ("summarize", NOT_JSON),
+    ("summarize", b"[1, 2]"),
+    ("judge", b'{"ok": true, "text": "quite similar"}'),
+])
+def test_socket_client_garbled_reply_is_retried_then_counted(llm_server, op,
+                                                             reply):
+    """A reply that is not a JSON object, or a judge text that is not a
+    number, is a RuntimeError: qa_consistency retries it and counts it."""
+    address, requests, faults = llm_server
+    faults[op] = reply
+    client = sm.SocketLlmClient(address, timeout_s=10.0)
+    call = {"summarize": lambda: client.summarize("report", "prompt", 8),
+            "judge": lambda: client.judge_similarity("a b", "b c")}[op]
+    with pytest.raises(RuntimeError, match="not a"):
+        call()
+    requests.clear()
+    free_text = [q for q in _questions() if q.kind == "free_text"]
+    result = sm.qa_consistency(_reports(2), free_text,
+                               sm.Candidate("p", "x", 100), client, retries=1)
+    failing = 1 if op == "summarize" else len(free_text)  # per report
+    assert result.failures == 2 * failing
+    assert [r["op"] for r in requests].count(op) == 2 * 2 * failing
 
 
 @pytest.mark.parametrize("address", ["localhost", "localhost:", ":8000",
