@@ -178,13 +178,13 @@ class EhrEncoder(grad.Module):
     def __call__(self, inputs: list[EhrInput]) -> grad.Tensor:
         age, sex, race, dx, med, mask = self.assemble(inputs)
         demo = grad.concat([
-            grad.reshape(grad.embedding_lookup(self.e_age, age), (len(inputs), 1, -1)),
-            grad.reshape(grad.embedding_lookup(self.e_sex, sex), (len(inputs), 1, -1)),
-            grad.reshape(grad.embedding_lookup(self.e_race, race), (len(inputs), 1, -1)),
+            grad.reshape(grad.getitem(self.e_age, age), (len(inputs), 1, -1)),
+            grad.reshape(grad.getitem(self.e_sex, sex), (len(inputs), 1, -1)),
+            grad.reshape(grad.getitem(self.e_race, race), (len(inputs), 1, -1)),
         ], axis=1)
         x = grad.concat([demo,
-                         grad.embedding_lookup(self.e_dx, dx),
-                         grad.embedding_lookup(self.e_med, med)], axis=1)
+                         grad.getitem(self.e_dx, dx),
+                         grad.getitem(self.e_med, med)], axis=1)
         # padded slots carry index-0 embeddings but are attention-masked and
         # excluded from pooling, so their content never reaches the output
         bias = mim._attention_bias(mask)
@@ -203,32 +203,20 @@ def _l2_normalize(x: grad.Tensor) -> grad.Tensor:
     return grad.mul(x, grad.power(sq + 1e-12, -0.5))
 
 
-@dataclass
-class ClipLoss:
-    value: grad.Tensor
-    all_absent: bool
-    n_present: int
-
-
-def clip_loss(a: grad.Tensor, b: grad.Tensor, tau: float = 0.07,
-              present: np.ndarray | None = None) -> ClipLoss:
-    """Symmetric InfoNCE; absent rows leave both negative pools entirely."""
+def clip_loss(a: grad.Tensor, b: grad.Tensor,
+              tau: float = 0.07) -> grad.Tensor:
+    """Symmetric InfoNCE over the paired rows of ``a`` and ``b``; zero rows
+    give a zero loss."""
     n = a.shape[0]
-    if present is None:
-        present = np.ones(n, dtype=bool)
-    idx = np.flatnonzero(present)
-    if idx.size == 0:
-        return ClipLoss(value=grad.Tensor(np.zeros((), dtype=grad.DTYPE)),
-                        all_absent=True, n_present=0)
-    a_n = _l2_normalize(grad.getitem(a, idx))
-    b_n = _l2_normalize(grad.getitem(b, idx))
+    if n == 0:
+        return grad.Tensor(np.zeros((), dtype=grad.DTYPE))
+    a_n, b_n = _l2_normalize(a), _l2_normalize(b)
     logits = grad.mul(grad.matmul(a_n, grad.transpose(b_n, (1, 0))), 1.0 / tau)
-    targets = np.arange(idx.size)
+    targets = np.arange(n)
     ab = grad.cross_entropy_with_label_smoothing(logits, targets, 0.0)
     ba = grad.cross_entropy_with_label_smoothing(
         grad.transpose(logits, (1, 0)), targets, 0.0)
-    return ClipLoss(value=grad.mul(ab + ba, 0.5), all_absent=False,
-                    n_present=int(idx.size))
+    return grad.mul(ab + ba, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -302,15 +290,15 @@ class Stage2Losses:
 
 def stage2_step(align_model: AlignModel, mim_model: mim.MimModel,
                 provider: HashedNgramProvider, batch: AlignBatch,
-                rng: np.random.Generator | None = None,
-                r_drop: float = 0.25) -> tuple[grad.Tensor, Stage2Losses]:
+                rng: np.random.Generator | None = None
+                ) -> tuple[grad.Tensor, Stage2Losses]:
     """L_Align = L_Report + L_EHR on one batch; returns the loss graph root."""
     cfg = align_model.cfg
     keep = None
-    if rng is not None and r_drop > 0.0:
+    if rng is not None and cfg.r_drop > 0.0:
         # token dropping: each position excluded with prob r_drop; a row
         # that loses every position keeps its first
-        keep = rng.random(batch.ids.shape) >= r_drop
+        keep = rng.random(batch.ids.shape) >= cfg.r_drop
         keep[~keep.any(axis=1), 0] = True
     u = mim.mim_forward(mim_model, batch.ids, batch.patches,
                         keep=keep, train_rng=rng).u
@@ -321,13 +309,12 @@ def stage2_step(align_model: AlignModel, mim_model: mim.MimModel,
     v_ehr = align_model.ehr_encoder(batch.ehr)
     rep_loss = clip_loss(grad.getitem(grad.matmul(u, align_model.pi_rep), rows),
                          v_rep, cfg.tau)
-    ehr_loss = clip_loss(grad.matmul(u, align_model.pi_ehr), v_ehr,
-                         cfg.tau, None)
-    total = rep_loss.value + ehr_loss.value
+    ehr_loss = clip_loss(grad.matmul(u, align_model.pi_ehr), v_ehr, cfg.tau)
+    total = rep_loss + ehr_loss
     return total, Stage2Losses(total=float(total.data),
-                               report=float(rep_loss.value.data),
-                               ehr=float(ehr_loss.value.data),
-                               report_absent_batch=rep_loss.all_absent)
+                               report=float(rep_loss.data),
+                               ehr=float(ehr_loss.data),
+                               report_absent_batch=rows.size == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +361,7 @@ def stage2_train(mim_model: mim.MimModel, provider: HashedNgramProvider,
 
     def step_loss(step):
         loss, losses = stage2_step(align_model, mim_model, provider,
-                                   batches(step, rng), rng, cfg.r_drop)
+                                   batches(step, rng), rng)
         history.append(losses)
         return loss
 

@@ -1,10 +1,12 @@
 """Unified command-line front end.
 
-Each command validates its configuration, runs one pipeline stage, writes a
-run manifest next to its outputs, and streams progress metrics as delimited
-text.  All randomness flows from one root seed, split per stage through a
-counter-based scheme.  Exit codes: 0 success, 2 config error, 3 data error,
-4 numeric failure.
+Each command validates its configuration, runs one pipeline stage inside
+``_stage`` and streams progress metrics as delimited text.  ``_stage`` hashes
+the stage's inputs before the stage runs and writes the run manifest next to
+its outputs only after the stage has returned, so a stage that fails writes
+no manifest.  All randomness flows from one root seed, split per stage
+through a counter-based scheme.  Exit codes: 0 success, 2 config error,
+3 data error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import dataclasses
 import hashlib
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -85,18 +88,29 @@ def write_manifest(out: Path, manifest: RunManifest) -> Path:
     return path
 
 
-def _manifest(ctx, command: str, stage: str,
-              inputs: dict[str, Path]) -> RunManifest:
+@contextmanager
+def _stage(stage: str, inputs: dict[str, Path], out: Path,
+           outputs: list[str] | None = None):
+    """Run the current command as ``stage``: hash ``inputs`` (each must
+    exist), create ``out``'s parent and yield the profile and the stage
+    seed; once the body has returned, write the manifest naming ``outputs``
+    (default: ``out`` itself).  A body that raises leaves no manifest."""
+    ctx = click.get_current_context()
     profile: Profile = ctx.obj["profile"]
     root = ctx.obj["seed"]
     for name, path in inputs.items():
-        if not Path(path).exists():
+        if not path.exists():
             raise DataError(f"missing input {name}: {path}")
-    return RunManifest(
-        command=command, profile=profile.name,
+    seed = stage_seed(root, stage)
+    manifest = RunManifest(
+        command=ctx.info_name, profile=profile.name,
         profile_hash=profile.content_hash(), root_seed=root,
-        stage_seeds={stage: stage_seed(root, stage)},
-        input_hashes={n: _hash_input(Path(p)) for n, p in inputs.items()})
+        stage_seeds={stage: seed},
+        input_hashes={n: _hash_input(p) for n, p in inputs.items()})
+    out.parent.mkdir(parents=True, exist_ok=True)
+    yield profile, seed
+    manifest.output_ids = dict.fromkeys(outputs or [out.name], "")
+    write_manifest(out, manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +118,8 @@ def _manifest(ctx, command: str, stage: str,
 
 
 def _require_manifest(out: Path, stage: str) -> None:
-    # dsp and tokenize write their manifest last: without one, a partial set
+    # gen-cohort, dsp and tokenize write their manifest last: without one,
+    # the directory holds a partial set
     if not (out / "manifest.json").exists():
         raise DataError(f"{out}: no manifest.json, {stage} did not finish")
 
@@ -165,20 +180,62 @@ def _load_sessions(profile: Profile, tok_dir: Path, spec_dir: Path,
     return np.stack(ids), mim.extract_patches(values, *profile.patch_shape), k
 
 
+def _load_checkpoint(path: Path, kinds: tuple[str, ...], what: str) -> dict:
+    ckpt = grad.load_checkpoint(path)
+    kind = ckpt["meta"].get("kind")
+    if kind not in kinds:
+        raise DataError(f"{path}: {kind} checkpoint holds no {what}")
+    return ckpt
+
+
+def _cohort_encoder(profile: Profile, cohort_dir: Path, tok_dir: Path,
+                    spec_dir: Path, ckpt: dict):
+    """The cohort's records, their token ids and patches in record order,
+    and a Stage I model whose encoder holds ``ckpt``'s weights (EMA first).
+    The decoder is never run, so its draw does not matter."""
+    _require_manifest(cohort_dir, "gen-cohort")
+    records = cohortgen.read_records(cohort_dir / "records.json")
+    ids, patches, codebook_size = _load_sessions(
+        profile, tok_dir, spec_dir, [r.session_id for r in records])
+    model = mim.MimModel(codebook_size, patches.shape[2], profile.grid_shape,
+                         profile.mim, np.random.default_rng(0))
+    mim.load_encoder(model, align.encoder_weights(ckpt))
+    return records, ids, patches, model
+
+
 def _codebook_sha(entries: np.ndarray) -> str:
     return hashlib.sha256(
         np.ascontiguousarray(entries, dtype="<f4").tobytes()).hexdigest()[:16]
 
 
+def _echo_steps(n: int, line) -> None:
+    """About 20 progress lines over a trainer's ``n`` steps: the step number,
+    then ``line(i)`` for the step's index ``i``."""
+    for i in range(0, n, max(1, n // 20)):
+        click.echo(f"step\t{i + 1}\t{line(i)}")
+
+
 # ---------------------------------------------------------------------------
 # command group
+
+_IN_DIR = click.Path(exists=True, file_okay=False, path_type=Path)
+_IN_FILE = click.Path(exists=True, dir_okay=False, path_type=Path)
+_cohort = click.option("--cohort", "cohort_dir", required=True, type=_IN_DIR)
+_tokens = click.option("--tokens", "tok_dir", required=True, type=_IN_DIR)
+_spectrograms = click.option("--spectrograms", "spec_dir", required=True,
+                             type=_IN_DIR)
+_out_dir = click.option("--out", required=True,
+                        type=click.Path(file_okay=False, path_type=Path))
+_out_file = click.option("--out", required=True,
+                         type=click.Path(dir_okay=False, path_type=Path))
+_steps = click.option("--steps", default=None, type=int,
+                      help="Override the profile's training step count.")
 
 
 @click.group()
 @click.option("--profile", "profile_name", default="desk",
               type=click.Choice(PROFILE_NAMES), show_default=True)
-@click.option("--config", "config_path", default=None,
-              type=click.Path(exists=True, dir_okay=False),
+@click.option("--config", "config_path", default=None, type=_IN_FILE,
               help="JSON override file applied on top of the profile.")
 @click.option("--seed", default=0, show_default=True,
               help="Root seed; every stage derives its own seed from it.")
@@ -190,352 +247,257 @@ def cli(ctx, profile_name, config_path, seed):
 
 
 @cli.command("gen-cohort")
-@click.option("--out", required=True, type=click.Path(file_okay=False))
-@click.pass_context
-def gen_cohort(ctx, out):
+@_out_dir
+def gen_cohort(out):
     """Synthesize patient records, reports, and raw EEG sessions."""
-    profile: Profile = ctx.obj["profile"]
-    manifest = _manifest(ctx, "gen-cohort", "cohort", {})
-    seed = manifest.stage_seeds["cohort"]
-    out = Path(out)
-    (out / "sessions").mkdir(parents=True, exist_ok=True)
-    records, phenotypes = cohortgen.generate_records(profile.cohort, seed)
-    cohortgen.write_records(out / "records.json", records)
-    for i, session in enumerate(cohortgen.iter_sessions(
-            profile.cohort, seed, records, phenotypes)):
-        cohortgen.write_session(out / "sessions" / f"{session.session_id}.raw",
-                                session)
-        if (i + 1) % 50 == 0 or i + 1 == len(records):
-            click.echo(f"sessions\t{i + 1}/{len(records)}")
-    with open(out / "days.json", "w") as fh:
-        json.dump({"session_days": cohortgen.session_days(
-            profile.cohort, seed, records)}, fh, indent=1, sort_keys=True)
-    manifest.output_ids = {"records.json": "", "sessions": "", "days.json": ""}
-    write_manifest(out, manifest)
+    with _stage("cohort", {}, out,
+                ["records.json", "sessions", "days.json"]) as (profile, seed):
+        (out / "sessions").mkdir(parents=True, exist_ok=True)
+        (out / "manifest.json").unlink(missing_ok=True)  # until days.json is in
+        records, phenotypes = cohortgen.generate_records(profile.cohort, seed)
+        cohortgen.write_records(out / "records.json", records)
+        for i, session in enumerate(cohortgen.iter_sessions(
+                profile.cohort, seed, records, phenotypes)):
+            cohortgen.write_session(
+                out / "sessions" / f"{session.session_id}.raw", session)
+            if (i + 1) % 50 == 0 or i + 1 == len(records):
+                click.echo(f"sessions\t{i + 1}/{len(records)}")
+        with open(out / "days.json", "w") as fh:
+            json.dump({"session_days": cohortgen.session_days(
+                profile.cohort, seed, records)}, fh, indent=1, sort_keys=True)
 
 
 @cli.command("dsp")
-@click.option("--cohort", "cohort_dir", required=True,
-              type=click.Path(exists=True, file_okay=False))
-@click.option("--out", required=True, type=click.Path(file_okay=False))
-@click.pass_context
-def dsp_cmd(ctx, cohort_dir, out):
+@_cohort
+@_out_dir
+def dsp_cmd(cohort_dir, out):
     """Filter raw sessions and cache multitaper spectrograms."""
-    profile: Profile = ctx.obj["profile"]
-    cohort_dir = Path(cohort_dir)
-    manifest = _manifest(ctx, "dsp", "cohort",
-                         {"sessions": cohort_dir / "sessions"})
-    out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "manifest.json").unlink(missing_ok=True)  # until every .spc is in
-    tapers = dsp.compute_dpss(profile.dsp.window, profile.dsp.nw,
-                              profile.dsp.k_max, profile.dsp.eigen_threshold)
-    paths = sorted((cohort_dir / "sessions").glob("*.raw"))
-    if not paths:
-        raise DataError(f"no .raw sessions in {cohort_dir / 'sessions'}")
+    with _stage("cohort", {"sessions": cohort_dir / "sessions"}, out,
+                ["."]) as (profile, _):
+        _require_manifest(cohort_dir, "gen-cohort")
+        out.mkdir(exist_ok=True)
+        (out / "manifest.json").unlink(missing_ok=True)  # until every .spc is in
+        tapers = dsp.compute_dpss(profile.dsp.window, profile.dsp.nw,
+                                  profile.dsp.k_max, profile.dsp.eigen_threshold)
+        paths = sorted((cohort_dir / "sessions").glob("*.raw"))
+        if not paths:
+            raise DataError(f"no .raw sessions in {cohort_dir / 'sessions'}")
 
-    def spectrogram(path: Path) -> dsp.Spectrogram:
-        session = cohortgen.read_session(path)
-        return dsp.session_spectrogram(session, profile.dsp, tapers)
+        def spectrogram(path: Path) -> dsp.Spectrogram:
+            session = cohortgen.read_session(path)
+            return dsp.session_spectrogram(session, profile.dsp, tapers)
 
-    for i, (spec, path) in enumerate(zip(map_ordered(spectrogram, paths),
-                                         paths)):
-        dsp.write_spectrogram(out / f"{path.stem}.spc", spec)
-        if (i + 1) % 50 == 0 or i + 1 == len(paths):
-            click.echo(f"spectrograms\t{i + 1}/{len(paths)}")
-    manifest.output_ids = {".": ""}
-    write_manifest(out, manifest)
+        for i, (spec, path) in enumerate(zip(map_ordered(spectrogram, paths),
+                                             paths)):
+            dsp.write_spectrogram(out / f"{path.stem}.spc", spec)
+            if (i + 1) % 50 == 0 or i + 1 == len(paths):
+                click.echo(f"spectrograms\t{i + 1}/{len(paths)}")
 
 
 @cli.command("train-tokenizer")
-@click.option("--spectrograms", "spec_dir", required=True,
-              type=click.Path(exists=True, file_okay=False))
-@click.option("--out", required=True, type=click.Path(dir_okay=False))
-@click.option("--steps", default=None, type=int,
-              help="Override the profile's training step count.")
-@click.pass_context
-def train_tokenizer_cmd(ctx, spec_dir, out, steps):
+@_spectrograms
+@_out_file
+@_steps
+def train_tokenizer_cmd(spec_dir, out, steps):
     """Train the VQ tokenizer on cached spectrograms."""
-    profile: Profile = ctx.obj["profile"]
-    manifest = _manifest(ctx, "train-tokenizer", "tokenizer",
-                         {"spectrograms": Path(spec_dir)})
-    seed = manifest.stage_seeds["tokenizer"]
-    _, values, avail = _load_spectrograms(profile, Path(spec_dir))
-    psg = tuple(i for i, name in enumerate(profile.cohort.channel_names)
-                if name in set(PSG_CHANNELS))
-    trainer, history = vqtok.train_tokenizer(values, avail, profile.tokenizer,
-                                             psg, seed, steps=steps)
-    total = len(history)
-    for i, h in enumerate(history):
-        if (i + 1) % max(1, total // 20) == 0 or i == 0:
-            click.echo(f"step\t{i + 1}\trecon\t{h.rec:.5f}\tvq\t{h.vq:.5f}")
-    params = trainer.tokenizer.named_parameters()
-    out = Path(out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    grad.save_checkpoint(out, params, meta={
-        "kind": "tokenizer",
-        "profile_hash": profile.content_hash(),
-        "codebook_sha": _codebook_sha(trainer.tokenizer.codebook.entries.data),
-        "n_channels": trainer.tokenizer.n_channels})
-    manifest.output_ids = {out.name: ""}
-    write_manifest(out, manifest)
-
-
-def _load_tokenizer(profile: Profile, ckpt_path: Path) -> tuple[vqtok.Tokenizer, str]:
-    ckpt = grad.load_checkpoint(ckpt_path)
-    if ckpt["meta"].get("kind") != "tokenizer":
-        raise DataError(f"{ckpt_path}: not a tokenizer checkpoint")
-    tokenizer = vqtok.Tokenizer(profile.n_channels, profile.tokenizer,
-                                np.random.default_rng(0))
-    grad.assign_parameters(tokenizer.named_parameters(), ckpt["params"])
-    sha = _codebook_sha(tokenizer.codebook.entries.data)
-    if sha != ckpt["meta"].get("codebook_sha"):
-        raise DataError(f"{ckpt_path}: codebook hash mismatch "
-                        f"({sha} != {ckpt['meta'].get('codebook_sha')})")
-    return tokenizer, sha
+    with _stage("tokenizer", {"spectrograms": spec_dir}, out) as (profile, seed):
+        _, values, avail = _load_spectrograms(profile, spec_dir)
+        psg = tuple(i for i, name in enumerate(profile.cohort.channel_names)
+                    if name in set(PSG_CHANNELS))
+        trainer, history = vqtok.train_tokenizer(
+            values, avail, profile.tokenizer, psg, seed, steps=steps)
+        total = len(history)
+        for i, h in enumerate(history):
+            if (i + 1) % max(1, total // 20) == 0 or i == 0:
+                click.echo(f"step\t{i + 1}\trecon\t{h.rec:.5f}\tvq\t{h.vq:.5f}")
+        tokenizer = trainer.tokenizer
+        grad.save_checkpoint(out, tokenizer.named_parameters(), meta={
+            "kind": "tokenizer",
+            "profile_hash": profile.content_hash(),
+            "codebook_sha": _codebook_sha(tokenizer.codebook.entries.data),
+            "n_channels": tokenizer.n_channels})
 
 
 @cli.command("tokenize")
-@click.option("--spectrograms", "spec_dir", required=True,
-              type=click.Path(exists=True, file_okay=False))
-@click.option("--ckpt", "ckpt_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", required=True, type=click.Path(file_okay=False))
-@click.pass_context
-def tokenize_cmd(ctx, spec_dir, ckpt_path, out):
+@_spectrograms
+@click.option("--ckpt", "ckpt_path", required=True, type=_IN_FILE)
+@_out_dir
+def tokenize_cmd(spec_dir, ckpt_path, out):
     """Convert spectrograms to token caches using a tokenizer checkpoint."""
-    profile: Profile = ctx.obj["profile"]
-    manifest = _manifest(ctx, "tokenize", "tokenize",
-                         {"spectrograms": Path(spec_dir),
-                          "ckpt": Path(ckpt_path)})
-    tokenizer, sha = _load_tokenizer(profile, Path(ckpt_path))
-    out = Path(out)
-    index_path = out / "tokens.json"
-    if index_path.exists():
-        with parsing(index_path) as fh:
-            existing = json.load(fh)["codebook_sha"]
-        if existing != sha:
-            raise DataError(f"{out}: existing token cache was produced by "
-                            f"codebook {existing}, checkpoint has {sha}")
-    sids, values, avail = _load_spectrograms(profile, Path(spec_dir))
-    out.mkdir(parents=True, exist_ok=True)
-    for done in (index_path, out / "manifest.json"):  # until every .tok is in
-        done.unlink(missing_ok=True)
-    indices = vqtok.tokenize_sessions(tokenizer, values, avail)
-    for sid, grid in zip(sids, indices):
-        vqtok.write_tokens(out / f"{sid}.tok", grid,
-                           profile.tokenizer.codebook_size, sid)
-    with open(index_path, "w") as fh:
-        json.dump({"codebook_sha": sha,
-                   "codebook_size": profile.tokenizer.codebook_size,
-                   "sessions": sids}, fh, indent=1, sort_keys=True)
-    click.echo(f"tokenized\t{len(sids)}")
-    manifest.output_ids = {".": ""}
-    write_manifest(out, manifest)
+    with _stage("tokenize", {"spectrograms": spec_dir, "ckpt": ckpt_path},
+                out, ["."]) as (profile, _):
+        ckpt = _load_checkpoint(ckpt_path, ("tokenizer",), "tokenizer")
+        tokenizer = vqtok.Tokenizer(profile.n_channels, profile.tokenizer,
+                                    np.random.default_rng(0))
+        grad.assign_parameters(tokenizer.named_parameters(), ckpt["params"])
+        sha = _codebook_sha(tokenizer.codebook.entries.data)
+        if sha != ckpt["meta"].get("codebook_sha"):
+            raise DataError(f"{ckpt_path}: codebook hash mismatch "
+                            f"({sha} != {ckpt['meta'].get('codebook_sha')})")
+        index_path = out / "tokens.json"
+        if index_path.exists():
+            with parsing(index_path) as fh:
+                existing = json.load(fh)["codebook_sha"]
+            if existing != sha:
+                raise DataError(f"{out}: existing token cache was produced by "
+                                f"codebook {existing}, checkpoint has {sha}")
+        sids, values, avail = _load_spectrograms(profile, spec_dir)
+        out.mkdir(exist_ok=True)
+        for done in (index_path, out / "manifest.json"):  # until every .tok is in
+            done.unlink(missing_ok=True)
+        indices = vqtok.tokenize_sessions(tokenizer, values, avail)
+        for sid, grid in zip(sids, indices):
+            vqtok.write_tokens(out / f"{sid}.tok", grid,
+                               profile.tokenizer.codebook_size, sid)
+        with open(index_path, "w") as fh:
+            json.dump({"codebook_sha": sha,
+                       "codebook_size": profile.tokenizer.codebook_size,
+                       "sessions": sids}, fh, indent=1, sort_keys=True)
+        click.echo(f"tokenized\t{len(sids)}")
 
 
 @cli.command("train-mim")
-@click.option("--tokens", "tok_dir", required=True,
-              type=click.Path(exists=True, file_okay=False))
-@click.option("--spectrograms", "spec_dir", required=True,
-              type=click.Path(exists=True, file_okay=False))
-@click.option("--out", required=True, type=click.Path(dir_okay=False))
-@click.option("--steps", default=None, type=int)
-@click.pass_context
-def train_mim_cmd(ctx, tok_dir, spec_dir, out, steps):
+@_tokens
+@_spectrograms
+@_out_file
+@_steps
+def train_mim_cmd(tok_dir, spec_dir, out, steps):
     """Stage I: masked token modeling over the session token grids."""
-    profile: Profile = ctx.obj["profile"]
-    manifest = _manifest(ctx, "train-mim", "mim",
-                         {"tokens": Path(tok_dir),
-                          "spectrograms": Path(spec_dir)})
-    seed = manifest.stage_seeds["mim"]
-    ids, patches, codebook_size = _load_sessions(profile, Path(tok_dir),
-                                                 Path(spec_dir))
-    result = mim.stage1_train(ids, patches, codebook_size, profile.grid_shape,
-                              profile.mim, seed, steps=steps)
-    total = len(result.losses)
-    for i in range(0, total, max(1, total // 20)):
-        click.echo(f"step\t{i + 1}\tloss\t{result.losses[i]:.5f}"
-                   f"\tacc\t{result.masked_acc[i]:.4f}")
-    out = Path(out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    grad.save_checkpoint(out, result.model.named_parameters(),
-                         ema=result.ema,
-                         meta={"kind": "mim",
-                               "codebook_size": codebook_size,
-                               "profile_hash": profile.content_hash()})
-    manifest.output_ids = {out.name: ""}
-    write_manifest(out, manifest)
+    with _stage("mim", {"tokens": tok_dir, "spectrograms": spec_dir},
+                out) as (profile, seed):
+        ids, patches, codebook_size = _load_sessions(profile, tok_dir, spec_dir)
+        result = mim.stage1_train(ids, patches, codebook_size,
+                                  profile.grid_shape, profile.mim, seed,
+                                  steps=steps)
+        _echo_steps(len(result.losses),
+                    lambda i: f"loss\t{result.losses[i]:.5f}"
+                              f"\tacc\t{result.masked_acc[i]:.4f}")
+        grad.save_checkpoint(out, result.model.named_parameters(),
+                             ema=result.ema,
+                             meta={"kind": "mim",
+                                   "codebook_size": codebook_size,
+                                   "profile_hash": profile.content_hash()})
 
 
 @cli.command("train-align")
-@click.option("--cohort", "cohort_dir", required=True,
-              type=click.Path(exists=True, file_okay=False))
-@click.option("--tokens", "tok_dir", required=True,
-              type=click.Path(exists=True, file_okay=False))
-@click.option("--spectrograms", "spec_dir", required=True,
-              type=click.Path(exists=True, file_okay=False))
-@click.option("--init", "init_path", default=None,
-              type=click.Path(exists=True, dir_okay=False),
+@_cohort
+@_tokens
+@_spectrograms
+@click.option("--init", "init_path", default=None, type=_IN_FILE,
               help="Stage I checkpoint (required: stages train sequentially).")
-@click.option("--out", required=True, type=click.Path(dir_okay=False))
-@click.option("--steps", default=None, type=int)
-@click.pass_context
-def train_align_cmd(ctx, cohort_dir, tok_dir, spec_dir, init_path, out, steps):
+@_out_file
+@_steps
+def train_align_cmd(cohort_dir, tok_dir, spec_dir, init_path, out, steps):
     """Stage II: contrastive report/EHR alignment on top of Stage I."""
     if init_path is None:
         raise ConfigError("train-align requires --init with a Stage I "
                           "checkpoint; the stages train sequentially")
-    profile: Profile = ctx.obj["profile"]
-    cohort_dir = Path(cohort_dir)
-    manifest = _manifest(ctx, "train-align", "align",
-                         {"records": cohort_dir / "records.json",
-                          "tokens": Path(tok_dir),
-                          "spectrograms": Path(spec_dir),
-                          "init": Path(init_path)})
-    seed = manifest.stage_seeds["align"]
-    records = cohortgen.read_records(cohort_dir / "records.json")
-    ids, patches, codebook_size = _load_sessions(
-        profile, Path(tok_dir), Path(spec_dir),
-        [r.session_id for r in records])
-    ckpt = grad.load_checkpoint(Path(init_path))
-    if ckpt["meta"].get("kind") != "mim":
-        raise DataError(f"{init_path}: not a Stage I checkpoint")
-    model = mim.MimModel(codebook_size, patches.shape[2], profile.grid_shape,
-                         profile.mim, np.random.default_rng(seed))
-    mim.load_encoder(model, align.encoder_weights(ckpt))
-    phenotypes = cohortgen.default_phenotypes(profile.cohort.channel_names)
-    dx_vocab, med_vocab = cohortgen.vocabularies(profile.cohort, phenotypes)
-    rows = align.AlignRows(records, ids, patches,
-                           [align.ehr_input_from_record(r, dx_vocab, med_vocab)
-                            for r in records])
-    provider = align.HashedNgramProvider()
-    result = align.stage2_train(model, provider,
-                                rows.sampler(profile.align.batch_size),
-                                profile.align, seed, steps=steps)
-    total = len(result.losses)
-    for i in range(0, total, max(1, total // 20)):
-        h = result.losses[i]
-        click.echo(f"step\t{i + 1}\ttotal\t{h.total:.5f}"
-                   f"\treport\t{h.report:.5f}\tehr\t{h.ehr:.5f}")
-    out = Path(out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    trained = align.trained_parameters(result.align_model, model)
-    grad.save_checkpoint(out, trained, ema=result.ema,
-                         meta={"kind": "align",
-                               "codebook_size": codebook_size,
-                               "profile_hash": profile.content_hash()})
-    manifest.output_ids = {out.name: ""}
-    write_manifest(out, manifest)
+    with _stage("align", {"records": cohort_dir / "records.json",
+                          "tokens": tok_dir, "spectrograms": spec_dir,
+                          "init": init_path}, out) as (profile, seed):
+        ckpt = _load_checkpoint(init_path, ("mim",), "Stage I model")
+        records, ids, patches, model = _cohort_encoder(
+            profile, cohort_dir, tok_dir, spec_dir, ckpt)
+        phenotypes = cohortgen.default_phenotypes(profile.cohort.channel_names)
+        dx_vocab, med_vocab = cohortgen.vocabularies(profile.cohort, phenotypes)
+        rows = align.AlignRows(
+            records, ids, patches,
+            [align.ehr_input_from_record(r, dx_vocab, med_vocab)
+             for r in records])
+        result = align.stage2_train(model, align.HashedNgramProvider(),
+                                    rows.sampler(profile.align.batch_size),
+                                    profile.align, seed, steps=steps)
+        losses = result.losses
+        _echo_steps(len(losses),
+                    lambda i: f"total\t{losses[i].total:.5f}"
+                              f"\treport\t{losses[i].report:.5f}"
+                              f"\tehr\t{losses[i].ehr:.5f}")
+        grad.save_checkpoint(
+            out, align.trained_parameters(result.align_model, model),
+            ema=result.ema,
+            meta={"kind": "align",
+                  "codebook_size": model.token_table.shape[0],
+                  "profile_hash": profile.content_hash()})
 
 
 @cli.command("select-prompt")
-@click.option("--cohort", "cohort_dir", required=True,
-              type=click.Path(exists=True, file_okay=False))
-@click.option("--questions", "questions_path", default=None,
-              type=click.Path(exists=True, dir_okay=False))
+@_cohort
+@click.option("--questions", "questions_path", default=None, type=_IN_FILE)
 @click.option("--llm", "llm_address", default=None,
               help="host:port of a line-delimited JSON LLM server; "
                    "defaults to the deterministic mock.")
 @click.option("--max-reports", default=20, show_default=True)
-@click.option("--out", required=True, type=click.Path(dir_okay=False))
-@click.pass_context
-def select_prompt_cmd(ctx, cohort_dir, questions_path, llm_address,
-                      max_reports, out):
+@_out_file
+def select_prompt_cmd(cohort_dir, questions_path, llm_address, max_reports,
+                      out):
     """Score summarization candidates by QA consistency and pick one."""
-    profile: Profile = ctx.obj["profile"]
-    cohort_dir = Path(cohort_dir)
     inputs = {"records": cohort_dir / "records.json"}
     if questions_path:
-        inputs["questions"] = Path(questions_path)
-    manifest = _manifest(ctx, "select-prompt", "select", inputs)
-    records = cohortgen.read_records(cohort_dir / "records.json")
-    reports = [r.report for r in records if r.report][:max_reports]
-    if not reports:
-        raise DataError("cohort contains no reports to summarize")
-    phenotypes = cohortgen.default_phenotypes(profile.cohort.channel_names)
-    questions = summarize.read_questions(questions_path) if questions_path \
-        else summarize.default_questions(phenotypes)
-    client = summarize.SocketLlmClient(llm_address) if llm_address \
-        else summarize.MockLlmClient()
-    candidates = [summarize.Candidate(pid, prompt, n)
-                  for pid, prompt in (("verbatim", "repeat the report"),
-                                      ("findings", "summarize the findings"))
-                  for n in (128, 256, 512)]
-    scores = [summarize.qa_consistency(reports, questions, c, client)
-              for c in candidates]
-    for s in scores:
-        click.echo(f"candidate\t{s.candidate.prompt_id}"
-                   f"\t{s.candidate.max_tokens}\t{s.score:.4f}")
-    picked = summarize.select_candidate(scores)
-    out = Path(out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w") as fh:
-        json.dump({"selected": dataclasses.asdict(picked),
-                   "scores": [{"prompt_id": s.candidate.prompt_id,
-                               "max_tokens": s.candidate.max_tokens,
-                               "score": s.score, "failures": s.failures}
-                              for s in scores]}, fh, indent=1, sort_keys=True)
-    manifest.output_ids = {out.name: ""}
-    write_manifest(out, manifest)
+        inputs["questions"] = questions_path
+    with _stage("select", inputs, out) as (profile, _):
+        _require_manifest(cohort_dir, "gen-cohort")
+        records = cohortgen.read_records(cohort_dir / "records.json")
+        reports = [r.report for r in records if r.report][:max_reports]
+        if not reports:
+            raise DataError("cohort contains no reports to summarize")
+        phenotypes = cohortgen.default_phenotypes(profile.cohort.channel_names)
+        questions = summarize.read_questions(questions_path) if questions_path \
+            else summarize.default_questions(phenotypes)
+        client = summarize.SocketLlmClient(llm_address) if llm_address \
+            else summarize.MockLlmClient()
+        candidates = [summarize.Candidate(pid, prompt, n)
+                      for pid, prompt in (("verbatim", "repeat the report"),
+                                          ("findings", "summarize the findings"))
+                      for n in (128, 256, 512)]
+        scores = [summarize.qa_consistency(reports, questions, c, client)
+                  for c in candidates]
+        for s in scores:
+            click.echo(f"candidate\t{s.candidate.prompt_id}"
+                       f"\t{s.candidate.max_tokens}\t{s.score:.4f}")
+        picked = summarize.select_candidate(scores)
+        with open(out, "w") as fh:
+            json.dump({"selected": dataclasses.asdict(picked),
+                       "scores": [{"prompt_id": s.candidate.prompt_id,
+                                   "max_tokens": s.candidate.max_tokens,
+                                   "score": s.score, "failures": s.failures}
+                                  for s in scores]},
+                      fh, indent=1, sort_keys=True)
 
 
 @cli.command("probe")
-@click.option("--cohort", "cohort_dir", required=True,
-              type=click.Path(exists=True, file_okay=False))
-@click.option("--tokens", "tok_dir", required=True,
-              type=click.Path(exists=True, file_okay=False))
-@click.option("--spectrograms", "spec_dir", required=True,
-              type=click.Path(exists=True, file_okay=False))
-@click.option("--ckpt", "ckpt_path", required=True,
-              type=click.Path(exists=True, dir_okay=False),
+@_cohort
+@_tokens
+@_spectrograms
+@click.option("--ckpt", "ckpt_path", required=True, type=_IN_FILE,
               help="Stage I or Stage II checkpoint supplying the encoder.")
-@click.option("--out", required=True, type=click.Path(dir_okay=False))
-@click.pass_context
-def probe_cmd(ctx, cohort_dir, tok_dir, spec_dir, ckpt_path, out):
+@_out_file
+def probe_cmd(cohort_dir, tok_dir, spec_dir, ckpt_path, out):
     """Frozen-embedding case-control probing over the planted task set."""
-    profile: Profile = ctx.obj["profile"]
-    cohort_dir = Path(cohort_dir)
-    manifest = _manifest(ctx, "probe", "probe",
-                         {"records": cohort_dir / "records.json",
+    with _stage("probe", {"records": cohort_dir / "records.json",
                           "days": cohort_dir / "days.json",
-                          "tokens": Path(tok_dir),
-                          "spectrograms": Path(spec_dir),
-                          "ckpt": Path(ckpt_path)})
-    seed = manifest.stage_seeds["probe"]
-    records = cohortgen.read_records(cohort_dir / "records.json")
-    with parsing(cohort_dir / "days.json") as fh:
-        session_days = json.load(fh)["session_days"]
-    ckpt = grad.load_checkpoint(Path(ckpt_path))
-    kind = ckpt["meta"].get("kind")
-    if kind not in ("mim", "align"):
-        raise DataError(f"{ckpt_path}: {kind} checkpoint holds no encoder")
-    ids, patches, codebook_size = _load_sessions(
-        profile, Path(tok_dir), Path(spec_dir),
-        [r.session_id for r in records])
-    model = mim.MimModel(codebook_size, patches.shape[2], profile.grid_shape,
-                         profile.mim, np.random.default_rng(0))
-    mim.load_encoder(model, align.encoder_weights(ckpt))
-    u = np.concatenate([
-        mim.session_embedding(model, ids[i:i + 32], patches[i:i + 32])
-        for i in range(0, len(records), 32)])
-    tasks = bench.default_tasks(
-        cohortgen.default_phenotypes(profile.cohort.channel_names),
-        profile.bench)
-    results = bench.benchmark_run(
-        tasks, records, session_days,
-        {r.patient_id: vec for r, vec in zip(records, u)},
-        profile.bench, seed)
-    out = Path(out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w") as fh:
-        json.dump([dataclasses.asdict(r) for r in results], fh, indent=1,
-                  sort_keys=True)
-    for r in results:
-        status = r.skipped or f"auroc\t{r.auroc_mean:.4f}\t{r.auroc_sd:.4f}"
-        click.echo(f"task\t{r.task_id}\t{status}")
-    manifest.output_ids = {out.name: ""}
-    write_manifest(out, manifest)
+                          "tokens": tok_dir, "spectrograms": spec_dir,
+                          "ckpt": ckpt_path}, out) as (profile, seed):
+        with parsing(cohort_dir / "days.json") as fh:
+            session_days = json.load(fh)["session_days"]
+        ckpt = _load_checkpoint(ckpt_path, ("mim", "align"), "encoder")
+        records, ids, patches, model = _cohort_encoder(
+            profile, cohort_dir, tok_dir, spec_dir, ckpt)
+        u = np.concatenate([
+            mim.session_embedding(model, ids[i:i + 32], patches[i:i + 32])
+            for i in range(0, len(records), 32)])
+        tasks = bench.default_tasks(
+            cohortgen.default_phenotypes(profile.cohort.channel_names),
+            profile.bench)
+        results = bench.benchmark_run(
+            tasks, records, session_days,
+            {r.patient_id: vec for r, vec in zip(records, u)},
+            profile.bench, seed)
+        with open(out, "w") as fh:
+            json.dump([dataclasses.asdict(r) for r in results], fh, indent=1,
+                      sort_keys=True)
+        for r in results:
+            status = r.skipped or f"auroc\t{r.auroc_mean:.4f}\t{r.auroc_sd:.4f}"
+            click.echo(f"task\t{r.task_id}\t{status}")
 
 
 def _task_result(row: dict) -> bench.TaskResult:
@@ -550,8 +512,7 @@ def _task_result(row: dict) -> bench.TaskResult:
 
 
 @cli.command("report")
-@click.option("--results", "results_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
+@click.option("--results", "results_path", required=True, type=_IN_FILE)
 def report_cmd(results_path):
     """Per-axis aggregate table (mean +/- sd) for a finished probe run."""
     with parsing(results_path) as fh:

@@ -342,6 +342,8 @@ def concat(tensors: Sequence, axis: int = 0) -> Tensor:
 
 
 def getitem(a, index) -> Tensor:
+    """``a[index]``; the gradient scatter-adds back, so rows picked more than
+    once (an embedding lookup) accumulate."""
     a = _wrap(a)
     data = a.data[index]
 
@@ -388,20 +390,6 @@ def matmul(a, b) -> Tensor:
         return _sum_to_shape(gb, b.data.shape)
 
     return _make(data, [(a, vjp_a), (b, vjp_b)])
-
-
-def embedding_lookup(table, ids: np.ndarray) -> Tensor:
-    """Rows of ``table`` selected by an integer array; gradient scatters back."""
-    table = _wrap(table)
-    ids = np.asarray(ids)
-    data = table.data[ids]
-
-    def vjp(g):
-        out = np.zeros_like(table.data)
-        np.add.at(out, ids, g)
-        return out
-
-    return _make(data.copy(), [(table, vjp)])
 
 
 # ---------------------------------------------------------------------------

@@ -190,10 +190,10 @@ def embed_inputs(model: MimModel, ids: np.ndarray, patches: np.ndarray,
     b, n = ids.shape
     if n != model.n_positions:
         raise DataError(f"{n} positions, model expects {model.n_positions}")
-    tok = grad.embedding_lookup(model.token_table, ids)
+    tok = grad.getitem(model.token_table, ids)
     patch = grad.matmul(grad.Tensor(patches.astype(grad.DTYPE)), model.w_patch)
-    pos = grad.embedding_lookup(model.p_freq, model.coord_h) + \
-        grad.embedding_lookup(model.p_time, model.coord_w)    # (N, d)
+    pos = grad.getitem(model.p_freq, model.coord_h) + \
+        grad.getitem(model.p_time, model.coord_w)    # (N, d)
     content = tok + patch
     if plan is not None:
         m = (plan.masked & ~plan.dropped).astype(grad.DTYPE)[:, :, None]

@@ -53,6 +53,11 @@ class Codebook(grad.Module):
         return self.entries.shape[0]
 
 
+# nearest_indices works on row chunks whose exact (rows, K, d) float64
+# difference tensor holds at most this many elements
+_NN_CHUNK_ELEMENTS = 1 << 24
+
+
 def nearest_indices(latents: np.ndarray, entries: np.ndarray) -> np.ndarray:
     """Exhaustive L2 nearest neighbor; argmin breaks ties at the lowest index.
 
@@ -60,12 +65,13 @@ def nearest_indices(latents: np.ndarray, entries: np.ndarray) -> np.ndarray:
     """
     flat = latents.reshape(-1, latents.shape[-1]).astype(np.float64)
     e = entries.astype(np.float64)
-    # exact squared distances (no |z|^2 shortcut, ties must be exact)
-    d2 = ((flat[:, None, :] - e[None, :, :]) ** 2).sum(axis=2) \
-        if flat.shape[0] * e.shape[0] <= 1 << 22 else None
-    if d2 is None:
-        d2 = (flat ** 2).sum(1, keepdims=True) - 2.0 * flat @ e.T + (e ** 2).sum(1)
-    return np.argmin(d2, axis=1).reshape(latents.shape[:-1])
+    rows = max(1, _NN_CHUNK_ELEMENTS // e.size)
+    out = np.empty(flat.shape[0], dtype=np.intp)
+    for i in range(0, flat.shape[0], rows):
+        # exact squared distances (no |z|^2 shortcut, ties must be exact)
+        d2 = ((flat[i:i + rows, None, :] - e[None, :, :]) ** 2).sum(axis=2)
+        out[i:i + rows] = np.argmin(d2, axis=1)
+    return out.reshape(latents.shape[:-1])
 
 
 def quantize(latents: grad.Tensor, codebook: Codebook) -> TokenGrid:
@@ -74,7 +80,7 @@ def quantize(latents: grad.Tensor, codebook: Codebook) -> TokenGrid:
         raise NumericError("non-finite latents entering quantization")
     z = grad.transpose(latents, (0, 2, 3, 1))        # (B, H', W', d)
     idx = nearest_indices(z.data, codebook.entries.data)
-    selected = grad.embedding_lookup(codebook.entries, idx)
+    selected = grad.getitem(codebook.entries, idx)
     # straight-through: forward value is the entry, gradient copies past it
     st = grad.add(z, grad.stop_gradient(grad.add(selected, grad.mul(z, -1.0))))
     return TokenGrid(indices=idx,
@@ -235,7 +241,7 @@ def detokenize(indices: np.ndarray, tokenizer: Tokenizer) -> np.ndarray:
         indices = indices[None]
     if indices.min() < 0 or indices.max() >= tokenizer.codebook.k:
         raise DataError("token index out of codebook range")
-    q = grad.embedding_lookup(tokenizer.codebook.entries, indices)
+    q = grad.getitem(tokenizer.codebook.entries, indices)
     out = tokenizer.decode(grad.transpose(q, (0, 3, 1, 2)))
     return out.data
 

@@ -172,49 +172,37 @@ def test_ehr_input_from_record():
 def test_clip_loss_single_pair_zero():
     a = grad.Tensor(np.array([[1.0, 0.0]], dtype=np.float32))
     out = align.clip_loss(a, a, tau=0.07)
-    assert abs(float(out.value.data)) < 1e-6
+    assert abs(float(out.data)) < 1e-6
 
 
 def test_clip_loss_orthonormal_hand_value():
     a = grad.Tensor(np.eye(2, dtype=np.float32))
     out = align.clip_loss(a, a, tau=1.0)
     expected = np.log(1.0 + np.exp(-1.0))
-    assert abs(float(out.value.data) - expected) < 1e-6
+    assert abs(float(out.data) - expected) < 1e-6
 
 
 def test_clip_loss_permutation_symmetry():
     rng = np.random.default_rng(7)
     a = rng.normal(size=(6, 8)).astype(np.float32)
     b = rng.normal(size=(6, 8)).astype(np.float32)
-    l1 = float(align.clip_loss(grad.Tensor(a), grad.Tensor(b)).value.data)
+    l1 = float(align.clip_loss(grad.Tensor(a), grad.Tensor(b)).data)
     perm = rng.permutation(6)
-    l2 = float(align.clip_loss(grad.Tensor(a[perm]), grad.Tensor(b[perm])).value.data)
+    l2 = float(align.clip_loss(grad.Tensor(a[perm]), grad.Tensor(b[perm])).data)
     assert abs(l1 - l2) < 1e-5
 
 
-def test_clip_loss_absent_rows_equal_deleted_rows():
-    rng = np.random.default_rng(8)
-    a = rng.normal(size=(8, 16)).astype(np.float32)
-    b = rng.normal(size=(8, 16)).astype(np.float32)
-    present = np.array([True, False, True, True, False, True, True, False])
-    masked = align.clip_loss(grad.Tensor(a), grad.Tensor(b), present=present)
-    deleted = align.clip_loss(grad.Tensor(a[present]), grad.Tensor(b[present]))
-    assert abs(float(masked.value.data) - float(deleted.value.data)) < 1e-6
-    assert masked.n_present == 5
-
-
 def test_clip_loss_all_absent():
-    a = grad.Tensor(np.ones((3, 4), dtype=np.float32))
-    out = align.clip_loss(a, a, present=np.zeros(3, dtype=bool))
-    assert out.all_absent and float(out.value.data) == 0.0
+    a = grad.Tensor(np.ones((0, 4), dtype=np.float32))
+    assert float(align.clip_loss(a, a).data) == 0.0
 
 
 def test_clip_loss_nonnegative_and_asymptotically_zero():
     rng = np.random.default_rng(9)
     a = rng.normal(size=(5, 8)).astype(np.float32)
-    loss = float(align.clip_loss(grad.Tensor(a), grad.Tensor(a), tau=0.07).value.data)
+    loss = float(align.clip_loss(grad.Tensor(a), grad.Tensor(a), tau=0.07).data)
     assert loss >= 0.0
-    hot = float(align.clip_loss(grad.Tensor(a), grad.Tensor(a), tau=0.005).value.data)
+    hot = float(align.clip_loss(grad.Tensor(a), grad.Tensor(a), tau=0.005).data)
     assert hot < loss + 1e-6  # sharper temperature drives a perfect match to 0
 
 
@@ -275,9 +263,10 @@ def test_stage2_encodes_only_report_rows(monkeypatch):
     u = mim.mim_forward(mmodel, batch.ids, batch.patches).u
     every_row = align.report_embed(batch.texts, provider,
                                    amodel.report_encoder, acfg.text_max_len)
-    old = align.clip_loss(grad.matmul(u, amodel.pi_rep), every_row, acfg.tau,
-                          batch.report_present)
-    assert abs(losses.report - float(old.value.data)) <= 1e-5
+    rows = np.flatnonzero(batch.report_present)
+    old = align.clip_loss(grad.getitem(grad.matmul(u, amodel.pi_rep), rows),
+                          grad.getitem(every_row, rows), acfg.tau)
+    assert abs(losses.report - float(old.data)) <= 1e-5
     assert not losses.report_absent_batch
 
 

@@ -15,7 +15,7 @@ import pytest
 
 from clef import cli as climod
 from clef import config as cfgmod
-from clef import dsp, mim, vqtok
+from clef import cohortgen, dsp, mim, vqtok
 from clef.errors import DataError
 
 
@@ -92,6 +92,36 @@ def test_pipeline_artifacts_and_manifests(pipeline):
     assert tok_manifest["input_hashes"]["spectrograms"]
 
 
+# command: (artifact, stage seed, manifest input names), as the benchmark
+# reads them
+_MANIFESTS = {
+    "gen-cohort": ("cohort", "cohort", set()),
+    "dsp": ("spec", "cohort", {"sessions"}),
+    "train-tokenizer": ("tok_ckpt", "tokenizer", {"spectrograms"}),
+    "tokenize": ("tokens", "tokenize", {"spectrograms", "ckpt"}),
+    "train-mim": ("mim_ckpt", "mim", {"tokens", "spectrograms"}),
+    "train-align": ("align_ckpt", "align",
+                    {"records", "tokens", "spectrograms", "init"}),
+    "select-prompt": ("selection", "select", {"records"}),
+    "probe": ("results", "probe",
+              {"records", "days", "tokens", "spectrograms", "ckpt"}),
+}
+
+
+@pytest.mark.parametrize("command", list(_MANIFESTS))
+def test_every_command_writes_its_manifest(pipeline, command):
+    artifact, stage, inputs = _MANIFESTS[command]
+    out = pipeline[artifact]
+    path = out / "manifest.json" if out.is_dir() else \
+        out.with_name(out.name + ".manifest.json")
+    manifest = json.loads(path.read_text())
+    assert manifest["command"] == command
+    assert manifest["stage_seeds"] == {stage: climod.stage_seed(11, stage)}
+    assert set(manifest["input_hashes"]) == inputs
+    assert all(manifest["input_hashes"].values())
+    assert manifest["output_ids"] and all(manifest["output_ids"].values())
+
+
 def test_report_command(pipeline, capsys):
     assert climod.main(["report", "--results", str(pipeline["results"])]) == 0
     out = capsys.readouterr().out
@@ -138,6 +168,19 @@ def test_probe_refuses_non_encoder_checkpoint(pipeline, tmp_path, capsys):
     assert climod.main(argv) == climod.EXIT_DATA
     assert "tokenizer checkpoint holds no encoder" in capsys.readouterr().err
     assert not (tmp_path / "results.json").exists()
+
+
+def test_train_align_refuses_non_stage1_checkpoint(pipeline, tmp_path,
+                                                   capsys):
+    argv = pipeline["base"] + [
+        "train-align", "--cohort", str(pipeline["cohort"]),
+        "--tokens", str(pipeline["tokens"]),
+        "--spectrograms", str(pipeline["spec"]),
+        "--init", str(pipeline["align_ckpt"]),
+        "--out", str(tmp_path / "align.npz")]
+    assert climod.main(argv) == climod.EXIT_DATA
+    assert "align checkpoint holds no Stage I model" in capsys.readouterr().err
+    assert not (tmp_path / "align.npz").exists()
 
 
 def test_probe_refuses_checkpoint_of_other_geometry(pipeline, tmp_path,
@@ -208,6 +251,43 @@ def test_failed_dsp_rerun_removes_the_old_manifest(tmp_path):
     bad.write_bytes(bad.read_bytes()[:5000])
     assert climod.main(argv) == climod.EXIT_DATA
     assert not (spec / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["dsp", "train-align", "select-prompt",
+                                     "probe"])
+def test_failed_gen_cohort_rerun_is_refused(pipeline, tmp_path, monkeypatch,
+                                            capsys, command):
+    """A gen-cohort re-run that fails part way leaves new records beside the
+    old days.json; gen-cohort removes its manifest before its first write,
+    so every stage that reads the cohort refuses it and writes nothing."""
+    cohort = tmp_path / "cohort"
+    shutil.copytree(pipeline["cohort"], cohort)
+    write_session, calls = cohortgen.write_session, []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        write_session(*args)
+
+    monkeypatch.setattr(cohortgen, "write_session", failing)
+    with pytest.raises(OSError, match="disk full"):
+        climod.main(["--profile", "desk", "--config", str(pipeline["config"]),
+                     "--seed", "12", "gen-cohort", "--out", str(cohort)])
+    monkeypatch.undo()
+    capsys.readouterr()
+    out = tmp_path / "out"
+    stage = ["--tokens", str(pipeline["tokens"]),
+             "--spectrograms", str(pipeline["spec"])]
+    argv = {"dsp": [],
+            "train-align": stage + ["--init", str(pipeline["mim_ckpt"])],
+            "select-prompt": [],
+            "probe": stage + ["--ckpt", str(pipeline["align_ckpt"])]}[command]
+    assert climod.main(pipeline["base"] + [
+        command, "--cohort", str(cohort), "--out", str(out)] + argv) \
+        == climod.EXIT_DATA
+    assert "manifest.json" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_failed_tokenize_rerun_leaves_no_usable_tokens(pipeline, tmp_path,

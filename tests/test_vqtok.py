@@ -60,6 +60,24 @@ def test_quantize_tie_breaks_low_index():
     assert grid.indices[0, 0, 0] == 0
 
 
+def test_nearest_indices_exact_across_row_chunks(monkeypatch):
+    """Ten latents in chunks of four rows (three chunks): every row matches a
+    brute-force argmin, and latents on a duplicated entry take the lower
+    index in whichever chunk they fall."""
+    rng = np.random.default_rng(4)
+    k, d = 12, 3
+    entries = rng.normal(size=(k, d))
+    entries[7] = entries[2]  # exact duplicate: forced ties
+    latents = rng.normal(size=(2, 5, d))
+    latents[0, 1] = latents[1, 3] = entries[2]  # rows 1 and 8: chunks 0 and 2
+    monkeypatch.setattr(vqtok, "_NN_CHUNK_ELEMENTS", 4 * k * d)
+    got = vqtok.nearest_indices(latents, entries)
+    oracle = [min(range(k), key=lambda j: (((z - entries[j]) ** 2).sum(), j))
+              for z in latents.reshape(-1, d)]
+    assert got.shape == (2, 5) and got.reshape(-1).tolist() == oracle
+    assert got[0, 1] == got[1, 3] == 2
+
+
 def test_straight_through_gradient():
     rng = np.random.default_rng(3)
     book = vqtok.Codebook(8, 4, rng)
