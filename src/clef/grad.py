@@ -5,7 +5,15 @@ convolutional primitives, attention building blocks, the losses, AdamW-style
 optimizers, EMA shadowing, and checkpoint persistence.  Data lives in 32-bit
 floats (``DTYPE``); reductions accumulate in 64-bit.  Elementwise work runs
 in the input's dtype, so constants are cast to it rather than promoting the
-arrays to float64; the gradient checks run the same code at float64.
+arrays to float64; the gradient checks run the same code at float64, with
+one exception: float32 GELU evaluates erf by a polynomial (A&S 7.1.26),
+while any other dtype keeps scipy's exact erf.
+
+The training hot paths are single primitives: attention is one tape node
+over contiguous heads with a closed-form backward; convolution writes NCHW
+from one GEMM per image, or, at stride 1 on larger planes, from one GEMM
+per kernel tap over shifted views; AdamW updates its moments in place and
+rebinds each parameter to a new array.
 
 A ``Tensor`` records its parents and a vector-Jacobian product per parent;
 ``backward`` walks the tape in reverse topological order exactly once.
@@ -255,30 +263,75 @@ def relu(a) -> Tensor:
 
 _INV_SQRT_2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# Abramowitz & Stegun 7.1.26, |error| <= 1.5e-7 on z >= 0:
+#   erfc(z) = t·(a1 + t·(a2 + ... + t·a5))·exp(-z²),  t = 1 / (1 + p·z)
+_AS_P = 0.3275911
+_AS_A = (0.254829592, -0.284496736, 1.421413741, -1.453152027, 1.061405429)
+# erfc(z)/2 as s·(b1 + s·(b2 + s·(b3 + s·(b4 + s))))·exp(-z²) with s = c·t:
+# a monic Horner saves one pass over the data
+_AS_C = (0.5 * _AS_A[4]) ** 0.2
+_AS_B = tuple(0.5 * a / _AS_C ** (i + 1) for i, a in enumerate(_AS_A[:4]))
+_GELU_CHUNK = 1 << 16
+_SIGN_BIT = np.uint32(0x80000000)
+
+
+def _gelu_float32(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x·Φ(x) and its derivative Φ(x) + x·φ(x) for float32 ``x``.
+
+    The upper tail 1 − Φ(|x|) = erfc(|x|/√2) / 2 comes from A&S 7.1.26,
+    whose exp(−x²/2) also gives φ(x), so each element takes one ``exp``;
+    Φ(x) − 1/2 is then 1/2 − tail with the sign bit of x.  The work runs
+    in chunks through fixed scratch buffers that stay in cache.  NaN stays
+    NaN, and ±inf give what x·Φ(x) gives in IEEE arithmetic."""
+    f = np.float32
+    flat = x.reshape(-1)
+    out, deriv = np.empty_like(flat), np.empty_like(flat)
+    n = min(flat.size, _GELU_CHUNK)
+    s_buf, e_buf = np.empty(n, f), np.empty(n, f)
+    sign_buf = np.empty(n, np.uint32)
+    k = f(np.sqrt(2.0) / _AS_P)                 # s = c·k / (k + |x|)
+    ck = f(_AS_C * np.sqrt(2.0) / _AS_P)
+    b4, b3, b2, b1 = (f(b) for b in reversed(_AS_B))
+    for lo in range(0, flat.size, _GELU_CHUNK):
+        xs = flat[lo:lo + _GELU_CHUNK]
+        s, e, sign = s_buf[:xs.size], e_buf[:xs.size], sign_buf[:xs.size]
+        np.abs(xs, out=s)
+        s += k
+        np.divide(ck, s, out=s)
+        poly = np.add(s, b4, out=out[lo:lo + xs.size])
+        for b in (b3, b2, b1):
+            poly *= s
+            poly += b
+        poly *= s
+        np.multiply(xs, f(-0.5), out=e)
+        e *= xs
+        np.exp(e, out=e)
+        # Φ(x) = 1/2 + copysign(1/2 − tail, x), with tail = poly·e
+        cdf = np.multiply(poly, e, out=s)
+        np.subtract(f(0.5), cdf, out=cdf)
+        np.bitwise_and(xs.view(np.uint32), _SIGN_BIT, out=sign)
+        np.bitwise_or(cdf.view(np.uint32), sign, out=cdf.view(np.uint32))
+        cdf += f(0.5)
+        np.multiply(xs, cdf, out=poly)
+        d = np.multiply(e, f(_INV_SQRT_2PI), out=deriv[lo:lo + xs.size])
+        d *= xs
+        d += cdf
+    return out.reshape(x.shape), deriv.reshape(x.shape)
 
 
 def gelu(a) -> Tensor:
-    """Exact (erf-based) GELU, x·Φ(x), elementwise in the input's dtype:
-    erf runs its float32 loop on float32 data."""
+    """GELU, x·Φ(x).  Float32 data takes ``_gelu_float32`` (within 5e-7 of
+    the exact value); any other dtype, which is what the gradient checks
+    run, takes the exact erf-based form."""
     a = _wrap(a)
     x = a.data
-    f = x.dtype.type
-    cdf = _erf(x * f(_INV_SQRT_2))
-    cdf += 1
-    cdf *= f(0.5)
-
-    def vjp(g):
-        # Φ(x) + x·φ(x), built in one buffer
-        out = np.square(x)
-        out *= f(-0.5)
-        np.exp(out, out=out)
-        out *= f(_INV_SQRT_2PI)
-        out *= x
-        out += cdf
-        out *= g
-        return out
-
-    return _make(x * cdf, [(a, vjp)])
+    if x.dtype == np.float32:
+        out, deriv = _gelu_float32(x)
+    else:
+        cdf = 0.5 * (1.0 + _erf(x * _INV_SQRT_2))
+        out = x * cdf
+        deriv = cdf + x * np.exp(-0.5 * np.square(x)) * _INV_SQRT_2PI
+    return _make(out, [(a, lambda g: g * deriv)])
 
 
 def abs_(a) -> Tensor:
@@ -396,17 +449,28 @@ def matmul(a, b) -> Tensor:
 # normalization / activation blocks
 
 
+def _softmax_(s: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Softmax of ``s`` along ``axis``, computed in place."""
+    s -= s.max(axis=axis, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=axis, keepdims=True)
+    return s
+
+
+def _softmax_vjp_(p: np.ndarray, g: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Pull ``g`` back through ``p = softmax(s)`` in place: p·(g − Σ g·p)."""
+    dot = np.einsum("...i,...i->...",
+                    np.moveaxis(g, axis, -1), np.moveaxis(p, axis, -1))
+    g -= np.expand_dims(dot, axis)
+    g *= p
+    return g
+
+
 def softmax(a, axis: int = -1) -> Tensor:
     a = _wrap(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
-
-    def vjp(g):
-        dot = (g * data).sum(axis=axis, keepdims=True)
-        return (data * (g - dot)).astype(DTYPE)
-
-    return _make(data.astype(DTYPE), [(a, vjp)])
+    data = _softmax_(a.data.copy(), axis)
+    return _make(data, [
+        (a, lambda g: _softmax_vjp_(data, np.array(g, dtype=data.dtype), axis))])
 
 
 def layernorm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
@@ -438,18 +502,65 @@ def layernorm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     return _make(data, [(x, vjp_x), (gamma, vjp_gamma), (beta, vjp_beta)])
 
 
+def _joint_vjps(parents: Sequence[Tensor], backward) -> list:
+    """Tape entries for ``parents`` whose gradients come out of one pass,
+    ``backward(g) -> one gradient per parent``.  The first VJP that the
+    tape calls runs it; each VJP then hands over its own gradient, and the
+    last one leaves nothing held."""
+    want = [i for i, p in enumerate(parents) if _needs_grad(p)]
+    pending: dict[int, np.ndarray] = {}
+
+    def vjp_for(i):
+        def vjp(g):
+            if not pending:
+                gs = backward(g)
+                pending.update((j, gs[j]) for j in want)
+            return pending.pop(i)
+        return vjp
+
+    return [(p, vjp_for(i)) for i, p in enumerate(parents)]
+
+
 def scaled_dot_attention(q, k, v, mask_bias=None) -> Tensor:
     """softmax(q k^T / sqrt(d) + bias) v over the last two axes.
 
-    ``mask_bias`` is an additive bias (0 for kept positions, large negative
-    for padded ones), broadcastable to the score shape.
+    ``mask_bias`` is a constant additive bias (0 for kept positions, large
+    negative for padded ones), broadcastable to the score shape.  One
+    primitive: the heads are made contiguous once, the softmax runs in
+    place, and the backward forms dS once for the gradients of q and k.
+    The scores of all heads are held key-major, (keys, heads..., queries),
+    so that the softmax reduces over the leading axis of one 2-D array,
+    which numpy vectorizes, rather than along many short rows.
     """
-    d = q.shape[-1]
-    scores = mul(matmul(q, transpose(k, tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2))),
-                 1.0 / np.sqrt(d))
+    q, k, v = _wrap(q), _wrap(k), _wrap(v)
+    qd, kd, vd = (np.ascontiguousarray(t.data) for t in (q, k, v))
+    scale = 1.0 / np.sqrt(qd.shape[-1])
+    lk = kd.shape[-2]
+
+    def key_major(a, b):
+        """a @ b^T per head, into a (keys, heads..., queries) array and its
+        per-head (..., keys, queries) view."""
+        out = np.empty((lk,) + qd.shape[:-1], dtype=qd.dtype)
+        heads = np.moveaxis(out, 0, -2)
+        np.matmul(a, np.swapaxes(b, -1, -2), out=heads)
+        return out.reshape(lk, -1), heads
+
+    p, p_heads = key_major(kd, qd)
+    p *= scale
     if mask_bias is not None:
-        scores = add(scores, mask_bias)
-    return matmul(softmax(scores, axis=-1), v)
+        p_heads += np.swapaxes(np.atleast_2d(_wrap(mask_bias).data), -1, -2)
+    _softmax_(p, axis=0)
+
+    def backward(g):
+        g = np.ascontiguousarray(g)
+        ds, ds_heads = key_major(vd, g)
+        _softmax_vjp_(p, ds, axis=0)
+        ds *= scale
+        return (np.matmul(np.swapaxes(ds_heads, -1, -2), kd),
+                np.matmul(ds_heads, qd), np.matmul(p_heads, g))
+
+    return _make(np.matmul(np.swapaxes(p_heads, -1, -2), vd),
+                 _joint_vjps([q, k, v], backward))
 
 
 def mean_pool_masked(x, mask) -> Tensor:
@@ -510,7 +621,18 @@ def cross_entropy_with_label_smoothing(logits, targets: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# convolution (im2col + matmul)
+# convolution
+#
+# Columns are laid out (B, C·kh·kw, oh·ow): a (Cout, C·kh·kw) weight times
+# one image's columns is that image's NCHW output, and folding columns back
+# adds whole contiguous (oh, ow) planes.  A stride-1 convolution on planes
+# of at least _SHIFTED_MIN_PLANE outputs that writes no more channels than
+# it reads skips the columns: it sums kh·kw GEMMs over shifted views of
+# the padded input (Anderson et al. 2017, arXiv:1709.03395).  Below that
+# size, or with fewer input than output channels, the columns were faster
+# (measured on 2 Xeon vCPUs with OpenBLAS, at the tokenizer's shapes).
+
+_SHIFTED_MIN_PLANE = 64
 
 
 def _pair(v) -> tuple[int, int]:
@@ -518,26 +640,89 @@ def _pair(v) -> tuple[int, int]:
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, sh: int, sw: int,
-            ph: int, pw: int) -> tuple[np.ndarray, int, int]:
+            ph: int, pw: int) -> np.ndarray:
     b, c, h, w = x.shape
     xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
     oh = (h + 2 * ph - kh) // sh + 1
     ow = (w + 2 * pw - kw) // sw + 1
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::sh, ::sw]          # (b, c, oh, ow, kh, kw)
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(b, oh * ow, c * kh * kw)
-    return np.ascontiguousarray(cols), oh, ow
+    cols = np.empty((b, c, kh, kw, oh, ow), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = xp[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw]
+    return cols.reshape(b, c * kh * kw, oh * ow)
 
 
 def _col2im(cols: np.ndarray, x_shape: tuple[int, ...], kh: int, kw: int,
             sh: int, sw: int, ph: int, pw: int, oh: int, ow: int) -> np.ndarray:
     b, c, h, w = x_shape
     xp = np.zeros((b, c, h + 2 * ph, w + 2 * pw), dtype=cols.dtype)
-    cols6 = cols.reshape(b, oh, ow, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
+    cols6 = cols.reshape(b, c, kh, kw, oh, ow)
     for i in range(kh):
         for j in range(kw):
             xp[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw] += cols6[:, :, i, j]
     return xp[:, :, ph:ph + h, pw:pw + w]
+
+
+def _weight_grad(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Σ over the batch of a[n] @ b[n]^T: (B, m, L), (B, k, L) -> (m, k)."""
+    return np.matmul(a, np.swapaxes(b, 1, 2)).sum(axis=0)
+
+
+def _shifted_conv(x: np.ndarray, w: np.ndarray, ph: int, pw: int):
+    """Stride-1 convolution without columns.  Each plane of the padded
+    input is flattened with row pitch wp; output (y, c) then reads flat
+    offset (y + i)·wp + c + j for tap (i, j), so a tap is one GEMM on a
+    contiguous slice, and each output row carries wp − ow columns of junk
+    that are cut off.  Returns the output and the weight-gradient map."""
+    b, cin, h, wd = x.shape
+    cout, _, kh, kw = w.shape
+    hp, wp = h + 2 * ph, wd + 2 * pw
+    oh, ow = hp - kh + 1, wp - kw + 1
+    n = oh * wp
+    flat = np.zeros((b, cin, hp * wp + kw - 1), dtype=x.dtype)
+    flat[:, :, :hp * wp].reshape(b, cin, hp, wp)[:, :, ph:ph + h, pw:pw + wd] = x
+    taps = [(i, j, i * wp + j) for i in range(kh) for j in range(kw)]
+    w_taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1))
+    out = np.empty((b, cout, n), dtype=x.dtype)
+    part = np.empty_like(out)
+    for t, (i, j, off) in enumerate(taps):
+        np.matmul(w_taps[i, j], flat[:, :, off:off + n], out=part if t else out)
+        if t:
+            out += part
+
+    def weight_grad(g):
+        gp = np.zeros((b, cout, oh, wp), dtype=g.dtype)
+        gp[..., :ow] = g
+        gp = gp.reshape(b, cout, n)
+        gw = np.empty(w.shape, dtype=g.dtype)
+        for i, j, off in taps:
+            gw[:, :, i, j] = _weight_grad(gp, flat[:, :, off:off + n])
+        return gw
+
+    return out.reshape(b, cout, oh, wp)[..., :ow], weight_grad
+
+
+def _conv(x: np.ndarray, w: np.ndarray, sh: int, sw: int, ph: int, pw: int):
+    """``conv2d``'s forward on arrays: the output and the map from the
+    output gradient to the weight gradient."""
+    b, cin, h, wd = x.shape
+    cout, _, kh, kw = w.shape
+    oh, ow = (h + 2 * ph - kh) // sh + 1, (wd + 2 * pw - kw) // sw + 1
+    if (sh, sw) == (1, 1) and cin >= cout and oh * ow >= _SHIFTED_MIN_PLANE:
+        return _shifted_conv(x, w, ph, pw)
+    cols = _im2col(x, kh, kw, sh, sw, ph, pw)
+    out = np.matmul(w.reshape(cout, -1), cols).reshape(b, cout, oh, ow)
+    return out, lambda g: _weight_grad(g.reshape(b, cout, -1), cols).reshape(w.shape)
+
+
+def _with_bias(data: np.ndarray, b, parents: list) -> Tensor:
+    """Add a per-channel bias to NCHW ``data`` and make the tape node."""
+    if b is None:
+        return _make(np.ascontiguousarray(data), parents)
+    b = _wrap(b)
+    parents.append(
+        (b, lambda g: g.sum(axis=(0, 2, 3), dtype=np.float64).astype(DTYPE)))
+    return _make(data + b.data.reshape(1, -1, 1, 1), parents)
 
 
 def conv2d(x, w, b=None, stride=1, padding=0) -> Tensor:
@@ -548,28 +733,20 @@ def conv2d(x, w, b=None, stride=1, padding=0) -> Tensor:
     cout, cin, kh, kw = w.shape
     if x.shape[1] != cin:
         raise ShapeError(f"conv2d: input channels {x.shape} vs weight {w.shape}")
-    cols, oh, ow = _im2col(x.data, kh, kw, sh, sw, ph, pw)
-    wmat = w.data.reshape(cout, cin * kh * kw)
-    out = np.matmul(cols, wmat.T)                # (B, oh*ow, Cout)
-    bsz = x.shape[0]
-    data = out.transpose(0, 2, 1).reshape(bsz, cout, oh, ow)
+    data, weight_grad = _conv(x.data, w.data, sh, sw, ph, pw)
+    bsz, _, oh, ow = data.shape
 
     def vjp_x(g):
-        gmat = g.reshape(bsz, cout, oh * ow).transpose(0, 2, 1)
-        gcols = np.matmul(gmat, wmat)            # (B, oh*ow, Cin*kh*kw)
-        return _col2im(gcols, x.data.shape, kh, kw, sh, sw, ph, pw, oh, ow)
+        if (sh, sw) == (1, 1) and ph < kh and pw < kw:
+            # at stride 1 the input gradient is g convolved with the
+            # flipped kernel, its channel axes swapped
+            flipped = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            return _conv(g, np.ascontiguousarray(flipped), 1, 1,
+                         kh - 1 - ph, kw - 1 - pw)[0]
+        gcols = np.matmul(w.data.reshape(cout, -1).T, g.reshape(bsz, cout, -1))
+        return _col2im(gcols, x.shape, kh, kw, sh, sw, ph, pw, oh, ow)
 
-    def vjp_w(g):
-        gmat = g.reshape(bsz, cout, oh * ow)
-        gw = np.einsum("bol,blk->ok", gmat, cols, optimize=True)
-        return gw.reshape(w.data.shape).astype(DTYPE)
-
-    parents = [(x, vjp_x), (w, vjp_w)]
-    if b is not None:
-        b = _wrap(b)
-        data = data + b.data.reshape(1, cout, 1, 1)
-        parents.append((b, lambda g: g.sum(axis=(0, 2, 3), dtype=np.float64).astype(DTYPE)))
-    return _make(data.astype(DTYPE), parents)
+    return _with_bias(data, b, [(x, vjp_x), (w, weight_grad)])
 
 
 def transposed_conv2d(x, w, b=None, stride=1, padding=0, output_padding=0) -> Tensor:
@@ -589,27 +766,17 @@ def transposed_conv2d(x, w, b=None, stride=1, padding=0, output_padding=0) -> Te
     out_h = (h - 1) * sh + kh - 2 * ph + oph
     out_w = (wd - 1) * sw + kw - 2 * pw + opw
     wmat = w.data.reshape(cin, cout * kh * kw)
-    xmat = x.data.reshape(bsz, cin, h * wd).transpose(0, 2, 1)   # (B, hw, Cin)
-    cols = np.matmul(xmat, wmat)                                 # (B, hw, Cout*kh*kw)
+    xmat = x.data.reshape(bsz, cin, h * wd)
+    cols = np.matmul(wmat.T, xmat)                   # (B, Cout*kh*kw, hw)
     data = _col2im(cols, (bsz, cout, out_h, out_w),
                    kh, kw, sh, sw, ph, pw, h, wd)
 
-    def vjp_x(g):
-        gcols, _, _ = _im2col(g, kh, kw, sh, sw, ph, pw)
-        gx = np.matmul(gcols, wmat.T)            # (B, hw, Cin)
-        return gx.transpose(0, 2, 1).reshape(x.data.shape).astype(DTYPE)
+    def backward(g):
+        gcols = _im2col(g, kh, kw, sh, sw, ph, pw)
+        return (np.matmul(wmat, gcols).reshape(x.shape),
+                _weight_grad(xmat, gcols).reshape(w.shape))
 
-    def vjp_w(g):
-        gcols, _, _ = _im2col(g, kh, kw, sh, sw, ph, pw)
-        gw = np.einsum("blk,bli->ik", gcols, xmat, optimize=True)
-        return gw.reshape(w.data.shape).astype(DTYPE)
-
-    parents = [(x, vjp_x), (w, vjp_w)]
-    if b is not None:
-        b = _wrap(b)
-        data = data + b.data.reshape(1, cout, 1, 1)
-        parents.append((b, lambda g: g.sum(axis=(0, 2, 3), dtype=np.float64).astype(DTYPE)))
-    return _make(data.astype(DTYPE), parents)
+    return _with_bias(data, b, _joint_vjps([x, w], backward))
 
 
 def dropout(x, p: float, rng: np.random.Generator | None) -> Tensor:
@@ -691,18 +858,31 @@ class AdamW:
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1 ** self.t
         bias2 = 1.0 - b2 ** self.t
-        for i, p in enumerate(self.params):
+        for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
             if g is None:
                 continue
-            self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1.0 - b2) * g * g
-            mhat = self.m[i] / bias1
-            vhat = self.v[i] / bias2
-            update = mhat / (np.sqrt(vhat) + self.eps)
+            # m = b1·m + (1−b1)·g and v = b2·v + (1−b2)·g·g, in place
+            scratch = np.multiply(g, 1.0 - b1)
+            m *= b1
+            m += scratch
+            np.multiply(g, 1.0 - b2, out=scratch)
+            scratch *= g
+            v *= b2
+            v += scratch
+            # update = (m / bias1) / (sqrt(v / bias2) + eps) [+ wd·p]
+            update = np.divide(m, bias1)
+            np.divide(v, bias2, out=scratch)
+            np.sqrt(scratch, out=scratch)
+            scratch += self.eps
+            update /= scratch
             if self.weight_decay:
-                update = update + self.weight_decay * p.data
-            p.data = (p.data - lr * update).astype(DTYPE)
+                update += np.multiply(p.data, self.weight_decay, out=scratch)
+            # p - lr·update lands in a new array (float64 for a numpy lr,
+            # as before); whoever holds the old p.data keeps its values
+            new = np.multiply(update, lr)
+            np.subtract(p.data, new, out=new)
+            p.data = new.astype(DTYPE, copy=False)
 
 
 def adam_gan(params: Iterable[Tensor], lr: float) -> AdamW:

@@ -8,7 +8,7 @@ from clef.config import MimConfig
 from clef.errors import DataError, NumericError
 from clef.grad import Tensor
 
-from fdcheck import check_gradients
+from fdcheck import check_gradients, float64_mode
 
 
 SEEDS = [11, 12, 13]
@@ -111,6 +111,54 @@ def test_fd_attention_and_pooling(seed):
         [(2, 3, 4)], seed)
 
 
+def _composed_attention(q, k, v, bias):
+    """The attention as separate tape ops: matmul, scale, bias, softmax, matmul."""
+    scores = grad.mul(grad.matmul(q, grad.transpose(k, (0, 1, 3, 2))),
+                      1.0 / np.sqrt(q.shape[-1]))
+    return grad.matmul(grad.softmax(grad.add(scores, bias), axis=-1), v)
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 5, 4), (3, 2, 7, 6)])
+def test_fused_attention_matches_composed_ops_at_float64(shape):
+    rng = np.random.default_rng(shape[2])
+    arrays = [rng.normal(size=shape) for _ in range(3)]
+    bias = np.zeros((shape[0], 1, 1, shape[2]))
+    bias[0, ..., -2:] = -1e9
+    g = rng.normal(size=shape)
+    with float64_mode():
+        results = []
+        for op in (grad.scaled_dot_attention, _composed_attention):
+            leaves = [Tensor(a, requires_grad=True) for a in arrays]
+            out = op(*leaves, Tensor(bias))
+            results.append([out.data] + grad.grads(
+                grad.sum_(grad.mul(out, Tensor(g))), leaves))
+    for fused, composed in zip(*results):
+        assert fused.dtype == np.float64
+        assert np.abs(fused - composed).max() <= 1e-12 * np.abs(composed).max()
+
+
+def test_fused_attention_masked_keys_get_no_weight_and_no_gradient():
+    """A masked key's k and v can be anything: the output keeps its bits,
+    and the gradient into those rows of k and v is exactly zero."""
+    rng = np.random.default_rng(4)
+    b, h, l, d = 3, 2, 6, 8
+    q, k, v = (rng.normal(size=(b, h, l, d)).astype(np.float32) for _ in range(3))
+    keep = np.ones((b, l), bool)
+    keep[0, 4:] = keep[2, 1] = False
+    bias = Tensor(np.where(keep, 0.0, -1e9).astype(np.float32)[:, None, None, :])
+    g = rng.normal(size=q.shape).astype(np.float32)
+    op = lambda q_, k_, v_: grad.scaled_dot_attention(q_, k_, v_, bias)
+    out, (_, gk, gv) = _forward_and_vjp(op, [q, k, v], g)
+    masked = ~keep[:, None, :, None]
+    k2 = np.where(masked, 50.0 * rng.normal(size=k.shape), k).astype(np.float32)
+    v2 = np.where(masked, 1e3, v).astype(np.float32)
+    out2, _ = _forward_and_vjp(op, [q, k2, v2], g)
+    assert np.array_equal(out, out2)
+    masked = np.broadcast_to(masked, gk.shape)
+    assert not gk[masked].any() and not gv[masked].any()
+    assert gk[~masked].any() and gv[~masked].any()
+
+
 # ---------------------------------------------------------------------------
 # float32 kernels against float64 references
 
@@ -135,6 +183,71 @@ def test_gelu_float32_matches_float64_reference():
     pdf = np.exp(-0.5 * x64 ** 2) / np.sqrt(2.0 * np.pi)
     assert np.abs(out - x64 * cdf).max() <= 2e-6
     assert np.abs(gx - g * (cdf + x64 * pdf)).max() <= 2e-6
+
+
+def _gelu_reference64(x):
+    from scipy.special import erf
+    x64 = x.astype(np.float64)
+    cdf = 0.5 * (1.0 + erf(x64 / np.sqrt(2.0)))
+    return x64 * cdf, cdf + x64 * np.exp(-0.5 * x64 ** 2) / np.sqrt(2.0 * np.pi)
+
+
+def _gelu_and_derivative(x):
+    out, (gx,) = _forward_and_vjp(grad.gelu, [x], np.ones_like(x))
+    return out, gx
+
+
+def test_gelu_float32_on_a_dense_grid():
+    x = np.linspace(-12.0, 12.0, 480_001).astype(np.float32)
+    out, deriv = _gelu_and_derivative(x)
+    want_out, want_deriv = _gelu_reference64(x)
+    assert np.abs(out - want_out).max() <= 2e-6
+    assert np.abs(deriv - want_deriv).max() <= 2e-6
+    assert out[x >= 6.0].tolist() == x[x >= 6.0].tolist()
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1, 37])
+@pytest.mark.parametrize("chunks", [1, 2])
+def test_gelu_float32_chunk_edges(offset, chunks):
+    """Sizes at, below and past the kernel's chunk: each element equals the
+    same element computed alone."""
+    n = chunks * grad._GELU_CHUNK + offset
+    x = np.random.default_rng(n).normal(0.0, 3.0, size=n).astype(np.float32)
+    out, deriv = _gelu_and_derivative(x)
+    assert out.shape == deriv.shape == (n,)
+    c = grad._GELU_CHUNK
+    for i in sorted({0, n // 2, n - 1} | {j for j in (c - 1, c) if j < n}):
+        one_out, one_deriv = _gelu_and_derivative(x[i:i + 1])
+        assert out[i] == one_out[0] and deriv[i] == one_deriv[0]
+    want_out, want_deriv = _gelu_reference64(x)
+    assert np.abs(out - want_out).max() <= 2e-6
+    assert np.abs(deriv - want_deriv).max() <= 2e-6
+
+
+def test_gelu_float32_empty_and_zero_d():
+    out, deriv = _gelu_and_derivative(np.zeros((0, 3), np.float32))
+    assert out.shape == deriv.shape == (0, 3)
+    out, deriv = _gelu_and_derivative(np.array(1.5, np.float32))
+    assert out.shape == deriv.shape == ()
+    want_out, want_deriv = _gelu_reference64(np.array(1.5))
+    assert abs(out - want_out) <= 2e-6 and abs(deriv - want_deriv) <= 2e-6
+
+
+def test_gelu_float32_non_finite_inputs():
+    """What x·Φ(x) and Φ(x) + x·φ(x) give in IEEE float32 with the exact
+    erf: +inf -> inf, -inf -> nan (-inf·0), and every derivative nan
+    (±inf·0); NaN stays NaN, so a NaN loss still stops ``grad.train``."""
+    from scipy.special import erf
+    x = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0], np.float32)
+    with np.errstate(invalid="ignore", over="ignore"):
+        cdf = (erf(x * np.float32(1 / np.sqrt(2))) + 1) * np.float32(0.5)
+        want_out = x * cdf
+        want_deriv = np.exp(np.float32(-0.5) * x * x) * np.float32(
+            1 / np.sqrt(2 * np.pi)) * x + cdf
+        out, deriv = _gelu_and_derivative(x)
+    np.testing.assert_array_equal(out, want_out)
+    np.testing.assert_array_equal(deriv, want_deriv)
+    assert np.isnan(out[1:3]).all() and np.isnan(deriv[:3]).all()
 
 
 def test_layernorm_float32_matches_float64_reference():
@@ -186,7 +299,7 @@ def test_fd_losses(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1), ((2, 1), (1, 0))])
+@pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1), ((2, 1), (1, 0)), (1, 1)])
 def test_fd_conv2d(seed, stride, padding):
     check_gradients(
         lambda ts: grad.sum_(grad.mul(
@@ -201,6 +314,143 @@ def test_fd_transposed_conv2d(seed, stride, padding):
         lambda ts: grad.sum_(grad.mul(
             grad.transposed_conv2d(ts[0], ts[1], ts[2], stride=stride, padding=padding), 0.9)),
         [(2, 3, 4, 5), (3, 4, 3, 3), (4,)], seed)
+
+
+# Direct sums over every output position and kernel tap, in float64.
+
+
+def _conv_direct(x, w, stride, padding):
+    (sh, sw), (ph, pw) = grad._pair(stride), grad._pair(padding)
+    cout, _, kh, kw = w.shape
+    xp = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    oh = (xp.shape[2] - kh) // sh + 1
+    ow = (xp.shape[3] - kw) // sw + 1
+    out = np.zeros((x.shape[0], cout, oh, ow))
+    for y in range(oh):
+        for c in range(ow):
+            for i in range(kh):
+                for j in range(kw):
+                    out[:, :, y, c] += xp[:, :, y * sh + i, c * sw + j] @ w[:, :, i, j].T
+    return out
+
+
+def _conv_direct_vjps(x, w, g, stride, padding):
+    (sh, sw), (ph, pw) = grad._pair(stride), grad._pair(padding)
+    _, _, kh, kw = w.shape
+    b, _, h, wd = x.shape
+    xp = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    gxp, gw = np.zeros_like(xp), np.zeros(w.shape)
+    for y in range(g.shape[2]):
+        for c in range(g.shape[3]):
+            for i in range(kh):
+                for j in range(kw):
+                    gxp[:, :, y * sh + i, c * sw + j] += g[:, :, y, c] @ w[:, :, i, j]
+                    gw[:, :, i, j] += g[:, :, y, c].T @ xp[:, :, y * sh + i, c * sw + j]
+    return gxp[:, :, ph:ph + h, pw:pw + wd], gw
+
+
+def _transposed_direct(x, w, stride, padding, output_padding):
+    (sh, sw), (ph, pw) = grad._pair(stride), grad._pair(padding)
+    oph, opw = grad._pair(output_padding)
+    _, cout, kh, kw = w.shape
+    b, _, h, wd = x.shape
+    out_h, out_w = (h - 1) * sh + kh - 2 * ph + oph, (wd - 1) * sw + kw - 2 * pw + opw
+    full = np.zeros((b, cout, out_h + 2 * ph + kh, out_w + 2 * pw + kw))
+    for y in range(h):
+        for c in range(wd):
+            for i in range(kh):
+                for j in range(kw):
+                    full[:, :, y * sh + i, c * sw + j] += x[:, :, y, c] @ w[:, :, i, j]
+    return full[:, :, ph:ph + out_h, pw:pw + out_w]
+
+
+def _transposed_direct_vjps(x, w, g, stride, padding):
+    (sh, sw), (ph, pw) = grad._pair(stride), grad._pair(padding)
+    _, _, kh, kw = w.shape
+    b, _, h, wd = x.shape
+    gp = np.zeros(g.shape[:2] + (g.shape[2] + 2 * ph + kh, g.shape[3] + 2 * pw + kw))
+    gp[:, :, ph:ph + g.shape[2], pw:pw + g.shape[3]] = g
+    gx, gw = np.zeros(x.shape), np.zeros(w.shape)
+    for y in range(h):
+        for c in range(wd):
+            for i in range(kh):
+                for j in range(kw):
+                    tap = gp[:, :, y * sh + i, c * sw + j]
+                    gx[:, :, y, c] += tap @ w[:, :, i, j].T
+                    gw[:, :, i, j] += x[:, :, y, c].T.astype(np.float64) @ tap
+    return gx, gw
+
+
+def _assert_close32(got, want):
+    assert got.dtype == np.float32 and got.shape == want.shape
+    assert np.abs(got - want).max() <= 2e-6 * max(np.abs(want).max(), 1.0)
+
+
+# (x shape, Cout, kernel, stride, padding): the tokenizer's geometries,
+# 1x1 kernels, and planes of >= 64 outputs with Cin >= Cout, which take
+# the shifted-view path (Cout > Cin there takes the columns).
+CONV_CASES = [
+    ((2, 3, 9, 10), 4, 3, (2, 2), 1),
+    ((2, 3, 8, 6), 4, 3, (2, 1), 1),
+    ((2, 3, 5, 6), 4, 3, (1, 1), 1),
+    ((2, 4, 5, 3), 3, 1, 1, 0),
+    ((2, 6, 9, 8), 4, 3, 1, 1),
+    ((2, 5, 10, 12), 5, 3, 1, (1, 0)),
+    ((2, 4, 8, 9), 6, 3, 1, 1),
+    ((2, 4, 8, 8), 4, 1, 1, 0),
+]
+
+
+@pytest.mark.parametrize("x_shape,cout,k,stride,padding", CONV_CASES)
+def test_conv2d_float32_matches_direct_sums(x_shape, cout, k, stride, padding):
+    rng = np.random.default_rng(sum(x_shape) + cout + k)
+    x = rng.normal(size=x_shape).astype(np.float32)
+    w = rng.normal(size=(cout, x_shape[1], k, k)).astype(np.float32)
+    want = _conv_direct(x, w, stride, padding)
+    g = rng.normal(size=want.shape).astype(np.float32)
+    out, (gx, gw) = _forward_and_vjp(
+        lambda a, b: grad.conv2d(a, b, stride=stride, padding=padding), [x, w], g)
+    _assert_close32(out, want)
+    for got, ref in zip((gx, gw), _conv_direct_vjps(x, w, g, stride, padding)):
+        _assert_close32(got, ref)
+
+
+@pytest.mark.parametrize("x_shape,cout,k,stride,padding,output_padding", [
+    ((2, 3, 4, 5), 4, 3, (2, 2), 1, (1, 1)),
+    ((2, 3, 4, 5), 4, 3, (2, 1), 1, (1, 0)),
+    ((2, 3, 4, 5), 2, 3, (1, 1), 1, (0, 0)),
+    ((2, 4, 3, 3), 3, 1, 1, 0, 0),
+    ((2, 3, 8, 9), 3, 3, 2, 1, 1),
+])
+def test_transposed_conv2d_float32_matches_direct_sums(
+        x_shape, cout, k, stride, padding, output_padding):
+    rng = np.random.default_rng(sum(x_shape) + cout + k)
+    x = rng.normal(size=x_shape).astype(np.float32)
+    w = rng.normal(size=(x_shape[1], cout, k, k)).astype(np.float32)
+    want = _transposed_direct(x, w, stride, padding, output_padding)
+    g = rng.normal(size=want.shape).astype(np.float32)
+    out, (gx, gw) = _forward_and_vjp(
+        lambda a, b: grad.transposed_conv2d(a, b, stride=stride, padding=padding,
+                                            output_padding=output_padding),
+        [x, w], g)
+    _assert_close32(out, want)
+    for got, ref in zip((gx, gw), _transposed_direct_vjps(x, w, g, stride, padding)):
+        _assert_close32(got, ref)
+
+
+def test_conv2d_paths_agree_on_the_tokenizer_planes(monkeypatch):
+    """The same convolution through the shifted views and through the
+    columns (the plane threshold raised out of reach)."""
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(2, 16, 16, 16)).astype(np.float32)
+    w = rng.normal(size=(16, 16, 3, 3)).astype(np.float32)
+    g = rng.normal(size=x.shape).astype(np.float32)
+    conv = lambda a, b: grad.conv2d(a, b, stride=1, padding=1)
+    shifted = _forward_and_vjp(conv, [x, w], g)
+    monkeypatch.setattr(grad, "_SHIFTED_MIN_PLANE", 10 ** 9)
+    columns = _forward_and_vjp(conv, [x, w], g)
+    for a, b in zip([shifted[0]] + shifted[1], [columns[0]] + columns[1]):
+        assert np.abs(a - b).max() <= 1e-5 * np.abs(b).max()
 
 
 def test_transposed_conv_is_adjoint_of_conv():
@@ -298,6 +548,57 @@ def test_adamw_wd_zero_equals_adam():
         grad.sum_(grad.mul(x, x)).backward()
         opt.step()
     assert not np.array_equal(paths[0], x.data)
+
+
+def _adamw_out_of_place(opt, params, lr, state):
+    """One step of AdamW's formula, new arrays throughout."""
+    state["t"] += 1
+    b1, b2 = opt.beta1, opt.beta2
+    bias1, bias2 = 1.0 - b1 ** state["t"], 1.0 - b2 ** state["t"]
+    for i, p in enumerate(params):
+        g = p.grad
+        if g is None:
+            continue
+        state["m"][i] = b1 * state["m"][i] + (1.0 - b1) * g
+        state["v"][i] = b2 * state["v"][i] + (1.0 - b2) * g * g
+        mhat = state["m"][i] / bias1
+        vhat = state["v"][i] / bias2
+        update = mhat / (np.sqrt(vhat) + opt.eps)
+        if opt.weight_decay:
+            update = update + opt.weight_decay * p.data
+        p.data = (p.data - lr * update).astype(grad.DTYPE)
+
+
+@pytest.mark.parametrize("make", [
+    lambda ps: grad.AdamW(ps, lr=0.05, beta1=0.9, beta2=0.95, weight_decay=0.1),
+    lambda ps: grad.adam_gan(ps, lr=0.05)])
+def test_adamw_in_place_matches_out_of_place_formula(make):
+    rng = np.random.default_rng(9)
+    init = [rng.normal(size=s).astype(np.float32) for s in [(4, 3), (5,), (2,)]]
+    ours = [Tensor(a.copy(), requires_grad=True) for a in init]
+    ref = [Tensor(a.copy(), requires_grad=True) for a in init]
+    opt = make(ours)
+    state = {"t": 0, "m": [np.zeros_like(a) for a in init],
+             "v": [np.zeros_like(a) for a in init]}
+    for step in range(5):
+        lr = opt.lr if step % 2 else grad.cosine_lr(step, 5, opt.lr)
+        grads_ = [rng.normal(size=a.shape).astype(np.float32) for a in init]
+        grads_[2] = None                   # a parameter with no gradient
+        held = [p.data for p in ours]
+        for p, r, g in zip(ours, ref, grads_):
+            p.grad = r.grad = g
+        before = [h.copy() for h in held]
+        opt.step(lr=lr)
+        _adamw_out_of_place(opt, ref, lr, state)
+        for h, b in zip(held, before):
+            assert np.array_equal(h, b)    # the old p.data is never written
+        for p, r in zip(ours, ref):
+            assert p.data.dtype == np.float32
+            assert p.data.tobytes() == r.data.tobytes()
+        assert all(m.tobytes() == sm.tobytes() for m, sm in zip(opt.m, state["m"]))
+        assert all(v.tobytes() == sv.tobytes() for v, sv in zip(opt.v, state["v"]))
+    assert np.array_equal(ours[2].data, init[2])
+    assert not np.array_equal(ours[0].data, init[0])
 
 
 def test_quadratic_bowl_converges():
