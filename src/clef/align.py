@@ -271,14 +271,6 @@ class AlignRows:
                                      for i in rows]),
             ehr=[self.ehr[i] for i in rows])
 
-    def sampler(self, batch_size: int):
-        """``stage2_train`` batch source: rows drawn uniformly, with
-        replacement, from the step rng."""
-        def batches(step, rng):
-            return self.batch(rng.integers(0, len(self.records),
-                                           size=batch_size))
-        return batches
-
 
 @dataclass
 class Stage2Losses:
@@ -350,24 +342,23 @@ def encoder_weights(ckpt: dict) -> dict[str, np.ndarray]:
 
 
 def stage2_train(mim_model: mim.MimModel, provider: HashedNgramProvider,
-                 batches, cfg: AlignConfig, seed: int,
-                 steps: int | None = None) -> Stage2Result:
+                 rows: AlignRows, cfg: AlignConfig, seed: int) -> Stage2Result:
     """``grad.train`` over the alignment model and the encoder of
-    ``mim_model`` (Stage I weights on entry); ``batches(step, rng)`` gives
-    each step's ``AlignBatch``."""
+    ``mim_model`` (Stage I weights on entry); each step's batch is
+    ``cfg.batch_size`` of ``rows``, drawn uniformly with replacement."""
     rng = np.random.default_rng(seed)
     align_model = AlignModel(cfg, mim_model.cfg.d_model, rng)
     history = []
 
     def step_loss(step):
-        loss, losses = stage2_step(align_model, mim_model, provider,
-                                   batches(step, rng), rng)
+        batch = rows.batch(rng.integers(0, len(rows.records),
+                                        size=cfg.batch_size))
+        loss, losses = stage2_step(align_model, mim_model, provider, batch, rng)
         history.append(losses)
         return loss
 
     ema = grad.train(trained_parameters(align_model, mim_model), cfg,
-                     steps if steps is not None else cfg.steps, step_loss,
-                     "Stage II")
+                     step_loss, "Stage II")
     return Stage2Result(align_model=align_model, ema=ema, losses=history)
 
 

@@ -30,7 +30,6 @@ class TaskSpec:
     codes: frozenset[str] = frozenset()   # disease / medication axes
     feature_phrase: str = ""              # feature axis
     chronic: bool = True                  # infinite window if True, else 7 days
-    min_positives: int = 2
 
     def __post_init__(self):
         if self.axis not in AXES:
@@ -42,18 +41,17 @@ class TaskSpec:
 
 
 def default_tasks(phenotypes, cfg: BenchConfig) -> list[TaskSpec]:
+    """Three tasks per phenotype.  A task holds no threshold: ``run_task``
+    reads those from its own ``cfg``, so this ``cfg`` goes unread."""
     tasks = []
     for p in phenotypes:
         tasks.append(TaskSpec(task_id=f"disease/{p.name}", axis="disease",
-                              codes=frozenset(p.dx_codes), chronic=p.chronic,
-                              min_positives=cfg.min_positives))
+                              codes=frozenset(p.dx_codes), chronic=p.chronic))
         tasks.append(TaskSpec(task_id=f"medication/{p.name}", axis="medication",
-                              codes=frozenset(p.med_codes), chronic=p.chronic,
-                              min_positives=cfg.min_positives))
+                              codes=frozenset(p.med_codes), chronic=p.chronic))
         tasks.append(TaskSpec(task_id=f"feature/{p.name}", axis="feature",
                               feature_phrase=p.report_phrases[0],
-                              chronic=p.chronic,
-                              min_positives=cfg.min_positives))
+                              chronic=p.chronic))
     return tasks
 
 
@@ -129,12 +127,11 @@ def _feature_label(task: TaskSpec, record) -> int | None:
 
 def label_patients(task: TaskSpec, records, session_days: dict[str, int],
                    cfg: BenchConfig) -> dict[str, int]:
-    """Patient id -> 0/1; patients without a determinable label are omitted."""
+    """Patient id -> 0/1; patients without a determinable label are omitted.
+    ``session_days`` must hold every record's patient."""
     labels: dict[str, int] = {}
     for rec in records:
-        day = session_days.get(rec.patient_id)
-        if day is None:
-            continue
+        day = session_days[rec.patient_id]
         if task.axis == "disease":
             labels[rec.patient_id] = int(_dx_positive(
                 task, rec, day, cfg.chronicity_window_days))
@@ -404,9 +401,9 @@ def run_task(task: TaskSpec, table: CohortTable,
             if rows else np.zeros((0, 1))
         ys[name] = np.array([r.label for r in rows])
     # AUROC on val and test needs both classes there
-    reasons = [f"fewer than {task.min_positives} positives in {name}"
+    reasons = [f"fewer than {cfg.min_positives} positives in {name}"
                for name in ("val", "test")
-               if (ys[name] == 1).sum() < task.min_positives]
+               if (ys[name] == 1).sum() < cfg.min_positives]
     reasons += [f"no negatives in {name}" for name in ("val", "test")
                 if not (ys[name] == 0).any()]
     if reasons:

@@ -6,7 +6,10 @@ the stage's inputs before the stage runs and writes the run manifest next to
 its outputs only after the stage has returned, so a stage that fails writes
 no manifest.  All randomness flows from one root seed, split per stage
 through a counter-based scheme.  Exit codes: 0 success, 2 config error,
-3 data error, 4 numeric failure.
+3 data error, 4 numeric failure.  Every run quantity comes from the profile
+and so counts in ``profile_hash``: a trainer's ``--steps N`` is shorthand for
+``--config {"<stage>": {"steps": N}}``.  ``name`` is refused, so ``Profile``
+has 95 settable leaves.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 
 from . import align, bench, cohortgen, dsp, grad, mim, summarize, vqtok
 from .config import (ConfigError, PROFILE_NAMES, PSG_CHANNELS, Profile,
-                     load_profile)
+                     apply_overrides, load_profile)
 from .errors import DataError, NumericError, parsing
 from .parallel import map_ordered
 
@@ -209,10 +212,13 @@ def _codebook_sha(entries: np.ndarray) -> str:
 
 
 def _echo_steps(n: int, line) -> None:
-    """About 20 progress lines over a trainer's ``n`` steps: the step number,
-    then ``line(i)`` for the step's index ``i``."""
-    for i in range(0, n, max(1, n // 20)):
-        click.echo(f"step\t{i + 1}\t{line(i)}")
+    """About 20 progress lines over a trainer's ``n`` steps: step 1, every
+    ``max(1, n // 20)``-th step and step ``n``, each followed by ``line(i)``
+    for the step's index ``i``."""
+    every = max(1, n // 20)
+    for step in range(1, n + 1):
+        if step == 1 or step % every == 0 or step == n:
+            click.echo(f"step\t{step}\t{line(step - 1)}")
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +234,19 @@ _out_dir = click.option("--out", required=True,
                         type=click.Path(file_okay=False, path_type=Path))
 _out_file = click.option("--out", required=True,
                          type=click.Path(dir_okay=False, path_type=Path))
-_steps = click.option("--steps", default=None, type=int,
-                      help="Override the profile's training step count.")
+
+
+def _set_steps(ctx, _param, steps: int | None) -> None:
+    # train-<stage> writes <stage>.steps, before _stage hashes the profile
+    if steps is not None:
+        apply_overrides(ctx.obj["profile"],
+                        {ctx.info_name.removeprefix("train-"): {"steps": steps}})
+
+
+_steps = click.option(
+    "--steps", type=int, expose_value=False, callback=_set_steps,
+    help='Shorthand for --config {"<stage>": {"steps": N}}; recorded in the '
+         "manifest's profile_hash.")
 
 
 @click.group()
@@ -298,18 +315,16 @@ def dsp_cmd(cohort_dir, out):
 @_spectrograms
 @_out_file
 @_steps
-def train_tokenizer_cmd(spec_dir, out, steps):
+def train_tokenizer_cmd(spec_dir, out):
     """Train the VQ tokenizer on cached spectrograms."""
     with _stage("tokenizer", {"spectrograms": spec_dir}, out) as (profile, seed):
         _, values, avail = _load_spectrograms(profile, spec_dir)
         psg = tuple(i for i, name in enumerate(profile.cohort.channel_names)
                     if name in set(PSG_CHANNELS))
         trainer, history = vqtok.train_tokenizer(
-            values, avail, profile.tokenizer, psg, seed, steps=steps)
-        total = len(history)
-        for i, h in enumerate(history):
-            if (i + 1) % max(1, total // 20) == 0 or i == 0:
-                click.echo(f"step\t{i + 1}\trecon\t{h.rec:.5f}\tvq\t{h.vq:.5f}")
+            values, avail, profile.tokenizer, psg, seed)
+        _echo_steps(len(history), lambda i: f"recon\t{history[i].rec:.5f}"
+                                            f"\tvq\t{history[i].vq:.5f}")
         tokenizer = trainer.tokenizer
         grad.save_checkpoint(out, tokenizer.named_parameters(), meta={
             "kind": "tokenizer",
@@ -361,14 +376,13 @@ def tokenize_cmd(spec_dir, ckpt_path, out):
 @_spectrograms
 @_out_file
 @_steps
-def train_mim_cmd(tok_dir, spec_dir, out, steps):
+def train_mim_cmd(tok_dir, spec_dir, out):
     """Stage I: masked token modeling over the session token grids."""
     with _stage("mim", {"tokens": tok_dir, "spectrograms": spec_dir},
                 out) as (profile, seed):
         ids, patches, codebook_size = _load_sessions(profile, tok_dir, spec_dir)
         result = mim.stage1_train(ids, patches, codebook_size,
-                                  profile.grid_shape, profile.mim, seed,
-                                  steps=steps)
+                                  profile.grid_shape, profile.mim, seed)
         _echo_steps(len(result.losses),
                     lambda i: f"loss\t{result.losses[i]:.5f}"
                               f"\tacc\t{result.masked_acc[i]:.4f}")
@@ -387,7 +401,7 @@ def train_mim_cmd(tok_dir, spec_dir, out, steps):
               help="Stage I checkpoint (required: stages train sequentially).")
 @_out_file
 @_steps
-def train_align_cmd(cohort_dir, tok_dir, spec_dir, init_path, out, steps):
+def train_align_cmd(cohort_dir, tok_dir, spec_dir, init_path, out):
     """Stage II: contrastive report/EHR alignment on top of Stage I."""
     if init_path is None:
         raise ConfigError("train-align requires --init with a Stage I "
@@ -404,9 +418,8 @@ def train_align_cmd(cohort_dir, tok_dir, spec_dir, init_path, out, steps):
             records, ids, patches,
             [align.ehr_input_from_record(r, dx_vocab, med_vocab)
              for r in records])
-        result = align.stage2_train(model, align.HashedNgramProvider(),
-                                    rows.sampler(profile.align.batch_size),
-                                    profile.align, seed, steps=steps)
+        result = align.stage2_train(model, align.HashedNgramProvider(), rows,
+                                    profile.align, seed)
         losses = result.losses
         _echo_steps(len(losses),
                     lambda i: f"total\t{losses[i].total:.5f}"
@@ -420,16 +433,22 @@ def train_align_cmd(cohort_dir, tok_dir, spec_dir, init_path, out, steps):
                   "profile_hash": profile.content_hash()})
 
 
+# select-prompt scores every candidate on the cohort's first 20 reports
+_PROMPT_REPORTS = 20
+_CANDIDATES = [summarize.Candidate(pid, prompt, n)
+               for pid, prompt in (("verbatim", "repeat the report"),
+                                   ("findings", "summarize the findings"))
+               for n in (128, 256, 512)]
+
+
 @cli.command("select-prompt")
 @_cohort
 @click.option("--questions", "questions_path", default=None, type=_IN_FILE)
 @click.option("--llm", "llm_address", default=None,
               help="host:port of a line-delimited JSON LLM server; "
                    "defaults to the deterministic mock.")
-@click.option("--max-reports", default=20, show_default=True)
 @_out_file
-def select_prompt_cmd(cohort_dir, questions_path, llm_address, max_reports,
-                      out):
+def select_prompt_cmd(cohort_dir, questions_path, llm_address, out):
     """Score summarization candidates by QA consistency and pick one."""
     inputs = {"records": cohort_dir / "records.json"}
     if questions_path:
@@ -437,7 +456,7 @@ def select_prompt_cmd(cohort_dir, questions_path, llm_address, max_reports,
     with _stage("select", inputs, out) as (profile, _):
         _require_manifest(cohort_dir, "gen-cohort")
         records = cohortgen.read_records(cohort_dir / "records.json")
-        reports = [r.report for r in records if r.report][:max_reports]
+        reports = [r.report for r in records if r.report][:_PROMPT_REPORTS]
         if not reports:
             raise DataError("cohort contains no reports to summarize")
         phenotypes = cohortgen.default_phenotypes(profile.cohort.channel_names)
@@ -445,12 +464,8 @@ def select_prompt_cmd(cohort_dir, questions_path, llm_address, max_reports,
             else summarize.default_questions(phenotypes)
         client = summarize.SocketLlmClient(llm_address) if llm_address \
             else summarize.MockLlmClient()
-        candidates = [summarize.Candidate(pid, prompt, n)
-                      for pid, prompt in (("verbatim", "repeat the report"),
-                                          ("findings", "summarize the findings"))
-                      for n in (128, 256, 512)]
         scores = [summarize.qa_consistency(reports, questions, c, client)
-                  for c in candidates]
+                  for c in _CANDIDATES]
         for s in scores:
             click.echo(f"candidate\t{s.candidate.prompt_id}"
                        f"\t{s.candidate.max_tokens}\t{s.score:.4f}")
@@ -477,11 +492,16 @@ def probe_cmd(cohort_dir, tok_dir, spec_dir, ckpt_path, out):
                           "days": cohort_dir / "days.json",
                           "tokens": tok_dir, "spectrograms": spec_dir,
                           "ckpt": ckpt_path}, out) as (profile, seed):
-        with parsing(cohort_dir / "days.json") as fh:
-            session_days = json.load(fh)["session_days"]
+        days_path = cohort_dir / "days.json"
+        with parsing(days_path) as fh:
+            session_days = dict(json.load(fh)["session_days"])
         ckpt = _load_checkpoint(ckpt_path, ("mim", "align"), "encoder")
         records, ids, patches, model = _cohort_encoder(
             profile, cohort_dir, tok_dir, spec_dir, ckpt)
+        for r in records:
+            if type(session_days.get(r.patient_id)) is not int:
+                raise DataError(f"{days_path}: no integer session day for "
+                                f"patient {r.patient_id}")
         u = np.concatenate([
             mim.session_embedding(model, ids[i:i + 32], patches[i:i + 32])
             for i in range(0, len(records), 32)])

@@ -10,7 +10,8 @@ from nothing else.  An unknown key, or a value whose JSON type differs from
 the default's (an int is accepted for a float), is a ``ConfigError``.
 ``dsp.sample_rate``, ``dsp.freq_res_hz``, ``mim.pool_includes_proxy``,
 ``tokenizer.codebook_data_init``, ``mim.patch_h`` and ``mim.patch_w`` are
-gone and refused like any unknown key.
+gone and refused like any unknown key.  ``name`` is refused too: a profile
+is named by ``--profile`` alone, so ``Profile`` has 95 settable leaves.
 
 The DSP has no sample rate of its own: it reads the rate from each
 session's ``.raw`` header, and its bin width is that rate / ``dsp.window``.
@@ -322,6 +323,10 @@ def _set_path(profile: Profile, path: list[str], raw) -> None:
 
 def apply_overrides(profile: Profile, overrides: dict) -> Profile:
     """Apply a possibly-nested dict of overrides; unknown keys raise."""
+    if "name" in overrides:
+        raise ConfigError("'name' is not settable: choose a profile with "
+                          "--profile")
+
     def walk(prefix: list[str], node) -> None:
         if isinstance(node, dict):
             for k, v in node.items():

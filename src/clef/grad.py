@@ -39,23 +39,17 @@ class ShapeError(ValueError):
     pass
 
 
-def _as_array(value) -> np.ndarray:
-    arr = np.asarray(value, dtype=DTYPE)
-    return arr
-
-
 class Tensor:
     """A node in the computation graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_parents")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
-        self.data = _as_array(data)
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = np.asarray(data, dtype=DTYPE)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         # list of (parent Tensor, vjp: g_out -> g_parent); empty for leaves
         self._parents: list[tuple["Tensor", Callable[[np.ndarray], np.ndarray]]] = []
-        self.name = name
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -853,7 +847,7 @@ class AdamW:
             p.grad = None
 
     def step(self, lr: float | None = None) -> None:
-        lr = self.lr if lr is None else lr
+        lr = float(self.lr if lr is None else lr)
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1 ** self.t
@@ -878,8 +872,8 @@ class AdamW:
             update /= scratch
             if self.weight_decay:
                 update += np.multiply(p.data, self.weight_decay, out=scratch)
-            # p - lr·update lands in a new array (float64 for a numpy lr,
-            # as before); whoever holds the old p.data keeps its values
+            # p - lr·update lands in a new array: whoever holds the old
+            # p.data keeps its values
             new = np.multiply(update, lr)
             np.subtract(p.data, new, out=new)
             p.data = new.astype(DTYPE, copy=False)
@@ -895,7 +889,8 @@ def cosine_lr(step: int, total_steps: int, base_lr: float,
         return base_lr * (step + 1) / warmup_steps
     span = max(total_steps - warmup_steps, 1)
     frac = min(max(step - warmup_steps, 0) / span, 1.0)
-    return min_lr + 0.5 * (base_lr - min_lr) * (1.0 + np.cos(np.pi * frac))
+    return float(min_lr + 0.5 * (base_lr - min_lr)
+                 * (1.0 + np.cos(np.pi * frac)))
 
 
 class Ema:
@@ -915,20 +910,20 @@ def ema_update(shadow: np.ndarray, live: np.ndarray, decay: float) -> np.ndarray
             + (1.0 - decay) * live.astype(np.float64)).astype(live.dtype)
 
 
-def train(params: dict[str, Tensor], cfg, steps: int,
+def train(params: dict[str, Tensor], cfg,
           step_loss: Callable[[int], Tensor], stage: str) -> Ema:
-    """AdamW + cosine LR + EMA, all from ``cfg``, over ``step_loss(step)``;
-    a non-finite loss raises before that step's update."""
+    """``cfg.steps`` steps of AdamW + cosine LR + EMA, all from ``cfg``, over
+    ``step_loss(step)``; a non-finite loss raises before that step's update."""
     opt = AdamW(params.values(), lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
                 weight_decay=cfg.weight_decay)
     ema = Ema(params, cfg.ema_decay)
-    for step in range(steps):
+    for step in range(cfg.steps):
         loss = step_loss(step)
         if not np.isfinite(loss.data):
             raise NumericError(f"non-finite {stage} loss at step {step}")
         opt.zero_grad()
         loss.backward()
-        opt.step(lr=cosine_lr(step, steps, cfg.lr, cfg.warmup_steps))
+        opt.step(lr=cosine_lr(step, cfg.steps, cfg.lr, cfg.warmup_steps))
         ema.update(params)
     return ema
 

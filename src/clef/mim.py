@@ -213,7 +213,6 @@ def _attention_bias(keep: np.ndarray) -> grad.Tensor:
 
 @dataclass
 class MimForward:
-    encoded: grad.Tensor        # (B, N+1, d) encoder output
     u: grad.Tensor              # (B, d) pooled patient embedding
     logits: grad.Tensor | None  # (|M|, K) at masked positions
     targets: np.ndarray | None  # (|M|,) original token ids
@@ -243,7 +242,7 @@ def mim_forward(model: MimModel, ids: np.ndarray, patches: np.ndarray,
     u = grad.mean_pool_masked(enc, grad.Tensor(pool_mask.astype(grad.DTYPE)))
 
     if plan is None:
-        return MimForward(encoded=enc, u=u, logits=None, targets=None)
+        return MimForward(u=u, logits=None, targets=None)
 
     # decoder: fill masked and dropped slots with the projected proxy
     proxy_rep = grad.matmul(grad.getitem(enc, (slice(None), slice(0, 1))),
@@ -263,7 +262,7 @@ def mim_forward(model: MimModel, ids: np.ndarray, patches: np.ndarray,
     hidden = grad.layernorm(hidden, model.head_ln_g, model.head_ln_b)
     logits = grad.matmul(hidden, grad.transpose(model.token_table, (1, 0)))
     targets = ids[rows, cols]
-    return MimForward(encoded=enc, u=u, logits=logits, targets=targets)
+    return MimForward(u=u, logits=logits, targets=targets)
 
 
 def mim_loss(logits: grad.Tensor, targets: np.ndarray,
@@ -291,7 +290,7 @@ class Stage1Result:
 
 def stage1_train(ids: np.ndarray, patches: np.ndarray, codebook_size: int,
                  grid_hw: tuple[int, int], cfg: MimConfig,
-                 seed: int, steps: int | None = None) -> Stage1Result:
+                 seed: int) -> Stage1Result:
     """``grad.train`` over an in-memory token dataset.
 
     ``ids``: (M, N) token grids; ``patches``: (M, N, P) raw patches.
@@ -313,7 +312,5 @@ def stage1_train(ids: np.ndarray, patches: np.ndarray, codebook_size: int,
             np.argmax(out.logits.data, axis=1) == out.targets)))
         return loss
 
-    ema = grad.train(model.named_parameters(), cfg,
-                     steps if steps is not None else cfg.steps, step_loss,
-                     "Stage I")
+    ema = grad.train(model.named_parameters(), cfg, step_loss, "Stage I")
     return Stage1Result(model=model, ema=ema, losses=losses, masked_acc=accs)

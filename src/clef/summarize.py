@@ -296,12 +296,6 @@ def default_questions(phenotypes) -> list[Question]:
     return out
 
 
-def write_questions(path, questions: list[Question]) -> None:
-    with open(path, "w") as fh:
-        for q in questions:
-            fh.write(f"{q.kind}\t{q.text}\n")
-
-
 def read_questions(path) -> list[Question]:
     out = []
     with open(path) as fh:

@@ -406,13 +406,12 @@ class VqTrainer:
 
 def train_tokenizer(values: np.ndarray, available: np.ndarray,
                     cfg: TokenizerConfig, psg_subset: tuple[int, ...],
-                    seed: int, steps: int | None = None,
-                    ) -> tuple[VqTrainer, list[StepLosses]]:
+                    seed: int) -> tuple[VqTrainer, list[StepLosses]]:
     """Smoke-scale training loop over an in-memory (N, C, H, W) dataset."""
     trainer = VqTrainer(values.shape[1], cfg, psg_subset, seed)
     batch_rng = np.random.default_rng(seed + 2)
     history = []
-    for _ in range(steps if steps is not None else cfg.steps):
+    for _ in range(cfg.steps):
         pick = batch_rng.integers(0, values.shape[0], size=cfg.batch_size)
         history.append(trainer.step(values[pick], available[pick]))
     return trainer, history

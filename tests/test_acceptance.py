@@ -7,6 +7,7 @@ at desk scale with fixed seeds.  Thresholds are frozen; a red test here means
 the property is not met, not that the test needs loosening.
 """
 
+import dataclasses
 import sys
 import time
 
@@ -87,7 +88,7 @@ def tokenizer_run(spectra):
     before = eval_rec(vqtok.VqTrainer(values.shape[1], P.tokenizer,
                                       psg, seed=1).tokenizer)
     trainer, history = vqtok.train_tokenizer(values, avail, P.tokenizer,
-                                             psg, seed=1, steps=200)
+                                             psg, seed=1)
     after = eval_rec(trainer.tokenizer)
     return {"trainer": trainer, "history": history,
             "rec_before": before, "rec_after": after,
@@ -110,7 +111,7 @@ def stage1(tokens):
     t0 = time.time()
     res = mim.stage1_train(tokens["ids"], tokens["patches"],
                            P.tokenizer.codebook_size,
-                           P.grid_shape, P.mim, seed=2, steps=300)
+                           P.grid_shape, P.mim, seed=2)
     return {"result": res, "elapsed": time.time() - t0}
 
 
@@ -135,9 +136,7 @@ def stage2(cohort, tokens, stage1):
     t0 = time.time()
     provider = align.HashedNgramProvider()
     rows = align.AlignRows(records, ids, patches, ehr_inputs)
-    res2 = align.stage2_train(res1.model, provider,
-                              rows.sampler(P.align.batch_size),
-                              P.align, seed=7, steps=500)
+    res2 = align.stage2_train(res1.model, provider, rows, P.align, seed=7)
     eval_batch = rows.batch(np.arange(0, len(records), 6)[:64])
     top1 = align.retrieval_top1(res2.align_model, res1.model, eval_batch)
     emb_align = _batched_embeddings(res1.model, ids, patches)
@@ -482,9 +481,8 @@ def test_concept_holdout_transfer(cohort, tokens, stage1, stage2):
     rows = align.AlignRows(filtered, tokens["ids"], tokens["patches"],
                            ehr_inputs)
     mim.load_encoder(model, res1.ema.shadow)
-    align.stage2_train(model, align.HashedNgramProvider(),
-                       rows.sampler(P.align.batch_size), P.align,
-                       seed=19, steps=60)
+    align.stage2_train(model, align.HashedNgramProvider(), rows,
+                       dataclasses.replace(P.align, steps=60), seed=19)
     emb = _batched_embeddings(model, tokens["ids"], tokens["patches"])
     task = bench.TaskSpec(task_id="disease/spindle_dropout", axis="disease",
                           codes=frozenset(held.dx_codes), chronic=held.chronic)

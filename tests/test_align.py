@@ -2,6 +2,9 @@
 invariance, the symmetric contrastive loss against hand-computed values and
 the row-deletion identity, Stage II wiring, and the concept-holdout scrub."""
 
+from dataclasses import replace
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -303,11 +306,12 @@ def test_stage2_requires_stage1_provenance():
 def test_stage2_train_updates_and_ema():
     mmodel, acfg = _tiny_stage2()
     provider = align.HashedNgramProvider()
-    data_rng = np.random.default_rng(16)
-    fixed = _batch(data_rng)
+    b = _batch(np.random.default_rng(16))
+    rows = align.AlignRows([SimpleNamespace(report=t) for t in b.texts],
+                           b.ids, b.patches, b.ehr)
 
-    result = align.stage2_train(mmodel, provider,
-                                lambda step, rng: fixed, acfg, seed=17, steps=3)
+    result = align.stage2_train(mmodel, provider, rows,
+                                replace(acfg, steps=3), seed=17)
     assert len(result.losses) == 3
     trained = align.trained_parameters(result.align_model, mmodel)
     assert set(result.ema.shadow) == set(trained)

@@ -359,6 +359,21 @@ def test_benchmark_run_on_generated_cohort():
     assert agg["overall"][2] == len(scored)
 
 
+def test_benchmark_run_obeys_min_positives():
+    """The threshold is the run's ``cfg``, not a copy held by each task:
+    no task of a 120-patient cohort has 50 positives in a split."""
+    cohort_cfg = CohortConfig(n_patients=120)
+    records, phenotypes = cohortgen.generate_records(cohort_cfg, seed=3)
+    days = cohortgen.session_days(cohort_cfg, 3, records)
+    tasks = bench.default_tasks(phenotypes, CFG)[:3]
+    embeddings = {r.patient_id: np.zeros(4, np.float32) for r in records}
+    cfg = BenchConfig(probe_hidden=4, probe_epochs=1, n_seeds=1,
+                      min_positives=50)
+    results = bench.benchmark_run(tasks, records, days, embeddings, cfg, 2)
+    assert [r.skipped for r in results] == \
+        ["fewer than 50 positives in val"] * len(tasks)
+
+
 def test_benchmark_run_deterministic():
     cohort_cfg = CohortConfig(n_patients=120)
     records, phenotypes = cohortgen.generate_records(cohort_cfg, seed=3)

@@ -1,5 +1,6 @@
 """CLI tests: the full desk pipeline end to end on a tiny cohort, exit-code
-mapping, sequential-training, codebook-hash, checkpoint-kind,
+mapping, ``--steps`` as profile shorthand, the progress lines, an incomplete
+``days.json``, sequential-training, codebook-hash, checkpoint-kind,
 checkpoint-geometry, token-grid and partial-output refusals, the session-id
 join, the spectrogram loader's memory and geometry check, malformed JSON
 artifacts, manifest reproducibility, seed splitting, config schema
@@ -133,6 +134,97 @@ def test_selection_output(pipeline):
     payload = json.loads(pipeline["selection"].read_text())
     assert payload["selected"]["prompt_id"]
     assert len(payload["scores"]) == 6
+
+
+def _trainer_argv(pipeline, command, out):
+    spec = ["--spectrograms", str(pipeline["spec"])]
+    return [command] + {
+        "train-tokenizer": spec,
+        "train-mim": ["--tokens", str(pipeline["tokens"])] + spec,
+        "train-align": ["--cohort", str(pipeline["cohort"]),
+                        "--tokens", str(pipeline["tokens"])] + spec
+        + ["--init", str(pipeline["mim_ckpt"])],
+    }[command] + ["--out", str(out)]
+
+
+@pytest.mark.parametrize("command", ["train-tokenizer", "train-mim",
+                                     "train-align"])
+def test_steps_flag_is_the_profile_key(pipeline, tmp_path, command):
+    """``--steps N`` and ``--config {"<stage>": {"steps": N}}`` are one run:
+    the checkpoint and its manifest match byte for byte."""
+    stage = command.removeprefix("train-")
+    overrides = json.loads(pipeline["config"].read_text())
+    overrides[stage]["steps"] = 1
+    config = tmp_path / "steps.json"
+    config.write_text(json.dumps(overrides))
+    flag, keyed = tmp_path / "flag" / "out.npz", tmp_path / "keyed" / "out.npz"
+    assert climod.main(pipeline["base"] + _trainer_argv(
+        pipeline, command, flag) + ["--steps", "1"]) == 0
+    assert climod.main(["--config", str(config), "--seed", "11"]
+                       + _trainer_argv(pipeline, command, keyed)) == 0
+    for name in ("out.npz", "out.npz.manifest.json"):
+        assert (flag.parent / name).read_bytes() == \
+            (keyed.parent / name).read_bytes(), name
+
+
+def test_steps_flag_is_recorded_in_profile_hash(pipeline, tmp_path):
+    hashes = []
+    for n in (2, 3):
+        out = tmp_path / f"tok{n}.npz"
+        assert climod.main(pipeline["base"] + _trainer_argv(
+            pipeline, "train-tokenizer", out) + ["--steps", str(n)]) == 0
+        manifest = json.loads(
+            out.with_name(out.name + ".manifest.json").read_text())
+        hashes.append(manifest["profile_hash"])
+    assert hashes[0] != hashes[1]
+
+
+@pytest.mark.parametrize("n", [1, 3, 20, 45, 50, 100, 200, 300])
+def test_progress_lines_end_on_the_last_step(capsys, n):
+    """Step 1, every ``n // 20``-th step and step ``n``.  Where ``n`` is a
+    multiple of that stride (3, 20 and 200 steps among them) step ``n`` is
+    one of them: the lines train-tokenizer printed with its own loop."""
+    climod._echo_steps(n, lambda i: f"index\t{i}")
+    lines = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+    steps = [int(f[1]) for f in lines]
+    every = max(1, n // 20)
+    assert steps == sorted({1, n} | set(range(every, n + 1, every)))
+    assert all(int(f[3]) == int(f[1]) - 1 for f in lines)
+
+
+def test_select_prompt_has_no_max_reports(pipeline, tmp_path, capsys):
+    """The prompt is scored on a fixed sample of 20 reports."""
+    out = tmp_path / "selection.json"
+    assert climod.main(pipeline["base"] + [
+        "select-prompt", "--cohort", str(pipeline["cohort"]),
+        "--max-reports", "5", "--out", str(out)]) == climod.EXIT_CONFIG
+    assert "--max-reports" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit", ["drop", "string"])
+def test_probe_refuses_incomplete_days(pipeline, tmp_path, capsys, edit):
+    """Every record's patient needs an integer session day; otherwise the
+    probe exits 3 naming days.json and the patient, and writes nothing."""
+    cohort = tmp_path / "cohort"
+    shutil.copytree(pipeline["cohort"], cohort)
+    days_path = cohort / "days.json"
+    days = json.loads(days_path.read_text())
+    pid = sorted(days["session_days"])[3]
+    if edit == "drop":
+        del days["session_days"][pid]
+    else:
+        days["session_days"][pid] = str(days["session_days"][pid])
+    days_path.write_text(json.dumps(days))
+    out = tmp_path / "results.json"
+    assert climod.main(pipeline["base"] + [
+        "probe", "--cohort", str(cohort), "--tokens", str(pipeline["tokens"]),
+        "--spectrograms", str(pipeline["spec"]),
+        "--ckpt", str(pipeline["align_ckpt"]), "--out", str(out)]) == \
+        climod.EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(days_path) in err and pid in err
+    assert not out.exists()
 
 
 def test_train_align_refuses_without_init(pipeline, capsys):
@@ -547,6 +639,9 @@ def test_removed_config_keys_are_refused():
         with pytest.raises(cfgmod.ConfigError, match=path):
             cfgmod.apply_overrides(cfgmod.get_profile("desk"),
                                    {section: {key: 1}})
+    # a profile is named by --profile alone: a config cannot relabel it
+    with pytest.raises(cfgmod.ConfigError, match="name"):
+        cfgmod.apply_overrides(cfgmod.get_profile("desk"), {"name": "x"})
 
 
 def test_missing_input_path_named_in_message(tmp_path, capsys):

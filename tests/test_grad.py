@@ -601,6 +601,25 @@ def test_adamw_in_place_matches_out_of_place_formula(make):
     assert not np.array_equal(ours[0].data, init[0])
 
 
+def test_adamw_numpy_lr_updates_in_float32():
+    """A numpy float64 lr gives the bytes a Python float does: the update
+    runs in float32 under numpy 1.x and 2.x promotion alike, and cosine_lr
+    hands out Python floats during warmup and after it."""
+    assert all(type(grad.cosine_lr(t, 10, 0.05, 3)) is float for t in (0, 5))
+    rng = np.random.default_rng(5)
+    init = rng.normal(size=(64, 7)).astype(np.float32)
+    grads_ = [rng.normal(size=init.shape).astype(np.float32) for _ in range(4)]
+    out = []
+    for to_lr in (np.float64, float):
+        x = Tensor(init.copy(), requires_grad=True)
+        opt = grad.AdamW([x], lr=0.05)
+        for t, g in enumerate(grads_):
+            x.grad = g
+            opt.step(lr=to_lr(0.05 / (t + 3)))
+        out.append(x.data.tobytes())
+    assert out[0] == out[1]
+
+
 def test_quadratic_bowl_converges():
     rng = np.random.default_rng(2)
     x = Tensor(rng.normal(size=(8,)).astype(np.float32), requires_grad=True)
@@ -689,9 +708,9 @@ def _hand_rolled(cfg, total, run):
 
 
 def test_train_matches_hand_rolled_loop():
-    cfg = MimConfig(lr=0.05, warmup_steps=2, ema_decay=0.8)
+    cfg = MimConfig(lr=0.05, warmup_steps=2, ema_decay=0.8, steps=6)
     params, loss_at = _bowl()
-    ema = grad.train(params, cfg, 6, loss_at, "test")
+    ema = grad.train(params, cfg, loss_at, "test")
     ref, ref_ema = _hand_rolled(cfg, 6, 6)
     for k in params:
         assert np.array_equal(params[k].data, ref[k].data)
@@ -700,7 +719,7 @@ def test_train_matches_hand_rolled_loop():
 
 def test_train_raises_before_updating_on_a_non_finite_loss(monkeypatch):
     """NaN at step 2: the parameters and the EMA stay as step 1 left them."""
-    cfg = MimConfig(lr=0.05, warmup_steps=0, ema_decay=0.8)
+    cfg = MimConfig(lr=0.05, warmup_steps=0, ema_decay=0.8, steps=5)
     ref, ref_ema = _hand_rolled(cfg, 5, 2)
     emas = []
 
@@ -717,7 +736,7 @@ def test_train_raises_before_updating_on_a_non_finite_loss(monkeypatch):
         return loss * float("nan") if step == 2 else loss
 
     with pytest.raises(NumericError, match="Stage T loss at step 2"):
-        grad.train(params, cfg, 5, nan_at_two, "Stage T")
+        grad.train(params, cfg, nan_at_two, "Stage T")
     assert len(emas) == 1
     for k in params:
         assert np.array_equal(params[k].data, ref[k].data)

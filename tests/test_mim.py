@@ -246,9 +246,8 @@ def test_stage1_dropout_is_seeded_and_applied():
 
     def losses(p):
         cfg = _cfg(d_model=32, n_heads=4, depth=1, dec_depth=1, batch_size=4,
-                   dropout=p)
-        return mim.stage1_train(ids, patches, 16, (4, 8), cfg, seed=5,
-                                steps=2).losses
+                   dropout=p, steps=2)
+        return mim.stage1_train(ids, patches, 16, (4, 8), cfg, seed=5).losses
 
     assert losses(0.5) == losses(0.5)
     assert losses(0.5) != losses(0.0)

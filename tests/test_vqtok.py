@@ -287,6 +287,8 @@ def test_encoder_decoder_geometry():
 
 
 def test_detokenize_from_indices():
+    """Token ids alone must decode back to a spectrogram: the ids are the
+    representation, so ``detokenize`` needs no encoder output beside them."""
     cfg, rng = _tiny_setup()
     tok = vqtok.Tokenizer(4, cfg, rng)
     idx = rng.integers(0, cfg.codebook_size, size=(4, 8))
