@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import grad, mim
-from .config import (AlignConfig, EhrVocabConfig, N_AGE_BINS, RACE_CATEGORIES,
+from .config import (AlignConfig, EhrSlotConfig, N_AGE_BINS, RACE_CATEGORIES,
                      SEX_CATEGORIES)
 from .errors import DataError
 
@@ -75,6 +75,8 @@ class HashedNgramProvider:
 # ---------------------------------------------------------------------------
 # EHR inputs
 
+Vocab = tuple[list[str], list[str]]  # cohortgen.vocabularies: (dx, med)
+
 
 @dataclass(frozen=True)
 class EhrInput:
@@ -84,23 +86,23 @@ class EhrInput:
     dx_ids: tuple[int, ...]
     med_ids: tuple[int, ...]
 
-    def canonical(self, vocab: EhrVocabConfig) -> "EhrInput":
+    def canonical(self, slots: EhrSlotConfig) -> "EhrInput":
         """Sorted, deduplicated, truncated to the lowest ids: set semantics
         become exact bit-level invariance."""
-        dx = tuple(sorted(set(self.dx_ids))[: vocab.dx_slots])
-        med = tuple(sorted(set(self.med_ids))[: vocab.med_slots])
+        dx = tuple(sorted(set(self.dx_ids))[: slots.dx_slots])
+        med = tuple(sorted(set(self.med_ids))[: slots.med_slots])
         return replace(self, dx_ids=dx, med_ids=med)
 
-    def validate(self, vocab: EhrVocabConfig) -> None:
+    def validate(self, n_dx: int, n_med: int) -> None:
         if not 0 <= self.age_bin < N_AGE_BINS:
             raise DataError(f"age bin {self.age_bin} outside [0, {N_AGE_BINS})")
         if not 0 <= self.sex_id < len(SEX_CATEGORIES):
             raise DataError(f"sex id {self.sex_id} invalid")
         if not 0 <= self.race_id < len(RACE_CATEGORIES):
             raise DataError(f"race id {self.race_id} invalid")
-        if any(i < 0 or i >= vocab.n_dx for i in self.dx_ids):
+        if any(i < 0 or i >= n_dx for i in self.dx_ids):
             raise DataError("diagnosis id outside vocabulary")
-        if any(i < 0 or i >= vocab.n_med for i in self.med_ids):
+        if any(i < 0 or i >= n_med for i in self.med_ids):
             raise DataError("medication id outside vocabulary")
 
 
@@ -141,21 +143,21 @@ class ReportEncoder(grad.Module):
 
 
 class EhrEncoder(grad.Module):
-    def __init__(self, cfg: AlignConfig, d: int, rng: np.random.Generator):
-        v = cfg.ehr
-        self.vocab = v
+    def __init__(self, cfg: AlignConfig, d: int, vocab: Vocab,
+                 rng: np.random.Generator):
+        self.slots = cfg.ehr
         self.e_age = grad.param((N_AGE_BINS, d), rng, scale=0.02)
         self.e_sex = grad.param((len(SEX_CATEGORIES), d), rng, scale=0.02)
         self.e_race = grad.param((len(RACE_CATEGORIES), d), rng, scale=0.02)
-        self.e_dx = grad.param((v.n_dx, d), rng, scale=0.02)
-        self.e_med = grad.param((v.n_med, d), rng, scale=0.02)
+        self.e_dx = grad.param((len(vocab[0]), d), rng, scale=0.02)
+        self.e_med = grad.param((len(vocab[1]), d), rng, scale=0.02)
         self.blocks = [mim._Block(d, cfg.n_heads, 4, rng)
                        for _ in range(cfg.refiner_depth)]
         self.ln_g, self.ln_b = mim._ln_params(d)
 
     def assemble(self, inputs: list[EhrInput]) -> tuple[np.ndarray, ...]:
         """Slot layout: [age, sex, race] + dx slots + med slots."""
-        v = self.vocab
+        v = self.slots
         b = len(inputs)
         n_slots = 3 + v.dx_slots + v.med_slots
         age = np.empty(b, dtype=np.int64)
@@ -167,7 +169,7 @@ class EhrEncoder(grad.Module):
         mask[:, :3] = True
         for i, raw in enumerate(inputs):
             inp = raw.canonical(v)
-            inp.validate(v)
+            inp.validate(self.e_dx.shape[0], self.e_med.shape[0])
             age[i], sex[i], race[i] = inp.age_bin, inp.sex_id, inp.race_id
             dx[i, :len(inp.dx_ids)] = inp.dx_ids
             mask[i, 3:3 + len(inp.dx_ids)] = True
@@ -203,8 +205,7 @@ def _l2_normalize(x: grad.Tensor) -> grad.Tensor:
     return grad.mul(x, grad.power(sq + 1e-12, -0.5))
 
 
-def clip_loss(a: grad.Tensor, b: grad.Tensor,
-              tau: float = 0.07) -> grad.Tensor:
+def clip_loss(a: grad.Tensor, b: grad.Tensor, tau: float) -> grad.Tensor:
     """Symmetric InfoNCE over the paired rows of ``a`` and ``b``; zero rows
     give a zero loss."""
     n = a.shape[0]
@@ -225,17 +226,19 @@ def clip_loss(a: grad.Tensor, b: grad.Tensor,
 
 class AlignModel(grad.Module):
     # d is the EEG encoder's width: u, v_rep and v_ehr share one space
-    def __init__(self, cfg: AlignConfig, d: int, rng: np.random.Generator):
+    def __init__(self, cfg: AlignConfig, d: int, vocab: Vocab,
+                 rng: np.random.Generator):
         self.report_encoder = ReportEncoder(cfg, d, rng)
-        self.ehr_encoder = EhrEncoder(cfg, d, rng)
+        self.ehr_encoder = EhrEncoder(cfg, d, vocab, rng)
         self.pi_rep = grad.param((d, d), rng)
         self.pi_ehr = grad.param((d, d), rng)
         self.cfg = cfg
 
 
 def report_embed(texts: list[str], provider: HashedNgramProvider,
-                 encoder: ReportEncoder, max_len: int) -> grad.Tensor:
-    """Each text's first ``max_len`` word rows, padded and masked."""
+                 encoder: ReportEncoder) -> grad.Tensor:
+    """Each text's first word rows, one per encoder position, padded."""
+    max_len = encoder.pos.shape[0]
     feats = np.zeros((len(texts), max_len, provider.dim), dtype=np.float32)
     mask = np.zeros((len(texts), max_len), dtype=bool)
     for i, text in enumerate(texts):
@@ -257,11 +260,14 @@ class AlignBatch:
 @dataclass
 class AlignRows:
     """Per-record Stage II inputs: row i of ``ids``, ``patches`` and ``ehr``
-    belongs to ``records[i]``."""
+    belongs to ``records[i]``, whose codes ``ehr`` reads through ``vocab``."""
     records: list
     ids: np.ndarray             # (R, N)
     patches: np.ndarray         # (R, N, P)
-    ehr: list[EhrInput]
+    vocab: Vocab
+
+    def __post_init__(self):
+        self.ehr = [ehr_input_from_record(r, *self.vocab) for r in self.records]
 
     def batch(self, rows: np.ndarray) -> AlignBatch:
         return AlignBatch(
@@ -297,7 +303,7 @@ def stage2_step(align_model: AlignModel, mim_model: mim.MimModel,
     # only rows with a report reach the report loss, so only they are encoded
     rows = np.flatnonzero(batch.report_present)
     v_rep = report_embed([batch.texts[i] for i in rows], provider,
-                         align_model.report_encoder, cfg.text_max_len)
+                         align_model.report_encoder)
     v_ehr = align_model.ehr_encoder(batch.ehr)
     rep_loss = clip_loss(grad.getitem(grad.matmul(u, align_model.pi_rep), rows),
                          v_rep, cfg.tau)
@@ -347,7 +353,7 @@ def stage2_train(mim_model: mim.MimModel, provider: HashedNgramProvider,
     ``mim_model`` (Stage I weights on entry); each step's batch is
     ``cfg.batch_size`` of ``rows``, drawn uniformly with replacement."""
     rng = np.random.default_rng(seed)
-    align_model = AlignModel(cfg, mim_model.cfg.d_model, rng)
+    align_model = AlignModel(cfg, mim_model.cfg.d_model, rows.vocab, rng)
     history = []
 
     def step_loss(step):

@@ -168,9 +168,6 @@ class CohortTable:
     rows: list[Row] = field(default_factory=list)
     unmatched_cases: list[str] = field(default_factory=list)
 
-    def patient_ids(self) -> list[str]:
-        return [r.patient_id for r in self.rows]
-
 
 def match_controls(task_id: str, cases: list[str], pool: list[str],
                    records_by_id: dict, k: int, seed: int) -> CohortTable:

@@ -8,8 +8,9 @@ no manifest.  All randomness flows from one root seed, split per stage
 through a counter-based scheme.  Exit codes: 0 success, 2 config error,
 3 data error, 4 numeric failure.  Every run quantity comes from the profile
 and so counts in ``profile_hash``: a trainer's ``--steps N`` is shorthand for
-``--config {"<stage>": {"steps": N}}``.  ``name`` is refused, so ``Profile``
-has 95 settable leaves.
+``--config {"<stage>": {"steps": N}}``; below 1 is a config error either
+way.  ``name`` is refused, so ``Profile`` has 92 settable leaves; sizes the
+data fixes (channel count, EHR vocabularies) are not keys.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import align, bench, cohortgen, dsp, grad, mim, summarize, vqtok
 from .config import (ConfigError, PROFILE_NAMES, PSG_CHANNELS, Profile,
-                     apply_overrides, load_profile)
+                     apply_overrides, check, load_profile)
 from .errors import DataError, NumericError, parsing
 from .parallel import map_ordered
 
@@ -138,7 +139,7 @@ def _load_spectrograms(profile: Profile, spec_dir: Path,
     if not session_ids:
         raise DataError(f"no .spc files in {spec_dir}")
     (gh, gw), (ph, pw) = profile.grid_shape, profile.patch_shape
-    shape = (profile.n_channels, gh * ph, gw * pw)
+    shape = (profile.cohort.n_channels, gh * ph, gw * pw)
     values = np.empty((len(session_ids),) + shape, np.float32)
     avail = np.empty((len(session_ids), shape[0]), bool)
     for i, sid in enumerate(session_ids):
@@ -239,8 +240,8 @@ _out_file = click.option("--out", required=True,
 def _set_steps(ctx, _param, steps: int | None) -> None:
     # train-<stage> writes <stage>.steps, before _stage hashes the profile
     if steps is not None:
-        apply_overrides(ctx.obj["profile"],
-                        {ctx.info_name.removeprefix("train-"): {"steps": steps}})
+        check(apply_overrides(ctx.obj["profile"], {
+            ctx.info_name.removeprefix("train-"): {"steps": steps}}))
 
 
 _steps = click.option(
@@ -342,7 +343,7 @@ def tokenize_cmd(spec_dir, ckpt_path, out):
     with _stage("tokenize", {"spectrograms": spec_dir, "ckpt": ckpt_path},
                 out, ["."]) as (profile, _):
         ckpt = _load_checkpoint(ckpt_path, ("tokenizer",), "tokenizer")
-        tokenizer = vqtok.Tokenizer(profile.n_channels, profile.tokenizer,
+        tokenizer = vqtok.Tokenizer(profile.cohort.n_channels, profile.tokenizer,
                                     np.random.default_rng(0))
         grad.assign_parameters(tokenizer.named_parameters(), ckpt["params"])
         sha = _codebook_sha(tokenizer.codebook.entries.data)
@@ -413,11 +414,8 @@ def train_align_cmd(cohort_dir, tok_dir, spec_dir, init_path, out):
         records, ids, patches, model = _cohort_encoder(
             profile, cohort_dir, tok_dir, spec_dir, ckpt)
         phenotypes = cohortgen.default_phenotypes(profile.cohort.channel_names)
-        dx_vocab, med_vocab = cohortgen.vocabularies(profile.cohort, phenotypes)
-        rows = align.AlignRows(
-            records, ids, patches,
-            [align.ehr_input_from_record(r, dx_vocab, med_vocab)
-             for r in records])
+        rows = align.AlignRows(records, ids, patches, cohortgen.vocabularies(
+            profile.cohort, phenotypes))
         result = align.stage2_train(model, align.HashedNgramProvider(), rows,
                                     profile.align, seed)
         losses = result.losses

@@ -44,11 +44,6 @@ class PhenotypeSpec:
     prevalence: float
     chronic: bool = True
 
-    @property
-    def max_abs_delta_db(self) -> float:
-        return max((abs(e.power_delta_db) for e in self.spectral_effects),
-                   default=0.0)
-
     def validate(self, nyquist_hz: float, channel_names: list[str]) -> None:
         if not 0.0 < self.prevalence < 1.0 and self.prevalence != 0.0:
             raise DataError(f"{self.name}: prevalence {self.prevalence} outside [0,1)")
@@ -125,9 +120,9 @@ _NORMAL_TEMPLATE = ("This is a normal study. The background is well organized "
 
 
 def default_phenotypes(channel_names: list[str]) -> list[PhenotypeSpec]:
-    """Six desk-scale phenotypes: three spectrally visible (>= 6 dB plants)
-    and three with sub-threshold plants that only EHR/report alignment can
-    surface."""
+    """Six desk-scale phenotypes: three with >= 6 dB plants and three with
+    ~2 dB plants, each with its own diagnosis and medication codes and
+    report phrases."""
     all_ch = tuple(channel_names)
     front = tuple(c for c in channel_names if c.startswith(("Fp", "F")))
     occ = tuple(c for c in channel_names if c.startswith("O")) or all_ch[-2:]
@@ -348,9 +343,6 @@ def _validate(config: CohortConfig, phenotypes: list[PhenotypeSpec]) -> None:
         raise DataError(f"n_patients must be positive, got {config.n_patients}")
     if not phenotypes:
         raise DataError("phenotype list is empty")
-    if len(config.channel_names) != config.n_channels:
-        raise DataError(
-            f"{len(config.channel_names)} channel names for {config.n_channels} channels")
     nyq = config.sample_rate / 2.0
     for p in phenotypes:
         p.validate(nyq, config.channel_names)

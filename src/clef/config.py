@@ -9,9 +9,15 @@ Profiles are overridden from one nested JSON file (``--config``), and
 from nothing else.  An unknown key, or a value whose JSON type differs from
 the default's (an int is accepted for a float), is a ``ConfigError``.
 ``dsp.sample_rate``, ``dsp.freq_res_hz``, ``mim.pool_includes_proxy``,
-``tokenizer.codebook_data_init``, ``mim.patch_h`` and ``mim.patch_w`` are
-gone and refused like any unknown key.  ``name`` is refused too: a profile
-is named by ``--profile`` alone, so ``Profile`` has 95 settable leaves.
+``tokenizer.codebook_data_init``, ``mim.patch_h``, ``mim.patch_w``,
+``cohort.n_channels``, ``align.ehr.n_dx`` and ``align.ehr.n_med`` are gone
+and refused like any unknown key.  ``name`` is refused too: a profile is
+named by ``--profile`` alone, so ``Profile`` has 92 settable leaves.
+
+No key restates a size the data fixes: the channel count is
+``len(cohort.channel_names)``, and the EHR code tables have a row per code
+of ``cohortgen.vocabularies`` (20 and 20 at desk, the paper's 178 and 205
+in ``paper-*``).
 
 The DSP has no sample rate of its own: it reads the rate from each
 session's ``.raw`` header, and its bin width is that rate / ``dsp.window``.
@@ -88,7 +94,6 @@ class DspConfig:
 @dataclass
 class CohortConfig:
     n_patients: int = 400
-    n_channels: int = 8
     channel_names: list[str] = field(default_factory=lambda: list(CHANNELS_DESK))
     duration_s: float = 320.0
     sample_rate: float = 200.0
@@ -101,6 +106,10 @@ class CohortConfig:
     n_distractor_med: int = 8
     distractor_rate: float = 0.15
     session_day_range: int = 3650
+
+    @property
+    def n_channels(self) -> int:
+        return len(self.channel_names)
 
 
 @dataclass
@@ -153,9 +162,7 @@ class MimConfig:
 
 
 @dataclass
-class EhrVocabConfig:
-    n_dx: int = 24
-    n_med: int = 24
+class EhrSlotConfig:
     dx_slots: int = 8
     med_slots: int = 8
 
@@ -176,7 +183,7 @@ class AlignConfig:
     steps: int = 500
     batch_size: int = 64
     ema_decay: float = 0.9999
-    ehr: EhrVocabConfig = field(default_factory=EhrVocabConfig)
+    ehr: EhrSlotConfig = field(default_factory=EhrSlotConfig)
 
 
 @dataclass
@@ -204,10 +211,6 @@ class Profile:
     mim: MimConfig = field(default_factory=MimConfig)
     align: AlignConfig = field(default_factory=AlignConfig)
     bench: BenchConfig = field(default_factory=BenchConfig)
-
-    @property
-    def n_channels(self) -> int:
-        return self.cohort.n_channels
 
     @property
     def patch_shape(self) -> tuple[int, int]:
@@ -251,8 +254,9 @@ def _desk() -> Profile:
 def _paper(name: str, depth: int, d_model: int, n_heads: int) -> Profile:
     p = Profile(name=name)
     p.cohort = CohortConfig(
-        n_patients=108_341, n_channels=19,
-        channel_names=list(CHANNELS_1020), duration_s=1280.0)
+        n_patients=108_341, channel_names=list(CHANNELS_1020),
+        duration_s=1280.0,  # with 12 phenotype codes each: 178 dx, 205 med
+        n_distractor_dx=166, n_distractor_med=193)
     p.dsp = DspConfig()  # stride 125, [0, 32) Hz, H=128, W=2048
     p.tokenizer = TokenizerConfig(
         codebook_size=4096, latent_dim=64,
@@ -267,7 +271,7 @@ def _paper(name: str, depth: int, d_model: int, n_heads: int) -> Profile:
     p.align = AlignConfig(
         text_max_len=256, refiner_depth=4, n_heads=8, lr=5e-4,
         batch_size=128, ema_decay=0.9999,
-        ehr=EhrVocabConfig(n_dx=178, n_med=205, dx_slots=30, med_slots=50))
+        ehr=EhrSlotConfig(dx_slots=30, med_slots=50))
     p.bench = BenchConfig(min_positives=15)
     return p
 
@@ -348,5 +352,20 @@ def load_profile(name: str, config_path: str | None = None) -> Profile:
         if not isinstance(overrides, dict):
             raise ConfigError(f"{config_path}: expected a JSON object")
         apply_overrides(profile, overrides)
-    profile.grid_shape  # a grid that does not tile is a ConfigError here
+    return check(profile)
+
+
+def check(profile: Profile) -> Profile:
+    """``profile`` if every stage can run on it; else a ``ConfigError`` that
+    names the key: a step count below 1, tokenizer level lists of different
+    lengths, or a spectrogram that the patch does not tile."""
+    for section in ("tokenizer", "mim", "align"):
+        if (steps := getattr(profile, section).steps) < 1:
+            raise ConfigError(f"{section}.steps must be at least 1, got {steps}")
+    tok = profile.tokenizer
+    if len(tok.level_channels) != len(tok.level_strides):
+        raise ConfigError(
+            f"tokenizer.level_channels has {len(tok.level_channels)} entries "
+            f"and tokenizer.level_strides {len(tok.level_strides)}")
+    profile.grid_shape
     return profile

@@ -38,7 +38,6 @@ def notch_frequencies(cfg: DspConfig, sample_rate: float) -> list[float]:
 class TaperSet:
     tapers: np.ndarray          # (K, L), rows orthonormal
     concentrations: np.ndarray  # (K,), sorted descending, each > threshold
-    nw: float
 
     @property
     def k(self) -> int:
@@ -55,12 +54,8 @@ class Spectrogram:
     freq_res_hz: float
     frame_stride_s: float
     channel_available: np.ndarray  # (C,) bool
-    db_lo: float = -40.0
-    db_hi: float = 40.0
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return self.values.shape
+    db_lo: float
+    db_hi: float
 
 
 def _filter_cascade(cfg: DspConfig, sample_rate: float) -> np.ndarray:
@@ -94,7 +89,7 @@ def preprocess(session, cfg: DspConfig):
 
 
 def compute_dpss(length: int, nw: float, k_max: int,
-                 retain_threshold: float = 0.9) -> TaperSet:
+                 retain_threshold: float) -> TaperSet:
     """Discrete prolate spheroidal sequences.
 
     Tapers are eigenvectors of the standard symmetric tridiagonal Slepian
@@ -138,7 +133,7 @@ def compute_dpss(length: int, nw: float, k_max: int,
     keep = concentrations > retain_threshold
     tapers, concentrations = tapers[keep][:k_max], concentrations[keep][:k_max]
     return TaperSet(tapers=np.ascontiguousarray(tapers),
-                    concentrations=concentrations, nw=nw)
+                    concentrations=concentrations)
 
 
 def multitaper_spectrogram(session, tapers: TaperSet, cfg: DspConfig) -> Spectrogram:

@@ -413,8 +413,9 @@ def stop_gradient(a) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """``a @ b``.  A matrix ``b`` (a weight) takes every leading row of ``a``
-    in one GEMM; a batched ``b`` (attention) goes through ``np.matmul``."""
+    """``a @ b``.  A matrix ``b`` takes every leading row of ``a`` in one
+    GEMM; a batched ``b`` goes through ``np.matmul``.  Every pipeline caller
+    passes a matrix ``b``: attention is its own primitive."""
     a, b = _wrap(a), _wrap(b)
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul: inner dims differ, {a.data.shape} @ {b.data.shape}")
@@ -586,7 +587,7 @@ def l2(a, b=None) -> Tensor:
 
 
 def cross_entropy_with_label_smoothing(logits, targets: np.ndarray,
-                                       smoothing: float = 0.1) -> Tensor:
+                                       smoothing: float) -> Tensor:
     """Mean label-smoothed cross-entropy over rows.
 
     ``logits``: (N, K); ``targets``: (N,) integer class ids.
@@ -788,7 +789,7 @@ def dropout(x, p: float, rng: np.random.Generator | None) -> Tensor:
 
 class Module:
     """Tiny parameter container: any Tensor attribute with requires_grad,
-    plus nested Modules and lists thereof, is a parameter."""
+    plus the parameters of nested Modules and lists of Modules."""
 
     def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
@@ -802,8 +803,6 @@ class Module:
                 for i, item in enumerate(value):
                     if isinstance(item, Module):
                         out.update(item.named_parameters(f"{name}.{i}."))
-                    elif isinstance(item, Tensor) and item.requires_grad:
-                        out[f"{name}.{i}"] = item
         return out
 
     def parameters(self) -> list[Tensor]:
@@ -829,9 +828,8 @@ class AdamW:
     ``adam_gan`` below (beta1=0, beta2=0.99, no decay).
     """
 
-    def __init__(self, params: Iterable[Tensor], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.95,
-                 weight_decay: float = 0.1, eps: float = 1e-8):
+    def __init__(self, params: Iterable[Tensor], lr: float, beta1: float,
+                 beta2: float, weight_decay: float, eps: float = 1e-8):
         self.params = list(params)
         self.lr = lr
         self.beta1 = beta1
@@ -884,13 +882,12 @@ def adam_gan(params: Iterable[Tensor], lr: float) -> AdamW:
 
 
 def cosine_lr(step: int, total_steps: int, base_lr: float,
-              warmup_steps: int = 0, min_lr: float = 0.0) -> float:
+              warmup_steps: int = 0) -> float:
     if warmup_steps and step < warmup_steps:
         return base_lr * (step + 1) / warmup_steps
     span = max(total_steps - warmup_steps, 1)
     frac = min(max(step - warmup_steps, 0) / span, 1.0)
-    return float(min_lr + 0.5 * (base_lr - min_lr)
-                 * (1.0 + np.cos(np.pi * frac)))
+    return float(0.5 * base_lr * (1.0 + np.cos(np.pi * frac)))
 
 
 class Ema:

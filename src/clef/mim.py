@@ -266,7 +266,7 @@ def mim_forward(model: MimModel, ids: np.ndarray, patches: np.ndarray,
 
 
 def mim_loss(logits: grad.Tensor, targets: np.ndarray,
-             smoothing: float = 0.1) -> grad.Tensor:
+             smoothing: float) -> grad.Tensor:
     return grad.cross_entropy_with_label_smoothing(logits, targets, smoothing)
 
 

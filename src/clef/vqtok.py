@@ -11,25 +11,13 @@ per-channel differential term.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import grad
 from .config import TokenizerConfig
 from .errors import DataError, NumericError
-
-
-@dataclass
-class MaskSchedule:
-    p_psg_target: float = 0.3
-    p_drop_target: float = 0.1
-    ramp_steps: int = 200
-    psg_subset: tuple[int, ...] = ()
-
-    def effective(self, step: int) -> tuple[float, float]:
-        ramp = min(1.0, step / max(self.ramp_steps, 1))
-        return self.p_psg_target * ramp, self.p_drop_target * ramp
 
 
 @dataclass
@@ -89,7 +77,7 @@ def quantize(latents: grad.Tensor, codebook: Codebook) -> TokenGrid:
                      entries_selected=grad.transpose(selected, (0, 3, 1, 2)))
 
 
-def recon_loss(s: grad.Tensor, s_hat: grad.Tensor, gamma_diff: float = 4.0) -> grad.Tensor:
+def recon_loss(s: grad.Tensor, s_hat: grad.Tensor, gamma_diff: float) -> grad.Tensor:
     """Channel-mean L1 plus upweighted per-channel differential L1.
 
     Both terms average over batch and the H x W grid; the differential term
@@ -250,17 +238,20 @@ def detokenize(indices: np.ndarray, tokenizer: Tokenizer) -> np.ndarray:
 # channel masking
 
 
-def mask_sample(schedule: MaskSchedule, step: int, n_channels: int,
-                rng: np.random.Generator) -> np.ndarray:
+def mask_sample(cfg: TokenizerConfig, psg_subset: tuple[int, ...], step: int,
+                n_channels: int, rng: np.random.Generator) -> np.ndarray:
     """Boolean keep-mask over channels under the ramped curriculum.
 
-    With probability p_psg restrict to the PSG subset, then drop each
-    remaining channel independently with p_drop; at least one channel always
-    survives (resample on empty, forced keep as a last resort).
+    ``cfg.p_psg`` and ``cfg.p_drop`` ramp linearly from 0 over
+    ``cfg.ramp_steps``.  With probability p_psg restrict to the PSG subset,
+    then drop each remaining channel independently with p_drop; at least one
+    channel always survives (resample on empty, forced keep as a last
+    resort).
     """
-    p_psg, p_drop = schedule.effective(step)
+    ramp = min(1.0, step / max(cfg.ramp_steps, 1))
+    p_psg, p_drop = cfg.p_psg * ramp, cfg.p_drop * ramp
     psg = np.zeros(n_channels, dtype=bool)
-    psg[list(schedule.psg_subset)] = True
+    psg[list(psg_subset)] = True
     for _ in range(100):
         keep = psg.copy() if (psg.any() and rng.random() < p_psg) \
             else np.ones(n_channels, dtype=bool)
@@ -304,7 +295,7 @@ def discriminator_loss(disc: PatchDiscriminator, real: grad.Tensor,
 
 def adaptive_adv_weight(l_rec: grad.Tensor, l_adv: grad.Tensor,
                         anchor_params: list[grad.Tensor],
-                        clamp: float = 1e4) -> float:
+                        clamp: float) -> float:
     rec_norm = grad.grad_norm(l_rec, anchor_params)
     adv_norm = grad.grad_norm(l_adv, anchor_params)
     return float(np.clip(rec_norm / (adv_norm + 1e-6), 0.0, clamp))
@@ -331,8 +322,7 @@ class VqTrainer:
         self.cfg = cfg
         self.tokenizer = Tokenizer(n_channels, cfg, rng)
         self.disc = PatchDiscriminator(n_channels, cfg, rng)
-        self.schedule = MaskSchedule(cfg.p_psg, cfg.p_drop, cfg.ramp_steps,
-                                     psg_subset)
+        self.psg_subset = psg_subset
         self.opt_g = grad.adam_gan(self.tokenizer.parameters(), lr=cfg.lr)
         self.opt_d = grad.adam_gan(self.disc.parameters(), lr=cfg.lr)
         self.rng = np.random.default_rng(seed + 1)
@@ -346,8 +336,9 @@ class VqTrainer:
         the discriminator's real sample stay unmasked.
         """
         cfg, tok = self.cfg, self.tokenizer
-        keep = [mask_sample(self.schedule, self.step_count, values.shape[1],
-                            self.rng) for _ in range(values.shape[0])]
+        keep = [mask_sample(cfg, self.psg_subset, self.step_count,
+                            values.shape[1], self.rng)
+                for _ in range(values.shape[0])]
         planes = encoder_planes(values, available & np.array(keep))
         z = tok.encode(grad.Tensor(planes))
         if self.step_count == 0:

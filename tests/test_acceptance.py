@@ -125,9 +125,6 @@ def _batched_embeddings(model, ids, patches, chunk=50):
 def stage2(cohort, tokens, stage1):
     records, phenos = cohort["records"], cohort["phenos"]
     ids, patches = tokens["ids"], tokens["patches"]
-    dx_vocab, med_vocab = cohortgen.vocabularies(P.cohort, phenos)
-    ehr_inputs = [align.ehr_input_from_record(r, dx_vocab, med_vocab)
-                  for r in records]
     res1 = stage1["result"]
     # session embeddings at the exact initialization Stage II starts from
     mim.load_encoder(res1.model, res1.ema.shadow)
@@ -135,13 +132,14 @@ def stage2(cohort, tokens, stage1):
 
     t0 = time.time()
     provider = align.HashedNgramProvider()
-    rows = align.AlignRows(records, ids, patches, ehr_inputs)
+    rows = align.AlignRows(records, ids, patches,
+                           cohortgen.vocabularies(P.cohort, phenos))
     res2 = align.stage2_train(res1.model, provider, rows, P.align, seed=7)
     eval_batch = rows.batch(np.arange(0, len(records), 6)[:64])
     top1 = align.retrieval_top1(res2.align_model, res1.model, eval_batch)
     emb_align = _batched_embeddings(res1.model, ids, patches)
     return {"result": res2, "top1": top1, "emb_recon": emb_recon,
-            "emb_align": emb_align, "ehr_inputs": ehr_inputs,
+            "emb_align": emb_align, "ehr_inputs": rows.ehr,
             "elapsed": time.time() - t0}
 
 
@@ -352,14 +350,15 @@ def test_mask_ratio_and_ramp_statistics():
     quad_mean = num / norm
 
     psg = (0, 2, 5)
-    schedule = vqtok.MaskSchedule(0.3, 0.1, ramp_steps=200, psg_subset=psg)
+    schedule = dataclasses.replace(P.tokenizer, p_psg=0.3, p_drop=0.1,
+                                   ramp_steps=200)
     non_psg = np.setdiff1d(np.arange(8), psg)
     rng2 = np.random.default_rng(22)
     n = 5000
     restricted = 0
     kept_free, total_free = 0, 0
     for _ in range(n):
-        keep = vqtok.mask_sample(schedule, 200, 8, rng2)
+        keep = vqtok.mask_sample(schedule, psg, 200, 8, rng2)
         if keep[non_psg].any():
             kept_free += int(keep.sum())
             total_free += 8
@@ -398,13 +397,16 @@ def test_stage2_smoke(stage2):
     paper_small = get_profile("paper-small")
     cfg512, d512 = paper_small.align, paper_small.mim.d_model
     rng = np.random.default_rng(3)
-    model = align.AlignModel(cfg512, d512, rng)
+    vocab = cohortgen.vocabularies(
+        paper_small.cohort,
+        cohortgen.default_phenotypes(paper_small.cohort.channel_names))
+    model = align.AlignModel(cfg512, d512, vocab, rng)
     u = grad.Tensor(rng.standard_normal((64, d512)).astype(grad.DTYPE))
     ehr = [align.EhrInput(
         age_bin=int(rng.integers(0, 10)), sex_id=int(rng.integers(0, 3)),
         race_id=int(rng.integers(0, 8)),
-        dx_ids=tuple(int(x) for x in rng.choice(cfg512.ehr.n_dx, 3, replace=False)),
-        med_ids=tuple(int(x) for x in rng.choice(cfg512.ehr.n_med, 2, replace=False)))
+        dx_ids=tuple(int(x) for x in rng.choice(len(vocab[0]), 3, replace=False)),
+        med_ids=tuple(int(x) for x in rng.choice(len(vocab[1]), 2, replace=False)))
         for _ in range(64)]
     loss = align.clip_loss(grad.matmul(u, model.pi_ehr),
                            model.ehr_encoder(ehr), tau=cfg512.tau)
@@ -471,15 +473,12 @@ def test_concept_holdout_transfer(cohort, tokens, stage1, stage2):
 
     # re-align against the scrubbed record view, then probe the held-out task
     # with labels still drawn from the original records
-    dx_vocab, med_vocab = cohortgen.vocabularies(P.cohort, phenos)
-    ehr_inputs = [align.ehr_input_from_record(r, dx_vocab, med_vocab)
-                  for r in filtered]
     res1 = stage1["result"]
     model = mim.MimModel(P.tokenizer.codebook_size,
                          tokens["patches"].shape[2], P.grid_shape, P.mim,
                          np.random.default_rng(13))
     rows = align.AlignRows(filtered, tokens["ids"], tokens["patches"],
-                           ehr_inputs)
+                           cohortgen.vocabularies(P.cohort, phenos))
     mim.load_encoder(model, res1.ema.shadow)
     align.stage2_train(model, align.HashedNgramProvider(), rows,
                        dataclasses.replace(P.align, steps=60), seed=19)

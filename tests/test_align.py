@@ -3,15 +3,18 @@ invariance, the symmetric contrastive loss against hand-computed values and
 the row-deletion identity, Stage II wiring, and the concept-holdout scrub."""
 
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from clef import align, grad, mim
 from clef.config import AlignConfig, CohortConfig, MimConfig
-from clef.cohortgen import default_phenotypes, generate_records
+from clef.cohortgen import default_phenotypes, generate_records, vocabularies
 from clef.errors import DataError
+
+# the desk cohort's code vocabularies: 20 diagnosis and 20 medication codes
+VOCAB = vocabularies(CohortConfig(), default_phenotypes(
+    CohortConfig().channel_names))
 
 
 def _cfg(**kw):
@@ -30,8 +33,8 @@ def _words(n):
 
 
 def test_provider_deterministic_and_bounded():
-    """One row per word from the provider; the only cut is report_embed's
-    ``max_len``."""
+    """One row per word from the provider; the only cut is report_embed's,
+    at the encoder's ``text_max_len`` positions."""
     p = align.HashedNgramProvider()
     f1 = p.embed("patient shows generalized slowing today")
     f2 = p.embed("patient shows generalized slowing today")
@@ -42,8 +45,8 @@ def test_provider_deterministic_and_bounded():
                                    text_max_len=16),
                               32, np.random.default_rng(0))
     assert np.array_equal(
-        align.report_embed([_words(100)], p, enc, 16).data,
-        align.report_embed([_words(16)], p, enc, 16).data)
+        align.report_embed([_words(100)], p, enc).data,
+        align.report_embed([_words(16)], p, enc).data)
 
 
 def test_report_embed_reads_up_to_text_max_len():
@@ -51,8 +54,8 @@ def test_report_embed_reads_up_to_text_max_len():
     enc = align.ReportEncoder(_cfg(n_heads=4, refiner_depth=1,
                                    text_max_len=128),
                               32, np.random.default_rng(0))
-    full = align.report_embed([_words(100)], p, enc, 128).data
-    head = align.report_embed([_words(64)], p, enc, 128).data
+    full = align.report_embed([_words(100)], p, enc).data
+    head = align.report_embed([_words(64)], p, enc).data
     assert not np.allclose(full, head)
 
 
@@ -115,7 +118,7 @@ def _ehr_cfg():
 
 def test_ehr_permutation_invariance():
     cfg = _ehr_cfg()
-    enc = align.EhrEncoder(cfg, 32, np.random.default_rng(3))
+    enc = align.EhrEncoder(cfg, 32, VOCAB, np.random.default_rng(3))
     a = align.EhrInput(3, 0, 2, dx_ids=(5, 1, 3), med_ids=(7, 2, 9))
     b = align.EhrInput(3, 0, 2, dx_ids=(1, 3, 5), med_ids=(9, 7, 2))
     va = enc([a]).data
@@ -125,23 +128,23 @@ def test_ehr_permutation_invariance():
 
 def test_ehr_dedup_default():
     cfg = _ehr_cfg()
-    enc = align.EhrEncoder(cfg, 32, np.random.default_rng(4))
+    enc = align.EhrEncoder(cfg, 32, VOCAB, np.random.default_rng(4))
     a = align.EhrInput(3, 1, 2, dx_ids=(5, 5, 1), med_ids=(7,))
     b = align.EhrInput(3, 1, 2, dx_ids=(5, 1), med_ids=(7,))
     assert np.array_equal(enc([a]).data, enc([b]).data)
 
 
 def test_ehr_truncation_keeps_lowest_ids():
-    vocab = _ehr_cfg().ehr
-    ids = tuple(range(vocab.dx_slots + 4))
+    slots = _ehr_cfg().ehr
+    ids = tuple(range(slots.dx_slots + 4))
     inp = align.EhrInput(1, 0, 0, dx_ids=ids[::-1], med_ids=())
-    canon = inp.canonical(vocab)
-    assert canon.dx_ids == tuple(range(vocab.dx_slots))
+    canon = inp.canonical(slots)
+    assert canon.dx_ids == tuple(range(slots.dx_slots))
 
 
 def test_ehr_empty_sets_demographics_only():
     cfg = _ehr_cfg()
-    enc = align.EhrEncoder(cfg, 32, np.random.default_rng(5))
+    enc = align.EhrEncoder(cfg, 32, VOCAB, np.random.default_rng(5))
     inp = align.EhrInput(2, 1, 3, dx_ids=(), med_ids=())
     _, _, _, _, _, mask = enc.assemble([inp])
     assert mask.sum() == 3
@@ -150,11 +153,24 @@ def test_ehr_empty_sets_demographics_only():
 
 
 def test_ehr_validation():
-    vocab = _ehr_cfg().ehr
     with pytest.raises(DataError):
-        align.EhrInput(99, 0, 0, (), ()).validate(vocab)
-    with pytest.raises(DataError):
-        align.EhrInput(1, 0, 0, (vocab.n_dx,), ()).validate(vocab)
+        align.EhrInput(99, 0, 0, (), ()).validate(20, 20)
+    with pytest.raises(DataError, match="diagnosis"):
+        align.EhrInput(1, 0, 0, (20,), ()).validate(20, 20)
+    with pytest.raises(DataError, match="medication"):
+        align.EhrInput(1, 0, 0, (), (5,)).validate(20, 5)
+    align.EhrInput(1, 0, 0, (19,), (4,)).validate(20, 5)
+
+
+def test_ehr_tables_have_one_row_per_vocabulary_code():
+    """An id past the vocabulary fails in the encoder, whatever the
+    vocabulary's size."""
+    dx, med = ["dx_a", "dx_b", "dx_c"], ["med_a"]
+    enc = align.EhrEncoder(_ehr_cfg(), 32, (dx, med), np.random.default_rng(6))
+    assert enc.e_dx.shape == (3, 32) and enc.e_med.shape == (1, 32)
+    enc([align.EhrInput(1, 0, 0, (2,), (0,))])
+    with pytest.raises(DataError, match="diagnosis"):
+        enc([align.EhrInput(1, 0, 0, (3,), ())])
 
 
 def test_ehr_input_from_record():
@@ -164,7 +180,7 @@ def test_ehr_input_from_record():
     dx_vocab, med_vocab = vocabularies(cfg, phenos)
     for rec in records:
         inp = align.ehr_input_from_record(rec, dx_vocab, med_vocab)
-        inp.validate(_cfg().ehr)
+        inp.validate(len(dx_vocab), len(med_vocab))
         assert len(inp.dx_ids) == len(rec.diagnoses & set(dx_vocab))
 
 
@@ -189,15 +205,16 @@ def test_clip_loss_permutation_symmetry():
     rng = np.random.default_rng(7)
     a = rng.normal(size=(6, 8)).astype(np.float32)
     b = rng.normal(size=(6, 8)).astype(np.float32)
-    l1 = float(align.clip_loss(grad.Tensor(a), grad.Tensor(b)).data)
+    l1 = float(align.clip_loss(grad.Tensor(a), grad.Tensor(b), 0.07).data)
     perm = rng.permutation(6)
-    l2 = float(align.clip_loss(grad.Tensor(a[perm]), grad.Tensor(b[perm])).data)
+    l2 = float(align.clip_loss(grad.Tensor(a[perm]), grad.Tensor(b[perm]),
+                               0.07).data)
     assert abs(l1 - l2) < 1e-5
 
 
 def test_clip_loss_all_absent():
     a = grad.Tensor(np.ones((0, 4), dtype=np.float32))
-    assert float(align.clip_loss(a, a).data) == 0.0
+    assert float(align.clip_loss(a, a, 0.07).data) == 0.0
 
 
 def test_clip_loss_nonnegative_and_asymptotically_zero():
@@ -233,7 +250,7 @@ def _batch(rng, b=4, with_reports=True):
 
 def test_stage2_step_additivity():
     mmodel, acfg = _tiny_stage2()
-    amodel = align.AlignModel(acfg, 32, np.random.default_rng(11))
+    amodel = align.AlignModel(acfg, 32, VOCAB, np.random.default_rng(11))
     provider = align.HashedNgramProvider()
     batch = _batch(np.random.default_rng(12))
     _, losses = align.stage2_step(amodel, mmodel, provider, batch, rng=None)
@@ -249,7 +266,7 @@ def test_stage2_encodes_only_report_rows(monkeypatch):
     """On a mixed batch the report loss equals the old encode-every-row
     loss, and report_embed sees only the rows that have a report."""
     mmodel, acfg = _tiny_stage2()
-    amodel = align.AlignModel(acfg, 32, np.random.default_rng(11))
+    amodel = align.AlignModel(acfg, 32, VOCAB, np.random.default_rng(11))
     provider = align.HashedNgramProvider()
     batch = _batch(np.random.default_rng(12), b=6)
     batch.report_present = np.array([True, False, True, True, False, True])
@@ -265,7 +282,7 @@ def test_stage2_encodes_only_report_rows(monkeypatch):
     assert seen == [[t for t, p in zip(batch.texts, batch.report_present) if p]]
     u = mim.mim_forward(mmodel, batch.ids, batch.patches).u
     every_row = align.report_embed(batch.texts, provider,
-                                   amodel.report_encoder, acfg.text_max_len)
+                                   amodel.report_encoder)
     rows = np.flatnonzero(batch.report_present)
     old = align.clip_loss(grad.getitem(grad.matmul(u, amodel.pi_rep), rows),
                           grad.getitem(every_row, rows), acfg.tau)
@@ -279,7 +296,7 @@ def test_stage2_random_init_loss_near_ln_b():
     mcfg = MimConfig(d_model=512, n_heads=8, depth=1, dec_depth=1)
     mmodel = mim.MimModel(16, 2 * 16 * 8, (4, 8), mcfg, np.random.default_rng(13))
     acfg = _cfg(n_heads=8, refiner_depth=1, text_max_len=16)
-    amodel = align.AlignModel(acfg, 512, np.random.default_rng(14))
+    amodel = align.AlignModel(acfg, 512, VOCAB, np.random.default_rng(14))
     provider = align.HashedNgramProvider()
     batch = _batch(np.random.default_rng(15), b=64)
     _, losses = align.stage2_step(amodel, mmodel, provider, batch, rng=None)
@@ -307,8 +324,10 @@ def test_stage2_train_updates_and_ema():
     mmodel, acfg = _tiny_stage2()
     provider = align.HashedNgramProvider()
     b = _batch(np.random.default_rng(16))
-    rows = align.AlignRows([SimpleNamespace(report=t) for t in b.texts],
-                           b.ids, b.patches, b.ehr)
+    records, _ = generate_records(CohortConfig(n_patients=4), seed=16)
+    rows = align.AlignRows(records, b.ids, b.patches, VOCAB)
+    assert rows.ehr == [align.ehr_input_from_record(r, *VOCAB)
+                        for r in records]
 
     result = align.stage2_train(mmodel, provider, rows,
                                 replace(acfg, steps=3), seed=17)

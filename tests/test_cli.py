@@ -16,7 +16,7 @@ import pytest
 
 from clef import cli as climod
 from clef import config as cfgmod
-from clef import cohortgen, dsp, mim, vqtok
+from clef import cohortgen, dsp, grad, mim, vqtok
 from clef.errors import DataError
 
 
@@ -177,6 +177,74 @@ def test_steps_flag_is_recorded_in_profile_hash(pipeline, tmp_path):
             out.with_name(out.name + ".manifest.json").read_text())
         hashes.append(manifest["profile_hash"])
     assert hashes[0] != hashes[1]
+
+
+@pytest.mark.parametrize("command", ["train-tokenizer", "train-mim",
+                                     "train-align"])
+@pytest.mark.parametrize("steps", [0, -3])
+def test_step_count_below_one_exits_2(pipeline, tmp_path, capsys, command,
+                                      steps):
+    """A trainer that would run no step is refused before it writes an
+    untrained checkpoint, through ``--steps`` and ``--config`` alike."""
+    stage = command.removeprefix("train-")
+    overrides = json.loads(pipeline["config"].read_text())
+    overrides[stage]["steps"] = steps
+    config = tmp_path / "steps.json"
+    config.write_text(json.dumps(overrides))
+    for argv in (pipeline["base"] + _trainer_argv(
+                     pipeline, command, tmp_path / "flag.npz")
+                 + ["--steps", str(steps)],
+                 ["--config", str(config), "--seed", "11"]
+                 + _trainer_argv(pipeline, command, tmp_path / "keyed.npz")):
+        assert climod.main(argv) == climod.EXIT_CONFIG
+        assert f"{stage}.steps" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.npz*"))
+
+
+@pytest.mark.parametrize("n_levels", [3, 6])
+def test_level_lists_of_different_lengths_exit_2(tmp_path, capsys, n_levels):
+    """Three channel entries for five strides would fail in the decoder's
+    loss; six would drop the sixth silently.  Both are refused at load."""
+    bad = tmp_path / "levels.json"
+    bad.write_text(json.dumps(
+        {"tokenizer": {"level_channels": [16] * n_levels}}))
+    assert climod.main(["--config", str(bad), "gen-cohort",
+                        "--out", str(tmp_path / "c")]) == climod.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "tokenizer.level_channels" in err
+    assert "tokenizer.level_strides" in err
+    assert not (tmp_path / "c").exists()
+
+
+def test_channel_count_is_the_montage(tmp_path):
+    """Six channel names give six-channel sessions and spectrograms: no
+    second key states the count."""
+    names = ["Fp1", "Fp2", "C3", "C4", "O1", "O2"]
+    config = tmp_path / "six.json"
+    config.write_text(json.dumps(
+        {"cohort": {"n_patients": 3, "channel_names": names}}))
+    base = ["--config", str(config), "--seed", "2"]
+    assert climod.main(base + ["gen-cohort", "--out",
+                               str(tmp_path / "cohort")]) == 0
+    assert climod.main(base + ["dsp", "--cohort", str(tmp_path / "cohort"),
+                               "--out", str(tmp_path / "spec")]) == 0
+    specs = sorted((tmp_path / "spec").glob("*.spc"))
+    assert len(specs) == 3
+    for path in specs:
+        spec = dsp.read_spectrogram(path)
+        assert spec.values.shape == (6, 64, 64)
+        assert spec.channel_available.shape == (6,)
+
+
+def test_align_code_tables_follow_the_vocabulary(pipeline):
+    """align.npz has one diagnosis and one medication row per code of the
+    cohort's vocabularies: 20 of each at desk."""
+    profile = cfgmod.get_profile("desk")
+    phenotypes = cohortgen.default_phenotypes(profile.cohort.channel_names)
+    dx, med = cohortgen.vocabularies(profile.cohort, phenotypes)
+    params = grad.load_checkpoint(pipeline["align_ckpt"])["params"]
+    assert params["ehr_encoder.e_dx"].shape[0] == len(dx) == 20
+    assert params["ehr_encoder.e_med"].shape[0] == len(med) == 20
 
 
 @pytest.mark.parametrize("n", [1, 3, 20, 45, 50, 100, 200, 300])
@@ -419,7 +487,7 @@ def test_load_spectrograms_holds_one_copy(tmp_path):
     for i, values in enumerate(expected):
         dsp.write_spectrogram(tmp_path / f"s{i:02d}.spc", dsp.Spectrogram(
             values=values, freq_res_hz=0.25, frame_stride_s=5.0,
-            channel_available=np.arange(8) != i % 8))
+            channel_available=np.arange(8) != i % 8, db_lo=-40.0, db_hi=40.0))
     (tmp_path / "manifest.json").write_text("{}")
     tracemalloc.start()
     try:
@@ -448,7 +516,8 @@ def _write_sessions(tmp_path, sids, grid_shape, values):
         dsp.write_spectrogram(spec / f"{sid}.spc", dsp.Spectrogram(
             values=(values * (i + 1)).astype(np.float32), freq_res_hz=0.25,
             frame_stride_s=5.0,
-            channel_available=np.ones(len(values), dtype=bool)))
+            channel_available=np.ones(len(values), dtype=bool),
+            db_lo=-40.0, db_hi=40.0))
     for d in (tok, spec):
         (d / "manifest.json").write_text("{}")
     (tok / "tokens.json").write_text(json.dumps(
@@ -628,20 +697,33 @@ def test_config_file_not_a_json_object_exits_2(tmp_path, capsys):
 def test_removed_config_keys_are_refused():
     """Stage II's width is mim.d_model, the tokenizer's Adam betas are fixed,
     the DSP takes its rate from each session, u never pools the proxy, the
-    codebook is always seeded from data and the Stage I patch is the
-    tokenizer's stride: these keys are gone, and setting one is a config
-    error."""
+    codebook is always seeded from data, the Stage I patch is the
+    tokenizer's stride, the channel count is the montage's and the EHR
+    tables follow the vocabulary: these keys are gone, and setting one is a
+    config error."""
     for path in ("align.d_model", "align.proj_dim", "tokenizer.beta1",
                  "tokenizer.beta2", "dsp.sample_rate", "dsp.freq_res_hz",
                  "mim.pool_includes_proxy", "tokenizer.codebook_data_init",
-                 "mim.patch_h", "mim.patch_w"):
-        section, key = path.split(".")
+                 "mim.patch_h", "mim.patch_w", "cohort.n_channels",
+                 "align.ehr.n_dx", "align.ehr.n_med"):
+        *sections, key = path.split(".")
+        overrides = {key: 1}
+        for section in reversed(sections):
+            overrides = {section: overrides}
         with pytest.raises(cfgmod.ConfigError, match=path):
-            cfgmod.apply_overrides(cfgmod.get_profile("desk"),
-                                   {section: {key: 1}})
+            cfgmod.apply_overrides(cfgmod.get_profile("desk"), overrides)
     # a profile is named by --profile alone: a config cannot relabel it
     with pytest.raises(cfgmod.ConfigError, match="name"):
         cfgmod.apply_overrides(cfgmod.get_profile("desk"), {"name": "x"})
+
+
+def test_profile_has_92_settable_leaves():
+    """Every leaf of every section, less ``name``, which is refused."""
+    def leaves(obj):
+        return sum(leaves(value) if dataclasses.is_dataclass(value) else 1
+                   for value in (getattr(obj, f.name)
+                                 for f in dataclasses.fields(obj)))
+    assert leaves(cfgmod.get_profile("desk")) - 1 == 92
 
 
 def test_missing_input_path_named_in_message(tmp_path, capsys):
@@ -691,7 +773,7 @@ _SCHEMA_PATHS = [
     "dsp.notch_q", "dsp.window", "dsp.stride", "dsp.nw", "dsp.eigen_threshold",
     "dsp.band_top_hz", "dsp.db_lo", "dsp.db_hi",
     "dsp.power_floor",
-    "cohort.n_patients", "cohort.n_channels", "cohort.duration_s",
+    "cohort.n_patients", "cohort.channel_names", "cohort.duration_s",
     "cohort.report_fraction", "cohort.session_day_range",
     "tokenizer.codebook_size", "tokenizer.latent_dim",
     "tokenizer.level_channels", "tokenizer.level_strides",
@@ -705,8 +787,7 @@ _SCHEMA_PATHS = [
     "mim.lr", "mim.weight_decay",
     "mim.warmup_steps", "mim.ema_decay",
     "align.text_max_len", "align.refiner_depth", "align.tau", "align.r_drop",
-    "align.lr", "align.ema_decay", "align.ehr.n_dx", "align.ehr.n_med",
-    "align.ehr.dx_slots", "align.ehr.med_slots",
+    "align.lr", "align.ema_decay", "align.ehr.dx_slots", "align.ehr.med_slots",
     "bench.controls_per_case", "bench.min_positives", "bench.split_val",
     "bench.split_test", "bench.probe_hidden",
     "bench.probe_epochs", "bench.probe_lr", "bench.probe_weight_decay",
@@ -727,10 +808,15 @@ def test_config_schema_completeness(path):
 
 def test_profiles_all_buildable():
     """Every profile's geometry, walked through the tokenizer's conv
-    arithmetic (kernel 3, padding 1) without allocating a weight."""
+    arithmetic (kernel 3, padding 1) without allocating a weight, and its
+    code vocabularies: 20/20 at desk, the paper's 178/205 at full scale."""
     for name in cfgmod.PROFILE_NAMES:
         profile = cfgmod.get_profile(name)
         assert profile.content_hash()
+        phenotypes = cohortgen.default_phenotypes(profile.cohort.channel_names)
+        dx, med = cohortgen.vocabularies(profile.cohort, phenotypes)
+        assert (len(dx), len(med)) == ((20, 20) if name == "desk"
+                                       else (178, 205)), name
         gh, gw = profile.grid_shape
         assert gh > 0 and gw > 0
         rate = profile.cohort.sample_rate
@@ -743,7 +829,7 @@ def test_profiles_all_buildable():
         for sf, st in reversed(profile.tokenizer.level_strides):  # decoder
             h, w = (h - 1) * sf + 1 + (sf - 1), (w - 1) * st + 1 + (st - 1)
         assert (h, w) == spectrogram, name
-        c, (ph, pw) = profile.n_channels, profile.patch_shape
+        c, (ph, pw) = profile.cohort.n_channels, profile.patch_shape
         values = np.zeros((c,) + spectrogram, dtype=np.uint8)
         assert mim.extract_patches(values, ph, pw).shape == \
             (gh * gw, c * ph * pw), name

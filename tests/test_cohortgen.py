@@ -87,8 +87,10 @@ def test_planted_band_effects_measurable():
         delta = (_band_power_db(shifted[ch], cfg.sample_rate, eff.band_lo_hz, eff.band_hi_hz)
                  - _band_power_db(base[ch], cfg.sample_rate, eff.band_lo_hz, eff.band_hi_hz))
         assert abs(delta - eff.power_delta_db) < 1.5
-    assert by_name["delta_surge"].max_abs_delta_db >= 6.0
-    assert by_name["theta_shift"].max_abs_delta_db < 3.0
+    def biggest_db(name):
+        return max(abs(e.power_delta_db) for e in by_name[name].spectral_effects)
+
+    assert biggest_db("delta_surge") >= 6.0 and biggest_db("theta_shift") < 3.0
     rng1 = None
 
 
@@ -155,14 +157,6 @@ def test_ehr_codes_consistent_with_phenotypes():
         # every diagnosis has at least one event behind it
         event_codes = {e.code for e in r.diagnosis_events}
         assert r.diagnoses <= event_codes
-
-
-def test_vocabularies_fit_config():
-    cfg = _small_cfg()
-    phenos = cohortgen.default_phenotypes(cfg.channel_names)
-    dx, med = cohortgen.vocabularies(cfg, phenos)
-    assert len(dx) == len(set(dx)) and len(med) == len(set(med))
-    assert len(dx) <= 24 and len(med) <= 24
 
 
 def test_phenotype_validation():

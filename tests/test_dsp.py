@@ -68,9 +68,9 @@ def test_dpss_various_lengths():
 
 def test_dpss_rejects_bad_args():
     with pytest.raises(DataError):
-        dsp.compute_dpss(4, 2.0, 4)
+        dsp.compute_dpss(4, 2.0, 4, 0.9)
     with pytest.raises(DataError):
-        dsp.compute_dpss(800, 0.0, 4)
+        dsp.compute_dpss(800, 0.0, 4, 0.9)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +266,8 @@ def test_short_session_rejected():
     cfg = _cfg()
     with pytest.raises(DataError):
         dsp.multitaper_spectrogram(
-            _session(np.zeros(100)), dsp.compute_dpss(cfg.window, cfg.nw, 4), cfg)
+            _session(np.zeros(100)), dsp.compute_dpss(cfg.window, cfg.nw, 4, 0.9),
+            cfg)
 
 
 def test_spectrogram_cache_roundtrip(tmp_path):

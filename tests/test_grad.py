@@ -520,7 +520,7 @@ def test_ce_smoothing_hand_case():
 
 def test_adam_descent_one_step():
     x = Tensor(np.array([1.0]), requires_grad=True)
-    opt = grad.AdamW([x], lr=0.1, weight_decay=0.0)
+    opt = grad.AdamW([x], lr=0.1, beta1=0.9, beta2=0.95, weight_decay=0.0)
     loss = grad.sum_(grad.mul(x, x))
     loss.backward()
     opt.step()
@@ -612,7 +612,8 @@ def test_adamw_numpy_lr_updates_in_float32():
     out = []
     for to_lr in (np.float64, float):
         x = Tensor(init.copy(), requires_grad=True)
-        opt = grad.AdamW([x], lr=0.05)
+        opt = grad.AdamW([x], lr=0.05, beta1=0.9, beta2=0.95,
+                         weight_decay=0.1)
         for t, g in enumerate(grads_):
             x.grad = g
             opt.step(lr=to_lr(0.05 / (t + 3)))
@@ -671,7 +672,8 @@ def test_training_trajectory_deterministic():
     def run():
         rng = np.random.default_rng(7)
         w = Tensor(rng.normal(size=(4, 4)).astype(np.float32), requires_grad=True)
-        opt = grad.AdamW([w], lr=0.01)
+        opt = grad.AdamW([w], lr=0.01, beta1=0.9, beta2=0.95,
+                         weight_decay=0.1)
         for _ in range(20):
             x = Tensor(rng.normal(size=(2, 4)).astype(np.float32))
             opt.zero_grad()
@@ -749,7 +751,8 @@ def test_checkpoint_roundtrip(tmp_path):
     params = {"a": Tensor(rng.normal(size=(3, 2)).astype(np.float32), requires_grad=True),
               "b": Tensor(rng.normal(size=(4,)).astype(np.float32), requires_grad=True)}
     ema = grad.Ema(params, 0.999)
-    opt = grad.AdamW(list(params.values()), lr=0.01)
+    opt = grad.AdamW(list(params.values()), lr=0.01, beta1=0.9,
+                     beta2=0.95, weight_decay=0.1)
     for p in params.values():
         p.grad = np.ones_like(p.data)
     opt.step()

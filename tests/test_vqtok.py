@@ -109,7 +109,7 @@ def test_codebook_term_blocks_encoder_gradient():
 def test_recon_loss_zero_on_identity():
     rng = np.random.default_rng(5)
     s = grad.Tensor(rng.normal(size=(2, 3, 4, 4)).astype(np.float32))
-    assert float(vqtok.recon_loss(s, s).data) == 0.0
+    assert float(vqtok.recon_loss(s, s, 4.0).data) == 0.0
 
 
 def test_recon_loss_constant_shift_hits_mean_term_only():
@@ -139,7 +139,7 @@ def test_recon_loss_positive_iff_different():
 def test_recon_loss_shape_mismatch():
     with pytest.raises(grad.ShapeError):
         vqtok.recon_loss(grad.Tensor(np.zeros((1, 2, 3, 3))),
-                         grad.Tensor(np.zeros((1, 2, 3, 4))))
+                         grad.Tensor(np.zeros((1, 2, 3, 4))), 4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -147,48 +147,61 @@ def test_recon_loss_shape_mismatch():
 
 
 def test_mask_step_zero_keeps_full_montage():
-    sched = vqtok.MaskSchedule(0.3, 0.1, 200, (3, 5, 7))
+    cfg = _cfg(p_psg=0.3, p_drop=0.1, ramp_steps=200)
     rng = np.random.default_rng(8)
     for _ in range(200):
-        assert vqtok.mask_sample(sched, 0, 8, rng).all()
+        assert vqtok.mask_sample(cfg, (3, 5, 7), 0, 8, rng).all()
 
 
 def test_mask_psg_rate_after_ramp():
-    sched = vqtok.MaskSchedule(0.3, 0.0, 100, (3, 5, 7))
+    cfg = _cfg(p_psg=0.3, p_drop=0.0, ramp_steps=100)
     rng = np.random.default_rng(9)
     n = 100_000
     hits = 0
     psg = np.zeros(8, dtype=bool)
     psg[[3, 5, 7]] = True
     for _ in range(n):
-        keep = vqtok.mask_sample(sched, 10_000, 8, rng)
+        keep = vqtok.mask_sample(cfg, (3, 5, 7), 10_000, 8, rng)
         hits += np.array_equal(keep, psg)
     # binomial 99% CI half-width at p=0.3, n=1e5 is ~0.0037
     assert abs(hits / n - 0.3) < 0.01
 
 
 def test_mask_drop_rate_after_ramp():
-    sched = vqtok.MaskSchedule(0.0, 0.1, 100, ())
+    cfg = _cfg(p_psg=0.0, p_drop=0.1, ramp_steps=100)
     rng = np.random.default_rng(10)
     n = 50_000
-    dropped = sum((~vqtok.mask_sample(sched, 10_000, 8, rng)).sum()
+    dropped = sum((~vqtok.mask_sample(cfg, (), 10_000, 8, rng)).sum()
                   for _ in range(n))
     assert abs(dropped / (8 * n) - 0.1) < 0.01
 
 
 def test_mask_guard_single_channel():
-    sched = vqtok.MaskSchedule(0.0, 1.0, 1, ())
+    cfg = _cfg(p_psg=0.0, p_drop=1.0, ramp_steps=1)
     rng = np.random.default_rng(11)
     for _ in range(20):
-        keep = vqtok.mask_sample(sched, 10, 1, rng)
+        keep = vqtok.mask_sample(cfg, (), 10, 1, rng)
         assert keep.sum() == 1
 
 
 def test_mask_ramp_monotone():
-    sched = vqtok.MaskSchedule(0.3, 0.1, 100, (0,))
-    probs = [sched.effective(s) for s in range(0, 300, 10)]
-    for (a1, b1), (a2, b2) in zip(probs, probs[1:]):
-        assert a2 >= a1 and b2 >= b1
+    """On the same draws, a later step restricts to the PSG subset and drops
+    channels at least as often as an earlier one; step 0 does neither."""
+    psg_cfg = _cfg(p_psg=0.5, p_drop=0.0, ramp_steps=100)
+    drop_cfg = _cfg(p_psg=0.0, p_drop=0.5, ramp_steps=100)
+    restricted, dropped = [], []
+    for step in range(0, 300, 10):
+        restricted.append(sum(
+            vqtok.mask_sample(psg_cfg, (0,), step, 8,
+                              np.random.default_rng(seed)).sum() == 1
+            for seed in range(50)))
+        dropped.append(sum(
+            (~vqtok.mask_sample(drop_cfg, (), step, 8,
+                                np.random.default_rng(seed))).sum()
+            for seed in range(50)))
+    assert restricted == sorted(restricted) and dropped == sorted(dropped)
+    assert restricted[0] == dropped[0] == 0
+    assert restricted[-1] > 0 and dropped[-1] > 0
 
 
 def test_encoder_planes_layout():
@@ -250,7 +263,7 @@ def test_adaptive_weight_identity_and_guard():
     rng = np.random.default_rng(13)
     w = grad.Tensor(rng.normal(size=(4, 4)).astype(np.float32), requires_grad=True)
     loss = grad.l2(w)
-    lam = vqtok.adaptive_adv_weight(loss, loss, [w])
+    lam = vqtok.adaptive_adv_weight(loss, loss, [w], 1e4)
     assert abs(lam - 1.0) < 1e-4
     # detached adversarial loss: zero grad norm, division guard engages
     detached = grad.l2(grad.stop_gradient(w))
@@ -264,7 +277,7 @@ def test_adaptive_weight_matches_replay_oracle():
     w = grad.Tensor(rng.normal(size=(3, 3)).astype(np.float32), requires_grad=True)
     l_rec = grad.l1(w)
     l_adv = grad.l2(w) * 0.5
-    lam = vqtok.adaptive_adv_weight(l_rec, l_adv, [w])
+    lam = vqtok.adaptive_adv_weight(l_rec, l_adv, [w], 1e4)
     g_rec = np.linalg.norm(grad.grads(l_rec, [w])[0])
     g_adv = np.linalg.norm(grad.grads(l_adv, [w])[0])
     assert abs(lam - g_rec / (g_adv + 1e-6)) < 1e-5
@@ -347,7 +360,7 @@ def test_perfect_reconstruction_zero_losses():
     # lambda_adv 0, s_hat == s, z == entries -> every loss term is 0
     s = grad.Tensor(np.random.default_rng(22).normal(
         size=(1, 2, 4, 4)).astype(np.float32))
-    assert float(vqtok.recon_loss(s, s).data) == 0.0
+    assert float(vqtok.recon_loss(s, s, 4.0).data) == 0.0
     book = vqtok.Codebook(8, 4, np.random.default_rng(23))
     idx = np.zeros((1, 2, 2), dtype=np.int64)
     z = book.entries.data[idx].transpose(0, 3, 1, 2)
