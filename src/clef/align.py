@@ -7,7 +7,9 @@ learnable-position self-attention refiner, and masked mean pooling.  EHR
 facts run through a permutation-invariant set encoder over demographic,
 diagnosis, and medication codebooks.  Both are aligned to the pooled EEG
 embedding u with a symmetric InfoNCE loss; sessions without a report are
-excluded from the report loss as positives and negatives alike.
+excluded from the report loss as positives and negatives alike.  The EEG
+side is Stage I's ``mim.SessionEncoder``, held as ``eeg`` and trained with
+the rest, so the Stage II checkpoint names its weights as Stage I's does.
 """
 
 from __future__ import annotations
@@ -225,14 +227,19 @@ def clip_loss(a: grad.Tensor, b: grad.Tensor, tau: float) -> grad.Tensor:
 
 
 class AlignModel(grad.Module):
-    # d is the EEG encoder's width: u, v_rep and v_ehr share one space
-    def __init__(self, cfg: AlignConfig, d: int, vocab: Vocab,
-                 rng: np.random.Generator):
+    """The report and EHR encoders and their projections, drawn from
+    ``rng``, around the session encoder ``eeg`` that Stage I trained; u,
+    v_rep and v_ehr share the encoder's width."""
+
+    def __init__(self, cfg: AlignConfig, encoder: mim.SessionEncoder,
+                 vocab: Vocab, rng: np.random.Generator):
+        d = encoder.cfg.d_model
         self.report_encoder = ReportEncoder(cfg, d, rng)
         self.ehr_encoder = EhrEncoder(cfg, d, vocab, rng)
         self.pi_rep = grad.param((d, d), rng)
         self.pi_ehr = grad.param((d, d), rng)
         self.cfg = cfg
+        self.eeg = encoder
 
 
 def report_embed(texts: list[str], provider: HashedNgramProvider,
@@ -286,9 +293,8 @@ class Stage2Losses:
     report_absent_batch: bool
 
 
-def stage2_step(align_model: AlignModel, mim_model: mim.MimModel,
-                provider: HashedNgramProvider, batch: AlignBatch,
-                rng: np.random.Generator | None = None
+def stage2_step(align_model: AlignModel, provider: HashedNgramProvider,
+                batch: AlignBatch, rng: np.random.Generator | None = None
                 ) -> tuple[grad.Tensor, Stage2Losses]:
     """L_Align = L_Report + L_EHR on one batch; returns the loss graph root."""
     cfg = align_model.cfg
@@ -298,8 +304,8 @@ def stage2_step(align_model: AlignModel, mim_model: mim.MimModel,
         # that loses every position keeps its first
         keep = rng.random(batch.ids.shape) >= cfg.r_drop
         keep[~keep.any(axis=1), 0] = True
-    u = mim.mim_forward(mim_model, batch.ids, batch.patches,
-                        keep=keep, train_rng=rng).u
+    _enc, u = align_model.eeg(batch.ids, batch.patches, keep=keep,
+                              train_rng=rng)
     # only rows with a report reach the report loss, so only they are encoded
     rows = np.flatnonzero(batch.report_present)
     v_rep = report_embed([batch.texts[i] for i in rows], provider,
@@ -326,52 +332,30 @@ class Stage2Result:
     losses: list[Stage2Losses]
 
 
-_EEG = "eeg."  # prefix of the encoder's names in a Stage II checkpoint
-
-
-def trained_parameters(align_model: AlignModel,
-                       mim_model: mim.MimModel) -> dict[str, grad.Tensor]:
-    """The alignment model's parameters plus the encoder's, under ``eeg.``."""
-    trained = dict(align_model.named_parameters())
-    mim_params = mim_model.named_parameters()
-    for name in mim_model.encoder_parameter_names():
-        trained[_EEG + name] = mim_params[name]
-    return trained
-
-
-def encoder_weights(ckpt: dict) -> dict[str, np.ndarray]:
-    """Encoder weights of a ``mim`` or ``align`` checkpoint, EMA preferred."""
-    weights = ckpt["ema"] if ckpt["ema"] is not None else ckpt["params"]
-    if ckpt["meta"].get("kind") != "align":
-        return weights
-    return {k[len(_EEG):]: v for k, v in weights.items() if k.startswith(_EEG)}
-
-
-def stage2_train(mim_model: mim.MimModel, provider: HashedNgramProvider,
+def stage2_train(encoder: mim.SessionEncoder, provider: HashedNgramProvider,
                  rows: AlignRows, cfg: AlignConfig, seed: int) -> Stage2Result:
-    """``grad.train`` over the alignment model and the encoder of
-    ``mim_model`` (Stage I weights on entry); each step's batch is
-    ``cfg.batch_size`` of ``rows``, drawn uniformly with replacement."""
+    """``grad.train`` over an alignment model around ``encoder`` (Stage I
+    weights on entry); each step's batch is ``cfg.batch_size`` of ``rows``,
+    drawn uniformly with replacement."""
     rng = np.random.default_rng(seed)
-    align_model = AlignModel(cfg, mim_model.cfg.d_model, rows.vocab, rng)
+    align_model = AlignModel(cfg, encoder, rows.vocab, rng)
     history = []
 
     def step_loss(step):
         batch = rows.batch(rng.integers(0, len(rows.records),
                                         size=cfg.batch_size))
-        loss, losses = stage2_step(align_model, mim_model, provider, batch, rng)
+        loss, losses = stage2_step(align_model, provider, batch, rng)
         history.append(losses)
         return loss
 
-    ema = grad.train(trained_parameters(align_model, mim_model), cfg,
-                     step_loss, "Stage II")
+    ema = grad.train(align_model.named_parameters(), cfg, step_loss,
+                     "Stage II")
     return Stage2Result(align_model=align_model, ema=ema, losses=history)
 
 
-def retrieval_top1(align_model: AlignModel, mim_model: mim.MimModel,
-                   batch: AlignBatch) -> float:
+def retrieval_top1(align_model: AlignModel, batch: AlignBatch) -> float:
     """EEG -> EHR retrieval accuracy over the batch as candidate pool."""
-    u = mim.mim_forward(mim_model, batch.ids, batch.patches).u
+    _enc, u = align_model.eeg(batch.ids, batch.patches)
     q = _l2_normalize(grad.matmul(u, align_model.pi_ehr)).data
     v = _l2_normalize(align_model.ehr_encoder(batch.ehr)).data
     ranks = np.argmax(q @ v.T, axis=1)

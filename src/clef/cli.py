@@ -175,10 +175,11 @@ def _load_sessions(profile: Profile, tok_dir: Path, spec_dir: Path,
     ids = []
     for sid in session_ids:
         path = tok_dir / f"{sid}.tok"
-        grid, _k, file_sid = vqtok.read_tokens(path)
-        if (file_sid, grid.shape) != (sid, profile.grid_shape):
-            raise DataError(f"{path}: holds {file_sid} on a {grid.shape} grid, "
-                            f"not {sid} on the profile's {profile.grid_shape}")
+        grid, file_k, file_sid = vqtok.read_tokens(path)
+        if (file_sid, grid.shape, file_k) != (sid, profile.grid_shape, k):
+            raise DataError(f"{path}: holds {file_sid} on a {grid.shape} grid "
+                            f"of a {file_k}-entry codebook, not {sid} on "
+                            f"{profile.grid_shape} of {k} ({index_path})")
         ids.append(grid.reshape(-1))
     _, values, _ = _load_spectrograms(profile, spec_dir, session_ids)
     return np.stack(ids), mim.extract_patches(values, *profile.patch_shape), k
@@ -195,16 +196,18 @@ def _load_checkpoint(path: Path, kinds: tuple[str, ...], what: str) -> dict:
 def _cohort_encoder(profile: Profile, cohort_dir: Path, tok_dir: Path,
                     spec_dir: Path, ckpt: dict):
     """The cohort's records, their token ids and patches in record order,
-    and a Stage I model whose encoder holds ``ckpt``'s weights (EMA first).
-    The decoder is never run, so its draw does not matter."""
+    and the session encoder holding ``ckpt``'s EMA weights, or else its live
+    ones."""
     _require_manifest(cohort_dir, "gen-cohort")
     records = cohortgen.read_records(cohort_dir / "records.json")
     ids, patches, codebook_size = _load_sessions(
         profile, tok_dir, spec_dir, [r.session_id for r in records])
-    model = mim.MimModel(codebook_size, patches.shape[2], profile.grid_shape,
-                         profile.mim, np.random.default_rng(0))
-    mim.load_encoder(model, align.encoder_weights(ckpt))
-    return records, ids, patches, model
+    encoder = mim.SessionEncoder(codebook_size, patches.shape[2],
+                                 profile.grid_shape, profile.mim,
+                                 np.random.default_rng(0))
+    mim.load_encoder(encoder, ckpt["params"] if ckpt["ema"] is None
+                     else ckpt["ema"])
+    return records, ids, patches, encoder
 
 
 def _codebook_sha(entries: np.ndarray) -> str:
@@ -411,23 +414,22 @@ def train_align_cmd(cohort_dir, tok_dir, spec_dir, init_path, out):
                           "tokens": tok_dir, "spectrograms": spec_dir,
                           "init": init_path}, out) as (profile, seed):
         ckpt = _load_checkpoint(init_path, ("mim",), "Stage I model")
-        records, ids, patches, model = _cohort_encoder(
+        records, ids, patches, encoder = _cohort_encoder(
             profile, cohort_dir, tok_dir, spec_dir, ckpt)
         phenotypes = cohortgen.default_phenotypes(profile.cohort.channel_names)
         rows = align.AlignRows(records, ids, patches, cohortgen.vocabularies(
             profile.cohort, phenotypes))
-        result = align.stage2_train(model, align.HashedNgramProvider(), rows,
-                                    profile.align, seed)
+        result = align.stage2_train(encoder, align.HashedNgramProvider(),
+                                    rows, profile.align, seed)
         losses = result.losses
         _echo_steps(len(losses),
                     lambda i: f"total\t{losses[i].total:.5f}"
                               f"\treport\t{losses[i].report:.5f}"
                               f"\tehr\t{losses[i].ehr:.5f}")
         grad.save_checkpoint(
-            out, align.trained_parameters(result.align_model, model),
-            ema=result.ema,
+            out, result.align_model.named_parameters(), ema=result.ema,
             meta={"kind": "align",
-                  "codebook_size": model.token_table.shape[0],
+                  "codebook_size": encoder.token_table.shape[0],
                   "profile_hash": profile.content_hash()})
 
 
@@ -494,14 +496,14 @@ def probe_cmd(cohort_dir, tok_dir, spec_dir, ckpt_path, out):
         with parsing(days_path) as fh:
             session_days = dict(json.load(fh)["session_days"])
         ckpt = _load_checkpoint(ckpt_path, ("mim", "align"), "encoder")
-        records, ids, patches, model = _cohort_encoder(
+        records, ids, patches, encoder = _cohort_encoder(
             profile, cohort_dir, tok_dir, spec_dir, ckpt)
         for r in records:
             if type(session_days.get(r.patient_id)) is not int:
                 raise DataError(f"{days_path}: no integer session day for "
                                 f"patient {r.patient_id}")
         u = np.concatenate([
-            mim.session_embedding(model, ids[i:i + 32], patches[i:i + 32])
+            mim.session_embedding(encoder, ids[i:i + 32], patches[i:i + 32])
             for i in range(0, len(records), 32)])
         tasks = bench.default_tasks(
             cohortgen.default_phenotypes(profile.cohort.channel_names),

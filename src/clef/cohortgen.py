@@ -257,6 +257,24 @@ def synthesize_signal(config: CohortConfig, phenos: list[PhenotypeSpec],
 # cohort generation
 
 
+def _chronic_dx(code: str, session_day: int,
+                rng: np.random.Generator) -> list[DiagnosisEvent]:
+    # two encounters 1-19 days apart, 30-1199 days before the session
+    d0 = session_day - int(rng.integers(30, 1200))
+    return [DiagnosisEvent(code, d0, "encounter"),
+            DiagnosisEvent(code, d0 + int(rng.integers(1, 20)), "encounter")]
+
+
+def _medication(code: str, session_day: int, inpatient: bool,
+                rng: np.random.Generator) -> MedicationEvent:
+    # inpatient: on the session day or the day before; else an active
+    # outpatient prescription 0-59 days old
+    if inpatient:
+        return MedicationEvent(code, session_day - int(rng.integers(0, 2)),
+                               inpatient=True)
+    return MedicationEvent(code, session_day - int(rng.integers(0, 60)))
+
+
 def _patient_record(config: CohortConfig, phenotypes: list[PhenotypeSpec],
                     index: int, rng: np.random.Generator,
                     session_day: int) -> PatientRecord:
@@ -276,22 +294,12 @@ def _patient_record(config: CohortConfig, phenotypes: list[PhenotypeSpec],
         if p.name in active:
             for code in p.dx_codes:
                 if p.chronic:
-                    d0 = session_day - int(rng.integers(30, 1200))
-                    dx_events.append(DiagnosisEvent(code, d0, "encounter"))
-                    dx_events.append(DiagnosisEvent(code, d0 + int(rng.integers(1, 20)),
-                                                    "encounter"))
+                    dx_events += _chronic_dx(code, session_day, rng)
                 else:
                     d0 = session_day - int(rng.integers(0, 7))
                     dx_events.append(DiagnosisEvent(code, d0, "problem_list"))
             for code in p.med_codes:
-                if inpatient:
-                    med_events.append(MedicationEvent(
-                        code, session_day - int(rng.integers(0, 2)),
-                        prn=False, inpatient=True))
-                else:
-                    med_events.append(MedicationEvent(
-                        code, session_day - int(rng.integers(0, 60)),
-                        prn=False, inpatient=False, active=True))
+                med_events.append(_medication(code, session_day, inpatient, rng))
         else:
             # near-miss events that must NOT satisfy the labeling rules
             if rng.random() < 0.1:
@@ -309,20 +317,10 @@ def _patient_record(config: CohortConfig, phenotypes: list[PhenotypeSpec],
     dx_bg, med_bg = distractor_codes(config)
     for code in dx_bg:
         if rng.random() < config.distractor_rate:
-            d0 = session_day - int(rng.integers(30, 1200))
-            dx_events.append(DiagnosisEvent(code, d0, "encounter"))
-            dx_events.append(DiagnosisEvent(code, d0 + int(rng.integers(1, 20)),
-                                            "encounter"))
+            dx_events += _chronic_dx(code, session_day, rng)
     for code in med_bg:
         if rng.random() < config.distractor_rate:
-            if inpatient:
-                med_events.append(MedicationEvent(
-                    code, session_day - int(rng.integers(0, 2)),
-                    prn=False, inpatient=True))
-            else:
-                med_events.append(MedicationEvent(
-                    code, session_day - int(rng.integers(0, 60)),
-                    prn=False, inpatient=False, active=True))
+            med_events.append(_medication(code, session_day, inpatient, rng))
 
     by_name = {p.name: p for p in phenotypes}
     diagnoses = frozenset(c for n in active for c in by_name[n].dx_codes) | \
@@ -437,6 +435,12 @@ def read_records(path) -> list[PatientRecord]:
     records = []
     with parsing(path) as fh:
         for d in json.load(fh):
+            for key, allowed in (("sex", SEX_CATEGORIES),
+                                 ("race", RACE_CATEGORIES),
+                                 ("setting", SETTING_CATEGORIES)):
+                if d[key] not in allowed:
+                    raise ValueError(f"patient {d['patient_id']}: {key} "
+                                     f"{d[key]!r} not in {allowed}")
             records.append(PatientRecord(
                 patient_id=d["patient_id"], session_id=d["session_id"],
                 age_years=int(d["age_years"]),

@@ -185,10 +185,8 @@ def multitaper_spectrogram(session, tapers: TaperSet, cfg: DspConfig) -> Spectro
 
 
 def session_spectrogram(session, cfg: DspConfig,
-                        tapers: TaperSet | None = None) -> Spectrogram:
+                        tapers: TaperSet) -> Spectrogram:
     """Preprocess + multitaper in one call (the standard path)."""
-    if tapers is None:
-        tapers = compute_dpss(cfg.window, cfg.nw, cfg.k_max, cfg.eigen_threshold)
     filtered = preprocess(session, cfg)
     return multitaper_spectrogram(filtered, tapers, cfg)
 

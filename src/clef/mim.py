@@ -6,7 +6,9 @@ linear patch projection, and factorized frequency/time positional tables.  A
 truncated-Gaussian fraction of positions is masked; a quarter of those are
 dropped from the encoder input entirely.  The decoder predicts the original
 token ids at masked positions against the weight-tied token table, and the
-mean-pooled encoder output is the patient embedding u.
+mean-pooled encoder output is the patient embedding u.  The encoder is one
+module, ``SessionEncoder``, that ``MimModel`` and Stage II's
+``align.AlignModel`` both hold as ``eeg``: both checkpoints name it ``eeg.*``.
 """
 
 from __future__ import annotations
@@ -122,7 +124,9 @@ def _ln_params(d):
             grad.Tensor(np.zeros(d, dtype=grad.DTYPE), requires_grad=True))
 
 
-class MimModel(grad.Module):
+class SessionEncoder(grad.Module):
+    """The session encoder that Stage I pretrains and Stage II fine-tunes."""
+
     def __init__(self, codebook_size: int, patch_dim: int,
                  grid_hw: tuple[int, int], cfg: MimConfig,
                  rng: np.random.Generator):
@@ -137,36 +141,85 @@ class MimModel(grad.Module):
         self.p_time = grad.param((w, d), rng, scale=0.02)
         self.mask_emb = grad.param((d,), rng, scale=0.02)
         self.proxy = grad.param((d,), rng, scale=0.02)
-        self.encoder = _stack(cfg.depth, d, cfg.n_heads, cfg.mlp_ratio, rng)
-        self.enc_ln_g, self.enc_ln_b = _ln_params(d)
-        # decoder side (discarded after Stage I)
-        self.w_proxy = grad.param((d, d), rng)
-        self.b_proxy = grad.param((d,), rng, zeros=True)
-        self.p_full = grad.param((self.n_positions + 1, d), rng, scale=0.02)
-        self.decoder = _stack(cfg.dec_depth, d, cfg.n_heads, cfg.mlp_ratio, rng)
-        self.dec_ln_g, self.dec_ln_b = _ln_params(d)
-        self.head_w = grad.param((d, d), rng)
-        self.head_b = grad.param((d,), rng, zeros=True)
-        self.head_ln_g, self.head_ln_b = _ln_params(d)
+        self.blocks = _stack(cfg.depth, d, cfg.n_heads, cfg.mlp_ratio, rng)
+        self.ln_g, self.ln_b = _ln_params(d)
         # precomputed grid coordinates, position-major over (freq, time)
         pos = np.arange(self.n_positions)
         self.coord_h = pos // w
         self.coord_w = pos % w
 
-    def encoder_parameter_names(self) -> list[str]:
-        """Parameters kept after Stage I (decoder/head are discardable)."""
-        discard_prefixes = ("w_proxy", "b_proxy", "p_full", "decoder.",
-                            "dec_ln_", "head_")
-        return [name for name in self.named_parameters()
-                if not name.startswith(discard_prefixes)]
+    def embed(self, ids: np.ndarray, patches: np.ndarray,
+              plan: MaskPlan | None = None) -> grad.Tensor:
+        """Summed embeddings with the proxy token prepended -> (B, N+1, d).
+
+        Masked-but-not-dropped positions are replaced by the learnable mask
+        embedding with their positional terms retained; dropped positions
+        keep their embedding here but are excluded from attention downstream.
+        """
+        b, n = ids.shape
+        if n != self.n_positions:
+            raise DataError(f"{n} positions, model expects {self.n_positions}")
+        tok = grad.getitem(self.token_table, ids)
+        patch = grad.matmul(grad.Tensor(patches.astype(grad.DTYPE)), self.w_patch)
+        pos = grad.getitem(self.p_freq, self.coord_h) + \
+            grad.getitem(self.p_time, self.coord_w)    # (N, d)
+        content = tok + patch
+        if plan is not None:
+            m = (plan.masked & ~plan.dropped).astype(grad.DTYPE)[:, :, None]
+            mask_row = grad.reshape(self.mask_emb, (1, 1, -1))
+            content = content * grad.Tensor(1.0 - m) + mask_row * grad.Tensor(m)
+        x = content + grad.reshape(pos, (1, n, -1))
+        proxy = grad.mul(grad.reshape(self.proxy, (1, 1, -1)),
+                         grad.Tensor(np.ones((b, 1, 1), dtype=grad.DTYPE)))
+        return grad.concat([proxy, x], axis=1)
+
+    def __call__(self, ids: np.ndarray, patches: np.ndarray,
+                 plan: MaskPlan | None = None, keep: np.ndarray | None = None,
+                 train_rng: np.random.Generator | None = None
+                 ) -> tuple[grad.Tensor, grad.Tensor]:
+        """Encoder output (B, N+1, d) and the pooled embedding u (B, d).
+
+        ``keep`` (B, N): positions the encoder sees and u pools (default
+        all); a plan's dropped positions are left out as well."""
+        b, n = ids.shape
+        x = self.embed(ids, patches, plan)
+        kept = np.ones((b, n), dtype=bool) if keep is None else keep
+        if plan is not None:
+            kept = kept & ~plan.dropped
+        keep_full = np.concatenate(
+            [np.ones((b, 1), dtype=bool), kept], axis=1)    # proxy always attends
+        bias = _attention_bias(keep_full)
+        p_drop = self.cfg.dropout if train_rng is not None else 0.0
+        for block in self.blocks:
+            x = block(x, bias, p_drop, train_rng)
+        enc = grad.layernorm(x, self.ln_g, self.ln_b)
+        keep_full[:, 0] = False     # u pools the session tokens, not the proxy
+        u = grad.mean_pool_masked(enc, grad.Tensor(keep_full.astype(grad.DTYPE)))
+        return enc, u
 
 
-def load_encoder(model: MimModel, weights: dict[str, np.ndarray]) -> None:
-    """Strict copy of ``weights`` into every encoder parameter of ``model``:
-    a missing name or a shape of another geometry is a ``DataError``."""
-    params = model.named_parameters()
-    grad.assign_parameters({n: params[n] for n in
-                            model.encoder_parameter_names()}, weights)
+class MimModel(grad.Module):
+    """The session encoder ``eeg``, then Stage I's decoder and head."""
+
+    def __init__(self, codebook_size: int, patch_dim: int,
+                 grid_hw: tuple[int, int], cfg: MimConfig,
+                 rng: np.random.Generator):
+        self.eeg = SessionEncoder(codebook_size, patch_dim, grid_hw, cfg, rng)
+        d = cfg.d_model
+        self.w_proxy = grad.param((d, d), rng)
+        self.b_proxy = grad.param((d,), rng, zeros=True)
+        self.p_full = grad.param((self.eeg.n_positions + 1, d), rng, scale=0.02)
+        self.decoder = _stack(cfg.dec_depth, d, cfg.n_heads, cfg.mlp_ratio, rng)
+        self.dec_ln_g, self.dec_ln_b = _ln_params(d)
+        self.head_w = grad.param((d, d), rng)
+        self.head_b = grad.param((d,), rng, zeros=True)
+        self.head_ln_g, self.head_ln_b = _ln_params(d)
+
+
+def load_encoder(encoder: SessionEncoder, weights: dict[str, np.ndarray]) -> None:
+    """Strict copy of a Stage I or Stage II table's ``eeg.*`` weights: a
+    missing name or a shape of another geometry is a ``DataError``."""
+    grad.assign_parameters(encoder.named_parameters("eeg."), weights)
 
 
 def extract_patches(values: np.ndarray, ph: int, pw: int) -> np.ndarray:
@@ -179,32 +232,6 @@ def extract_patches(values: np.ndarray, ph: int, pw: int) -> np.ndarray:
     return p.reshape(*lead, gh * gw, c * ph * pw)
 
 
-def embed_inputs(model: MimModel, ids: np.ndarray, patches: np.ndarray,
-                 plan: MaskPlan | None = None) -> grad.Tensor:
-    """Summed embeddings with the proxy token prepended -> (B, N+1, d).
-
-    Masked-but-not-dropped positions are replaced by the learnable mask
-    embedding with their positional terms retained; dropped positions keep
-    their embedding here but are excluded from attention downstream.
-    """
-    b, n = ids.shape
-    if n != model.n_positions:
-        raise DataError(f"{n} positions, model expects {model.n_positions}")
-    tok = grad.getitem(model.token_table, ids)
-    patch = grad.matmul(grad.Tensor(patches.astype(grad.DTYPE)), model.w_patch)
-    pos = grad.getitem(model.p_freq, model.coord_h) + \
-        grad.getitem(model.p_time, model.coord_w)    # (N, d)
-    content = tok + patch
-    if plan is not None:
-        m = (plan.masked & ~plan.dropped).astype(grad.DTYPE)[:, :, None]
-        mask_row = grad.reshape(model.mask_emb, (1, 1, -1))
-        content = content * grad.Tensor(1.0 - m) + mask_row * grad.Tensor(m)
-    x = content + grad.reshape(pos, (1, n, -1))
-    proxy = grad.mul(grad.reshape(model.proxy, (1, 1, -1)),
-                     grad.Tensor(np.ones((b, 1, 1), dtype=grad.DTYPE)))
-    return grad.concat([proxy, x], axis=1)
-
-
 def _attention_bias(keep: np.ndarray) -> grad.Tensor:
     # (B, L) keep -> additive bias (B, 1, 1, L)
     bias = np.where(keep, 0.0, _NEG_BIAS).astype(grad.DTYPE)
@@ -213,37 +240,17 @@ def _attention_bias(keep: np.ndarray) -> grad.Tensor:
 
 @dataclass
 class MimForward:
-    u: grad.Tensor              # (B, d) pooled patient embedding
-    logits: grad.Tensor | None  # (|M|, K) at masked positions
-    targets: np.ndarray | None  # (|M|,) original token ids
+    logits: grad.Tensor         # (|M|, K) at masked positions
+    targets: np.ndarray         # (|M|,) original token ids
 
 
 def mim_forward(model: MimModel, ids: np.ndarray, patches: np.ndarray,
-                plan: MaskPlan | None = None,
-                keep: np.ndarray | None = None,
+                plan: MaskPlan,
                 train_rng: np.random.Generator | None = None) -> MimForward:
-    """``keep`` (B, N): positions the encoder sees and u pools (default all);
-    a plan's dropped positions are left out as well."""
+    """Stage I's forward: encode under ``plan``, then decode its masked
+    positions against the weight-tied token table."""
     b, n = ids.shape
-    x = embed_inputs(model, ids, patches, plan)
-    kept = np.ones((b, n), dtype=bool) if keep is None else keep
-    if plan is not None:
-        kept = kept & ~plan.dropped
-    keep_full = np.concatenate(
-        [np.ones((b, 1), dtype=bool), kept], axis=1)    # proxy always attends
-    bias = _attention_bias(keep_full)
-    p_drop = model.cfg.dropout if train_rng is not None else 0.0
-    for block in model.encoder:
-        x = block(x, bias, p_drop, train_rng)
-    enc = grad.layernorm(x, model.enc_ln_g, model.enc_ln_b)
-
-    pool_mask = keep_full.copy()
-    pool_mask[:, 0] = False     # u pools the session tokens, not the proxy
-    u = grad.mean_pool_masked(enc, grad.Tensor(pool_mask.astype(grad.DTYPE)))
-
-    if plan is None:
-        return MimForward(u=u, logits=None, targets=None)
-
+    enc, _u = model.eeg(ids, patches, plan, train_rng=train_rng)
     # decoder: fill masked and dropped slots with the projected proxy
     proxy_rep = grad.matmul(grad.getitem(enc, (slice(None), slice(0, 1))),
                             model.w_proxy) + model.b_proxy   # (B, 1, d)
@@ -252,6 +259,7 @@ def mim_forward(model: MimModel, ids: np.ndarray, patches: np.ndarray,
     f = grad.Tensor(fill.astype(grad.DTYPE)[:, :, None])
     y = enc * grad.Tensor(1.0 - f.data) + proxy_rep * f
     y = y + grad.reshape(model.p_full, (1, n + 1, -1))
+    p_drop = model.eeg.cfg.dropout if train_rng is not None else 0.0
     for block in model.decoder:     # the decoder attends over every slot
         y = block(y, None, p_drop, train_rng)
     y = grad.layernorm(y, model.dec_ln_g, model.dec_ln_b)
@@ -260,9 +268,8 @@ def mim_forward(model: MimModel, ids: np.ndarray, patches: np.ndarray,
     hidden = grad.getitem(y, (rows, cols + 1))              # (|M|, d)
     hidden = grad.gelu(grad.matmul(hidden, model.head_w) + model.head_b)
     hidden = grad.layernorm(hidden, model.head_ln_g, model.head_ln_b)
-    logits = grad.matmul(hidden, grad.transpose(model.token_table, (1, 0)))
-    targets = ids[rows, cols]
-    return MimForward(u=u, logits=logits, targets=targets)
+    logits = grad.matmul(hidden, grad.transpose(model.eeg.token_table, (1, 0)))
+    return MimForward(logits=logits, targets=ids[rows, cols])
 
 
 def mim_loss(logits: grad.Tensor, targets: np.ndarray,
@@ -270,10 +277,10 @@ def mim_loss(logits: grad.Tensor, targets: np.ndarray,
     return grad.cross_entropy_with_label_smoothing(logits, targets, smoothing)
 
 
-def session_embedding(model: MimModel, ids: np.ndarray,
+def session_embedding(encoder: SessionEncoder, ids: np.ndarray,
                       patches: np.ndarray) -> np.ndarray:
     """Inference-mode pooled embedding u for a batch of sessions."""
-    return mim_forward(model, ids, patches).u.data.copy()
+    return encoder(ids, patches)[1].data.copy()
 
 
 # ---------------------------------------------------------------------------

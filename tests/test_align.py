@@ -232,9 +232,10 @@ def test_clip_loss_nonnegative_and_asymptotically_zero():
 
 def _tiny_stage2(seed=10):
     mcfg = MimConfig(d_model=32, n_heads=4, depth=1, dec_depth=1)
-    mmodel = mim.MimModel(16, 2 * 16 * 8, (4, 8), mcfg, np.random.default_rng(seed))
+    encoder = mim.SessionEncoder(16, 2 * 16 * 8, (4, 8), mcfg,
+                                 np.random.default_rng(seed))
     acfg = _cfg(n_heads=4, refiner_depth=1, text_max_len=16, batch_size=4)
-    return mmodel, acfg
+    return encoder, acfg
 
 
 def _batch(rng, b=4, with_reports=True):
@@ -249,15 +250,15 @@ def _batch(rng, b=4, with_reports=True):
 
 
 def test_stage2_step_additivity():
-    mmodel, acfg = _tiny_stage2()
-    amodel = align.AlignModel(acfg, 32, VOCAB, np.random.default_rng(11))
+    encoder, acfg = _tiny_stage2()
+    amodel = align.AlignModel(acfg, encoder, VOCAB, np.random.default_rng(11))
     provider = align.HashedNgramProvider()
     batch = _batch(np.random.default_rng(12))
-    _, losses = align.stage2_step(amodel, mmodel, provider, batch, rng=None)
+    _, losses = align.stage2_step(amodel, provider, batch, rng=None)
     assert abs(losses.total - (losses.report + losses.ehr)) < 1e-6
     # no reports in the batch: total collapses to the EHR term alone
     batch_none = _batch(np.random.default_rng(12), with_reports=False)
-    _, l2 = align.stage2_step(amodel, mmodel, provider, batch_none, rng=None)
+    _, l2 = align.stage2_step(amodel, provider, batch_none, rng=None)
     assert l2.report == 0.0 and l2.report_absent_batch
     assert abs(l2.total - l2.ehr) < 1e-6
 
@@ -265,8 +266,8 @@ def test_stage2_step_additivity():
 def test_stage2_encodes_only_report_rows(monkeypatch):
     """On a mixed batch the report loss equals the old encode-every-row
     loss, and report_embed sees only the rows that have a report."""
-    mmodel, acfg = _tiny_stage2()
-    amodel = align.AlignModel(acfg, 32, VOCAB, np.random.default_rng(11))
+    encoder, acfg = _tiny_stage2()
+    amodel = align.AlignModel(acfg, encoder, VOCAB, np.random.default_rng(11))
     provider = align.HashedNgramProvider()
     batch = _batch(np.random.default_rng(12), b=6)
     batch.report_present = np.array([True, False, True, True, False, True])
@@ -277,10 +278,10 @@ def test_stage2_encodes_only_report_rows(monkeypatch):
         return real(texts, *args)
 
     monkeypatch.setattr(align, "report_embed", spy)
-    _, losses = align.stage2_step(amodel, mmodel, provider, batch, rng=None)
+    _, losses = align.stage2_step(amodel, provider, batch, rng=None)
     monkeypatch.undo()
     assert seen == [[t for t, p in zip(batch.texts, batch.report_present) if p]]
-    u = mim.mim_forward(mmodel, batch.ids, batch.patches).u
+    u = encoder(batch.ids, batch.patches)[1]
     every_row = align.report_embed(batch.texts, provider,
                                    amodel.report_encoder)
     rows = np.flatnonzero(batch.report_present)
@@ -294,34 +295,41 @@ def test_stage2_random_init_loss_near_ln_b():
     # the near-uniform-logit regime needs a wide embedding: random cosines
     # scale as 1/sqrt(d), so run this check at d=512
     mcfg = MimConfig(d_model=512, n_heads=8, depth=1, dec_depth=1)
-    mmodel = mim.MimModel(16, 2 * 16 * 8, (4, 8), mcfg, np.random.default_rng(13))
+    encoder = mim.SessionEncoder(16, 2 * 16 * 8, (4, 8), mcfg,
+                                 np.random.default_rng(13))
     acfg = _cfg(n_heads=8, refiner_depth=1, text_max_len=16)
-    amodel = align.AlignModel(acfg, 512, VOCAB, np.random.default_rng(14))
+    amodel = align.AlignModel(acfg, encoder, VOCAB, np.random.default_rng(14))
     provider = align.HashedNgramProvider()
     batch = _batch(np.random.default_rng(15), b=64)
-    _, losses = align.stage2_step(amodel, mmodel, provider, batch, rng=None)
+    _, losses = align.stage2_step(amodel, provider, batch, rng=None)
     assert abs(losses.ehr - np.log(64)) / np.log(64) < 0.15
     assert abs(losses.report - np.log(64)) / np.log(64) < 0.15
 
 
 def test_stage2_requires_stage1_provenance():
-    """Stage II starts from Stage I weights: the encoder loader refuses a
-    table that misses an encoder parameter, and ignores the decoder's."""
-    mmodel, acfg = _tiny_stage2()
-    stage1 = mim.MimModel(16, 2 * 16 * 8, (4, 8), mmodel.cfg, np.random.default_rng(99))
+    """Stage II starts from Stage I weights: the encoder loader takes the
+    ``eeg.*`` entries of a Stage I table and ignores the decoder's; a table
+    that misses one, or names it without the prefix, or holds another
+    shape, is refused."""
+    encoder, acfg = _tiny_stage2()
+    stage1 = mim.MimModel(16, 2 * 16 * 8, (4, 8), encoder.cfg,
+                          np.random.default_rng(99))
     weights = {k: p.data for k, p in stage1.named_parameters().items()}
     with pytest.raises(DataError, match="missing"):
-        mim.load_encoder(mmodel, {"not_a_param": np.zeros(1)})
-    mim.load_encoder(mmodel, {k: v for k, v in weights.items()
-                              if k in mmodel.encoder_parameter_names()})
-    params = mmodel.named_parameters()
-    assert all(np.array_equal(params[k].data, weights[k])
-               for k in mmodel.encoder_parameter_names())
-    assert not np.array_equal(params["head_w"].data, weights["head_w"])
+        mim.load_encoder(encoder, {"not_a_param": np.zeros(1)})
+    with pytest.raises(DataError, match=r"missing parameters: \['eeg\."):
+        mim.load_encoder(encoder, {k.removeprefix("eeg."): v
+                                   for k, v in weights.items()})
+    with pytest.raises(DataError, match="eeg.token_table"):
+        mim.load_encoder(encoder, {**weights,
+                                   "eeg.token_table": np.zeros((16, 8))})
+    mim.load_encoder(encoder, weights)
+    assert all(np.array_equal(p.data, weights[k]) for k, p in
+               encoder.named_parameters("eeg.").items())
 
 
 def test_stage2_train_updates_and_ema():
-    mmodel, acfg = _tiny_stage2()
+    encoder, acfg = _tiny_stage2()
     provider = align.HashedNgramProvider()
     b = _batch(np.random.default_rng(16))
     records, _ = generate_records(CohortConfig(n_patients=4), seed=16)
@@ -329,13 +337,18 @@ def test_stage2_train_updates_and_ema():
     assert rows.ehr == [align.ehr_input_from_record(r, *VOCAB)
                         for r in records]
 
-    result = align.stage2_train(mmodel, provider, rows,
+    before = {k: p.data.copy() for k, p in encoder.named_parameters().items()}
+    result = align.stage2_train(encoder, provider, rows,
                                 replace(acfg, steps=3), seed=17)
     assert len(result.losses) == 3
-    trained = align.trained_parameters(result.align_model, mmodel)
+    # the alignment model trains the encoder it was given, under eeg.*
+    assert result.align_model.eeg is encoder
+    trained = result.align_model.named_parameters()
     assert set(result.ema.shadow) == set(trained)
-    assert {k[len("eeg."):] for k in trained if k.startswith("eeg.")} == \
-        set(mmodel.encoder_parameter_names())
+    assert {k for k in trained if k.startswith("eeg.")} == \
+        set(encoder.named_parameters("eeg."))
+    assert any(not np.array_equal(p.data, before[k])
+               for k, p in encoder.named_parameters().items())
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """CLI tests: the full desk pipeline end to end on a tiny cohort, exit-code
 mapping, ``--steps`` as profile shorthand, the progress lines, an incomplete
 ``days.json``, sequential-training, codebook-hash, checkpoint-kind,
-checkpoint-geometry, token-grid and partial-output refusals, the session-id
+checkpoint-geometry, checkpoint-naming, demographic-category,
+token-codebook, token-grid and partial-output refusals, the session-id
 join, the spectrogram loader's memory and geometry check, malformed JSON
 artifacts, manifest reproducibility, seed splitting, config schema
 completeness and the shape walk of every profile."""
@@ -356,7 +357,7 @@ def test_probe_refuses_checkpoint_of_other_geometry(pipeline, tmp_path,
             "--ckpt", str(pipeline["align_ckpt"]),
             "--out", str(tmp_path / "results.json")]
     assert climod.main(argv) == climod.EXIT_DATA
-    assert "token_table" in capsys.readouterr().err
+    assert "eeg.token_table" in capsys.readouterr().err
     assert not (tmp_path / "results.json").exists()
 
 
@@ -373,8 +374,89 @@ def test_train_align_refuses_stage1_checkpoint_of_other_geometry(
             "--init", str(pipeline["mim_ckpt"]),
             "--out", str(tmp_path / "align.npz")]
     assert climod.main(argv) == climod.EXIT_DATA
-    assert "token_table" in capsys.readouterr().err
+    assert "eeg.token_table" in capsys.readouterr().err
     assert not (tmp_path / "align.npz").exists()
+
+
+def _unprefixed(name: str) -> str:
+    """A Stage I parameter's name as checkpoints held it before the session
+    encoder was one module: no ``eeg.``, blocks ``encoder.<i>``, final norm
+    ``enc_ln_*``."""
+    name = name.removeprefix("eeg.")
+    return name.replace("blocks.", "encoder.", 1).replace("ln_", "enc_ln_", 1) \
+        if name.startswith(("blocks.", "ln_")) else name
+
+
+@pytest.mark.parametrize("command", ["train-align", "probe"])
+def test_checkpoint_of_unprefixed_encoder_names_exits_3(pipeline, tmp_path,
+                                                        capsys, command):
+    """Both loaders read the encoder under ``eeg.``: a Stage I checkpoint
+    that names it the old way is refused with the missing names, and
+    nothing is written."""
+    ckpt = grad.load_checkpoint(pipeline["mim_ckpt"])
+    old = tmp_path / "old.npz"
+    rename = {k: _unprefixed(k) for k in ckpt["params"]}
+    grad.save_checkpoint(
+        old, {rename[k]: grad.Tensor(v) for k, v in ckpt["params"].items()},
+        meta=ckpt["meta"])
+    assert "token_table" in grad.load_checkpoint(old)["params"]
+    out = tmp_path / "out"
+    flag = {"train-align": "--init", "probe": "--ckpt"}[command]
+    assert climod.main(pipeline["base"] + [
+        command, "--cohort", str(pipeline["cohort"]),
+        "--tokens", str(pipeline["tokens"]),
+        "--spectrograms", str(pipeline["spec"]),
+        flag, str(old), "--out", str(out)]) == climod.EXIT_DATA
+    assert "missing parameters: ['eeg." in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train-align", "probe"])
+@pytest.mark.parametrize("key, value", [("sex", "X"), ("race", "Martian"),
+                                        ("setting", "Home")])
+def test_unknown_demographic_category_exits_3(pipeline, tmp_path, capsys,
+                                              command, key, value):
+    """A sex, race or setting outside its category list makes records.json
+    malformed for every reader: exit 3 naming the file, nothing written."""
+    cohort = tmp_path / "cohort"
+    shutil.copytree(pipeline["cohort"], cohort)
+    records_path = cohort / "records.json"
+    records = json.loads(records_path.read_text())
+    records[4][key] = value
+    records_path.write_text(json.dumps(records))
+    out = tmp_path / "out"
+    stage = {"train-align": ["--init", str(pipeline["mim_ckpt"])],
+             "probe": ["--ckpt", str(pipeline["align_ckpt"])]}[command]
+    assert climod.main(pipeline["base"] + [
+        command, "--cohort", str(cohort), "--tokens", str(pipeline["tokens"]),
+        "--spectrograms", str(pipeline["spec"]), "--out", str(out)] + stage) \
+        == climod.EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(records_path) in err and repr(value) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train-mim", "probe"])
+def test_token_file_of_other_codebook_size_exits_3(pipeline, tmp_path,
+                                                   capsys, command):
+    """A .tok written under a 128-entry codebook, beside an index of 64, is
+    refused by name before any of its indices is looked up."""
+    tokens = tmp_path / "tokens"
+    shutil.copytree(pipeline["tokens"], tokens)
+    bad = sorted(tokens.glob("*.tok"))[3]
+    grid, _k, sid = vqtok.read_tokens(bad)
+    grid[0, 0] = 100
+    vqtok.write_tokens(bad, grid, 128, sid)
+    out = tmp_path / "out"
+    stage = {"train-mim": [],
+             "probe": ["--cohort", str(pipeline["cohort"]),
+                       "--ckpt", str(pipeline["align_ckpt"])]}[command]
+    assert climod.main(pipeline["base"] + [
+        command, "--tokens", str(tokens), "--spectrograms",
+        str(pipeline["spec"]), "--out", str(out)] + stage) == climod.EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(bad) in err and "128-entry" in err
+    assert not out.exists()
 
 
 def _four_patient_cohort(tmp_path):

@@ -104,11 +104,13 @@ def test_visible_effect_survives_spectrogram():
     base = cohortgen.synthesize_signal(cfg, [], rng)
     rng = np.random.default_rng(9)
     shifted = cohortgen.synthesize_signal(cfg, [delta], rng)
+    tapers = dsp.compute_dpss(dcfg.window, dcfg.nw, dcfg.k_max,
+                              dcfg.eigen_threshold)
 
     def band_mean(x):
         sess = cohortgen.RawSession("s", "p", x, np.ones(cfg.n_channels, bool),
                                     cfg.duration_s, cfg.sample_rate)
-        spec = dsp.session_spectrogram(sess, dcfg)
+        spec = dsp.session_spectrogram(sess, dcfg, tapers)
         bins = slice(int(1.0 / spec.freq_res_hz), int(4.0 / spec.freq_res_hz))
         return spec.values[:, bins, :].mean()
 

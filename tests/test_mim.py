@@ -98,47 +98,47 @@ def _model(k=16, cfg=None, seed=6):
 
 
 def test_embed_is_token_row_when_rest_zero():
-    model, _ = _model()
-    model.w_patch.data[:] = 0.0
-    model.p_freq.data[:] = 0.0
-    model.p_time.data[:] = 0.0
+    enc = _model()[0].eeg
+    enc.w_patch.data[:] = 0.0
+    enc.p_freq.data[:] = 0.0
+    enc.p_time.data[:] = 0.0
     ids = np.array([[3] * 32])
     patches = np.zeros((1, 32, 2 * 16 * 8), dtype=np.float32)
-    x = mim.embed_inputs(model, ids, patches)
-    assert np.allclose(x.data[0, 1:], model.token_table.data[3], atol=1e-6)
+    x = enc.embed(ids, patches)
+    assert np.allclose(x.data[0, 1:], enc.token_table.data[3], atol=1e-6)
 
 
 def test_embed_time_positional_difference():
-    model, _ = _model()
+    enc = _model()[0].eeg
     ids = np.array([[0] * 32])
     patches = np.zeros((1, 32, 2 * 16 * 8), dtype=np.float32)
-    x = mim.embed_inputs(model, ids, patches)
+    x = enc.embed(ids, patches)
     # positions 0 and 1 share the frequency row, differ only in time column
     d01 = x.data[0, 1] - x.data[0, 2]
-    expected = model.p_time.data[0] - model.p_time.data[1]
+    expected = enc.p_time.data[0] - enc.p_time.data[1]
     assert np.allclose(d01, expected, atol=1e-6)
 
 
 def test_sequence_length_includes_proxy():
-    model, _ = _model()
+    enc = _model()[0].eeg
     ids = np.zeros((2, 32), dtype=np.int64)
     patches = np.zeros((2, 32, 2 * 16 * 8), dtype=np.float32)
-    x = mim.embed_inputs(model, ids, patches)
-    assert x.shape == (2, 33, model.cfg.d_model)
+    x = enc.embed(ids, patches)
+    assert x.shape == (2, 33, enc.cfg.d_model)
 
 
 def test_masked_positions_use_mask_embedding():
-    model, _ = _model()
-    model.p_freq.data[:] = 0.0
-    model.p_time.data[:] = 0.0
+    enc = _model()[0].eeg
+    enc.p_freq.data[:] = 0.0
+    enc.p_time.data[:] = 0.0
     ids = np.zeros((1, 32), dtype=np.int64)
     patches = np.zeros((1, 32, 2 * 16 * 8), dtype=np.float32)
     plan = mim.MaskPlan(masked=np.zeros((1, 32), bool),
                         dropped=np.zeros((1, 32), bool),
                         ratios=np.array([0.5]))
     plan.masked[0, 5] = True
-    x = mim.embed_inputs(model, ids, patches, plan)
-    assert np.allclose(x.data[0, 6], model.mask_emb.data, atol=1e-6)
+    x = enc.embed(ids, patches, plan)
+    assert np.allclose(x.data[0, 6], enc.mask_emb.data, atol=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +146,7 @@ def test_masked_positions_use_mask_embedding():
 
 
 def _batch(model, rng, b=2):
-    ids = rng.integers(0, model.token_table.shape[0], size=(b, 32))
+    ids = rng.integers(0, model.eeg.token_table.shape[0], size=(b, 32))
     patches = rng.normal(size=(b, 32, 2 * 16 * 8)).astype(np.float32)
     return ids, patches
 
@@ -159,7 +159,8 @@ def test_forward_logit_shape():
     out = mim.mim_forward(model, ids, patches, plan)
     assert out.logits.shape == (plan.masked.sum(), 16)
     assert np.array_equal(out.targets, ids[plan.masked])
-    assert out.u.shape == (2, cfg.d_model)
+    enc, u = model.eeg(ids, patches, plan)
+    assert enc.shape == (2, 33, cfg.d_model) and u.shape == (2, cfg.d_model)
     assert np.all(np.isfinite(out.logits.data))
 
 
@@ -171,8 +172,8 @@ def test_weight_tying_column_sparsity():
     patches = rng.normal(size=(1, 32, 2 * 16 * 8)).astype(np.float32)
     plan = mim.sample_mask_plan(32, cfg, np.random.default_rng(9), batch=1)
     base = mim.mim_forward(model, ids, patches, plan).logits.data.copy()
-    model.token_table.data[13] += rng.normal(0.0, 0.1,
-                                             size=cfg.d_model).astype(np.float32)
+    model.eeg.token_table.data[13] += rng.normal(
+        0.0, 0.1, size=cfg.d_model).astype(np.float32)
     pert = mim.mim_forward(model, ids, patches, plan).logits.data
     delta = np.abs(pert - base)
     assert np.all(delta[:, 13] > 0)
@@ -188,14 +189,14 @@ def test_padded_tail_permutation_invariance():
     ids, patches = _batch(model, rng, b=1)
     keep = np.ones((1, 32), dtype=bool)
     keep[0, 24:] = False
-    u1 = mim.mim_forward(model, ids, patches, keep=keep).u.data
+    u1 = model.eeg(ids, patches, keep=keep)[1].data
     ids2 = ids.copy()
     ids2[0, 24:] = ids[0, 24:][::-1]
     patches2 = patches.copy()
     patches2[0, 24:] = patches[0, 24:][::-1]
-    u2 = mim.mim_forward(model, ids2, patches2, keep=keep).u.data
+    u2 = model.eeg(ids2, patches2, keep=keep)[1].data
     assert np.array_equal(u1, u2)
-    assert not np.allclose(u1, mim.session_embedding(model, ids, patches))
+    assert not np.allclose(u1, mim.session_embedding(model.eeg, ids, patches))
 
 
 def test_loss_zero_when_logits_detached():
@@ -253,9 +254,16 @@ def test_stage1_dropout_is_seeded_and_applied():
     assert losses(0.5) != losses(0.0)
 
 
-def test_encoder_parameter_names_exclude_decoder():
-    model, _ = _model()
-    keep = model.encoder_parameter_names()
-    assert any(name.startswith("encoder.") for name in keep)
-    assert not any(name.startswith(("decoder.", "head_", "p_full")) for name in keep)
-    assert "token_table" in keep
+def test_mim_model_holds_the_encoder_as_eeg():
+    """Stage I names the encoder's weights ``eeg.*`` and draws them first,
+    so a lone ``SessionEncoder`` from the same seed holds the same values;
+    the decoder and head lie outside it."""
+    model, cfg = _model()
+    params = model.named_parameters()
+    enc = mim.SessionEncoder(16, 2 * 16 * 8, (4, 8), cfg,
+                             np.random.default_rng(6)).named_parameters("eeg.")
+    assert list(params)[:len(enc)] == list(enc)
+    assert all(np.array_equal(params[k].data, v.data) for k, v in enc.items())
+    assert {"eeg.token_table", "eeg.blocks.0.attn.wq", "eeg.ln_g"} <= set(enc)
+    assert not any(k.startswith("eeg.") for k in list(params)[len(enc):])
+    assert {"decoder.0.attn.wq", "head_w", "p_full"} <= set(params)
