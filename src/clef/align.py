@@ -45,6 +45,7 @@ class HashedNgramProvider:
             0.0, 1.0 / np.sqrt(self.dim), size=(self.dim, self.dim)
         ).astype(np.float32)
         self._word_cache: dict[str, np.ndarray] = {}
+        self._text_cache: dict[str, np.ndarray] = {}
 
     def _word_feature(self, word: str) -> np.ndarray:
         cached = self._word_cache.get(word)
@@ -66,12 +67,19 @@ class HashedNgramProvider:
 
     def embed(self, text: str) -> np.ndarray:
         """(words, dim) features, one row per word; a text without words is
-        a single zero row."""
+        a single zero row.  Built once per text and returned read-only."""
+        cached = self._text_cache.get(text)
+        if cached is not None:
+            return cached
         words = [w.strip(".,;:()").lower() for w in text.split()]
         words = [w for w in words if w]
         if not words:
-            return np.zeros((1, self.dim), dtype=np.float32)
-        return np.stack([self._word_feature(w) for w in words])
+            feats = np.zeros((1, self.dim), dtype=np.float32)
+        else:
+            feats = np.stack([self._word_feature(w) for w in words])
+        feats.flags.writeable = False
+        self._text_cache[text] = feats
+        return feats
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +143,7 @@ class ReportEncoder(grad.Module):
 
     def __call__(self, feats: np.ndarray, mask: np.ndarray) -> grad.Tensor:
         """feats: (B, L, 768), mask: (B, L) -> (B, d)."""
-        x = grad.matmul(grad.Tensor(feats.astype(grad.DTYPE)), self.w_in) + self.b_in
+        x = grad.matmul(grad.Tensor(feats), self.w_in) + self.b_in
         x = x + grad.reshape(self.pos, (1,) + self.pos.shape)
         bias = mim._attention_bias(mask)
         for block in self.blocks:

@@ -133,24 +133,39 @@ def _load_spectrograms(profile: Profile, spec_dir: Path,
                        ) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Ids, values (S, C, H, W) and availability (S, C) of ``session_ids``
     (default: every ``.spc`` by name); a shape not the profile's is refused."""
-    _require_manifest(spec_dir, "dsp")
     if session_ids is None:
         session_ids = [p.stem for p in sorted(spec_dir.glob("*.spc"))]
+    specs = _read_spectrograms(profile, spec_dir, session_ids)
+    values = np.empty((len(session_ids),) + _spec_shape(profile), np.float32)
+    avail = np.empty(values.shape[:2], bool)
+    for i, spec in enumerate(specs):
+        values[i] = spec.values
+        avail[i] = spec.channel_available
+    return session_ids, values, avail
+
+
+def _spec_shape(profile: Profile) -> tuple[int, int, int]:
+    (gh, gw), (ph, pw) = profile.grid_shape, profile.patch_shape
+    return profile.cohort.n_channels, gh * ph, gw * pw
+
+
+def _read_spectrograms(profile: Profile, spec_dir: Path,
+                       session_ids: list[str]):
+    """An iterator over ``session_ids``' spectrograms, each read when it is
+    reached; a shape not the profile's is refused."""
+    _require_manifest(spec_dir, "dsp")
     if not session_ids:
         raise DataError(f"no .spc files in {spec_dir}")
-    (gh, gw), (ph, pw) = profile.grid_shape, profile.patch_shape
-    shape = (profile.cohort.n_channels, gh * ph, gw * pw)
-    values = np.empty((len(session_ids),) + shape, np.float32)
-    avail = np.empty((len(session_ids), shape[0]), bool)
-    for i, sid in enumerate(session_ids):
+    shape = _spec_shape(profile)
+
+    def read(sid):
         path = spec_dir / f"{sid}.spc"
         spec = dsp.read_spectrogram(path)
         if spec.values.shape != shape:
             raise DataError(f"{path}: spectrogram shape {spec.values.shape}, "
                             f"the profile's is {shape}")
-        values[i] = spec.values
-        avail[i] = spec.channel_available
-    return session_ids, values, avail
+        return spec
+    return map(read, session_ids)
 
 
 def _load_sessions(profile: Profile, tok_dir: Path, spec_dir: Path,
@@ -181,8 +196,15 @@ def _load_sessions(profile: Profile, tok_dir: Path, spec_dir: Path,
                             f"of a {file_k}-entry codebook, not {sid} on "
                             f"{profile.grid_shape} of {k} ({index_path})")
         ids.append(grid.reshape(-1))
-    _, values, _ = _load_spectrograms(profile, spec_dir, session_ids)
-    return np.stack(ids), mim.extract_patches(values, *profile.patch_shape), k
+    # patched one session at a time, so no stack of whole spectrograms
+    # is alive beside the patches
+    specs = _read_spectrograms(profile, spec_dir, session_ids)
+    (gh, gw), (ph, pw) = profile.grid_shape, profile.patch_shape
+    patches = np.empty((len(session_ids), gh * gw,
+                        profile.cohort.n_channels * ph * pw), np.float32)
+    for i, spec in enumerate(specs):
+        patches[i] = mim.extract_patches(spec.values, ph, pw)
+    return np.stack(ids), patches, k
 
 
 def _load_checkpoint(path: Path, kinds: tuple[str, ...], what: str) -> dict:

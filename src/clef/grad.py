@@ -9,11 +9,16 @@ arrays to float64; the gradient checks run the same code at float64, with
 one exception: float32 GELU evaluates erf by a polynomial (A&S 7.1.26),
 while any other dtype keeps scipy's exact erf.
 
-The training hot paths are single primitives: attention is one tape node
-over contiguous heads with a closed-form backward; convolution writes NCHW
-from one GEMM per image, or, at stride 1 on larger planes, from one GEMM
-per kernel tap over shifted views; AdamW updates its moments in place and
-rebinds each parameter to a new array.
+The training hot paths are single primitives:
+- a pre-norm Transformer block (``transformer_block``) is one tape node
+  with a closed-form backward for x and its 12 weights, bit-identical to
+  the composed LN, attention, MLP and residual ops;
+- attention (``scaled_dot_attention``, and inside the block) runs over
+  contiguous heads with a closed-form backward;
+- convolution writes NCHW from one GEMM per image, or, at stride 1 on
+  larger planes, from one GEMM per kernel tap over shifted views;
+- AdamW updates its moments in place and rebinds each parameter to a new
+  array.
 
 A ``Tensor`` records its parents and a vector-Jacobian product per parent;
 ``backward`` walks the tape in reverse topological order exactly once.
@@ -313,18 +318,21 @@ def _gelu_float32(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out.reshape(x.shape), deriv.reshape(x.shape)
 
 
+def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GELU and its derivative on an array: ``_gelu_float32`` for float32,
+    the exact erf-based form for any other dtype."""
+    if x.dtype == np.float32:
+        return _gelu_float32(x)
+    cdf = 0.5 * (1.0 + _erf(x * _INV_SQRT_2))
+    return x * cdf, cdf + x * np.exp(-0.5 * np.square(x)) * _INV_SQRT_2PI
+
+
 def gelu(a) -> Tensor:
     """GELU, x·Φ(x).  Float32 data takes ``_gelu_float32`` (within 5e-7 of
     the exact value); any other dtype, which is what the gradient checks
     run, takes the exact erf-based form."""
     a = _wrap(a)
-    x = a.data
-    if x.dtype == np.float32:
-        out, deriv = _gelu_float32(x)
-    else:
-        cdf = 0.5 * (1.0 + _erf(x * _INV_SQRT_2))
-        out = x * cdf
-        deriv = cdf + x * np.exp(-0.5 * np.square(x)) * _INV_SQRT_2PI
+    out, deriv = _gelu(a.data)
     return _make(out, [(a, lambda g: g * deriv)])
 
 
@@ -468,33 +476,40 @@ def softmax(a, axis: int = -1) -> Tensor:
         (a, lambda g: _softmax_vjp_(data, np.array(g, dtype=data.dtype), axis))])
 
 
+def _layernorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+               eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``layernorm``'s forward on arrays: the output, x̂ and 1/σ."""
+    dt = x.dtype
+    xhat = x - x.mean(axis=-1, keepdims=True, dtype=np.float64).astype(dt)
+    var = np.square(xhat).mean(axis=-1, keepdims=True, dtype=np.float64)
+    inv = (1.0 / np.sqrt(var + eps)).astype(dt)
+    xhat *= inv
+    return xhat * gamma + beta, xhat, inv
+
+
+def _layernorm_vjp_x(g: np.ndarray, gamma: np.ndarray, xhat: np.ndarray,
+                     inv: np.ndarray) -> np.ndarray:
+    """``layernorm``'s input gradient: (g·γ − mean(g·γ) − x̂·mean(g·γ·x̂))/σ."""
+    dt = xhat.dtype
+    gh = g * gamma
+    dot = (gh * xhat).mean(axis=-1, keepdims=True, dtype=np.float64).astype(dt)
+    gh -= gh.mean(axis=-1, keepdims=True, dtype=np.float64).astype(dt)
+    gh -= xhat * dot
+    gh *= inv
+    return gh
+
+
 def layernorm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis, then scale and shift.  The mean and
     variance (and the VJP's two row means) accumulate in float64 and are
     cast to the input's dtype; every elementwise term stays in that dtype."""
     x, gamma, beta = _wrap(x), _wrap(gamma), _wrap(beta)
-    dt = x.data.dtype
-    xhat = x.data - x.data.mean(axis=-1, keepdims=True, dtype=np.float64).astype(dt)
-    var = np.square(xhat).mean(axis=-1, keepdims=True, dtype=np.float64)
-    inv = (1.0 / np.sqrt(var + eps)).astype(dt)
-    xhat *= inv
-    data = xhat * gamma.data + beta.data
-
-    def vjp_x(g):
-        gh = g * gamma.data
-        dot = (gh * xhat).mean(axis=-1, keepdims=True, dtype=np.float64).astype(dt)
-        gh -= gh.mean(axis=-1, keepdims=True, dtype=np.float64).astype(dt)
-        gh -= xhat * dot
-        gh *= inv
-        return gh
-
-    def vjp_gamma(g):
-        return _sum_to_shape(g * xhat, gamma.data.shape)
-
-    def vjp_beta(g):
-        return _sum_to_shape(g, beta.data.shape)
-
-    return _make(data, [(x, vjp_x), (gamma, vjp_gamma), (beta, vjp_beta)])
+    data, xhat, inv = _layernorm(x.data, gamma.data, beta.data, eps)
+    return _make(data, [
+        (x, lambda g: _layernorm_vjp_x(g, gamma.data, xhat, inv)),
+        (gamma, lambda g: _sum_to_shape(g * xhat, gamma.data.shape)),
+        (beta, lambda g: _sum_to_shape(g, beta.data.shape)),
+    ])
 
 
 def _joint_vjps(parents: Sequence[Tensor], backward) -> list:
@@ -516,19 +531,17 @@ def _joint_vjps(parents: Sequence[Tensor], backward) -> list:
     return [(p, vjp_for(i)) for i, p in enumerate(parents)]
 
 
-def scaled_dot_attention(q, k, v, mask_bias=None) -> Tensor:
-    """softmax(q k^T / sqrt(d) + bias) v over the last two axes.
+def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
+               bias: np.ndarray | None):
+    """``scaled_dot_attention``'s forward on arrays: the output and
+    ``backward(g) -> (gq, gk, gv)``.
 
-    ``mask_bias`` is a constant additive bias (0 for kept positions, large
-    negative for padded ones), broadcastable to the score shape.  One
-    primitive: the heads are made contiguous once, the softmax runs in
-    place, and the backward forms dS once for the gradients of q and k.
-    The scores of all heads are held key-major, (keys, heads..., queries),
-    so that the softmax reduces over the leading axis of one 2-D array,
-    which numpy vectorizes, rather than along many short rows.
-    """
-    q, k, v = _wrap(q), _wrap(k), _wrap(v)
-    qd, kd, vd = (np.ascontiguousarray(t.data) for t in (q, k, v))
+    The heads are made contiguous once, the softmax runs in place, and the
+    backward forms dS once for the gradients of q and k.  The scores of all
+    heads are held key-major, (keys, heads..., queries), so that the
+    softmax reduces over the leading axis of one 2-D array, which numpy
+    vectorizes, rather than along many short rows."""
+    qd, kd, vd = (np.ascontiguousarray(a) for a in (q, k, v))
     scale = 1.0 / np.sqrt(qd.shape[-1])
     lk = kd.shape[-2]
 
@@ -542,8 +555,8 @@ def scaled_dot_attention(q, k, v, mask_bias=None) -> Tensor:
 
     p, p_heads = key_major(kd, qd)
     p *= scale
-    if mask_bias is not None:
-        p_heads += np.swapaxes(np.atleast_2d(_wrap(mask_bias).data), -1, -2)
+    if bias is not None:
+        p_heads += np.swapaxes(np.atleast_2d(bias), -1, -2)
     _softmax_(p, axis=0)
 
     def backward(g):
@@ -554,8 +567,106 @@ def scaled_dot_attention(q, k, v, mask_bias=None) -> Tensor:
         return (np.matmul(np.swapaxes(ds_heads, -1, -2), kd),
                 np.matmul(ds_heads, qd), np.matmul(p_heads, g))
 
-    return _make(np.matmul(np.swapaxes(p_heads, -1, -2), vd),
-                 _joint_vjps([q, k, v], backward))
+    return np.matmul(np.swapaxes(p_heads, -1, -2), vd), backward
+
+
+def scaled_dot_attention(q, k, v, mask_bias=None) -> Tensor:
+    """softmax(q k^T / sqrt(d) + bias) v over the last two axes, as one
+    primitive (``_attention``).
+
+    ``mask_bias`` is a constant additive bias (0 for kept positions, large
+    negative for padded ones), broadcastable to the score shape.
+    """
+    q, k, v = _wrap(q), _wrap(k), _wrap(v)
+    bias = None if mask_bias is None else _wrap(mask_bias).data
+    out, backward = _attention(q.data, k.data, v.data, bias)
+    return _make(out, _joint_vjps([q, k, v], backward))
+
+
+def transformer_block(x, weights: Sequence, n_heads: int, mask_bias=None,
+                      p_drop: float = 0.0,
+                      rng: np.random.Generator | None = None) -> Tensor:
+    """A pre-norm Transformer block over x (B, L, d) as one primitive:
+
+        h   = x + drop(attention(LN1(x)·Wq, LN1(x)·Wk, LN1(x)·Wv)·Wo)
+        out = h + drop(GELU(LN2(h)·W1 + b1)·W2 + b2)
+
+    ``weights`` is (ln1_g, ln1_b, wq, wk, wv, wo, ln2_g, ln2_b, w1, b1, w2,
+    b2); attention splits d over ``n_heads`` heads and takes ``mask_bias``
+    as ``scaled_dot_attention`` does.  Dropout draws the attention branch's
+    mask, then the MLP branch's, as two ``dropout`` calls would.
+
+    Every step is the arithmetic of the primitive it replaces, on the same
+    array layouts: one GEMM per weight, ``_layernorm``, ``_attention``,
+    ``_gelu``, bias gradients through ``_sum_to_shape``, and the gradients
+    that LN1's output gets from Q, K and V summed in that order, as the
+    tape sums them.  So the output and all 13 gradients (x and the
+    weights), which one closed-form backward computes, are bit-identical
+    to the composed ops, while the tape holds one node per block.
+    """
+    x = _wrap(x)
+    ws = [_wrap(w) for w in weights]
+    ln1_g, ln1_b, wq, wk, wv, wo, ln2_g, ln2_b, w1, b1, w2, b2 = \
+        (w.data for w in ws)
+    b, l, d = x.shape
+    shape_heads = (b, l, n_heads, d // n_heads)
+
+    def drop(a):
+        keep = _dropout_keep(a.shape, p_drop, rng)
+        if keep is not None:
+            a *= keep
+        return keep
+
+    h1, xhat1, inv1 = _layernorm(x.data, ln1_g, ln1_b, 1e-5)
+    h1 = h1.reshape(-1, d)
+    att, att_backward = _attention(
+        *((h1 @ w).reshape(shape_heads).transpose(0, 2, 1, 3)
+          for w in (wq, wk, wv)),
+        None if mask_bias is None else _wrap(mask_bias).data)
+    att = att.transpose(0, 2, 1, 3).reshape(-1, d)
+    a = (att @ wo).reshape(x.shape)
+    keep1 = drop(a)
+    x1 = x.data + a
+    h2, xhat2, inv2 = _layernorm(x1, ln2_g, ln2_b, 1e-5)
+    h2 = h2.reshape(-1, d)
+    f = w1.shape[1]
+    z = (h2 @ w1).reshape(b, l, f)
+    z += b1
+    act, dact = _gelu(z)
+    act = act.reshape(-1, f)
+    y = (act @ w2).reshape(x.shape)
+    y += b2
+    keep2 = drop(y)
+    y += x1
+
+    def backward(g):
+        gy = g if keep2 is None else g * keep2
+        gz = (gy.reshape(-1, d) @ w2.T).reshape(dact.shape)
+        g_w2 = act.T @ gy.reshape(-1, d)
+        gz *= dact
+        g_w1 = h2.T @ gz.reshape(-1, f)
+        g_h2 = (gz.reshape(-1, f) @ w1.T).reshape(x.shape)
+        g_x1 = g + _layernorm_vjp_x(g_h2, ln2_g, xhat2, inv2)
+        ga = g_x1 if keep1 is None else g_x1 * keep1
+        g_wo = att.T @ ga.reshape(-1, d)
+        g_att = (ga.reshape(-1, d) @ wo.T).reshape(shape_heads)
+        g_h1, g_qkv = None, []
+        for gh, w in zip(att_backward(g_att.transpose(0, 2, 1, 3)),
+                         (wq, wk, wv)):
+            gh = gh.transpose(0, 2, 1, 3).reshape(-1, d)
+            g_qkv.append(h1.T @ gh)
+            gh = gh @ w.T
+            g_h1 = gh if g_h1 is None else g_h1 + gh
+        g_h1 = g_h1.reshape(x.shape)
+        return [g_x1 + _layernorm_vjp_x(g_h1, ln1_g, xhat1, inv1),
+                _sum_to_shape(g_h1 * xhat1, ln1_g.shape),
+                _sum_to_shape(g_h1, ln1_b.shape), *g_qkv, g_wo,
+                _sum_to_shape(g_h2 * xhat2, ln2_g.shape),
+                _sum_to_shape(g_h2, ln2_b.shape), g_w1,
+                _sum_to_shape(gz, b1.shape), g_w2,
+                _sum_to_shape(gy, b2.shape)]
+
+    return _make(y, _joint_vjps([x, *ws], backward))
 
 
 def mean_pool_masked(x, mask) -> Tensor:
@@ -774,13 +885,22 @@ def transposed_conv2d(x, w, b=None, stride=1, padding=0, output_padding=0) -> Te
     return _with_bias(data, b, _joint_vjps([x, w], backward))
 
 
-def dropout(x, p: float, rng: np.random.Generator | None) -> Tensor:
-    """Inverted dropout; identity when p == 0 or rng is None (eval mode)."""
+def _dropout_keep(shape, p: float,
+                  rng: np.random.Generator | None) -> np.ndarray | None:
+    """Inverted dropout's multiplier, 0 or 1/(1 − p); None when p == 0 or
+    rng is None (eval mode)."""
     if p <= 0.0 or rng is None:
-        return _wrap(x)
+        return None
+    return (rng.random(shape) >= p).astype(DTYPE) / (1.0 - p)
+
+
+def dropout(x, p: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted dropout; identity when p == 0 or rng is None (eval mode).
+    The pipeline's dropout runs inside ``transformer_block``; the tests'
+    composed-block reference draws its masks through this op."""
     x = _wrap(x)
-    keep = (rng.random(x.shape) >= p).astype(DTYPE) / (1.0 - p)
-    return mul(x, Tensor(keep))
+    keep = _dropout_keep(x.shape, p, rng)
+    return x if keep is None else mul(x, Tensor(keep))
 
 
 # ---------------------------------------------------------------------------

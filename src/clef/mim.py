@@ -9,6 +9,11 @@ token ids at masked positions against the weight-tied token table, and the
 mean-pooled encoder output is the patient embedding u.  The encoder is one
 module, ``SessionEncoder``, that ``MimModel`` and Stage II's
 ``align.AlignModel`` both hold as ``eeg``: both checkpoints name it ``eeg.*``.
+Stage I reads only the encoder output (``SessionEncoder.encode``); Stage II
+and the probe also take u (``SessionEncoder.__call__``).  Every Transformer
+block, here and in Stage II's refiners, is ``_Block``: one
+``grad.transformer_block`` node, whose weights ``_Block`` and ``_Attention``
+hold under their checkpoint names.
 """
 
 from __future__ import annotations
@@ -68,6 +73,8 @@ def sample_mask_plan(n: int, cfg: MimConfig, rng: np.random.Generator,
 
 
 class _Attention(grad.Module):
+    """The attention weights of a ``_Block``, named ``attn.w*``."""
+
     def __init__(self, d: int, n_heads: int, rng):
         if d % n_heads:
             raise DataError(f"d_model {d} not divisible by {n_heads} heads")
@@ -77,24 +84,9 @@ class _Attention(grad.Module):
         self.wv = grad.param((d, d), rng)
         self.wo = grad.param((d, d), rng)
 
-    def __call__(self, x, bias):
-        b, l, d = x.shape
-        h = self.n_heads
-        dh = d // h
-
-        def split(t):
-            return grad.transpose(grad.reshape(t, (b, l, h, dh)), (0, 2, 1, 3))
-
-        q = split(grad.matmul(x, self.wq))
-        k = split(grad.matmul(x, self.wk))
-        v = split(grad.matmul(x, self.wv))
-        out = grad.scaled_dot_attention(q, k, v, mask_bias=bias)
-        out = grad.reshape(grad.transpose(out, (0, 2, 1, 3)), (b, l, d))
-        return grad.matmul(out, self.wo)
-
 
 class _Block(grad.Module):
-    """Pre-norm transformer block."""
+    """Pre-norm transformer block: one ``grad.transformer_block`` node."""
 
     def __init__(self, d: int, n_heads: int, mlp_ratio: int, rng):
         self.ln1_g = grad.Tensor(np.ones(d, dtype=grad.DTYPE), requires_grad=True)
@@ -108,11 +100,11 @@ class _Block(grad.Module):
         self.b2 = grad.param((d,), rng, zeros=True)
 
     def __call__(self, x, bias, p_drop=0.0, rng=None):
-        h = self.attn(grad.layernorm(x, self.ln1_g, self.ln1_b), bias)
-        x = x + grad.dropout(h, p_drop, rng)
-        h = grad.layernorm(x, self.ln2_g, self.ln2_b)
-        h = grad.matmul(grad.gelu(grad.matmul(h, self.w1) + self.b1), self.w2) + self.b2
-        return x + grad.dropout(h, p_drop, rng)
+        a = self.attn
+        return grad.transformer_block(
+            x, (self.ln1_g, self.ln1_b, a.wq, a.wk, a.wv, a.wo, self.ln2_g,
+                self.ln2_b, self.w1, self.b1, self.w2, self.b2),
+            a.n_heads, bias, p_drop, rng)
 
 
 def _stack(depth, d, n_heads, mlp_ratio, rng):
@@ -160,7 +152,7 @@ class SessionEncoder(grad.Module):
         if n != self.n_positions:
             raise DataError(f"{n} positions, model expects {self.n_positions}")
         tok = grad.getitem(self.token_table, ids)
-        patch = grad.matmul(grad.Tensor(patches.astype(grad.DTYPE)), self.w_patch)
+        patch = grad.matmul(grad.Tensor(patches), self.w_patch)
         pos = grad.getitem(self.p_freq, self.coord_h) + \
             grad.getitem(self.p_time, self.coord_w)    # (N, d)
         content = tok + patch
@@ -173,28 +165,37 @@ class SessionEncoder(grad.Module):
                          grad.Tensor(np.ones((b, 1, 1), dtype=grad.DTYPE)))
         return grad.concat([proxy, x], axis=1)
 
-    def __call__(self, ids: np.ndarray, patches: np.ndarray,
-                 plan: MaskPlan | None = None, keep: np.ndarray | None = None,
-                 train_rng: np.random.Generator | None = None
-                 ) -> tuple[grad.Tensor, grad.Tensor]:
-        """Encoder output (B, N+1, d) and the pooled embedding u (B, d).
+    def encode(self, ids: np.ndarray, patches: np.ndarray,
+               plan: MaskPlan | None = None, keep: np.ndarray | None = None,
+               train_rng: np.random.Generator | None = None
+               ) -> tuple[grad.Tensor, np.ndarray]:
+        """Encoder output (B, N+1, d) and the (B, N+1) mask of the slots
+        that attend, the proxy first.
 
-        ``keep`` (B, N): positions the encoder sees and u pools (default
-        all); a plan's dropped positions are left out as well."""
+        ``keep`` (B, N): positions the encoder sees (default all); a plan's
+        dropped positions are left out as well."""
         b, n = ids.shape
         x = self.embed(ids, patches, plan)
         kept = np.ones((b, n), dtype=bool) if keep is None else keep
         if plan is not None:
             kept = kept & ~plan.dropped
-        keep_full = np.concatenate(
+        attends = np.concatenate(
             [np.ones((b, 1), dtype=bool), kept], axis=1)    # proxy always attends
-        bias = _attention_bias(keep_full)
+        bias = _attention_bias(attends)
         p_drop = self.cfg.dropout if train_rng is not None else 0.0
         for block in self.blocks:
             x = block(x, bias, p_drop, train_rng)
-        enc = grad.layernorm(x, self.ln_g, self.ln_b)
-        keep_full[:, 0] = False     # u pools the session tokens, not the proxy
-        u = grad.mean_pool_masked(enc, grad.Tensor(keep_full.astype(grad.DTYPE)))
+        return grad.layernorm(x, self.ln_g, self.ln_b), attends
+
+    def __call__(self, ids: np.ndarray, patches: np.ndarray,
+                 plan: MaskPlan | None = None, keep: np.ndarray | None = None,
+                 train_rng: np.random.Generator | None = None
+                 ) -> tuple[grad.Tensor, grad.Tensor]:
+        """``encode``'s output and the embedding u (B, d) that pools the
+        session tokens it kept."""
+        enc, attends = self.encode(ids, patches, plan, keep, train_rng)
+        attends[:, 0] = False       # u pools the session tokens, not the proxy
+        u = grad.mean_pool_masked(enc, grad.Tensor(attends.astype(grad.DTYPE)))
         return enc, u
 
 
@@ -250,7 +251,7 @@ def mim_forward(model: MimModel, ids: np.ndarray, patches: np.ndarray,
     """Stage I's forward: encode under ``plan``, then decode its masked
     positions against the weight-tied token table."""
     b, n = ids.shape
-    enc, _u = model.eeg(ids, patches, plan, train_rng=train_rng)
+    enc, _attends = model.eeg.encode(ids, patches, plan, train_rng=train_rng)
     # decoder: fill masked and dropped slots with the projected proxy
     proxy_rep = grad.matmul(grad.getitem(enc, (slice(None), slice(0, 1))),
                             model.w_proxy) + model.b_proxy   # (B, 1, d)

@@ -351,6 +351,36 @@ def test_stage2_train_updates_and_ema():
                for k, p in encoder.named_parameters().items())
 
 
+def test_report_features_are_built_once_per_text(monkeypatch):
+    """A Stage II run looks each report's words up once, however many
+    batches draw the report; the provider hands back the same read-only
+    rows each time, equal to what a fresh provider builds."""
+    encoder, acfg = _tiny_stage2()
+    provider = align.HashedNgramProvider()
+    b = _batch(np.random.default_rng(16))
+    records, _ = generate_records(CohortConfig(n_patients=4), seed=16)
+    rows = align.AlignRows(records, b.ids, b.patches, VOCAB)
+    texts, words = [], []
+    embed, word_feature = (align.HashedNgramProvider.embed,
+                           align.HashedNgramProvider._word_feature)
+    monkeypatch.setattr(align.HashedNgramProvider, "embed",
+                        lambda self, text: texts.append(text)
+                        or embed(self, text))
+    monkeypatch.setattr(align.HashedNgramProvider, "_word_feature",
+                        lambda self, word: words.append(word)
+                        or word_feature(self, word))
+    align.stage2_train(encoder, provider, rows, replace(acfg, steps=3),
+                       seed=17)
+    monkeypatch.undo()
+    assert len(texts) > len(set(texts)) > 0
+    fresh = align.HashedNgramProvider()
+    assert len(words) == sum(len(fresh.embed(t)) for t in set(texts))
+    for t in set(texts):
+        f = provider.embed(t)
+        assert f is provider.embed(t) and not f.flags.writeable
+        assert np.array_equal(f, fresh.embed(t))
+
+
 # ---------------------------------------------------------------------------
 # concept holdout
 

@@ -3,9 +3,9 @@ mapping, ``--steps`` as profile shorthand, the progress lines, an incomplete
 ``days.json``, sequential-training, codebook-hash, checkpoint-kind,
 checkpoint-geometry, checkpoint-naming, demographic-category,
 token-codebook, token-grid and partial-output refusals, the session-id
-join, the spectrogram loader's memory and geometry check, malformed JSON
-artifacts, manifest reproducibility, seed splitting, config schema
-completeness and the shape walk of every profile."""
+join, the spectrogram and session loaders' memory, the geometry check,
+malformed JSON artifacts, manifest reproducibility, seed splitting, config
+schema completeness and the shape walk of every profile."""
 
 import dataclasses
 import json
@@ -625,6 +625,32 @@ def test_sessions_join_by_id_not_by_sorted_position(tmp_path):
     (spec / "s100000.spc").unlink()
     with pytest.raises(DataError, match="different sessions"):
         climod._load_sessions(profile, tok, spec)
+
+
+def test_load_sessions_holds_no_stack_of_spectrograms(tmp_path):
+    """Patches are cut one session at a time into the result: peak traced
+    memory stays within the patches and 1 MB, where the stacked
+    spectrograms beside them would double it."""
+    profile = cfgmod.get_profile("desk")
+    values = np.random.default_rng(0).normal(size=(8, 64, 64))
+    tok, spec = _write_sessions(tmp_path, ["s00"], (4, 8), values)
+    sids = [f"s{i:02d}" for i in range(20)]
+    for sid in sids[1:]:
+        vqtok.write_tokens(tok / f"{sid}.tok",
+                           np.ones((4, 8), dtype=np.int64), 4, sid)
+        shutil.copy(spec / "s00.spc", spec / f"{sid}.spc")
+    (tok / "tokens.json").write_text(json.dumps(
+        {"codebook_sha": "x", "codebook_size": 4, "sessions": sids}))
+    tracemalloc.start()
+    try:
+        _, patches, _ = climod._load_sessions(profile, tok, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert patches.shape == (20, 32, 8 * 16 * 8)
+    assert np.array_equal(patches[19], mim.extract_patches(
+        values.astype(np.float32), 16, 8))
+    assert peak <= patches.nbytes + (1 << 20)
 
 
 def test_patches_are_cut_at_the_tokenizer_stride(tmp_path):

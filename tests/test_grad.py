@@ -159,6 +159,159 @@ def test_fused_attention_masked_keys_get_no_weight_and_no_gradient():
     assert gk[~masked].any() and gv[~masked].any()
 
 
+def _composed_block(x, ws, n_heads, bias, p_drop=0.0, rng=None):
+    """The pre-norm block as separate tape ops (LN, Q/K/V, attention, W_o,
+    dropout, residual, LN, W1 + b1, GELU, W2 + b2, dropout, residual): the
+    reference that ``grad.transformer_block`` must match."""
+    ln1_g, ln1_b, wq, wk, wv, wo, ln2_g, ln2_b, w1, b1, w2, b2 = ws
+    b, l, d = x.shape
+
+    def heads(t):
+        return grad.transpose(grad.reshape(t, (b, l, n_heads, d // n_heads)),
+                              (0, 2, 1, 3))
+
+    h = grad.layernorm(x, ln1_g, ln1_b)
+    h = grad.scaled_dot_attention(heads(grad.matmul(h, wq)),
+                                  heads(grad.matmul(h, wk)),
+                                  heads(grad.matmul(h, wv)), mask_bias=bias)
+    h = grad.matmul(grad.reshape(grad.transpose(h, (0, 2, 1, 3)), (b, l, d)), wo)
+    x = x + grad.dropout(h, p_drop, rng)
+    h = grad.layernorm(x, ln2_g, ln2_b)
+    h = grad.matmul(grad.gelu(grad.matmul(h, w1) + b1), w2) + b2
+    return x + grad.dropout(h, p_drop, rng)
+
+
+def _block_shapes(d, f):
+    """The 12 weights' shapes, in the primitive's order, at width d and MLP
+    width f."""
+    return [(d,), (d,), (d, d), (d, d), (d, d), (d, d), (d,), (d,), (d, f),
+            (f,), (f, d), (d,)]
+
+
+def _block_arrays(b, l, d, f, seed, dtype):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(b, l, d))
+    ws = [rng.normal(0.0, 1.0 / np.sqrt(s[0]), size=s) if len(s) == 2
+          else 1.0 * (i in (0, 6)) + 0.1 * rng.normal(size=s)
+          for i, s in enumerate(_block_shapes(d, f))]
+    return [a.astype(dtype) for a in [x, *ws]]
+
+
+def _key_bias(keep, dtype):
+    return Tensor(np.where(keep, 0.0, -1e9).astype(dtype)[:, None, None, :])
+
+
+def _block_and_grads(op, arrays, g, n_heads, bias, p_drop=0.0, rng=None):
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    out = op(leaves[0], leaves[1:], n_heads, bias, p_drop, rng)
+    return [out.data] + grad.grads(grad.sum_(grad.mul(out, Tensor(g))), leaves)
+
+
+@pytest.mark.parametrize("masked", [True, False])
+def test_fd_transformer_block(masked):
+    """x and all 12 weights against central differences, at float64, with
+    a key mask and without one (the Stage I decoder's ``bias=None``)."""
+    b, l, d, f, n_heads = 2, 4, 4, 8, 2
+    keep = np.ones((b, l), bool)
+    keep[0, 2:] = keep[1, 1] = False
+
+    def block(ts):
+        bias = _key_bias(keep, np.float64) if masked else None
+        out = grad.transformer_block(ts[0], ts[1:], n_heads, bias)
+        return grad.sum_(grad.mul(out, Tensor(np.linspace(-1.0, 1.0, out.data.size)
+                                              .reshape(out.shape))))
+
+    check_gradients(block, [(b, l, d)] + _block_shapes(d, f), seed=21, rtol=1e-5)
+
+
+@pytest.mark.parametrize("shape", [(2, 5, 8, 2), (3, 7, 12, 3)])
+def test_transformer_block_matches_composed_ops_at_float64(shape):
+    b, l, d, n_heads = shape
+    arrays = _block_arrays(b, l, d, 4 * d, l, np.float64)
+    keep = np.ones((b, l), bool)
+    keep[0, -2:] = False
+    g = np.random.default_rng(d).normal(size=(b, l, d))
+    with float64_mode():
+        results = [_block_and_grads(op, arrays, g, n_heads,
+                                    _key_bias(keep, np.float64))
+                   for op in (grad.transformer_block, _composed_block)]
+    assert len(results[0]) == 14
+    for fused, composed in zip(*results):
+        assert fused.dtype == np.float64 and fused.shape == composed.shape
+        assert np.abs(fused - composed).max() <= 1e-12 * np.abs(composed).max()
+
+
+@pytest.mark.parametrize("shape,masked", [((4, 33, 64, 4), True),
+                                          ((3, 19, 32, 4), True),
+                                          ((2, 17, 32, 2), False)])
+def test_transformer_block_float32_is_bit_identical_to_composed_ops(shape, masked):
+    """Same GEMMs, layouts and reductions as the composed ops, and LN1's
+    gradient summed from Q, K and V in the tape's order: every bit agrees."""
+    b, l, d, n_heads = shape
+    arrays = _block_arrays(b, l, d, 4 * d, l, np.float32)
+    rng = np.random.default_rng(b)
+    keep = rng.random((b, l)) > 0.3
+    keep[:, 0] = True
+    bias = _key_bias(keep, np.float32) if masked else None
+    g = rng.normal(size=(b, l, d)).astype(np.float32)
+    fused, composed = (_block_and_grads(op, arrays, g, n_heads, bias)
+                       for op in (grad.transformer_block, _composed_block))
+    for a, c in zip(fused, composed):
+        assert a.dtype == np.float32 and np.array_equal(a, c)
+
+
+def test_transformer_block_dropout_draws_as_the_composed_ops():
+    """p_drop = 0.1: the attention branch's mask, then the MLP branch's,
+    from the same draws; outputs, gradients and the rng state after agree."""
+    b, l, d, n_heads = 3, 9, 16, 4
+    arrays = _block_arrays(b, l, d, 4 * d, 5, np.float32)
+    g = np.random.default_rng(6).normal(size=(b, l, d)).astype(np.float32)
+    rngs = [np.random.default_rng(7) for _ in range(2)]
+    fused, composed = (
+        _block_and_grads(op, arrays, g, n_heads, None, 0.1, r)
+        for op, r in zip((grad.transformer_block, _composed_block), rngs))
+    for a, c in zip(fused, composed):
+        assert np.array_equal(a, c)
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+    eval_mode = _block_and_grads(grad.transformer_block, arrays, g, n_heads,
+                                 None, 0.1, None)
+    assert not np.array_equal(fused[0], eval_mode[0])
+
+
+def test_transformer_block_masked_keys_get_no_weight_and_no_gradient():
+    """A masked position's input reaches only its own output row: the
+    kept rows keep their bits whatever it holds, and a loss on the kept
+    rows sends it exactly zero gradient."""
+    b, l, d, n_heads = 3, 6, 8, 2
+    x, *ws = _block_arrays(b, l, d, 4 * d, 8, np.float32)
+    keep = np.ones((b, l), bool)
+    keep[0, 4:] = keep[2, 1] = False
+    bias = _key_bias(keep, np.float32)
+    g = np.where(keep[:, :, None], np.random.default_rng(9).normal(
+        size=(b, l, d)), 0.0).astype(np.float32)
+    out, gx, *_ = _block_and_grads(grad.transformer_block, [x, *ws], g,
+                                   n_heads, bias)
+    x2 = np.where(keep[:, :, None], x, 1e3).astype(np.float32)
+    out2, *_ = _block_and_grads(grad.transformer_block, [x2, *ws], g,
+                                n_heads, bias)
+    assert np.array_equal(out[keep], out2[keep])
+    assert not gx[~keep].any() and gx[keep].any()
+
+
+def test_transformer_block_at_paper_small_width():
+    """d = 512 with 8 heads, as the ``paper-small`` profiles run it."""
+    b, l, d, n_heads = 2, 17, 512, 8
+    arrays = _block_arrays(b, l, d, 4 * d, 10, np.float32)
+    keep = np.ones((b, l), bool)
+    keep[1, 9:] = False
+    g = np.random.default_rng(11).normal(size=(b, l, d)).astype(np.float32)
+    results = _block_and_grads(grad.transformer_block, arrays, g, n_heads,
+                               _key_bias(keep, np.float32), 0.1,
+                               np.random.default_rng(12))
+    assert [r.shape for r in results] == [(b, l, d), (b, l, d)] + _block_shapes(d, 4 * d)
+    assert all(np.isfinite(r).all() and r.dtype == np.float32 for r in results)
+
+
 # ---------------------------------------------------------------------------
 # float32 kernels against float64 references
 

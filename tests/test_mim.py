@@ -199,6 +199,44 @@ def test_padded_tail_permutation_invariance():
     assert not np.allclose(u1, mim.session_embedding(model.eeg, ids, patches))
 
 
+def test_block_is_one_tape_node(monkeypatch):
+    """A block call makes one node whose parents are x and the block's 12
+    weights, in their checkpoint order."""
+    model, cfg = _model()
+    block = model.eeg.blocks[0]
+    x = grad.Tensor(np.random.default_rng(14).normal(
+        size=(2, 33, cfg.d_model)), requires_grad=True)
+    made, real = [], grad._make
+
+    def make(*args):
+        made.append(real(*args))
+        return made[-1]
+
+    monkeypatch.setattr(grad, "_make", make)
+    out = block(x, mim._attention_bias(np.ones((2, 33), bool)))
+    assert made == [out]
+    assert [p for p, _ in out._parents] == [x, *block.parameters()]
+    assert list(block.named_parameters()) == [
+        "ln1_g", "ln1_b", "attn.wq", "attn.wk", "attn.wv", "attn.wo",
+        "ln2_g", "ln2_b", "w1", "b1", "w2", "b2"]
+
+
+def test_stage1_forward_pools_nothing(monkeypatch):
+    """Stage I reads the encoder output alone, so it builds no u."""
+    model, cfg = _model()
+    rng = np.random.default_rng(15)
+    ids, patches = _batch(model, rng)
+    plan = mim.sample_mask_plan(32, cfg, rng, batch=2)
+    expected = mim.mim_forward(model, ids, patches, plan).logits.data
+
+    def refuse(*_args):
+        raise AssertionError("Stage I pooled u")
+
+    monkeypatch.setattr(grad, "mean_pool_masked", refuse)
+    assert np.array_equal(
+        mim.mim_forward(model, ids, patches, plan).logits.data, expected)
+
+
 def test_loss_zero_when_logits_detached():
     model, cfg = _model()
     rng = np.random.default_rng(11)
