@@ -9,7 +9,7 @@ through a counter-based scheme.  Exit codes: 0 success, 2 config error,
 3 data error, 4 numeric failure.  Every run quantity comes from the profile
 and so counts in ``profile_hash``: a trainer's ``--steps N`` is shorthand for
 ``--config {"<stage>": {"steps": N}}``; below 1 is a config error either
-way.  ``name`` is refused, so ``Profile`` has 92 settable leaves; sizes the
+way.  ``name`` is refused, so ``Profile`` has 89 settable leaves; sizes the
 data fixes (channel count, EHR vocabularies) are not keys.
 """
 

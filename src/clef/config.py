@@ -10,9 +10,12 @@ from nothing else.  An unknown key, or a value whose JSON type differs from
 the default's (an int is accepted for a float), is a ``ConfigError``.
 ``dsp.sample_rate``, ``dsp.freq_res_hz``, ``mim.pool_includes_proxy``,
 ``tokenizer.codebook_data_init``, ``mim.patch_h``, ``mim.patch_w``,
-``cohort.n_channels``, ``align.ehr.n_dx`` and ``align.ehr.n_med`` are gone
-and refused like any unknown key.  ``name`` is refused too: a profile is
-named by ``--profile`` alone, so ``Profile`` has 92 settable leaves.
+``cohort.n_channels``, ``align.ehr.n_dx``, ``align.ehr.n_med`` and the
+three keys of the tokenizer's adversarial term, which is not reproduced
+(layer widths, weight clamp and start step; the README's "Configuration"
+names them), are gone and refused like any unknown key.
+``name`` is refused too: a profile is named by ``--profile`` alone, so
+``Profile`` has 89 settable leaves.
 
 No key restates a size the data fixes: the channel count is
 ``len(cohort.channel_names)``, and the EHR code tables have a row per code
@@ -120,21 +123,18 @@ class TokenizerConfig:
     # (freq, time) stride per level; total 16x in frequency, 8x in time.
     level_strides: list[tuple[int, int]] = field(
         default_factory=lambda: [(2, 2), (2, 2), (2, 2), (2, 1), (1, 1)])
-    disc_channels: list[int] = field(default_factory=lambda: [16, 32, 32])
     lambda_code: float = 0.8
     lambda_commit: float = 0.2
     gamma_diff: float = 4.0
-    adv_weight_clamp: float = 1e4
     p_psg: float = 0.3
     p_drop: float = 0.1
     ramp_steps: int = 200
     # short revival interval: at desk step counts the codebook must recover
     # dead entries within the training run, not after it
     dead_code_steps: int = 50
-    lr: float = 1e-3             # both Adam optimizers: beta1=0, beta2=0.99
+    lr: float = 1e-3             # the tokenizer's Adam: beta1=0, beta2=0.99
     batch_size: int = 16
     steps: int = 200
-    adv_start_step: int = 10_000_000  # GAN off by default at desk scale
 
 
 @dataclass
@@ -261,10 +261,9 @@ def _paper(name: str, depth: int, d_model: int, n_heads: int) -> Profile:
     p.tokenizer = TokenizerConfig(
         codebook_size=4096, latent_dim=64,
         level_channels=[64, 128, 128, 256, 256],
-        disc_channels=[64, 128, 256],
         lambda_code=0.8, lambda_commit=0.2, gamma_diff=4.0,
         p_psg=0.3, p_drop=0.1, ramp_steps=100_000,
-        lr=1.44e-4, batch_size=32, steps=200_000, adv_start_step=0)
+        lr=1.44e-4, batch_size=32, steps=200_000)
     p.mim = MimConfig(
         depth=depth, d_model=d_model, n_heads=n_heads, dec_depth=4,
         dropout=0.1, lr=5e-4, batch_size=128, ema_decay=0.999)
@@ -357,12 +356,16 @@ def load_profile(name: str, config_path: str | None = None) -> Profile:
 
 def check(profile: Profile) -> Profile:
     """``profile`` if every stage can run on it; else a ``ConfigError`` that
-    names the key: a step count below 1, tokenizer level lists of different
-    lengths, or a spectrogram that the patch does not tile."""
+    names the key: a step count below 1, a codebook size outside [2, 65536]
+    (a ``.tok`` stores indices as uint16), tokenizer level lists of
+    different lengths, or a spectrogram that the patch does not tile."""
     for section in ("tokenizer", "mim", "align"):
         if (steps := getattr(profile, section).steps) < 1:
             raise ConfigError(f"{section}.steps must be at least 1, got {steps}")
     tok = profile.tokenizer
+    if not 2 <= tok.codebook_size <= 1 << 16:
+        raise ConfigError("tokenizer.codebook_size must be in [2, 65536], "
+                          f"got {tok.codebook_size}")
     if len(tok.level_channels) != len(tok.level_strides):
         raise ConfigError(
             f"tokenizer.level_channels has {len(tok.level_channels)} entries "

@@ -22,8 +22,7 @@ The training hot paths are single primitives:
 
 A ``Tensor`` records its parents and a vector-Jacobian product per parent;
 ``backward`` walks the tape in reverse topological order exactly once.
-``grads`` computes gradients into a fresh dict without touching ``.grad``,
-which is what the adaptive GAN weight uses to replay a graph.
+``grads`` computes gradients into a fresh list without touching ``.grad``.
 """
 
 from __future__ import annotations
@@ -150,13 +149,6 @@ def grads(loss: Tensor, wrt: Sequence[Tensor]) -> list[np.ndarray]:
     written into ``.grad``."""
     table = _backward_table(loss)
     return [table.get(p, np.zeros_like(p.data)) for p in wrt]
-
-
-def grad_norm(loss: Tensor, wrt: Sequence[Tensor]) -> float:
-    """L2 norm of d(loss)/d(wrt), pooled over all listed parameters."""
-    gs = grads(loss, wrt)
-    total = sum(float(np.sum(g.astype(np.float64) ** 2)) for g in gs)
-    return float(np.sqrt(total))
 
 
 # ---------------------------------------------------------------------------
@@ -944,8 +936,7 @@ def param(shape, rng: np.random.Generator, scale: float | None = None,
 class AdamW:
     """Adam with decoupled weight decay.
 
-    ``weight_decay=0`` reduces exactly to Adam.  The GAN variant uses
-    ``adam_gan`` below (beta1=0, beta2=0.99, no decay).
+    ``weight_decay=0`` reduces exactly to Adam.
     """
 
     def __init__(self, params: Iterable[Tensor], lr: float, beta1: float,
@@ -995,10 +986,6 @@ class AdamW:
             new = np.multiply(update, lr)
             np.subtract(p.data, new, out=new)
             p.data = new.astype(DTYPE, copy=False)
-
-
-def adam_gan(params: Iterable[Tensor], lr: float) -> AdamW:
-    return AdamW(params, lr=lr, beta1=0.0, beta2=0.99, weight_decay=0.0)
 
 
 def cosine_lr(step: int, total_steps: int, base_lr: float,

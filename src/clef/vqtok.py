@@ -3,9 +3,8 @@
 Joint-channel convolutional encoder over 2C input planes (masked
 spectrograms plus 0/1 availability planes), nearest-neighbor codebook
 quantization with a straight-through backward path, transposed-conv decoder,
-hinge PatchGAN discriminator, and the channel-mask curriculum.  The
-reconstruction loss is decomposed into a channel-mean term and an upweighted
-per-channel differential term.
+and the channel-mask curriculum.  The reconstruction loss is decomposed into
+a channel-mean term and an upweighted per-channel differential term.
 """
 
 from __future__ import annotations
@@ -169,7 +168,6 @@ class Decoder(grad.Module):
             up.b = grad.param((cout,), rng, zeros=True)
             self.levels.append(up)
             cin = cout
-        # final projection: the anchor layer for the adaptive GAN weight
         self.w_out = _conv_param(out_channels, cin, 3, rng)
         self.b_out = grad.param((out_channels,), rng, zeros=True)
 
@@ -181,31 +179,6 @@ class Decoder(grad.Module):
                 x, up.w, up.b, stride=(sf, st), padding=1,
                 output_padding=(sf - 1, st - 1)))
         return grad.tanh(grad.conv2d(x, self.w_out, self.b_out, padding=1))
-
-    @property
-    def final_layer_params(self) -> list[grad.Tensor]:
-        return [self.w_out]
-
-
-class PatchDiscriminator(grad.Module):
-    """Three strided conv layers onto a patch logit map."""
-
-    def __init__(self, in_channels: int, cfg: TokenizerConfig, rng):
-        self.layers = []
-        cin = in_channels
-        for ch in cfg.disc_channels:
-            layer = grad.Module()
-            layer.w = _conv_param(ch, cin, 3, rng)
-            layer.b = grad.param((ch,), rng, zeros=True)
-            self.layers.append(layer)
-            cin = ch
-        self.w_out = grad.param((1, cin, 1, 1), rng, scale=1.0 / np.sqrt(cin))
-        self.b_out = grad.param((1,), rng, zeros=True)
-
-    def __call__(self, x):
-        for layer in self.layers:
-            x = grad.relu(grad.conv2d(x, layer.w, layer.b, stride=2, padding=1))
-        return grad.conv2d(x, self.w_out, self.b_out)
 
 
 class Tokenizer(grad.Module):
@@ -279,29 +252,6 @@ def encoder_planes(values: np.ndarray, available: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# GAN pieces
-
-
-def discriminator_loss(disc: PatchDiscriminator, real: grad.Tensor,
-                       fake: grad.Tensor) -> tuple[grad.Tensor, grad.Tensor]:
-    """Hinge loss; the fake path is detached inside d_loss only."""
-    d_real = disc(real)
-    d_fake_detached = disc(grad.stop_gradient(fake))
-    d_loss = grad.mean(grad.relu(1.0 - d_real)) + \
-        grad.mean(grad.relu(1.0 + d_fake_detached))
-    g_adv = grad.mean(disc(fake)) * -1.0
-    return d_loss, g_adv
-
-
-def adaptive_adv_weight(l_rec: grad.Tensor, l_adv: grad.Tensor,
-                        anchor_params: list[grad.Tensor],
-                        clamp: float) -> float:
-    rec_norm = grad.grad_norm(l_rec, anchor_params)
-    adv_norm = grad.grad_norm(l_adv, anchor_params)
-    return float(np.clip(rec_norm / (adv_norm + 1e-6), 0.0, clamp))
-
-
-# ---------------------------------------------------------------------------
 # training
 
 
@@ -310,21 +260,16 @@ class StepLosses:
     total: float
     rec: float
     vq: float
-    adv: float
-    d_loss: float
-    lambda_adv: float
 
 
 class VqTrainer:
     def __init__(self, n_channels: int, cfg: TokenizerConfig,
                  psg_subset: tuple[int, ...], seed: int):
-        rng = np.random.default_rng(seed)
         self.cfg = cfg
-        self.tokenizer = Tokenizer(n_channels, cfg, rng)
-        self.disc = PatchDiscriminator(n_channels, cfg, rng)
+        self.tokenizer = Tokenizer(n_channels, cfg, np.random.default_rng(seed))
         self.psg_subset = psg_subset
-        self.opt_g = grad.adam_gan(self.tokenizer.parameters(), lr=cfg.lr)
-        self.opt_d = grad.adam_gan(self.disc.parameters(), lr=cfg.lr)
+        self.opt = grad.AdamW(self.tokenizer.parameters(), lr=cfg.lr,
+                              beta1=0.0, beta2=0.99, weight_decay=0.0)
         self.rng = np.random.default_rng(seed + 1)
         self.step_count = 0
 
@@ -332,8 +277,8 @@ class VqTrainer:
         """One optimization step on a (B, C, H, W) batch.
 
         ``available`` is the per-session channel availability (B, C); the
-        curriculum mask is drawn on top of it, the reconstruction target and
-        the discriminator's real sample stay unmasked.
+        curriculum mask is drawn on top of it, the reconstruction target
+        stays unmasked.
         """
         cfg, tok = self.cfg, self.tokenizer
         keep = [mask_sample(cfg, self.psg_subset, self.step_count,
@@ -351,33 +296,18 @@ class VqTrainer:
             tok.codebook.entries.data = flat[picks].astype(grad.DTYPE).copy()
         grid = quantize(z, tok.codebook)
         s_hat = tok.decode(grid.quantized)
-        target = grad.Tensor(values)
-        l_rec = recon_loss(target, s_hat, cfg.gamma_diff)
+        l_rec = recon_loss(grad.Tensor(values), s_hat, cfg.gamma_diff)
         l_vq = vq_losses(grid, cfg.lambda_code, cfg.lambda_commit)
-        lam = 0.0
-        l_adv = None
-        d_val = 0.0
-        if self.step_count >= cfg.adv_start_step:
-            d_loss, l_adv = discriminator_loss(self.disc, target, s_hat)
-            lam = adaptive_adv_weight(l_rec, l_adv,
-                                      tok.decoder.final_layer_params,
-                                      cfg.adv_weight_clamp)
-            self.opt_d.zero_grad()
-            d_loss.backward()
-            self.opt_d.step()
-            d_val = float(d_loss.data)
-        total = l_rec + l_vq if l_adv is None else l_rec + l_vq + l_adv * lam
+        total = l_rec + l_vq
         if not np.isfinite(total.data):
             raise NumericError(f"non-finite tokenizer loss at step {self.step_count}")
-        self.opt_g.zero_grad()
+        self.opt.zero_grad()
         total.backward()
-        self.opt_g.step()
+        self.opt.step()
         self._update_usage(grid)
         self.step_count += 1
         return StepLosses(total=float(total.data), rec=float(l_rec.data),
-                          vq=float(l_vq.data),
-                          adv=0.0 if l_adv is None else float(l_adv.data),
-                          d_loss=d_val, lambda_adv=lam)
+                          vq=float(l_vq.data))
 
     def _update_usage(self, grid: TokenGrid) -> None:
         book = self.tokenizer.codebook

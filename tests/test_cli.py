@@ -3,9 +3,10 @@ mapping, ``--steps`` as profile shorthand, the progress lines, an incomplete
 ``days.json``, sequential-training, codebook-hash, checkpoint-kind,
 checkpoint-geometry, checkpoint-naming, demographic-category,
 token-codebook, token-grid and partial-output refusals, the session-id
-join, the spectrogram and session loaders' memory, the geometry check,
-malformed JSON artifacts, manifest reproducibility, seed splitting, config
-schema completeness and the shape walk of every profile."""
+join, the spectrogram and session loaders' memory, the geometry and
+codebook-size checks, the external-cohort recipe, malformed JSON artifacts,
+manifest reproducibility, seed splitting, config schema completeness and the
+shape walk of every profile."""
 
 import dataclasses
 import json
@@ -217,6 +218,19 @@ def test_level_lists_of_different_lengths_exit_2(tmp_path, capsys, n_levels):
     assert not (tmp_path / "c").exists()
 
 
+@pytest.mark.parametrize("size", [1, 65_537])
+def test_codebook_size_outside_uint16_range_exits_2(tmp_path, capsys, size):
+    """A codebook of one entry cannot train, and a ``.tok`` stores each
+    index as a uint16: both sizes are refused when the profile loads,
+    before any stage runs."""
+    bad = tmp_path / "book.json"
+    bad.write_text(json.dumps({"tokenizer": {"codebook_size": size}}))
+    assert climod.main(["--config", str(bad), "gen-cohort",
+                        "--out", str(tmp_path / "c")]) == climod.EXIT_CONFIG
+    assert "tokenizer.codebook_size" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
 def test_channel_count_is_the_montage(tmp_path):
     """Six channel names give six-channel sessions and spectrograms: no
     second key states the count."""
@@ -304,6 +318,36 @@ def test_train_align_refuses_without_init(pipeline, capsys):
         "--out", str(pipeline["cohort"].parent / "align2.npz")]
     assert climod.main(argv) == climod.EXIT_CONFIG
     assert "sequential" in capsys.readouterr().err
+
+
+def test_external_cohort_reads_the_first_cohorts_models(pipeline, tmp_path):
+    """Cohort B (another seed, noise level, slope and alpha frequency) is
+    generated and transformed, then tokenized with cohort A's codebook and
+    probed with A's Stage II encoder, as in the README's recipe."""
+    overrides = json.loads(pipeline["config"].read_text())
+    overrides["cohort"].update(
+        {"noise_rms_uv": 30.0, "alpha_freq_hz": 9.0, "noise_slope": -1.6})
+    config = tmp_path / "cohort-b.json"
+    config.write_text(json.dumps(overrides))
+    base = ["--config", str(config), "--seed", "12"]
+    b = {name: tmp_path / name for name in ("cohort", "spec", "tokens")}
+    results = tmp_path / "results.json"
+    for argv in (
+            ["gen-cohort", "--out", str(b["cohort"])],
+            ["dsp", "--cohort", str(b["cohort"]), "--out", str(b["spec"])],
+            ["tokenize", "--spectrograms", str(b["spec"]),
+             "--ckpt", str(pipeline["tok_ckpt"]), "--out", str(b["tokens"])],
+            ["probe", "--cohort", str(b["cohort"]), "--tokens",
+             str(b["tokens"]), "--spectrograms", str(b["spec"]),
+             "--ckpt", str(pipeline["align_ckpt"]), "--out", str(results)]):
+        assert climod.main(base + argv) == 0, argv
+    index_a, index_b = (json.loads((d / "tokens.json").read_text())
+                        for d in (pipeline["tokens"], b["tokens"]))
+    assert index_b["codebook_sha"] == index_a["codebook_sha"]
+    tasks_a, tasks_b = ([row["task_id"] for row in json.loads(p.read_text())]
+                        for p in (pipeline["results"], results))
+    assert sorted(tasks_b) == sorted(tasks_a)
+    assert len(set(tasks_b)) == len(tasks_b)
 
 
 def test_tokenize_refuses_codebook_mismatch(pipeline, tmp_path, capsys):
@@ -806,14 +850,18 @@ def test_removed_config_keys_are_refused():
     """Stage II's width is mim.d_model, the tokenizer's Adam betas are fixed,
     the DSP takes its rate from each session, u never pools the proxy, the
     codebook is always seeded from data, the Stage I patch is the
-    tokenizer's stride, the channel count is the montage's and the EHR
-    tables follow the vocabulary: these keys are gone, and setting one is a
+    tokenizer's stride, the channel count is the montage's, the EHR
+    tables follow the vocabulary, and the tokenizer has no adversarial term
+    (tokenizer.disc_channels, tokenizer.adv_weight_clamp,
+    tokenizer.adv_start_step): these keys are gone, and setting one is a
     config error."""
     for path in ("align.d_model", "align.proj_dim", "tokenizer.beta1",
                  "tokenizer.beta2", "dsp.sample_rate", "dsp.freq_res_hz",
                  "mim.pool_includes_proxy", "tokenizer.codebook_data_init",
                  "mim.patch_h", "mim.patch_w", "cohort.n_channels",
-                 "align.ehr.n_dx", "align.ehr.n_med"):
+                 "align.ehr.n_dx", "align.ehr.n_med",
+                 "tokenizer.disc_channels", "tokenizer.adv_weight_clamp",
+                 "tokenizer.adv_start_step"):
         *sections, key = path.split(".")
         overrides = {key: 1}
         for section in reversed(sections):
@@ -825,13 +873,13 @@ def test_removed_config_keys_are_refused():
         cfgmod.apply_overrides(cfgmod.get_profile("desk"), {"name": "x"})
 
 
-def test_profile_has_92_settable_leaves():
+def test_profile_has_89_settable_leaves():
     """Every leaf of every section, less ``name``, which is refused."""
     def leaves(obj):
         return sum(leaves(value) if dataclasses.is_dataclass(value) else 1
                    for value in (getattr(obj, f.name)
                                  for f in dataclasses.fields(obj)))
-    assert leaves(cfgmod.get_profile("desk")) - 1 == 92
+    assert leaves(cfgmod.get_profile("desk")) - 1 == 89
 
 
 def test_missing_input_path_named_in_message(tmp_path, capsys):
@@ -886,9 +934,9 @@ _SCHEMA_PATHS = [
     "tokenizer.codebook_size", "tokenizer.latent_dim",
     "tokenizer.level_channels", "tokenizer.level_strides",
     "tokenizer.lambda_code", "tokenizer.lambda_commit", "tokenizer.gamma_diff",
-    "tokenizer.adv_weight_clamp", "tokenizer.p_psg", "tokenizer.p_drop",
+    "tokenizer.p_psg", "tokenizer.p_drop",
     "tokenizer.ramp_steps", "tokenizer.dead_code_steps", "tokenizer.lr",
-    "tokenizer.batch_size", "tokenizer.steps", "tokenizer.adv_start_step",
+    "tokenizer.batch_size", "tokenizer.steps",
     "mim.depth", "mim.d_model", "mim.n_heads", "mim.dec_depth",
     "mim.mask_mu", "mim.mask_sigma",
     "mim.mask_lo", "mim.mask_hi", "mim.r_drop", "mim.label_smoothing",

@@ -724,7 +724,8 @@ def _adamw_out_of_place(opt, params, lr, state):
 
 @pytest.mark.parametrize("make", [
     lambda ps: grad.AdamW(ps, lr=0.05, beta1=0.9, beta2=0.95, weight_decay=0.1),
-    lambda ps: grad.adam_gan(ps, lr=0.05)])
+    lambda ps: grad.AdamW(ps, lr=0.05, beta1=0.0, beta2=0.99,
+                          weight_decay=0.0)])
 def test_adamw_in_place_matches_out_of_place_formula(make):
     rng = np.random.default_rng(9)
     init = [rng.normal(size=s).astype(np.float32) for s in [(4, 3), (5,), (2,)]]
@@ -807,18 +808,6 @@ def test_dropout_identity_and_inverted_scale():
     kept = y != 0.0
     assert 0 < kept.sum() < x.data.size
     assert np.array_equal(y[kept], 2.0 * x.data[kept])
-
-
-def test_grad_norm_matches_two_pass_and_leaves_grads_untouched():
-    rng = np.random.default_rng(4)
-    w = Tensor(rng.normal(size=(3, 3)).astype(np.float32), requires_grad=True)
-    x = Tensor(rng.normal(size=(2, 3)).astype(np.float32))
-    loss = grad.l2(grad.matmul(x, w))
-    norm = grad.grad_norm(loss, [w])
-    assert w.grad is None
-    loss2 = grad.l2(grad.matmul(x, w))
-    loss2.backward()
-    assert np.isclose(norm, np.linalg.norm(w.grad), rtol=1e-5)
 
 
 def test_training_trajectory_deterministic():

@@ -1,6 +1,6 @@
 """VQ tokenizer tests: quantization against a brute-force oracle, the
 decomposed reconstruction loss, stop-gradient semantics, masking statistics,
-GAN loss identities, and the token cache format."""
+the trainer's initial weights, and the token cache format."""
 
 import numpy as np
 import pytest
@@ -224,67 +224,13 @@ def test_encoder_planes_layout():
 
 
 # ---------------------------------------------------------------------------
-# GAN pieces
+# shapes and round trips
 
 
 def _tiny_setup(seed=12):
-    cfg = _cfg(codebook_size=16, latent_dim=8,
-               level_channels=[8, 8, 8, 8, 8], disc_channels=[8, 8, 8])
+    cfg = _cfg(codebook_size=16, latent_dim=8, level_channels=[8, 8, 8, 8, 8])
     rng = np.random.default_rng(seed)
     return cfg, rng
-
-
-def test_discriminator_loss_saturated_zero():
-    cfg, rng = _tiny_setup()
-    disc = vqtok.PatchDiscriminator(2, cfg, rng)
-    real = grad.Tensor(rng.normal(size=(1, 2, 16, 16)).astype(np.float32))
-    fake = grad.Tensor(rng.normal(size=(1, 2, 16, 16)).astype(np.float32))
-    d_loss, g_adv = vqtok.discriminator_loss(disc, real, fake)
-    # at D == 0 everywhere, hinge loss is exactly 2 and g_adv is 0
-    for p in disc.parameters():
-        p.data[:] = 0.0
-    d_loss, g_adv = vqtok.discriminator_loss(disc, real, fake)
-    assert abs(float(d_loss.data) - 2.0) < 1e-6
-    assert abs(float(g_adv.data)) < 1e-6
-
-
-def test_d_loss_does_not_touch_generator():
-    cfg, rng = _tiny_setup()
-    disc = vqtok.PatchDiscriminator(2, cfg, rng)
-    gen_w = grad.Tensor(rng.normal(size=(1, 2, 16, 16)).astype(np.float32),
-                        requires_grad=True)
-    real = grad.Tensor(rng.normal(size=(1, 2, 16, 16)).astype(np.float32))
-    d_loss, g_adv = vqtok.discriminator_loss(disc, real, gen_w)
-    assert np.all(grad.grads(d_loss, [gen_w])[0] == 0.0)
-    assert np.abs(grad.grads(g_adv, [gen_w])[0]).sum() > 0
-
-
-def test_adaptive_weight_identity_and_guard():
-    rng = np.random.default_rng(13)
-    w = grad.Tensor(rng.normal(size=(4, 4)).astype(np.float32), requires_grad=True)
-    loss = grad.l2(w)
-    lam = vqtok.adaptive_adv_weight(loss, loss, [w], 1e4)
-    assert abs(lam - 1.0) < 1e-4
-    # detached adversarial loss: zero grad norm, division guard engages
-    detached = grad.l2(grad.stop_gradient(w))
-    lam = vqtok.adaptive_adv_weight(loss, detached, [w], clamp=1e4)
-    assert lam == 1e4 or lam < 1e4  # clamped, finite
-    assert np.isfinite(lam)
-
-
-def test_adaptive_weight_matches_replay_oracle():
-    rng = np.random.default_rng(14)
-    w = grad.Tensor(rng.normal(size=(3, 3)).astype(np.float32), requires_grad=True)
-    l_rec = grad.l1(w)
-    l_adv = grad.l2(w) * 0.5
-    lam = vqtok.adaptive_adv_weight(l_rec, l_adv, [w], 1e4)
-    g_rec = np.linalg.norm(grad.grads(l_rec, [w])[0])
-    g_adv = np.linalg.norm(grad.grads(l_adv, [w])[0])
-    assert abs(lam - g_rec / (g_adv + 1e-6)) < 1e-5
-
-
-# ---------------------------------------------------------------------------
-# shapes and round trips
 
 
 def test_encoder_decoder_geometry():
@@ -339,6 +285,20 @@ def test_token_cache_roundtrip(tmp_path):
 # training steps
 
 
+def test_trainer_starts_from_the_seeded_tokenizer():
+    """The trainer's initial weights are those of a ``Tokenizer`` drawn
+    from ``default_rng(seed)``, so a tokenizer checkpoint's bytes do not
+    depend on anything else the trainer builds."""
+    cfg, _ = _tiny_setup()
+    trainer = vqtok.VqTrainer(3, cfg, (1,), seed=20)
+    fresh = vqtok.Tokenizer(3, cfg, np.random.default_rng(20))
+    ours = trainer.tokenizer.named_parameters()
+    theirs = fresh.named_parameters()
+    assert list(ours) == list(theirs)
+    for name, p in ours.items():
+        assert p.data.tobytes() == theirs[name].data.tobytes(), name
+
+
 def test_trainer_step_runs_and_updates():
     cfg, _ = _tiny_setup()
     cfg.batch_size = 2
@@ -357,7 +317,7 @@ def test_trainer_step_runs_and_updates():
 
 
 def test_perfect_reconstruction_zero_losses():
-    # lambda_adv 0, s_hat == s, z == entries -> every loss term is 0
+    # s_hat == s, z == entries -> every loss term is 0
     s = grad.Tensor(np.random.default_rng(22).normal(
         size=(1, 2, 4, 4)).astype(np.float32))
     assert float(vqtok.recon_loss(s, s, 4.0).data) == 0.0
