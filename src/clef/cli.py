@@ -466,11 +466,8 @@ _CANDIDATES = [summarize.Candidate(pid, prompt, n)
 @cli.command("select-prompt")
 @_cohort
 @click.option("--questions", "questions_path", default=None, type=_IN_FILE)
-@click.option("--llm", "llm_address", default=None,
-              help="host:port of a line-delimited JSON LLM server; "
-                   "defaults to the deterministic mock.")
 @_out_file
-def select_prompt_cmd(cohort_dir, questions_path, llm_address, out):
+def select_prompt_cmd(cohort_dir, questions_path, out):
     """Score summarization candidates by QA consistency and pick one."""
     inputs = {"records": cohort_dir / "records.json"}
     if questions_path:
@@ -484,8 +481,7 @@ def select_prompt_cmd(cohort_dir, questions_path, llm_address, out):
         phenotypes = cohortgen.default_phenotypes(profile.cohort.channel_names)
         questions = summarize.read_questions(questions_path) if questions_path \
             else summarize.default_questions(phenotypes)
-        client = summarize.SocketLlmClient(llm_address) if llm_address \
-            else summarize.MockLlmClient()
+        client = summarize.MockLlmClient()
         scores = [summarize.qa_consistency(reports, questions, c, client)
                   for c in _CANDIDATES]
         for s in scores:

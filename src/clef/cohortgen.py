@@ -458,11 +458,11 @@ def read_records(path) -> list[PatientRecord]:
 
 
 _RAW_MAGIC = b"CLEFRAW1"
-_RAW_HEADER = struct.Struct("<8sIIQfI28x")  # 64 bytes
+_RAW_HEADER = struct.Struct("<8sIIQfI28x")  # 60 bytes
 
 
 def write_session(path, session: RawSession) -> None:
-    """Little-endian float32 waveform with a 64-byte header."""
+    """Little-endian float32 waveform with a 60-byte header."""
     c, t = session.samples.shape
     mask = 0
     for i, ok in enumerate(session.channel_available):
@@ -482,6 +482,9 @@ def read_session(path, session_id: str = "", patient_id: str = "") -> RawSession
         magic, _version, c, t, fs, mask = _RAW_HEADER.unpack(raw)
         if magic != _RAW_MAGIC:
             raise DataError(f"{path}: bad magic {magic!r}")
+        if not (np.isfinite(fs) and fs > 0):
+            raise DataError(f"{path}: sample rate {fs} is not a positive "
+                            "finite number")
         samples = np.frombuffer(fh.read(c * t * 4), dtype="<f4")
         if samples.size != c * t:
             raise DataError(f"{path}: truncated waveform payload")

@@ -195,7 +195,7 @@ def session_spectrogram(session, cfg: DspConfig,
 # spectrogram cache file format
 
 _SPC_MAGIC = b"CLEFSPC1"
-_SPC_HEADER = struct.Struct("<8sIIIffffI20x")  # 64 bytes
+_SPC_HEADER = struct.Struct("<8sIIIffffI20x")  # 60 bytes
 
 
 def write_spectrogram(path, spec: Spectrogram) -> None:

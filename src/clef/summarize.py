@@ -6,18 +6,17 @@ and averaging per-question agreement: exact match for boolean and integer
 answers after canonicalization, judged similarity for free text.  The
 summarization call path never sees the question set.
 
-The LLM behind summarize/answer/judge is an abstract client; the
-deterministic mock answers by keyword lookup against the cohort's phrase
-inventory and judges free text by token Jaccard, so the whole selection
-loop is testable without model weights.
+The LLM behind summarize/answer/judge is an abstract client, through which
+tests substitute fakes.  ``select-prompt`` runs the in-process deterministic
+mock, which answers by keyword lookup against the cohort's phrase inventory
+and judges free text by token Jaccard, so the whole selection loop runs
+without model weights or a network.
 """
 
 from __future__ import annotations
 
-import json
 import re
-import socket
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,20 +83,18 @@ def canonical_boolean(answer: str) -> str:
     return a
 
 
-def canonical_integer(answer: str) -> tuple[float | None, bool]:
-    """(first numeral parsed from the answer, multi-numeral flag)."""
-    found = _NUMBER_RE.findall(answer)
-    if not found:
-        return None, False
-    return float(found[0]), len(found) > 1
+def canonical_integer(answer: str) -> float | None:
+    """The first numeral parsed from the answer, or ``None``."""
+    found = _NUMBER_RE.search(answer)
+    return float(found.group()) if found else None
 
 
 def agreement(ans_a: str, ans_b: str, kind: str, client: LlmClient) -> float:
     if kind == "boolean":
         return 1.0 if canonical_boolean(ans_a) == canonical_boolean(ans_b) else 0.0
     if kind == "integer":
-        va, _ = canonical_integer(ans_a)
-        vb, _ = canonical_integer(ans_b)
+        va = canonical_integer(ans_a)
+        vb = canonical_integer(ans_b)
         return 1.0 if va is not None and va == vb else 0.0
     if kind == "free_text":
         return float(client.judge_similarity(ans_a, ans_b))
@@ -145,7 +142,7 @@ class MockLlmClient(LlmClient):
                                for s in _sentences(text)))
             for sentence in _sentences(text):
                 if any(k in sentence.lower() for k in keywords):
-                    value, _multi = canonical_integer(sentence)
+                    value = canonical_integer(sentence)
                     if value is not None:
                         return str(value)
             return "0"
@@ -164,61 +161,6 @@ class MockLlmClient(LlmClient):
 
 
 # ---------------------------------------------------------------------------
-# line-delimited socket client
-
-
-class SocketLlmClient(LlmClient):
-    """JSON-per-line request/response over a local TCP socket.
-
-    Request:  {"op": "summarize"|"answer"|"judge", ...}\\n
-    Response: {"ok": true, "text": ...} or {"ok": false, "error": ...}\\n
-    """
-
-    def __init__(self, address: str, timeout_s: float = 30.0):
-        host, _, port = address.rpartition(":")
-        if not host or not port.isdigit():
-            raise DataError(f"bad socket address {address!r}, expected host:port")
-        self.host, self.port = host, int(port)
-        self.timeout_s = timeout_s
-
-    def _call(self, payload: dict) -> str:
-        """The reply's text; a reply that is not a JSON object, or that says
-        ``ok: false``, is a ``RuntimeError`` (retried and counted)."""
-        with socket.create_connection((self.host, self.port),
-                                      timeout=self.timeout_s) as conn:
-            conn.sendall(json.dumps(payload).encode() + b"\n")
-            with conn.makefile("rb") as fh:
-                line = fh.readline()
-        if not line:
-            raise ConnectionError("empty response from LLM server")
-        try:
-            response = json.loads(line)
-            ok = response.get("ok")
-        except (ValueError, AttributeError):
-            raise RuntimeError(f"LLM server reply is not a JSON object: "
-                               f"{line[:80]!r}") from None
-        if not ok:
-            raise RuntimeError(f"LLM server error: {response.get('error')}")
-        return str(response.get("text", ""))
-
-    def summarize(self, report: str, prompt: str, max_tokens: int) -> str:
-        return self._call({"op": "summarize", "report": report,
-                           "prompt": prompt, "max_tokens": max_tokens})
-
-    def answer(self, text: str, question: Question) -> str:
-        return self._call({"op": "answer", "text": text,
-                           "question": question.text, "kind": question.kind})
-
-    def judge_similarity(self, a: str, b: str) -> float:
-        text = self._call({"op": "judge", "a": a, "b": b})
-        try:
-            return float(text)
-        except ValueError:
-            raise RuntimeError(f"LLM judge reply is not a number: "
-                               f"{text[:80]!r}") from None
-
-
-# ---------------------------------------------------------------------------
 # scoring
 
 
@@ -226,18 +168,17 @@ class SocketLlmClient(LlmClient):
 class ScoreResult:
     candidate: Candidate
     score: float
-    per_question: list[float]
     failures: int = 0
 
 
 def _with_retries(fn, retries: int):
-    last = None
+    """``(fn(), True)``, or ``(None, False)`` once every try has raised."""
     for _ in range(retries + 1):
         try:
             return fn(), True
-        except (ConnectionError, RuntimeError, TimeoutError, OSError) as exc:
-            last = exc
-    return last, False
+        except (OSError, RuntimeError):
+            pass
+    return None, False
 
 
 def qa_consistency(reports: list[str], questions: list[Question],
@@ -251,7 +192,7 @@ def qa_consistency(reports: list[str], questions: list[Question],
     """
     if not reports or not questions:
         raise DataError("qa_consistency needs at least one report and question")
-    per_question = np.zeros(len(questions))
+    by_question = np.zeros(len(questions))
     failures = 0
     for report in reports:
         summary, ok = _with_retries(
@@ -269,10 +210,10 @@ def qa_consistency(reports: list[str], questions: list[Question],
             if not ok:
                 failures += 1
                 sigma = 0.0
-            per_question[j] += sigma
-    per_question /= len(reports)
-    return ScoreResult(candidate=candidate, score=float(per_question.mean()),
-                       per_question=per_question.tolist(), failures=failures)
+            by_question[j] += sigma
+    by_question /= len(reports)
+    return ScoreResult(candidate=candidate, score=float(by_question.mean()),
+                       failures=failures)
 
 
 def select_candidate(scores: list[ScoreResult]) -> Candidate:

@@ -378,7 +378,12 @@ def read_tokens(path) -> tuple[np.ndarray, int, str]:
         magic, k, h, w, id_len = _TOK_HEADER.unpack(raw)
         if magic != _TOK_MAGIC:
             raise DataError(f"{path}: bad magic {magic!r}")
-        sid = fh.read(id_len).decode()
+        try:
+            sid = fh.read(id_len).decode()
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: session id is not UTF-8") from None
+        if h * w == 0:
+            raise DataError(f"{path}: empty {h}x{w} token grid")
         indices = np.frombuffer(fh.read(h * w * 2), dtype="<u2")
         if indices.size != h * w:
             raise DataError(f"{path}: truncated token payload")

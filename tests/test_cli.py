@@ -1,16 +1,18 @@
 """CLI tests: the full desk pipeline end to end on a tiny cohort, exit-code
 mapping, ``--steps`` as profile shorthand, the progress lines, an incomplete
-``days.json``, sequential-training, codebook-hash, checkpoint-kind,
+``days.json``, ``select-prompt``'s in-process scorer (no ``--llm``, no
+socket), sequential-training, codebook-hash, checkpoint-kind,
 checkpoint-geometry, checkpoint-naming, demographic-category,
 token-codebook, token-grid and partial-output refusals, the session-id
 join, the spectrogram and session loaders' memory, the geometry and
-codebook-size checks, the external-cohort recipe, malformed JSON artifacts,
-manifest reproducibility, seed splitting, config schema completeness and the
-shape walk of every profile."""
+codebook-size checks, the external-cohort recipe, malformed JSON, token
+and waveform artifacts, manifest reproducibility, seed splitting, config
+schema completeness and the shape walk of every profile."""
 
 import dataclasses
 import json
 import shutil
+import socket
 import tracemalloc
 
 import numpy as np
@@ -275,14 +277,35 @@ def test_progress_lines_end_on_the_last_step(capsys, n):
     assert all(int(f[3]) == int(f[1]) - 1 for f in lines)
 
 
-def test_select_prompt_has_no_max_reports(pipeline, tmp_path, capsys):
-    """The prompt is scored on a fixed sample of 20 reports."""
+def _select_prompt_refuses(pipeline, tmp_path, capsys, option, value):
     out = tmp_path / "selection.json"
     assert climod.main(pipeline["base"] + [
         "select-prompt", "--cohort", str(pipeline["cohort"]),
-        "--max-reports", "5", "--out", str(out)]) == climod.EXIT_CONFIG
-    assert "--max-reports" in capsys.readouterr().err
+        option, value, "--out", str(out)]) == climod.EXIT_CONFIG
+    assert option in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_select_prompt_has_no_max_reports(pipeline, tmp_path, capsys):
+    """The prompt is scored on a fixed sample of 20 reports."""
+    _select_prompt_refuses(pipeline, tmp_path, capsys, "--max-reports", "5")
+
+
+def test_select_prompt_has_no_llm_option(pipeline, tmp_path, capsys):
+    """The scorer is the in-process mock; there is no client to choose."""
+    _select_prompt_refuses(pipeline, tmp_path, capsys, "--llm", "127.0.0.1:9")
+
+
+def test_select_prompt_opens_no_socket(pipeline, tmp_path, monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("select-prompt opened a socket")
+    monkeypatch.setattr(socket, "socket", refuse)
+    monkeypatch.setattr(socket, "create_connection", refuse)
+    out = tmp_path / "selection.json"
+    assert climod.main(pipeline["base"] + [
+        "select-prompt", "--cohort", str(pipeline["cohort"]),
+        "--out", str(out)]) == 0
+    assert out.read_bytes() == pipeline["selection"].read_bytes()
 
 
 @pytest.mark.parametrize("edit", ["drop", "string"])
@@ -503,6 +526,29 @@ def test_token_file_of_other_codebook_size_exits_3(pipeline, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fault", ["non-utf8-id", "empty-grid"])
+def test_malformed_token_file_exits_3(pipeline, tmp_path, capsys, fault):
+    """A .tok whose session id is not UTF-8, or whose grid has no cells, is
+    refused by name before train-mim writes anything."""
+    tokens = tmp_path / "tokens"
+    shutil.copytree(pipeline["tokens"], tokens)
+    bad = sorted(tokens.glob("*.tok"))[3]
+    raw = bytearray(bad.read_bytes())
+    if fault == "non-utf8-id":
+        raw[vqtok._TOK_HEADER.size] = 0xFF
+    else:
+        magic, k, _h, w, id_len = vqtok._TOK_HEADER.unpack_from(raw)
+        raw = vqtok._TOK_HEADER.pack(magic, k, 0, w, id_len) + \
+            raw[vqtok._TOK_HEADER.size:vqtok._TOK_HEADER.size + id_len]
+    bad.write_bytes(bytes(raw))
+    out = tmp_path / "mim.npz"
+    assert climod.main(pipeline["base"] + [
+        "train-mim", "--tokens", str(tokens), "--spectrograms",
+        str(pipeline["spec"]), "--out", str(out)]) == climod.EXIT_DATA
+    assert str(bad) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _four_patient_cohort(tmp_path):
     """Global options, the cohort directory and its third session's path."""
     config = tmp_path / "four.json"
@@ -526,6 +572,17 @@ def test_partial_dsp_output_is_refused(tmp_path, capsys):
                                "--steps", "1"]) == climod.EXIT_DATA
     assert "manifest.json" in capsys.readouterr().err
     assert not (tmp_path / "tok.npz").exists()
+
+
+def test_session_with_zero_sample_rate_exits_3(tmp_path, capsys):
+    base, cohort, bad = _four_patient_cohort(tmp_path)
+    session = cohortgen.read_session(bad)
+    cohortgen.write_session(bad, dataclasses.replace(session, sample_rate=0.0))
+    spec = tmp_path / "spec"
+    assert climod.main(base + ["dsp", "--cohort", str(cohort),
+                               "--out", str(spec)]) == climod.EXIT_DATA
+    assert str(bad) in capsys.readouterr().err
+    assert not (spec / "manifest.json").exists()
 
 
 def test_failed_dsp_rerun_removes_the_old_manifest(tmp_path):

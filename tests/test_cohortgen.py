@@ -1,6 +1,8 @@
 """Cohort generator tests: determinism, planted band power, EHR/report
 consistency, and the waveform file format."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -196,3 +198,16 @@ def test_waveform_rejects_corruption(tmp_path):
     path.write_bytes(b"")
     with pytest.raises(DataError):
         cohortgen.read_session(path)
+
+
+@pytest.mark.parametrize("rate", [0.0, -250.0, float("nan"), float("inf")])
+def test_waveform_rate_must_be_positive_and_finite(tmp_path, rate):
+    """A rate of 0 would divide by zero and a NaN would reach the filter
+    design: either is a DataError that names the file."""
+    _, sessions = _sessions(_small_cfg(n=1), seed=8)
+    path = tmp_path / "w.raw"
+    cohortgen.write_session(path, dataclasses.replace(sessions[0],
+                                                      sample_rate=rate))
+    with pytest.raises(DataError, match="sample rate") as info:
+        cohortgen.read_session(path)
+    assert str(path) in str(info.value)

@@ -281,6 +281,27 @@ def test_token_cache_roundtrip(tmp_path):
         vqtok.read_tokens(tmp_path / "corrupt.tok")
 
 
+def test_token_file_with_non_utf8_id_is_refused(tmp_path):
+    path = tmp_path / "s.tok"
+    vqtok.write_tokens(path, np.zeros((4, 8), np.int64), 64, "s00042")
+    raw = bytearray(path.read_bytes())
+    raw[vqtok._TOK_HEADER.size] = 0xFF
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DataError, match="UTF-8") as info:
+        vqtok.read_tokens(path)
+    assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("h, w", [(0, 8), (4, 0)])
+def test_token_file_with_empty_grid_is_refused(tmp_path, h, w):
+    path = tmp_path / "s.tok"
+    path.write_bytes(vqtok._TOK_HEADER.pack(vqtok._TOK_MAGIC, 64, h, w, 1)
+                     + b"s")
+    with pytest.raises(DataError, match="empty") as info:
+        vqtok.read_tokens(path)
+    assert str(path) in str(info.value)
+
+
 # ---------------------------------------------------------------------------
 # training steps
 
