@@ -338,6 +338,7 @@ def train_probe(x_train: np.ndarray, y_train: np.ndarray,
             loss = _bce_with_logits(z, y_train[pick])
             opt.zero_grad()
             loss.backward()
+            del z, loss  # the step's tape goes before the update
             opt.step()
         val_auc = auroc(head.scores(x_val), y_val)
         if val_auc > best_auc:

@@ -144,11 +144,9 @@ def multitaper_spectrogram(session, tapers: TaperSet, cfg: DspConfig) -> Spectro
     10 log10(P + eps) mapped linearly from [db_lo, db_hi] onto [-1, 1] with
     a hard clamp.
     """
+    _require_window(session, cfg)
     samples = np.asarray(session.samples, dtype=np.float64)
     n_ch, t = samples.shape
-    if t < cfg.window:
-        raise DataError(
-            f"session {session.session_id}: {t} samples < one window ({cfg.window})")
     if tapers.length != cfg.window:
         raise DataError(f"taper length {tapers.length} != window {cfg.window}")
     n_frames = cfg.n_frames(t)
@@ -184,9 +182,15 @@ def multitaper_spectrogram(session, tapers: TaperSet, cfg: DspConfig) -> Spectro
                        db_lo=cfg.db_lo, db_hi=cfg.db_hi)
 
 
+def _require_window(session, cfg: DspConfig) -> None:
+    if (t := session.samples.shape[1]) < cfg.window:
+        raise DataError(f"session {session.session_id}: {t} samples < one window ({cfg.window})")
+
+
 def session_spectrogram(session, cfg: DspConfig,
                         tapers: TaperSet) -> Spectrogram:
     """Preprocess + multitaper in one call (the standard path)."""
+    _require_window(session, cfg)  # before the filter, which needs samples
     filtered = preprocess(session, cfg)
     return multitaper_spectrogram(filtered, tapers, cfg)
 

@@ -94,14 +94,12 @@ class Tensor:
 
     def backward(self) -> None:
         """Accumulate d(self)/d(leaf) into ``.grad`` of every reachable tensor
-        with ``requires_grad``."""
-        table = _backward_table(self)
-        for node, g in table.items():
-            if node.requires_grad:
-                if node.grad is None:
-                    node.grad = g.astype(DTYPE)
-                else:
-                    node.grad = node.grad + g.astype(DTYPE)
+        with ``requires_grad``; only those gradients outlive the walk."""
+        for node, g in _backward_table(self).items():
+            if node.grad is None:
+                node.grad = g.astype(DTYPE)
+            else:
+                node.grad = node.grad + g.astype(DTYPE)
 
 
 def _wrap(value) -> Tensor:
@@ -127,27 +125,30 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
-def _backward_table(root: Tensor) -> dict[Tensor, np.ndarray]:
+def _backward_table(root: Tensor, wrt=None) -> dict[Tensor, np.ndarray]:
+    """d(root)/d(n) for each reachable n of ``wrt`` (default: ``requires_grad``);
+    any other node's gradient is dropped once its VJPs have consumed it."""
     order = _topo_order(root)
+    if wrt is None:
+        wrt = [n for n in order if n.requires_grad]
+    kept = {id(n) for n in wrt}
     table: dict[int, np.ndarray] = {id(root): np.ones_like(root.data)}
-    by_id: dict[int, Tensor] = {id(n): n for n in order}
     for node in reversed(order):
-        g = table.get(id(node))
+        g = (table.get if id(node) in kept else table.pop)(id(node), None)
         if g is None:
             continue
         for parent, vjp in node._parents:
             pg = vjp(g)
             if id(parent) in table:
-                table[id(parent)] = table[id(parent)] + pg
-            else:
-                table[id(parent)] = pg
-    return {by_id[i]: g for i, g in table.items()}
+                pg = table[id(parent)] + pg
+            table[id(parent)] = pg
+    return {n: table[id(n)] for n in wrt if id(n) in table}
 
 
 def grads(loss: Tensor, wrt: Sequence[Tensor]) -> list[np.ndarray]:
-    """Gradients of a scalar w.r.t. ``wrt`` on a detached replay: nothing is
-    written into ``.grad``."""
-    table = _backward_table(loss)
+    """Gradients of a scalar w.r.t. ``wrt`` on a detached replay: ``.grad`` and
+    the tape are untouched, and only these gradients outlive the walk."""
+    table = _backward_table(loss, wrt)
     return [table.get(p, np.zeros_like(p.data)) for p in wrt]
 
 
@@ -1017,7 +1018,8 @@ def ema_update(shadow: np.ndarray, live: np.ndarray, decay: float) -> np.ndarray
 def train(params: dict[str, Tensor], cfg,
           step_loss: Callable[[int], Tensor], stage: str) -> Ema:
     """``cfg.steps`` steps of AdamW + cosine LR + EMA, all from ``cfg``, over
-    ``step_loss(step)``; a non-finite loss raises before that step's update."""
+    ``step_loss(step)``; a non-finite loss raises before that step's update.
+    One tape at a time: each loss is dropped as soon as ``backward`` has run."""
     opt = AdamW(params.values(), lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
                 weight_decay=cfg.weight_decay)
     ema = Ema(params, cfg.ema_decay)
@@ -1027,6 +1029,7 @@ def train(params: dict[str, Tensor], cfg,
             raise NumericError(f"non-finite {stage} loss at step {step}")
         opt.zero_grad()
         loss.backward()
+        del loss
         opt.step(lr=cosine_lr(step, cfg.steps, cfg.lr, cfg.warmup_steps))
         ema.update(params)
     return ema

@@ -1,8 +1,10 @@
 """Benchmark tests: splits, EHR/report label rules, exact matching with
 audit invariants, rank-based AUROC against a pair-counting oracle, BACC
-threshold selection, probe training on separable embeddings, skips for
+threshold selection, probe training on separable embeddings with one step's tape alive at a time, skips for
 splits AUROC cannot score, and a full cohort-scale run with synthetic
 embeddings."""
+
+import weakref
 
 import numpy as np
 import pytest
@@ -286,6 +288,24 @@ def test_probe_learns_separable_data():
     assert best_val > 0.9
     assert metrics.auroc > 0.85
     assert metrics.bacc > 0.75
+
+
+def test_train_probe_holds_one_tape_at_a_time(monkeypatch):
+    """Each call of the head gets a fresh input array that only its tape
+    holds: the previous step's array is gone before the next forward."""
+    alive, forward = [], bench.ProbeHead.__call__
+
+    def head_call(self, x):
+        assert all(r() is None for r in alive)
+        alive.append(weakref.ref(x.data))
+        return forward(self, x)
+
+    monkeypatch.setattr(bench.ProbeHead, "__call__", head_call)
+    cfg = BenchConfig(probe_hidden=16, probe_epochs=2, probe_batch_size=16)
+    x_tr, y_tr = _separable(64, 6, seed=4)
+    x_va, y_va = _separable(30, 6, seed=5)
+    bench.train_probe(x_tr, y_tr, x_va, y_va, cfg, seed=7)
+    assert len(alive) == 2 * (4 + 1)  # four steps and one validation pass
 
 
 def test_probe_deterministic_per_seed():

@@ -6,8 +6,9 @@ checkpoint-geometry, checkpoint-naming, demographic-category,
 token-codebook, token-grid and partial-output refusals, the session-id
 join, the spectrogram and session loaders' memory, the geometry and
 codebook-size checks, the external-cohort recipe, malformed JSON, token
-and waveform artifacts, manifest reproducibility, seed splitting, config
-schema completeness and the shape walk of every profile."""
+and waveform artifacts, sessions shorter than one DSP window, manifest
+reproducibility, seed splitting, config schema completeness and the shape
+walk of every profile."""
 
 import dataclasses
 import json
@@ -582,6 +583,25 @@ def test_session_with_zero_sample_rate_exits_3(tmp_path, capsys):
     assert climod.main(base + ["dsp", "--cohort", str(cohort),
                                "--out", str(spec)]) == climod.EXIT_DATA
     assert str(bad) in capsys.readouterr().err
+    assert not (spec / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("n_samples", [0, 100])
+def test_session_shorter_than_one_window_exits_3(tmp_path, capsys, monkeypatch,
+                                                  n_samples):
+    base, cohort, bad = _four_patient_cohort(tmp_path)
+    session = cohortgen.read_session(bad)
+    cohortgen.write_session(
+        bad, session.replace_samples(session.samples[:, :n_samples]))
+    filtered = []
+    monkeypatch.setattr(dsp, "preprocess", lambda s, cfg: filtered.append(
+        s.session_id) or s)
+    spec = tmp_path / "spec"
+    assert climod.main(base + ["dsp", "--cohort", str(cohort),
+                               "--out", str(spec)]) == climod.EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(bad) in err and f"{n_samples} samples < one window" in err
+    assert str(bad) not in filtered
     assert not (spec / "manifest.json").exists()
 
 

@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -886,6 +888,127 @@ def test_train_raises_before_updating_on_a_non_finite_loss(monkeypatch):
         assert np.array_equal(params[k].data, ref[k].data)
         assert np.array_equal(emas[0].shadow[k], ref_ema.shadow[k])
     assert not np.array_equal(ref_ema.shadow["w"], _bowl()[0]["w"].data)
+
+
+def test_train_holds_one_tape_at_a_time():
+    """Each step's loss is built from a fresh array that only its tape holds:
+    step k's array is gone by the time ``step_loss(k + 1)`` is entered."""
+    cfg = MimConfig(lr=0.05, warmup_steps=0, ema_decay=0.8, steps=4)
+    params, loss_at = _bowl()
+    alive = []
+
+    def step_loss(step):
+        assert [r() is None for r in alive] == [True] * step
+        fresh = np.full((3, 4), 0.1 * step, np.float32)
+        alive.append(weakref.ref(fresh))
+        return loss_at(step) + grad.sum_(grad.mul(params["w"], Tensor(fresh)))
+
+    grad.train(params, cfg, step_loss, "test")
+    assert len(alive) == cfg.steps and alive[-1]() is None
+
+
+def _retain_all_table(root):
+    """The reference walk: every node's gradient lives until the walk ends
+    and is returned, as ``grad`` did before it dropped consumed ones."""
+    order = grad._topo_order(root)
+    table = {id(root): np.ones_like(root.data)}
+    by_id = {id(n): n for n in order}
+    for node in reversed(order):
+        g = table.get(id(node))
+        if g is None:
+            continue
+        for parent, vjp in node._parents:
+            pg = vjp(g)
+            if id(parent) in table:
+                table[id(parent)] = table[id(parent)] + pg
+            else:
+                table[id(parent)] = pg
+    return {by_id[i]: g for i, g in table.items()}
+
+
+_MB = 1 << 20
+
+
+def _backward_peak(n_ops):
+    """Traced bytes that ``backward`` adds at its peak, over a chain of
+    ``n_ops`` tanh nodes on a 1-MB float32 leaf."""
+    x = Tensor(np.linspace(-1.0, 1.0, _MB // 4, dtype=np.float32),
+               requires_grad=True)
+    y = x
+    for _ in range(n_ops):
+        y = grad.tanh(y)
+    loss = grad.sum_(y)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss.backward()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_backward_keeps_a_fixed_number_of_gradient_buffers(monkeypatch):
+    """32 ops need no more gradient buffers than 8: each node's gradient
+    goes once its VJPs have consumed it.  The retain-everything walk holds
+    one buffer per op, which is what this test would see if it came back."""
+    short, long = _backward_peak(8), _backward_peak(32)
+    assert long <= 6 * _MB and long - short < _MB
+    monkeypatch.setattr(grad, "_backward_table", _retain_all_table)
+    assert _backward_peak(32) >= 32 * _MB
+
+
+def _graph_attention(rng):
+    arrays = [rng.normal(size=(3, 2, 7, 6)).astype(np.float32) for _ in range(3)]
+    bias = np.zeros((3, 1, 1, 7), np.float32)
+    bias[0, ..., -2:] = -1e9
+    return arrays, lambda ls: grad.scaled_dot_attention(*ls, Tensor(bias))
+
+
+def _graph_block(op):
+    def build(rng):
+        arrays = _block_arrays(3, 19, 32, 128, 19, np.float32)
+        keep = rng.random((3, 19)) > 0.3
+        keep[:, 0] = True
+        return arrays, lambda ls: op(ls[0], ls[1:], 4, _key_bias(keep, np.float32))
+    return build
+
+
+def _graph_convs(rng):
+    """A conv (shifted views), a strided conv (columns) and a transposed
+    conv, with GELU between: the tokenizer's shape of graph."""
+    arrays = [rng.normal(size=s).astype(np.float32) for s in
+              [(2, 6, 9, 8), (6, 6, 3, 3), (4, 6, 3, 3), (4, 3, 3, 3)]]
+
+    def build(ls):
+        h = grad.gelu(grad.conv2d(ls[0], ls[1], padding=1))
+        h = grad.conv2d(h, ls[2], stride=2, padding=1)
+        return grad.transposed_conv2d(h, ls[3], stride=2, padding=1,
+                                      output_padding=(0, 1)) + grad.getitem(ls[0], np.s_[:, :3])
+    return arrays, build
+
+
+@pytest.mark.parametrize("make", [_graph_attention, _graph_convs,
+                                  _graph_block(grad.transformer_block),
+                                  _graph_block(_composed_block)])
+def test_backward_and_grads_match_the_retain_all_walk(make):
+    """Dropping consumed gradients changes no bit of the ones returned:
+    ``grads`` (for the leaves and for the output node, whose gradient must
+    still flow on) and ``backward`` against the reference walk."""
+    rng = np.random.default_rng(4)
+    arrays, build = make(rng)
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    out = build(leaves)
+    loss = grad.sum_(grad.mul(out, Tensor(rng.normal(size=out.shape)
+                                          .astype(np.float32))))
+    table = _retain_all_table(loss)
+    want = [table[t] for t in leaves + [out]]
+    for _ in range(2):  # grads is a replay: the tape survives it
+        got = grad.grads(loss, leaves + [out])
+        assert all(np.array_equal(a, b) and a.dtype == b.dtype
+                   for a, b in zip(got, want))
+    loss.backward()
+    assert all(np.array_equal(t.grad, w) and t.grad.dtype == np.float32
+               for t, w in zip(leaves, want))
 
 
 def test_checkpoint_roundtrip(tmp_path):
