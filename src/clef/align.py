@@ -137,8 +137,7 @@ class ReportEncoder(grad.Module):
         self.w_in = grad.param((HashedNgramProvider.dim, d), rng)
         self.b_in = grad.param((d,), rng, zeros=True)
         self.pos = grad.param((cfg.text_max_len, d), rng, scale=0.02)
-        self.blocks = [mim._Block(d, cfg.n_heads, 4, rng)
-                       for _ in range(cfg.refiner_depth)]
+        self.blocks = mim._stack(cfg.refiner_depth, d, cfg.n_heads, rng)
         self.ln_g, self.ln_b = mim._ln_params(d)
 
     def __call__(self, feats: np.ndarray, mask: np.ndarray) -> grad.Tensor:
@@ -161,8 +160,7 @@ class EhrEncoder(grad.Module):
         self.e_race = grad.param((len(RACE_CATEGORIES), d), rng, scale=0.02)
         self.e_dx = grad.param((len(vocab[0]), d), rng, scale=0.02)
         self.e_med = grad.param((len(vocab[1]), d), rng, scale=0.02)
-        self.blocks = [mim._Block(d, cfg.n_heads, 4, rng)
-                       for _ in range(cfg.refiner_depth)]
+        self.blocks = mim._stack(cfg.refiner_depth, d, cfg.n_heads, rng)
         self.ln_g, self.ln_b = mim._ln_params(d)
 
     def assemble(self, inputs: list[EhrInput]) -> tuple[np.ndarray, ...]:

@@ -336,10 +336,9 @@ def train_probe(x_train: np.ndarray, y_train: np.ndarray,
             pick = order[start:start + cfg.probe_batch_size]
             z = head(grad.Tensor(x_train[pick].astype(grad.DTYPE)))
             loss = _bce_with_logits(z, y_train[pick])
-            opt.zero_grad()
-            loss.backward()
+            grads = loss.backward(opt.params)
             del z, loss  # the step's tape goes before the update
-            opt.step()
+            opt.step(grads)
         val_auc = auroc(head.scores(x_val), y_val)
         if val_auc > best_auc:
             best_auc = val_auc

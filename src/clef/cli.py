@@ -9,7 +9,7 @@ through a counter-based scheme.  Exit codes: 0 success, 2 config error,
 3 data error, 4 numeric failure.  Every run quantity comes from the profile
 and so counts in ``profile_hash``: a trainer's ``--steps N`` is shorthand for
 ``--config {"<stage>": {"steps": N}}``; below 1 is a config error either
-way.  ``name`` is refused, so ``Profile`` has 89 settable leaves; sizes the
+way.  ``name`` is refused, so ``Profile`` has 88 settable leaves; sizes the
 data fixes (channel count, EHR vocabularies) are not keys.
 """
 
@@ -128,13 +128,11 @@ def _require_manifest(out: Path, stage: str) -> None:
         raise DataError(f"{out}: no manifest.json, {stage} did not finish")
 
 
-def _load_spectrograms(profile: Profile, spec_dir: Path,
-                       session_ids: list[str] | None = None,
+def _load_spectrograms(profile: Profile, spec_dir: Path
                        ) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Ids, values (S, C, H, W) and availability (S, C) of ``session_ids``
-    (default: every ``.spc`` by name); a shape not the profile's is refused."""
-    if session_ids is None:
-        session_ids = [p.stem for p in sorted(spec_dir.glob("*.spc"))]
+    """Ids, values (S, C, H, W) and availability (S, C) of every ``.spc``
+    by name; a shape not the profile's is refused."""
+    session_ids = [p.stem for p in sorted(spec_dir.glob("*.spc"))]
     specs = _read_spectrograms(profile, spec_dir, session_ids)
     values = np.empty((len(session_ids),) + _spec_shape(profile), np.float32)
     avail = np.empty(values.shape[:2], bool)
@@ -371,6 +369,8 @@ def tokenize_cmd(spec_dir, ckpt_path, out):
         tokenizer = vqtok.Tokenizer(profile.cohort.n_channels, profile.tokenizer,
                                     np.random.default_rng(0))
         grad.assign_parameters(tokenizer.named_parameters(), ckpt["params"])
+        for p in tokenizer.parameters():  # inference: no op records a tape
+            p.requires_grad = False
         sha = _codebook_sha(tokenizer.codebook.entries.data)
         if sha != ckpt["meta"].get("codebook_sha"):
             raise DataError(f"{ckpt_path}: codebook hash mismatch "
@@ -516,6 +516,8 @@ def probe_cmd(cohort_dir, tok_dir, spec_dir, ckpt_path, out):
         ckpt = _load_checkpoint(ckpt_path, ("mim", "align"), "encoder")
         records, ids, patches, encoder = _cohort_encoder(
             profile, cohort_dir, tok_dir, spec_dir, ckpt)
+        for p in encoder.parameters():  # inference: no op records a tape
+            p.requires_grad = False
         for r in records:
             if type(session_days.get(r.patient_id)) is not int:
                 raise DataError(f"{days_path}: no integer session day for "

@@ -10,12 +10,13 @@ from nothing else.  An unknown key, or a value whose JSON type differs from
 the default's (an int is accepted for a float), is a ``ConfigError``.
 ``dsp.sample_rate``, ``dsp.freq_res_hz``, ``mim.pool_includes_proxy``,
 ``tokenizer.codebook_data_init``, ``mim.patch_h``, ``mim.patch_w``,
-``cohort.n_channels``, ``align.ehr.n_dx``, ``align.ehr.n_med`` and the
-three keys of the tokenizer's adversarial term, which is not reproduced
+``cohort.n_channels``, ``align.ehr.n_dx``, ``align.ehr.n_med``,
+``mim.mlp_ratio`` (every block's MLP is ``mim.MLP_RATIO`` times d wide) and
+the three keys of the tokenizer's adversarial term, which is not reproduced
 (layer widths, weight clamp and start step; the README's "Configuration"
 names them), are gone and refused like any unknown key.
 ``name`` is refused too: a profile is named by ``--profile`` alone, so
-``Profile`` has 89 settable leaves.
+``Profile`` has 88 settable leaves.
 
 No key restates a size the data fixes: the channel count is
 ``len(cohort.channel_names)``, and the EHR code tables have a row per code
@@ -143,7 +144,6 @@ class MimConfig:
     d_model: int = 64
     n_heads: int = 4
     dec_depth: int = 2
-    mlp_ratio: int = 4
     dropout: float = 0.0
     mask_mu: float = 0.55
     mask_sigma: float = 0.15
@@ -257,20 +257,17 @@ def _paper(name: str, depth: int, d_model: int, n_heads: int) -> Profile:
         n_patients=108_341, channel_names=list(CHANNELS_1020),
         duration_s=1280.0,  # with 12 phenotype codes each: 178 dx, 205 med
         n_distractor_dx=166, n_distractor_med=193)
-    p.dsp = DspConfig()  # stride 125, [0, 32) Hz, H=128, W=2048
+    # the default DSP: stride 125, [0, 32) Hz, H=128, W=2048
     p.tokenizer = TokenizerConfig(
         codebook_size=4096, latent_dim=64,
-        level_channels=[64, 128, 128, 256, 256],
-        lambda_code=0.8, lambda_commit=0.2, gamma_diff=4.0,
-        p_psg=0.3, p_drop=0.1, ramp_steps=100_000,
+        level_channels=[64, 128, 128, 256, 256], ramp_steps=100_000,
         lr=1.44e-4, batch_size=32, steps=200_000)
     p.mim = MimConfig(
         depth=depth, d_model=d_model, n_heads=n_heads, dec_depth=4,
-        dropout=0.1, lr=5e-4, batch_size=128, ema_decay=0.999)
+        dropout=0.1, lr=5e-4, batch_size=128)
     p.align = AlignConfig(
         text_max_len=256, refiner_depth=4, n_heads=8, lr=5e-4,
-        batch_size=128, ema_decay=0.9999,
-        ehr=EhrSlotConfig(dx_slots=30, med_slots=50))
+        batch_size=128, ehr=EhrSlotConfig(dx_slots=30, med_slots=50))
     p.bench = BenchConfig(min_positives=15)
     return p
 

@@ -20,9 +20,10 @@ The training hot paths are single primitives:
 - AdamW updates its moments in place and rebinds each parameter to a new
   array.
 
-A ``Tensor`` records its parents and a vector-Jacobian product per parent;
-``backward`` walks the tape in reverse topological order exactly once.
-``grads`` computes gradients into a fresh list without touching ``.grad``.
+A ``Tensor`` records its parents and a vector-Jacobian product per parent.
+``loss.backward(params)`` walks the tape in reverse topological order
+exactly once and returns the gradients of ``params``; nothing is stored on
+a tensor, and the tape is left as it was.
 """
 
 from __future__ import annotations
@@ -46,12 +47,11 @@ class ShapeError(ValueError):
 class Tensor:
     """A node in the computation graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents")
+    __slots__ = ("data", "requires_grad", "_parents")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=DTYPE)
         self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
         # list of (parent Tensor, vjp: g_out -> g_parent); empty for leaves
         self._parents: list[tuple["Tensor", Callable[[np.ndarray], np.ndarray]]] = []
 
@@ -92,14 +92,13 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    def backward(self) -> None:
-        """Accumulate d(self)/d(leaf) into ``.grad`` of every reachable tensor
-        with ``requires_grad``; only those gradients outlive the walk."""
-        for node, g in _backward_table(self).items():
-            if node.grad is None:
-                node.grad = g.astype(DTYPE)
-            else:
-                node.grad = node.grad + g.astype(DTYPE)
+    def backward(self, wrt: Sequence["Tensor"] = ()) -> list[np.ndarray | None]:
+        """d(self)/d(p) in ``DTYPE`` for each p of ``wrt``, None where self
+        does not reach p.  Only these gradients outlive the walk, and the
+        tape is not edited, so a second call returns the same list."""
+        table = _backward_table(self, wrt)
+        return [table[p].astype(DTYPE, copy=False) if p in table else None
+                for p in wrt]
 
 
 def _wrap(value) -> Tensor:
@@ -125,15 +124,12 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
-def _backward_table(root: Tensor, wrt=None) -> dict[Tensor, np.ndarray]:
-    """d(root)/d(n) for each reachable n of ``wrt`` (default: ``requires_grad``);
-    any other node's gradient is dropped once its VJPs have consumed it."""
-    order = _topo_order(root)
-    if wrt is None:
-        wrt = [n for n in order if n.requires_grad]
+def _backward_table(root: Tensor, wrt: Sequence[Tensor]) -> dict[Tensor, np.ndarray]:
+    """d(root)/d(n) for each reachable n of ``wrt``; any other node's
+    gradient is dropped once its VJPs have consumed it."""
     kept = {id(n) for n in wrt}
     table: dict[int, np.ndarray] = {id(root): np.ones_like(root.data)}
-    for node in reversed(order):
+    for node in reversed(_topo_order(root)):
         g = (table.get if id(node) in kept else table.pop)(id(node), None)
         if g is None:
             continue
@@ -143,13 +139,6 @@ def _backward_table(root: Tensor, wrt=None) -> dict[Tensor, np.ndarray]:
                 pg = table[id(parent)] + pg
             table[id(parent)] = pg
     return {n: table[id(n)] for n in wrt if id(n) in table}
-
-
-def grads(loss: Tensor, wrt: Sequence[Tensor]) -> list[np.ndarray]:
-    """Gradients of a scalar w.r.t. ``wrt`` on a detached replay: ``.grad`` and
-    the tape are untouched, and only these gradients outlive the walk."""
-    table = _backward_table(loss, wrt)
-    return [table.get(p, np.zeros_like(p.data)) for p in wrt]
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +165,9 @@ def _check_broadcast(a: np.ndarray, b: np.ndarray, op: str) -> None:
 
 
 def _make(data: np.ndarray, parents) -> Tensor:
-    # Intermediates keep requires_grad False; backward() only writes .grad
-    # into explicitly marked leaves, while _parents carries the tape.
+    # Intermediates keep requires_grad False and _parents carries the tape;
+    # a parent that neither requires a gradient nor has a tape is left off,
+    # so an op on inputs that need no gradient records nothing.
     out = Tensor(data)
     out._parents = [(p, vjp) for p, vjp in parents if _needs_grad(p)]
     return out
@@ -952,18 +942,17 @@ class AdamW:
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
-
-    def step(self, lr: float | None = None) -> None:
+    def step(self, grads: Sequence[np.ndarray | None],
+             lr: float | None = None) -> None:
+        """One update from ``grads``, one per parameter in order (what
+        ``loss.backward(self.params)`` returns); a parameter whose gradient
+        is None keeps its value and moments."""
         lr = float(self.lr if lr is None else lr)
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1 ** self.t
         bias2 = 1.0 - b2 ** self.t
-        for p, m, v in zip(self.params, self.m, self.v):
-            g = p.grad
+        for p, g, m, v in zip(self.params, grads, self.m, self.v, strict=True):
             if g is None:
                 continue
             # m = b1·m + (1−b1)·g and v = b2·v + (1−b2)·g·g, in place
@@ -1027,10 +1016,9 @@ def train(params: dict[str, Tensor], cfg,
         loss = step_loss(step)
         if not np.isfinite(loss.data):
             raise NumericError(f"non-finite {stage} loss at step {step}")
-        opt.zero_grad()
-        loss.backward()
+        grads = loss.backward(opt.params)
         del loss
-        opt.step(lr=cosine_lr(step, cfg.steps, cfg.lr, cfg.warmup_steps))
+        opt.step(grads, lr=cosine_lr(step, cfg.steps, cfg.lr, cfg.warmup_steps))
         ema.update(params)
     return ema
 

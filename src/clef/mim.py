@@ -85,18 +85,22 @@ class _Attention(grad.Module):
         self.wo = grad.param((d, d), rng)
 
 
+# the MLP's hidden width over d, in every block of Stage I and Stage II
+MLP_RATIO = 4
+
+
 class _Block(grad.Module):
     """Pre-norm transformer block: one ``grad.transformer_block`` node."""
 
-    def __init__(self, d: int, n_heads: int, mlp_ratio: int, rng):
+    def __init__(self, d: int, n_heads: int, rng):
         self.ln1_g = grad.Tensor(np.ones(d, dtype=grad.DTYPE), requires_grad=True)
         self.ln1_b = grad.param((d,), rng, zeros=True)
         self.attn = _Attention(d, n_heads, rng)
         self.ln2_g = grad.Tensor(np.ones(d, dtype=grad.DTYPE), requires_grad=True)
         self.ln2_b = grad.param((d,), rng, zeros=True)
-        self.w1 = grad.param((d, mlp_ratio * d), rng)
-        self.b1 = grad.param((mlp_ratio * d,), rng, zeros=True)
-        self.w2 = grad.param((mlp_ratio * d, d), rng)
+        self.w1 = grad.param((d, MLP_RATIO * d), rng)
+        self.b1 = grad.param((MLP_RATIO * d,), rng, zeros=True)
+        self.w2 = grad.param((MLP_RATIO * d, d), rng)
         self.b2 = grad.param((d,), rng, zeros=True)
 
     def __call__(self, x, bias, p_drop=0.0, rng=None):
@@ -107,8 +111,8 @@ class _Block(grad.Module):
             a.n_heads, bias, p_drop, rng)
 
 
-def _stack(depth, d, n_heads, mlp_ratio, rng):
-    return [_Block(d, n_heads, mlp_ratio, rng) for _ in range(depth)]
+def _stack(depth, d, n_heads, rng):
+    return [_Block(d, n_heads, rng) for _ in range(depth)]
 
 
 def _ln_params(d):
@@ -133,7 +137,7 @@ class SessionEncoder(grad.Module):
         self.p_time = grad.param((w, d), rng, scale=0.02)
         self.mask_emb = grad.param((d,), rng, scale=0.02)
         self.proxy = grad.param((d,), rng, scale=0.02)
-        self.blocks = _stack(cfg.depth, d, cfg.n_heads, cfg.mlp_ratio, rng)
+        self.blocks = _stack(cfg.depth, d, cfg.n_heads, rng)
         self.ln_g, self.ln_b = _ln_params(d)
         # precomputed grid coordinates, position-major over (freq, time)
         pos = np.arange(self.n_positions)
@@ -210,7 +214,7 @@ class MimModel(grad.Module):
         self.w_proxy = grad.param((d, d), rng)
         self.b_proxy = grad.param((d,), rng, zeros=True)
         self.p_full = grad.param((self.eeg.n_positions + 1, d), rng, scale=0.02)
-        self.decoder = _stack(cfg.dec_depth, d, cfg.n_heads, cfg.mlp_ratio, rng)
+        self.decoder = _stack(cfg.dec_depth, d, cfg.n_heads, rng)
         self.dec_ln_g, self.dec_ln_b = _ln_params(d)
         self.head_w = grad.param((d, d), rng)
         self.head_b = grad.param((d,), rng, zeros=True)

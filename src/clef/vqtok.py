@@ -32,8 +32,6 @@ class Codebook(grad.Module):
         if k < 2:
             raise DataError(f"codebook size {k} < 2")
         self.entries = grad.param((k, dim), rng, scale=0.1)
-        self.usage = np.zeros(k, dtype=np.int64)
-        self.last_used = np.zeros(k, dtype=np.int64)
 
     @property
     def k(self) -> int:
@@ -272,6 +270,8 @@ class VqTrainer:
                               beta1=0.0, beta2=0.99, weight_decay=0.0)
         self.rng = np.random.default_rng(seed + 1)
         self.step_count = 0
+        # the step at which each codebook entry was last picked or revived
+        self.last_used = np.zeros(cfg.codebook_size, dtype=np.int64)
 
     def step(self, values: np.ndarray, available: np.ndarray) -> StepLosses:
         """One optimization step on a (B, C, H, W) batch.
@@ -301,28 +301,25 @@ class VqTrainer:
         total = l_rec + l_vq
         if not np.isfinite(total.data):
             raise NumericError(f"non-finite tokenizer loss at step {self.step_count}")
-        self.opt.zero_grad()
-        total.backward()
-        self.opt.step()
-        self._update_usage(grid)
+        self.opt.step(total.backward(self.opt.params))
+        self._revive_dead_codes(grid)
         self.step_count += 1
         return StepLosses(total=float(total.data), rec=float(l_rec.data),
                           vq=float(l_vq.data))
 
-    def _update_usage(self, grid: TokenGrid) -> None:
+    def _revive_dead_codes(self, grid: TokenGrid) -> None:
+        """Reseed the entries that no batch has picked for
+        ``cfg.dead_code_steps`` steps from this batch's latents."""
         book = self.tokenizer.codebook
-        used, counts = np.unique(grid.indices, return_counts=True)
-        book.usage[used] += counts
-        book.last_used[used] = self.step_count
-        # dead-code revival: reseed long-unused entries from batch latents
-        dead = np.flatnonzero(self.step_count - book.last_used
+        self.last_used[grid.indices] = self.step_count
+        dead = np.flatnonzero(self.step_count - self.last_used
                               >= self.cfg.dead_code_steps)
         if dead.size:
             flat = grid.latents.data.transpose(0, 2, 3, 1).reshape(
                 -1, book.entries.shape[1])
             picks = self.rng.integers(0, flat.shape[0], size=dead.size)
             book.entries.data[dead] = flat[picks]
-            book.last_used[dead] = self.step_count
+            self.last_used[dead] = self.step_count
 
 
 def train_tokenizer(values: np.ndarray, available: np.ndarray,

@@ -59,7 +59,7 @@ def check_gradients(build_fn, shapes: list[tuple], seed: int, h: float = 1e-4,
             return build_fn(ts)
 
         loss = build_fn(leaves)
-        analytic = grad.grads(loss, leaves)
+        analytic = loss.backward(leaves)
         numeric = fd_gradients(fn, [a.copy() for a in arrays], h=h)
     worst = 0.0
     for a, n in zip(analytic, numeric):

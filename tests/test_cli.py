@@ -4,11 +4,12 @@ mapping, ``--steps`` as profile shorthand, the progress lines, an incomplete
 socket), sequential-training, codebook-hash, checkpoint-kind,
 checkpoint-geometry, checkpoint-naming, demographic-category,
 token-codebook, token-grid and partial-output refusals, the session-id
-join, the spectrogram and session loaders' memory, the geometry and
-codebook-size checks, the external-cohort recipe, malformed JSON, token
-and waveform artifacts, sessions shorter than one DSP window, manifest
-reproducibility, seed splitting, config schema completeness and the shape
-walk of every profile."""
+join, the spectrogram and session loaders' memory, tape-free inference
+in tokenize and probe, the geometry and codebook-size checks, the
+external-cohort recipe, malformed JSON, token and waveform artifacts,
+sessions shorter than one DSP window, manifest reproducibility, seed
+splitting, config schema completeness, the shape walk of every profile and
+each profile's settings."""
 
 import dataclasses
 import json
@@ -372,6 +373,51 @@ def test_external_cohort_reads_the_first_cohorts_models(pipeline, tmp_path):
                         for p in (pipeline["results"], results))
     assert sorted(tasks_b) == sorted(tasks_a)
     assert len(set(tasks_b)) == len(tasks_b)
+
+
+def test_inference_records_no_tape(pipeline, tmp_path, monkeypatch):
+    """tokenize and probe clear ``requires_grad`` on the weights they load,
+    so neither the tokenizer's encoder output nor the session embedding
+    carries a tape.  The tokens and embeddings are those of weights that
+    still require gradients."""
+    outputs = []
+    for owner, name in ((vqtok.Tokenizer, "encode"),
+                        (mim.SessionEncoder, "__call__")):
+        def record(*args, real=getattr(owner, name)):
+            outputs.append(real(*args))
+            return outputs[-1]
+        monkeypatch.setattr(owner, name, record)
+    tokens = tmp_path / "tokens"
+    assert climod.main(pipeline["base"] + [
+        "tokenize", "--spectrograms", str(pipeline["spec"]),
+        "--ckpt", str(pipeline["tok_ckpt"]), "--out", str(tokens)]) == 0
+    assert climod.main(pipeline["base"] + [
+        "probe", "--cohort", str(pipeline["cohort"]), "--tokens", str(tokens),
+        "--spectrograms", str(pipeline["spec"]),
+        "--ckpt", str(pipeline["align_ckpt"]),
+        "--out", str(tmp_path / "results.json")]) == 0
+    monkeypatch.undo()
+    encoded = [o for o in outputs if isinstance(o, grad.Tensor)]
+    pooled = [o[1] for o in outputs if isinstance(o, tuple)]
+    assert encoded and pooled
+    assert not any(t._parents for t in encoded + pooled)
+
+    profile = cfgmod.load_profile("desk", pipeline["config"])
+    tokenizer = vqtok.Tokenizer(profile.cohort.n_channels, profile.tokenizer,
+                                np.random.default_rng(0))
+    grad.assign_parameters(tokenizer.named_parameters(), grad.load_checkpoint(
+        pipeline["tok_ckpt"])["params"])
+    sids, values, avail = climod._load_spectrograms(profile, pipeline["spec"])
+    assert tokenizer.encode(grad.Tensor(vqtok.encoder_planes(
+        values[:1], avail[:1])))._parents
+    for sid, grid in zip(sids, vqtok.tokenize_sessions(tokenizer, values,
+                                                        avail)):
+        assert np.array_equal(vqtok.read_tokens(tokens / f"{sid}.tok")[0], grid)
+    _, ids, patches, encoder = climod._cohort_encoder(
+        profile, pipeline["cohort"], tokens, pipeline["spec"],
+        grad.load_checkpoint(pipeline["align_ckpt"]))
+    u = encoder(ids[:32], patches[:32])[1]
+    assert u._parents and np.array_equal(u.data, pooled[0].data)
 
 
 def test_tokenize_refuses_codebook_mismatch(pipeline, tmp_path, capsys):
@@ -928,7 +974,8 @@ def test_removed_config_keys_are_refused():
     the DSP takes its rate from each session, u never pools the proxy, the
     codebook is always seeded from data, the Stage I patch is the
     tokenizer's stride, the channel count is the montage's, the EHR
-    tables follow the vocabulary, and the tokenizer has no adversarial term
+    tables follow the vocabulary, every block's MLP width is
+    ``mim.MLP_RATIO`` times d, and the tokenizer has no adversarial term
     (tokenizer.disc_channels, tokenizer.adv_weight_clamp,
     tokenizer.adv_start_step): these keys are gone, and setting one is a
     config error."""
@@ -936,7 +983,7 @@ def test_removed_config_keys_are_refused():
                  "tokenizer.beta2", "dsp.sample_rate", "dsp.freq_res_hz",
                  "mim.pool_includes_proxy", "tokenizer.codebook_data_init",
                  "mim.patch_h", "mim.patch_w", "cohort.n_channels",
-                 "align.ehr.n_dx", "align.ehr.n_med",
+                 "align.ehr.n_dx", "align.ehr.n_med", "mim.mlp_ratio",
                  "tokenizer.disc_channels", "tokenizer.adv_weight_clamp",
                  "tokenizer.adv_start_step"):
         *sections, key = path.split(".")
@@ -950,13 +997,24 @@ def test_removed_config_keys_are_refused():
         cfgmod.apply_overrides(cfgmod.get_profile("desk"), {"name": "x"})
 
 
-def test_profile_has_89_settable_leaves():
+def test_profile_has_88_settable_leaves():
     """Every leaf of every section, less ``name``, which is refused."""
     def leaves(obj):
         return sum(leaves(value) if dataclasses.is_dataclass(value) else 1
                    for value in (getattr(obj, f.name)
                                  for f in dataclasses.fields(obj)))
-    assert leaves(cfgmod.get_profile("desk")) - 1 == 89
+    assert leaves(cfgmod.get_profile("desk")) - 1 == 88
+
+
+def test_profiles_hold_their_settings_after_dropping_restated_defaults():
+    """``_paper`` states only what differs from the dataclass defaults.
+    Each profile's ``content_hash`` (of its ``dataclasses.asdict``) is the
+    one it had when ``_paper`` still restated ``dsp``, the tokenizer's loss
+    weights and curriculum and both EMA decays, less ``mim.mlp_ratio``."""
+    assert {name: cfgmod.get_profile(name).content_hash()
+            for name in cfgmod.PROFILE_NAMES} == {
+        "desk": "41164acf9b7fa4db", "paper-small": "15d1ffecdcd0f255",
+        "paper-base": "d6bc68c8e69edfec", "paper-large": "dfa4ddc9826b8ee1"}
 
 
 def test_missing_input_path_named_in_message(tmp_path, capsys):

@@ -132,8 +132,8 @@ def test_fused_attention_matches_composed_ops_at_float64(shape):
         for op in (grad.scaled_dot_attention, _composed_attention):
             leaves = [Tensor(a, requires_grad=True) for a in arrays]
             out = op(*leaves, Tensor(bias))
-            results.append([out.data] + grad.grads(
-                grad.sum_(grad.mul(out, Tensor(g))), leaves))
+            results.append([out.data] + grad.sum_(
+                grad.mul(out, Tensor(g))).backward(leaves))
     for fused, composed in zip(*results):
         assert fused.dtype == np.float64
         assert np.abs(fused - composed).max() <= 1e-12 * np.abs(composed).max()
@@ -206,7 +206,7 @@ def _key_bias(keep, dtype):
 def _block_and_grads(op, arrays, g, n_heads, bias, p_drop=0.0, rng=None):
     leaves = [Tensor(a, requires_grad=True) for a in arrays]
     out = op(leaves[0], leaves[1:], n_heads, bias, p_drop, rng)
-    return [out.data] + grad.grads(grad.sum_(grad.mul(out, Tensor(g))), leaves)
+    return [out.data] + grad.sum_(grad.mul(out, Tensor(g))).backward(leaves)
 
 
 @pytest.mark.parametrize("masked", [True, False])
@@ -323,7 +323,7 @@ def _forward_and_vjp(op, arrays, g):
     each input (sum(op * g) hands ``g`` to the op's VJPs unchanged)."""
     leaves = [Tensor(a, requires_grad=True) for a in arrays]
     out = op(*leaves)
-    return out.data, grad.grads(grad.sum_(grad.mul(out, Tensor(g))), leaves)
+    return out.data, grad.sum_(grad.mul(out, Tensor(g))).backward(leaves)
 
 
 def test_gelu_float32_matches_float64_reference():
@@ -626,8 +626,7 @@ def test_transposed_conv_is_adjoint_of_conv():
 def test_sum_square_gradient_hand_case():
     x = Tensor(np.array([1.0, 2.0], dtype=np.float32), requires_grad=True)
     loss = grad.sum_(grad.mul(x, x))
-    loss.backward()
-    assert np.allclose(x.grad, [2.0, 4.0])
+    assert np.allclose(loss.backward([x])[0], [2.0, 4.0])
 
 
 def test_softmax_rows_and_jacobian():
@@ -636,17 +635,54 @@ def test_softmax_rows_and_jacobian():
     s = grad.softmax(x, axis=-1)
     assert np.allclose(s.data.sum(axis=-1), 1.0, atol=1e-6)
     # Jacobian rows sum to zero: grad of sum(softmax) wrt x is 0
-    grad.sum_(s).backward()
-    assert np.allclose(x.grad, 0.0, atol=1e-6)
+    assert np.allclose(grad.sum_(s).backward([x])[0], 0.0, atol=1e-6)
 
 
 def test_stop_gradient_blocks_flow():
     x = Tensor(np.array([3.0]), requires_grad=True)
     y = Tensor(np.array([2.0]), requires_grad=True)
     loss = grad.sum_(grad.mul(grad.stop_gradient(x), y))
-    loss.backward()
-    assert x.grad is None
-    assert np.allclose(y.grad, [3.0])
+    gx, gy = loss.backward([x, y])
+    assert gx is None
+    assert np.allclose(gy, [3.0])
+
+
+def test_backward_returns_none_for_an_unreached_tensor():
+    w = Tensor(np.array([1.0, -2.0], np.float32), requires_grad=True)
+    unreached = Tensor(np.ones(3, np.float32), requires_grad=True)
+    g, none = grad.sum_(grad.mul(w, w)).backward([w, unreached])
+    assert g.dtype == np.float32 and g.tolist() == [2.0, -4.0]
+    assert none is None
+
+
+def test_backward_twice_returns_the_same_gradients():
+    """Nothing accumulates between calls and the tape is left intact."""
+    rng = np.random.default_rng(6)
+    x = Tensor(rng.normal(size=(3, 4)).astype(np.float32), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 2)).astype(np.float32), requires_grad=True)
+    loss = grad.sum_(grad.tanh(grad.matmul(x, w)))
+    first, second = loss.backward([x, w]), loss.backward([x, w])
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(first, second))
+
+
+def test_tensor_stores_no_gradient():
+    t = Tensor(np.zeros(2), requires_grad=True)
+    assert "grad" not in Tensor.__slots__ and not hasattr(t, "grad")
+
+
+def test_adamw_step_leaves_a_parameter_without_gradient_untouched():
+    """A None gradient skips its parameter: value, m and v stay as the
+    previous step left them, while the other parameters move."""
+    a, b = (Tensor(np.full(3, v, np.float32), requires_grad=True)
+            for v in (1.0, -1.0))
+    opt = grad.AdamW([a, b], lr=0.1, beta1=0.9, beta2=0.95, weight_decay=0.1)
+    opt.step([np.ones(3, np.float32), np.ones(3, np.float32)])
+    held = [x.copy() for x in (b.data, opt.m[1], opt.v[1])]
+    a_before = a.data.copy()
+    opt.step([np.ones(3, np.float32), None])
+    assert all(x.tobytes() == y.tobytes()
+               for x, y in zip((b.data, opt.m[1], opt.v[1]), held))
+    assert not np.array_equal(a.data, a_before)
 
 
 def test_uniform_ce_equals_log_k():
@@ -677,8 +713,7 @@ def test_adam_descent_one_step():
     x = Tensor(np.array([1.0]), requires_grad=True)
     opt = grad.AdamW([x], lr=0.1, beta1=0.9, beta2=0.95, weight_decay=0.0)
     loss = grad.sum_(grad.mul(x, x))
-    loss.backward()
-    opt.step()
+    opt.step(loss.backward([x]))
     assert np.all(np.abs(x.data) < 1.0)
 
 
@@ -690,28 +725,23 @@ def test_adamw_wd_zero_equals_adam():
         x = Tensor(x0.copy(), requires_grad=True)
         opt = grad.AdamW([x], lr=0.05, beta1=0.9, beta2=0.999, weight_decay=wd)
         for _ in range(10):
-            opt.zero_grad()
-            grad.sum_(grad.mul(x, x)).backward()
-            opt.step()
+            opt.step(grad.sum_(grad.mul(x, x)).backward([x]))
         paths.append(x.data.copy())
     assert np.array_equal(paths[0], paths[1])
     # and wd>0 actually changes the path
     x = Tensor(x0.copy(), requires_grad=True)
     opt = grad.AdamW([x], lr=0.05, beta1=0.9, beta2=0.999, weight_decay=0.5)
     for _ in range(10):
-        opt.zero_grad()
-        grad.sum_(grad.mul(x, x)).backward()
-        opt.step()
+        opt.step(grad.sum_(grad.mul(x, x)).backward([x]))
     assert not np.array_equal(paths[0], x.data)
 
 
-def _adamw_out_of_place(opt, params, lr, state):
+def _adamw_out_of_place(opt, params, grads, lr, state):
     """One step of AdamW's formula, new arrays throughout."""
     state["t"] += 1
     b1, b2 = opt.beta1, opt.beta2
     bias1, bias2 = 1.0 - b1 ** state["t"], 1.0 - b2 ** state["t"]
-    for i, p in enumerate(params):
-        g = p.grad
+    for i, (p, g) in enumerate(zip(params, grads)):
         if g is None:
             continue
         state["m"][i] = b1 * state["m"][i] + (1.0 - b1) * g
@@ -741,11 +771,9 @@ def test_adamw_in_place_matches_out_of_place_formula(make):
         grads_ = [rng.normal(size=a.shape).astype(np.float32) for a in init]
         grads_[2] = None                   # a parameter with no gradient
         held = [p.data for p in ours]
-        for p, r, g in zip(ours, ref, grads_):
-            p.grad = r.grad = g
         before = [h.copy() for h in held]
-        opt.step(lr=lr)
-        _adamw_out_of_place(opt, ref, lr, state)
+        opt.step(grads_, lr=lr)
+        _adamw_out_of_place(opt, ref, grads_, lr, state)
         for h, b in zip(held, before):
             assert np.array_equal(h, b)    # the old p.data is never written
         for p, r in zip(ours, ref):
@@ -771,8 +799,7 @@ def test_adamw_numpy_lr_updates_in_float32():
         opt = grad.AdamW([x], lr=0.05, beta1=0.9, beta2=0.95,
                          weight_decay=0.1)
         for t, g in enumerate(grads_):
-            x.grad = g
-            opt.step(lr=to_lr(0.05 / (t + 3)))
+            opt.step([g], lr=to_lr(0.05 / (t + 3)))
         out.append(x.data.tobytes())
     assert out[0] == out[1]
 
@@ -782,9 +809,8 @@ def test_quadratic_bowl_converges():
     x = Tensor(rng.normal(size=(8,)).astype(np.float32), requires_grad=True)
     opt = grad.AdamW([x], lr=0.1, beta1=0.9, beta2=0.95, weight_decay=0.0)
     for t in range(500):
-        opt.zero_grad()
-        grad.sum_(grad.mul(x, x)).backward()
-        opt.step(lr=grad.cosine_lr(t, 500, 0.1))
+        opt.step(grad.sum_(grad.mul(x, x)).backward([x]),
+                 lr=grad.cosine_lr(t, 500, 0.1))
     assert np.linalg.norm(x.data) < 1e-3
 
 
@@ -820,9 +846,7 @@ def test_training_trajectory_deterministic():
                          weight_decay=0.1)
         for _ in range(20):
             x = Tensor(rng.normal(size=(2, 4)).astype(np.float32))
-            opt.zero_grad()
-            grad.l2(grad.matmul(x, w)).backward()
-            opt.step()
+            opt.step(grad.l2(grad.matmul(x, w)).backward([w]))
         return w.data.copy()
 
     assert np.array_equal(run(), run())
@@ -845,10 +869,8 @@ def _hand_rolled(cfg, total, run):
                      beta2=cfg.beta2, weight_decay=cfg.weight_decay)
     ema = grad.Ema(params, cfg.ema_decay)
     for step in range(run):
-        loss = loss_at(step)
-        opt.zero_grad()
-        loss.backward()
-        opt.step(lr=grad.cosine_lr(step, total, cfg.lr, cfg.warmup_steps))
+        opt.step(loss_at(step).backward(opt.params),
+                 lr=grad.cosine_lr(step, total, cfg.lr, cfg.warmup_steps))
         ema.update(params)
     return params, ema
 
@@ -907,9 +929,10 @@ def test_train_holds_one_tape_at_a_time():
     assert len(alive) == cfg.steps and alive[-1]() is None
 
 
-def _retain_all_table(root):
+def _retain_all_table(root, wrt=()):
     """The reference walk: every node's gradient lives until the walk ends
-    and is returned, as ``grad`` did before it dropped consumed ones."""
+    and is returned, whatever ``wrt`` asks for, as ``grad`` did before it
+    dropped consumed ones."""
     order = grad._topo_order(root)
     table = {id(root): np.ones_like(root.data)}
     by_id = {id(n): n for n in order}
@@ -941,7 +964,7 @@ def _backward_peak(n_ops):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        loss.backward()
+        loss.backward([x])
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -992,8 +1015,8 @@ def _graph_convs(rng):
                                   _graph_block(_composed_block)])
 def test_backward_and_grads_match_the_retain_all_walk(make):
     """Dropping consumed gradients changes no bit of the ones returned:
-    ``grads`` (for the leaves and for the output node, whose gradient must
-    still flow on) and ``backward`` against the reference walk."""
+    ``backward`` for the leaves and for the output node, whose gradient must
+    still flow on, against the reference walk."""
     rng = np.random.default_rng(4)
     arrays, build = make(rng)
     leaves = [Tensor(a, requires_grad=True) for a in arrays]
@@ -1002,13 +1025,10 @@ def test_backward_and_grads_match_the_retain_all_walk(make):
                                           .astype(np.float32))))
     table = _retain_all_table(loss)
     want = [table[t] for t in leaves + [out]]
-    for _ in range(2):  # grads is a replay: the tape survives it
-        got = grad.grads(loss, leaves + [out])
-        assert all(np.array_equal(a, b) and a.dtype == b.dtype
+    for _ in range(2):  # backward leaves the tape as it was
+        got = loss.backward(leaves + [out])
+        assert all(np.array_equal(a, b) and a.dtype == b.dtype == np.float32
                    for a, b in zip(got, want))
-    loss.backward()
-    assert all(np.array_equal(t.grad, w) and t.grad.dtype == np.float32
-               for t, w in zip(leaves, want))
 
 
 def test_checkpoint_roundtrip(tmp_path):
@@ -1018,9 +1038,7 @@ def test_checkpoint_roundtrip(tmp_path):
     ema = grad.Ema(params, 0.999)
     opt = grad.AdamW(list(params.values()), lr=0.01, beta1=0.9,
                      beta2=0.95, weight_decay=0.1)
-    for p in params.values():
-        p.grad = np.ones_like(p.data)
-    opt.step()
+    opt.step([np.ones_like(p.data) for p in opt.params])
     ema.update(params)
     path = tmp_path / "ckpt.npz"
     grad.save_checkpoint(path, params, ema=ema, meta={"stage": "test"})

@@ -1,6 +1,7 @@
 """VQ tokenizer tests: quantization against a brute-force oracle, the
 decomposed reconstruction loss, stop-gradient semantics, masking statistics,
-the trainer's initial weights, and the token cache format."""
+the trainer's initial weights and codebook bookkeeping, and the token cache
+format."""
 
 import numpy as np
 import pytest
@@ -78,6 +79,12 @@ def test_nearest_indices_exact_across_row_chunks(monkeypatch):
     assert got[0, 1] == got[1, 3] == 2
 
 
+def test_codebook_is_only_its_entries():
+    """Usage bookkeeping lives in the trainer, not in the model."""
+    book = vqtok.Codebook(8, 4, np.random.default_rng(2))
+    assert list(vars(book)) == ["entries"]
+
+
 def test_straight_through_gradient():
     rng = np.random.default_rng(3)
     book = vqtok.Codebook(8, 4, rng)
@@ -85,7 +92,7 @@ def test_straight_through_gradient():
                     requires_grad=True)
     grid = vqtok.quantize(z, book)
     loss = grad.sum_(grid.quantized)
-    g = grad.grads(loss, [z])[0]
+    g, = loss.backward([z])
     assert np.allclose(g, 1.0)  # gradient copied straight past quantization
 
 
@@ -96,9 +103,8 @@ def test_codebook_term_blocks_encoder_gradient():
                     requires_grad=True)
     grid = vqtok.quantize(z, book)
     code_term = grad.l2(grad.stop_gradient(grid.latents), grid.entries_selected)
-    g = grad.grads(code_term, [z])[0]
-    assert np.all(g == 0.0)
-    g_book = grad.grads(code_term, [book.entries])[0]
+    g, g_book = code_term.backward([z, book.entries])
+    assert g is None  # the term does not reach the encoder's output
     assert np.abs(g_book).sum() > 0
 
 
@@ -334,7 +340,10 @@ def test_trainer_step_runs_and_updates():
     changed = any(not np.array_equal(before[k], v.data)
                   for k, v in trainer.tokenizer.named_parameters().items())
     assert changed
-    assert trainer.tokenizer.codebook.usage.sum() > 0
+    # the trainer marks the entries each step picks with that step's index
+    trainer.step(values[2:], avail[2:])
+    assert trainer.last_used.shape == (cfg.codebook_size,)
+    assert trainer.last_used.max() == 1
 
 
 def test_perfect_reconstruction_zero_losses():
@@ -362,4 +371,5 @@ def test_dead_code_revival():
     for _ in range(6):
         trainer.step(values[:2], avail[:2])
     # unused entries were reseeded; last_used is fresh for all revived codes
-    assert np.all(trainer.step_count - book.last_used < 2 * cfg.dead_code_steps)
+    assert np.all(trainer.step_count - trainer.last_used
+                  < 2 * cfg.dead_code_steps)
