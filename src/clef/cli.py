@@ -320,13 +320,14 @@ def dsp_cmd(cohort_dir, out):
         (out / "manifest.json").unlink(missing_ok=True)  # until every .spc is in
         tapers = dsp.compute_dpss(profile.dsp.window, profile.dsp.nw,
                                   profile.dsp.k_max, profile.dsp.eigen_threshold)
+        bank = dsp.FilterBank(profile.dsp)
         paths = sorted((cohort_dir / "sessions").glob("*.raw"))
         if not paths:
             raise DataError(f"no .raw sessions in {cohort_dir / 'sessions'}")
 
         def spectrogram(path: Path) -> dsp.Spectrogram:
             session = cohortgen.read_session(path)
-            return dsp.session_spectrogram(session, profile.dsp, tapers)
+            return dsp.session_spectrogram(session, profile.dsp, tapers, bank)
 
         for i, (spec, path) in enumerate(zip(map_ordered(spectrogram, paths),
                                              paths)):
@@ -525,6 +526,8 @@ def probe_cmd(cohort_dir, tok_dir, spec_dir, ckpt_path, out):
         u = np.concatenate([
             mim.session_embedding(encoder, ids[i:i + 32], patches[i:i + 32])
             for i in range(0, len(records), 32)])
+        if not np.isfinite(u).all():  # no probe could pick a best epoch
+            raise NumericError(f"{ckpt_path}: non-finite session embeddings")
         tasks = bench.default_tasks(
             cohortgen.default_phenotypes(profile.cohort.channel_names),
             profile.bench)

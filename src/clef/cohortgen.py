@@ -17,6 +17,7 @@ import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy import fft
 
 from .config import (CohortConfig, RACE_CATEGORIES, SETTING_CATEGORIES,
                      SEX_CATEGORIES)
@@ -239,17 +240,17 @@ def synthesize_signal(config: CohortConfig, phenos: list[PhenotypeSpec],
             amp = 10.0 ** (eff.power_delta_db / 20.0)
             for ch in eff.channels:
                 gains[name_to_idx[ch], band] *= amp
+    ramp = 2.0 * np.pi * config.alpha_freq_hz * np.arange(t) / config.sample_rate
     for c in range(n_ch):
-        white = rng.normal(0.0, 1.0, size=t)
-        spec = np.fft.rfft(white) * shaping
-        noise = np.fft.irfft(spec, n=t)
+        white = rng.standard_normal(t)  # the values and draws of normal(0, 1)
+        spec = fft.rfft(white) * shaping
+        noise = fft.irfft(spec, n=t)
         noise *= config.noise_rms_uv / max(noise.std(), 1e-12)
         phase = rng.uniform(0.0, 2.0 * np.pi)
-        alpha = config.alpha_amplitude_uv * np.sin(
-            2.0 * np.pi * config.alpha_freq_hz * np.arange(t) / config.sample_rate + phase)
+        alpha = config.alpha_amplitude_uv * np.sin(ramp + phase)
         x = noise + alpha
-        spec = np.fft.rfft(x) * gains[c]
-        out[c] = np.fft.irfft(spec, n=t)
+        spec = fft.rfft(x) * gains[c]
+        out[c] = fft.irfft(spec, n=t)
     return out.astype(np.float32)
 
 

@@ -9,6 +9,7 @@ The sample rate is each session's own; the bin width is rate / window.
 from __future__ import annotations
 
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,8 +59,12 @@ class Spectrogram:
     db_hi: float
 
 
-def _filter_cascade(cfg: DspConfig, sample_rate: float) -> np.ndarray:
+def _filter_cascade(cfg: DspConfig, sample_rate: float,
+                    source: str) -> np.ndarray:
     """Band-pass then notch sections, as a single sos cascade."""
+    if cfg.band_hi_hz >= sample_rate / 2.0:
+        raise DataError(f"session {source}: band_hi_hz {cfg.band_hi_hz} Hz at "
+                        f"or above the {sample_rate / 2.0} Hz Nyquist frequency")
     sos = signal.butter(cfg.bandpass_order, [cfg.band_lo_hz, cfg.band_hi_hz],
                         btype="bandpass", fs=sample_rate, output="sos")
     for f0 in notch_frequencies(cfg, sample_rate):
@@ -68,7 +73,35 @@ def _filter_cascade(cfg: DspConfig, sample_rate: float) -> np.ndarray:
     return sos
 
 
-def preprocess(session, cfg: DspConfig):
+class FilterBank:
+    """Each sample rate's cascade and its ``sosfilt_zi`` state, designed on
+    first use; one bank serves a whole dsp run, across its threads."""
+
+    def __init__(self, cfg: DspConfig):
+        self.cfg = cfg
+        self._by_rate: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        self._lock = threading.Lock()
+
+    def get(self, session) -> tuple[np.ndarray, np.ndarray]:
+        with self._lock:
+            if (rate := session.sample_rate) not in self._by_rate:
+                sos = _filter_cascade(self.cfg, rate, session.session_id)
+                self._by_rate[rate] = sos, signal.sosfilt_zi(sos)
+            return self._by_rate[rate]
+
+
+def zero_phase(sos: np.ndarray, zi: np.ndarray, x: np.ndarray,
+               padlen: int) -> np.ndarray:
+    """``signal.sosfiltfilt(sos, x, padlen=padlen)`` on a 1-D float64 ``x``,
+    step for step, with ``zi = signal.sosfilt_zi(sos)`` computed once."""
+    ext = np.concatenate((2 * x[:1] - x[padlen:0:-1], x,
+                          2 * x[-1:] - x[-2:-(padlen + 2):-1]))
+    y, _ = signal.sosfilt(sos, ext, zi=zi * ext[:1])
+    y, _ = signal.sosfilt(sos, y[::-1], zi=zi * y[-1:])
+    return y[::-1][padlen:padlen + x.size]
+
+
+def preprocess(session, cfg: DspConfig, bank: FilterBank | None = None):
     """Zero-phase (forward-backward) filtering of every available channel.
 
     Returns a new session of identical shape; unavailable channels are passed
@@ -77,14 +110,16 @@ def preprocess(session, cfg: DspConfig):
     samples = np.asarray(session.samples, dtype=np.float64)
     if not np.all(np.isfinite(samples)):
         raise DataError(f"session {session.session_id}: non-finite samples")
-    sos = _filter_cascade(cfg, session.sample_rate)
+    sos, zi = (bank or FilterBank(cfg)).get(session)
     # the low-edge highpass has a multi-second time constant; pad generously
     padlen = min(samples.shape[1] - 1,
                  int(3.0 * session.sample_rate / max(cfg.band_lo_hz, 1e-3)))
-    out = samples.copy()
+    # float64 rows cast once: float32 rows written directly left about 18 MB
+    # more heap behind for later stages (train benchmark, peak_rss_mb)
+    out = np.empty_like(samples)
     for c in range(samples.shape[0]):
-        if session.channel_available[c]:
-            out[c] = signal.sosfiltfilt(sos, samples[c], padlen=padlen)
+        out[c] = zero_phase(sos, zi, samples[c], padlen) \
+            if session.channel_available[c] else samples[c]
     return session.replace_samples(out.astype(np.float32))
 
 
@@ -187,11 +222,11 @@ def _require_window(session, cfg: DspConfig) -> None:
         raise DataError(f"session {session.session_id}: {t} samples < one window ({cfg.window})")
 
 
-def session_spectrogram(session, cfg: DspConfig,
-                        tapers: TaperSet) -> Spectrogram:
+def session_spectrogram(session, cfg: DspConfig, tapers: TaperSet,
+                        bank: FilterBank | None = None) -> Spectrogram:
     """Preprocess + multitaper in one call (the standard path)."""
     _require_window(session, cfg)  # before the filter, which needs samples
-    filtered = preprocess(session, cfg)
+    filtered = preprocess(session, cfg, bank)
     return multitaper_spectrogram(filtered, tapers, cfg)
 
 

@@ -1,15 +1,15 @@
 """Benchmark tests: splits, EHR/report label rules, exact matching with
 audit invariants, rank-based AUROC against a pair-counting oracle, BACC
-threshold selection, probe training on separable embeddings with one step's tape alive at a time, skips for
-splits AUROC cannot score, and a full cohort-scale run with synthetic
-embeddings."""
-
-import weakref
+threshold selection, probe training on separable embeddings without a
+tape, the probe's closed-form gradients against grad's tape and finite
+differences, skips for splits AUROC cannot score, and a full cohort-scale
+run with synthetic embeddings."""
 
 import numpy as np
 import pytest
+from fdcheck import fd_gradients, float64_mode
 
-from clef import bench, cohortgen
+from clef import bench, cohortgen, grad
 from clef.cohortgen import DiagnosisEvent, MedicationEvent, PatientRecord
 from clef.config import CHANNELS_DESK, BenchConfig, CohortConfig
 from clef.errors import DataError
@@ -290,22 +290,78 @@ def test_probe_learns_separable_data():
     assert metrics.bacc > 0.75
 
 
-def test_train_probe_holds_one_tape_at_a_time(monkeypatch):
-    """Each call of the head gets a fresh input array that only its tape
-    holds: the previous step's array is gone before the next forward."""
-    alive, forward = [], bench.ProbeHead.__call__
+def test_train_probe_records_no_tape(monkeypatch):
+    """Training and scoring the probe run in plain numpy: no grad op records
+    a tape node and no backward walk runs."""
+    def no_tape(*_args, **_kwargs):
+        raise AssertionError("the probe used grad's tape")
 
-    def head_call(self, x):
-        assert all(r() is None for r in alive)
-        alive.append(weakref.ref(x.data))
-        return forward(self, x)
-
-    monkeypatch.setattr(bench.ProbeHead, "__call__", head_call)
+    monkeypatch.setattr(grad, "_make", no_tape)
+    monkeypatch.setattr(grad.Tensor, "backward", no_tape)
     cfg = BenchConfig(probe_hidden=16, probe_epochs=2, probe_batch_size=16)
     x_tr, y_tr = _separable(64, 6, seed=4)
     x_va, y_va = _separable(30, 6, seed=5)
-    bench.train_probe(x_tr, y_tr, x_va, y_va, cfg, seed=7)
-    assert len(alive) == 2 * (4 + 1)  # four steps and one validation pass
+    head, _ = bench.train_probe(x_tr, y_tr, x_va, y_va, cfg, seed=7)
+    bench.evaluate_probe(head, x_va, y_va, x_va, y_va)
+
+
+def _tape_logits(head, x):
+    """The probe head composed from grad ops: the reference for
+    ``ProbeHead``'s numpy forward and closed-form gradients."""
+    xt = grad.Tensor(x.astype(grad.DTYPE))
+    h = grad.relu(grad.matmul(xt, head.w1) + head.b1)
+    return grad.reshape(grad.matmul(h, head.w2) + head.b2, (x.shape[0],))
+
+
+def _tape_loss(head, x, y):
+    # numerically stable: relu(z) - z*y + log(1 + exp(-|z|))
+    z = _tape_logits(head, x)
+    yt = grad.Tensor(y.astype(grad.DTYPE))
+    soft = grad.log(grad.exp(grad.mul(grad.abs_(z), -1.0)) + 1.0)
+    return grad.mean(grad.relu(z) - grad.mul(z, yt) + soft)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 23, 32])
+def test_probe_grads_match_the_tape(rows):
+    """Bit for bit at the desk width, over AdamW steps that move the biases
+    off zero; one row is the shortest last batch of an epoch."""
+    cfg = BenchConfig()
+    rng = np.random.default_rng(rows)
+    head = bench.ProbeHead(64, cfg.probe_hidden, rng)
+    params = list(head.named_parameters().values())
+    opt = grad.AdamW(params, lr=1e-2, beta1=0.9, beta2=0.999,
+                     weight_decay=cfg.probe_weight_decay)
+    for _ in range(4):
+        x = rng.normal(size=(rows, 64)).astype(np.float32)
+        y = rng.integers(0, 2, size=rows)
+        ref = _tape_loss(head, x, y).backward(params)
+        got = head.grads(x, y)
+        for r, g in zip(ref, got, strict=True):
+            assert g.dtype == r.dtype and g.shape == r.shape
+            assert np.array_equal(g, r)
+        np.testing.assert_array_equal(
+            head.scores(x), _tape_logits(head, x).data)
+        opt.step(got)
+
+
+def test_probe_grads_match_finite_differences():
+    rng = np.random.default_rng(3)
+    with float64_mode():
+        head = bench.ProbeHead(5, 4, rng)
+        params = list(head.named_parameters().values())
+        for p in params:
+            p.data = rng.normal(size=p.data.shape)
+        x, y = rng.normal(size=(7, 5)), rng.integers(0, 2, size=7)
+        analytic = head.grads(x, y)
+
+        def loss(arrays):
+            for p, a in zip(params, arrays):
+                p.data = a
+            return _tape_loss(head, x, y)
+
+        numeric = fd_gradients(loss, [p.data.copy() for p in params])
+    for a, n in zip(analytic, numeric, strict=True):
+        assert np.abs(a - n).max() <= 1e-6 * max(np.abs(n).max(), 1.0)
 
 
 def test_probe_deterministic_per_seed():

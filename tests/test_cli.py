@@ -7,7 +7,9 @@ token-codebook, token-grid and partial-output refusals, the session-id
 join, the spectrogram and session loaders' memory, tape-free inference
 in tokenize and probe, the geometry and codebook-size checks, the
 external-cohort recipe, malformed JSON, token and waveform artifacts,
-sessions shorter than one DSP window, manifest reproducibility, seed
+sessions shorter than one DSP window or with a band edge above their
+Nyquist frequency, one filter design per sample rate, non-finite probe
+embeddings, manifest reproducibility, seed
 splitting, config schema completeness, the shape walk of every profile and
 each profile's settings."""
 
@@ -22,7 +24,7 @@ import pytest
 
 from clef import cli as climod
 from clef import config as cfgmod
-from clef import cohortgen, dsp, grad, mim, vqtok
+from clef import bench, cohortgen, dsp, grad, mim, vqtok
 from clef.errors import DataError
 
 
@@ -475,6 +477,29 @@ def test_probe_refuses_checkpoint_of_other_geometry(pipeline, tmp_path,
     assert not (tmp_path / "results.json").exists()
 
 
+def test_probe_refuses_non_finite_embeddings(pipeline, tmp_path, capsys,
+                                            monkeypatch):
+    """One NaN weight makes every validation AUROC NaN, so no probe could
+    pick a best epoch: refused by checkpoint name before any probe trains."""
+    ckpt = grad.load_checkpoint(pipeline["align_ckpt"])
+    ckpt["params"]["eeg.ln_g"][0] = np.nan
+    bad = tmp_path / "nan.npz"
+    grad.save_checkpoint(bad, {k: grad.Tensor(v)
+                               for k, v in ckpt["params"].items()},
+                         meta=ckpt["meta"])
+    trained = []
+    monkeypatch.setattr(bench, "train_probe",
+                        lambda *a: trained.append(a) or None)
+    out = tmp_path / "results.json"
+    assert climod.main(pipeline["base"] + [
+        "probe", "--cohort", str(pipeline["cohort"]),
+        "--tokens", str(pipeline["tokens"]),
+        "--spectrograms", str(pipeline["spec"]),
+        "--ckpt", str(bad), "--out", str(out)]) == climod.EXIT_NUMERIC
+    assert str(bad) in capsys.readouterr().err
+    assert not trained and not out.exists()
+
+
 def test_train_align_refuses_stage1_checkpoint_of_other_geometry(
         pipeline, tmp_path, capsys):
     overrides = json.loads(pipeline["config"].read_text())
@@ -640,7 +665,7 @@ def test_session_shorter_than_one_window_exits_3(tmp_path, capsys, monkeypatch,
     cohortgen.write_session(
         bad, session.replace_samples(session.samples[:, :n_samples]))
     filtered = []
-    monkeypatch.setattr(dsp, "preprocess", lambda s, cfg: filtered.append(
+    monkeypatch.setattr(dsp, "preprocess", lambda s, *_: filtered.append(
         s.session_id) or s)
     spec = tmp_path / "spec"
     assert climod.main(base + ["dsp", "--cohort", str(cohort),
@@ -649,6 +674,36 @@ def test_session_shorter_than_one_window_exits_3(tmp_path, capsys, monkeypatch,
     assert str(bad) in err and f"{n_samples} samples < one window" in err
     assert str(bad) not in filtered
     assert not (spec / "manifest.json").exists()
+
+
+def test_session_rate_with_band_edge_above_nyquist_exits_3(tmp_path, capsys):
+    """A valid 128-Hz session puts the 75-Hz band edge above its 64-Hz
+    Nyquist frequency: the filter design refuses it by name."""
+    base, cohort, bad = _four_patient_cohort(tmp_path)
+    session = cohortgen.read_session(bad)
+    cohortgen.write_session(bad, dataclasses.replace(session,
+                                                     sample_rate=128.0))
+    spec = tmp_path / "spec"
+    assert climod.main(base + ["dsp", "--cohort", str(cohort),
+                               "--out", str(spec)]) == climod.EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(bad) in err and "75.0 Hz" in err and "64.0 Hz" in err
+    assert not (spec / "manifest.json").exists()
+
+
+def test_dsp_designs_its_filter_once_per_rate(tmp_path, monkeypatch):
+    config = tmp_path / "six.json"
+    config.write_text(json.dumps({"cohort": {"n_patients": 6}}))
+    base = ["--config", str(config), "--seed", "3"]
+    cohort = tmp_path / "cohort"
+    assert climod.main(base + ["gen-cohort", "--out", str(cohort)]) == 0
+    designs, butter = [], dsp.signal.butter
+    monkeypatch.setattr(dsp.signal, "butter",
+                        lambda *a, **k: designs.append(a) or butter(*a, **k))
+    assert climod.main(base + ["dsp", "--cohort", str(cohort),
+                               "--out", str(tmp_path / "spec")]) == 0
+    assert len(list((tmp_path / "spec").glob("*.spc"))) == 6
+    assert len(designs) == 1
 
 
 def test_failed_dsp_rerun_removes_the_old_manifest(tmp_path):

@@ -1,5 +1,6 @@
-"""Cohort generator tests: determinism, planted band power, EHR/report
-consistency, and the waveform file format."""
+"""Cohort generator tests: determinism, the synthesis against its numpy.fft
+oracle, planted band power, EHR/report consistency, and the waveform file
+format."""
 
 import dataclasses
 
@@ -52,6 +53,52 @@ def test_session_seed_matches_per_session_spawn():
         active = [p for p in phenos if p.name in rec.phenotypes]
         assert np.array_equal(s.samples,
                               cohortgen.synthesize_signal(cfg, active, rng))
+
+
+def _synthesize_signal_numpy_fft(config, phenos, rng):
+    """The reference for ``cohortgen.synthesize_signal``: numpy.fft, the
+    alpha ramp inside the channel loop and ``rng.normal(0, 1)``."""
+    n_ch = config.n_channels
+    t = int(round(config.duration_s * config.sample_rate))
+    freqs = np.fft.rfftfreq(t, 1.0 / config.sample_rate)
+    shaping = np.ones_like(freqs)
+    above = freqs >= 0.5  # clamp the 1/f ramp below 0.5 Hz
+    shaping[above] = (freqs[above] / 0.5) ** (config.noise_slope / 2.0)
+    out = np.empty((n_ch, t), dtype=np.float64)
+    name_to_idx = {name: i for i, name in enumerate(config.channel_names)}
+    gains = np.ones((n_ch, freqs.size))
+    for p in phenos:
+        for eff in p.spectral_effects:
+            band = (freqs >= eff.band_lo_hz) & (freqs < eff.band_hi_hz)
+            amp = 10.0 ** (eff.power_delta_db / 20.0)
+            for ch in eff.channels:
+                gains[name_to_idx[ch], band] *= amp
+    for c in range(n_ch):
+        white = rng.normal(0.0, 1.0, size=t)
+        spec = np.fft.rfft(white) * shaping
+        noise = np.fft.irfft(spec, n=t)
+        noise *= config.noise_rms_uv / max(noise.std(), 1e-12)
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        alpha = config.alpha_amplitude_uv * np.sin(
+            2.0 * np.pi * config.alpha_freq_hz * np.arange(t) / config.sample_rate + phase)
+        x = noise + alpha
+        spec = np.fft.rfft(x) * gains[c]
+        out[c] = np.fft.irfft(spec, n=t)
+    return out.astype(np.float32)
+
+
+@pytest.mark.parametrize("duration", [320.0, 40.005])
+def test_synthesis_matches_the_numpy_fft_oracle(duration):
+    """Same bits as the numpy.fft version, and the same draws after it: the
+    desk geometry (64,000 samples) and an odd sample count (8,001)."""
+    cfg = _small_cfg(duration=duration)
+    phenos = cohortgen.default_phenotypes(cfg.channel_names)
+    rng, ref_rng = np.random.default_rng(21), np.random.default_rng(21)
+    got = cohortgen.synthesize_signal(cfg, phenos, rng)
+    ref = _synthesize_signal_numpy_fft(cfg, phenos, ref_rng)
+    assert got.shape == (cfg.n_channels, int(round(duration * 200.0)))
+    assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    assert rng.random() == ref_rng.random()
 
 
 def test_session_geometry():

@@ -1,12 +1,17 @@
 """Filtering, DPSS taper, and multitaper spectrogram tests.
 
-scipy.signal.windows.dpss serves as the independent oracle for the taper
+scipy.signal.sosfiltfilt is the oracle for the zero-phase filter, and
+scipy.signal.windows.dpss the independent oracle for the taper
 construction; the white-noise PSD level and known-sinusoid bin checks pin
 the spectrogram normalization.
 """
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+from scipy import signal
 from scipy.signal import windows
 
 from clef import dsp
@@ -131,6 +136,78 @@ def test_preprocess_rejects_nonfinite():
     x[100] = np.nan
     with pytest.raises(DataError):
         dsp.preprocess(_session(x), DspConfig())
+
+
+def _preprocess_sosfiltfilt(session, cfg):
+    """The reference for ``dsp.preprocess``: the cascade designed for the
+    call and ``signal.sosfiltfilt`` on each available channel."""
+    samples = np.asarray(session.samples, dtype=np.float64)
+    sos = signal.butter(cfg.bandpass_order, [cfg.band_lo_hz, cfg.band_hi_hz],
+                        btype="bandpass", fs=session.sample_rate, output="sos")
+    for f0 in dsp.notch_frequencies(cfg, session.sample_rate):
+        b, a = signal.iirnotch(f0, cfg.notch_q, fs=session.sample_rate)
+        sos = np.vstack([sos, signal.tf2sos(b, a)])
+    padlen = min(samples.shape[1] - 1,
+                 int(3.0 * session.sample_rate / max(cfg.band_lo_hz, 1e-3)))
+    out = samples.copy()
+    for c in range(samples.shape[0]):
+        if session.channel_available[c]:
+            out[c] = signal.sosfiltfilt(sos, samples[c], padlen=padlen)
+    return out.astype(np.float32)
+
+
+@pytest.mark.parametrize("fs, seconds", [(200.0, 320.0), (200.0, 4.0),
+                                         (256.0, 45.0), (500.0, 1.6)])
+def test_preprocess_matches_sosfiltfilt_oracle(fs, seconds):
+    """Same bits as ``sosfiltfilt`` from one shared filter state: the desk
+    session, the shortest session (one window, so padlen = n - 1), other
+    rates, and an unavailable channel copied through."""
+    cfg = DspConfig()
+    rng = np.random.default_rng(8)
+    x = (30.0 * rng.normal(size=(3, int(seconds * fs)))).astype(np.float32)
+    sess = _session(x, fs, avail=[True, False, True])
+    bank = dsp.FilterBank(cfg)
+    for shared in (None, bank, bank):
+        out = dsp.preprocess(sess, cfg, shared)
+        assert out.samples.dtype == np.float32
+        assert np.array_equal(out.samples, _preprocess_sosfiltfilt(sess, cfg))
+    assert np.array_equal(out.samples[1], x[1])
+
+
+def test_zero_phase_matches_sosfiltfilt_at_any_padlen():
+    sos, zi = dsp.FilterBank(DspConfig()).get(_session(np.zeros(900)))
+    x = np.random.default_rng(2).normal(size=900)
+    for padlen in (0, 1, 100, 899):
+        assert np.array_equal(dsp.zero_phase(sos, zi, x, padlen),
+                              signal.sosfiltfilt(sos, x, padlen=padlen))
+
+
+def test_filter_bank_designs_each_rate_once_across_threads(monkeypatch):
+    """More threads than cores ask one bank for three rates at once, with
+    thread switches forced often: each rate is designed once and every
+    caller gets that one design."""
+    designs, butter = [], signal.butter
+    monkeypatch.setattr(dsp.signal, "butter", lambda *a, **k: designs.append(
+        k["fs"]) or butter(*a, **k))
+    bank = dsp.FilterBank(DspConfig())
+    sessions = [_session(np.zeros(10), fs)
+                for fs in (200.0, 256.0, 500.0) * 32]
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(bank.get, s) for s in sessions]
+            got = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(saved)
+    assert sorted(designs) == [200.0, 256.0, 500.0]
+    assert len({id(sos) for sos, _zi in got}) == 3
+
+
+@pytest.mark.parametrize("fs", [150.0, 128.0])
+def test_band_edge_at_or_above_nyquist_is_a_data_error(fs):
+    with pytest.raises(DataError, match=rf"band_hi_hz 75.0 Hz .* {fs / 2} Hz"):
+        dsp.preprocess(_session(np.zeros(4000), fs), DspConfig())
 
 
 def test_notch_frequencies_respect_nyquist():
