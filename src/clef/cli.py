@@ -29,7 +29,7 @@ import numpy as np
 from . import align, bench, cohortgen, dsp, grad, mim, summarize, vqtok
 from .config import (ConfigError, PROFILE_NAMES, PSG_CHANNELS, Profile,
                      apply_overrides, check, load_profile)
-from .errors import DataError, NumericError, parsing
+from .errors import DataError, NumericError, parsing, write_json
 from .parallel import map_ordered
 
 EXIT_CONFIG = 2
@@ -79,17 +79,17 @@ class RunManifest:
     output_ids: dict[str, str] = field(default_factory=dict)
 
 
-def write_manifest(out: Path, manifest: RunManifest) -> Path:
-    """Outputs are hashed at write time so a manifest fully identifies a run."""
-    for rel in list(manifest.output_ids):
+def write_manifest(out: Path, manifest: RunManifest) -> None:
+    """Outputs are hashed at write time so a manifest fully identifies a
+    run; a declared output that does not exist is a ``DataError``."""
+    for rel in manifest.output_ids:
         target = out / rel if out.is_dir() else out.parent / rel
-        if target.exists():
-            manifest.output_ids[rel] = _hash_input(target)
+        if not target.exists():
+            raise DataError(f"{target}: the stage did not write this output")
+        manifest.output_ids[rel] = _hash_input(target)
     path = out / "manifest.json" if out.is_dir() else \
         out.parent / (out.name + ".manifest.json")
-    with open(path, "w") as fh:
-        json.dump(dataclasses.asdict(manifest), fh, indent=1, sort_keys=True)
-    return path
+    write_json(path, dataclasses.asdict(manifest))
 
 
 @contextmanager
@@ -115,6 +115,16 @@ def _stage(stage: str, inputs: dict[str, Path], out: Path,
     yield profile, seed
     manifest.output_ids = dict.fromkeys(outputs or [out.name], "")
     write_manifest(out, manifest)
+
+
+def _fresh(directory: Path, *patterns: str) -> None:
+    """Make ``directory`` and delete the files ``patterns`` match there: a
+    directory stage replaces an earlier run's set, and its index and
+    manifest stay out until the new set is complete."""
+    directory.mkdir(parents=True, exist_ok=True)
+    for pattern in patterns:
+        for path in directory.glob(pattern):
+            path.unlink()
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +303,8 @@ def gen_cohort(out):
     """Synthesize patient records, reports, and raw EEG sessions."""
     with _stage("cohort", {}, out,
                 ["records.json", "sessions", "days.json"]) as (profile, seed):
-        (out / "sessions").mkdir(parents=True, exist_ok=True)
-        (out / "manifest.json").unlink(missing_ok=True)  # until days.json is in
+        _fresh(out, "manifest.json")
+        _fresh(out / "sessions", "*.raw")
         records, phenotypes = cohortgen.generate_records(profile.cohort, seed)
         cohortgen.write_records(out / "records.json", records)
         for i, session in enumerate(cohortgen.iter_sessions(
@@ -303,9 +313,8 @@ def gen_cohort(out):
                 out / "sessions" / f"{session.session_id}.raw", session)
             if (i + 1) % 50 == 0 or i + 1 == len(records):
                 click.echo(f"sessions\t{i + 1}/{len(records)}")
-        with open(out / "days.json", "w") as fh:
-            json.dump({"session_days": cohortgen.session_days(
-                profile.cohort, seed, records)}, fh, indent=1, sort_keys=True)
+        write_json(out / "days.json", {"session_days": cohortgen.session_days(
+            profile.cohort, seed, records)})
 
 
 @cli.command("dsp")
@@ -316,8 +325,7 @@ def dsp_cmd(cohort_dir, out):
     with _stage("cohort", {"sessions": cohort_dir / "sessions"}, out,
                 ["."]) as (profile, _):
         _require_manifest(cohort_dir, "gen-cohort")
-        out.mkdir(exist_ok=True)
-        (out / "manifest.json").unlink(missing_ok=True)  # until every .spc is in
+        _fresh(out, "manifest.json", "*.spc")
         tapers = dsp.compute_dpss(profile.dsp.window, profile.dsp.nw,
                                   profile.dsp.k_max, profile.dsp.eigen_threshold)
         bank = dsp.FilterBank(profile.dsp)
@@ -384,17 +392,18 @@ def tokenize_cmd(spec_dir, ckpt_path, out):
                 raise DataError(f"{out}: existing token cache was produced by "
                                 f"codebook {existing}, checkpoint has {sha}")
         sids, values, avail = _load_spectrograms(profile, spec_dir)
-        out.mkdir(exist_ok=True)
-        for done in (index_path, out / "manifest.json"):  # until every .tok is in
-            done.unlink(missing_ok=True)
-        indices = vqtok.tokenize_sessions(tokenizer, values, avail)
+        _fresh(out, "tokens.json", "manifest.json", "*.tok")
+        try:
+            indices = vqtok.tokenize_sessions(tokenizer, values, avail)
+        except NumericError as exc:
+            raise NumericError(f"{ckpt_path}: {exc}") from None
         for sid, grid in zip(sids, indices):
             vqtok.write_tokens(out / f"{sid}.tok", grid,
                                profile.tokenizer.codebook_size, sid)
-        with open(index_path, "w") as fh:
-            json.dump({"codebook_sha": sha,
-                       "codebook_size": profile.tokenizer.codebook_size,
-                       "sessions": sids}, fh, indent=1, sort_keys=True)
+        write_json(index_path, {
+            "codebook_sha": sha,
+            "codebook_size": profile.tokenizer.codebook_size,
+            "sessions": sids})
         click.echo(f"tokenized\t{len(sids)}")
 
 
@@ -489,13 +498,12 @@ def select_prompt_cmd(cohort_dir, questions_path, out):
             click.echo(f"candidate\t{s.candidate.prompt_id}"
                        f"\t{s.candidate.max_tokens}\t{s.score:.4f}")
         picked = summarize.select_candidate(scores)
-        with open(out, "w") as fh:
-            json.dump({"selected": dataclasses.asdict(picked),
-                       "scores": [{"prompt_id": s.candidate.prompt_id,
-                                   "max_tokens": s.candidate.max_tokens,
-                                   "score": s.score, "failures": s.failures}
-                                  for s in scores]},
-                      fh, indent=1, sort_keys=True)
+        write_json(out, {
+            "selected": dataclasses.asdict(picked),
+            "scores": [{"prompt_id": s.candidate.prompt_id,
+                        "max_tokens": s.candidate.max_tokens,
+                        "score": s.score, "failures": s.failures}
+                       for s in scores]})
 
 
 @cli.command("probe")
@@ -535,9 +543,7 @@ def probe_cmd(cohort_dir, tok_dir, spec_dir, ckpt_path, out):
             tasks, records, session_days,
             {r.patient_id: vec for r, vec in zip(records, u)},
             profile.bench, seed)
-        with open(out, "w") as fh:
-            json.dump([dataclasses.asdict(r) for r in results], fh, indent=1,
-                      sort_keys=True)
+        write_json(out, [dataclasses.asdict(r) for r in results])
         for r in results:
             status = r.skipped or f"auroc\t{r.auroc_mean:.4f}\t{r.auroc_sd:.4f}"
             click.echo(f"task\t{r.task_id}\t{status}")

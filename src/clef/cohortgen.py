@@ -14,14 +14,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import fft
 
 from .config import (CohortConfig, RACE_CATEGORIES, SETTING_CATEGORIES,
                      SEX_CATEGORIES)
-from .errors import DataError, parsing
+from .errors import DataError, parsing, write_json
 from .parallel import map_ordered
 
 SITES = ["site_a", "site_b"]
@@ -100,9 +100,6 @@ class RawSession:
     channel_available: np.ndarray  # (C,) bool
     duration_s: float
     sample_rate: float
-
-    def replace_samples(self, samples: np.ndarray) -> "RawSession":
-        return replace(self, samples=samples)
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +425,7 @@ def write_records(path, records: list[PatientRecord]) -> None:
         d["diagnoses"] = sorted(rec.diagnoses)
         d["phenotypes"] = list(rec.phenotypes)
         payload.append(d)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
+    write_json(path, payload)
 
 
 def read_records(path) -> list[PatientRecord]:
@@ -458,6 +454,17 @@ def read_records(path) -> list[PatientRecord]:
     return records
 
 
+def channel_mask(available) -> int:
+    """The uint32 header field of a ``.raw`` or ``.spc``: bit i set when
+    channel i is available (at most 32 channels, see ``config.check``)."""
+    return sum(1 << i for i, ok in enumerate(available) if ok)
+
+
+def channel_flags(mask: int, n_channels: int) -> np.ndarray:
+    """``channel_mask``'s inverse: (n_channels,) bool."""
+    return np.array([(mask >> i) & 1 == 1 for i in range(n_channels)])
+
+
 _RAW_MAGIC = b"CLEFRAW1"
 _RAW_HEADER = struct.Struct("<8sIIQfI28x")  # 60 bytes
 
@@ -465,11 +472,8 @@ _RAW_HEADER = struct.Struct("<8sIIQfI28x")  # 60 bytes
 def write_session(path, session: RawSession) -> None:
     """Little-endian float32 waveform with a 60-byte header."""
     c, t = session.samples.shape
-    mask = 0
-    for i, ok in enumerate(session.channel_available):
-        if ok:
-            mask |= 1 << i
-    header = _RAW_HEADER.pack(_RAW_MAGIC, 1, c, t, session.sample_rate, mask)
+    header = _RAW_HEADER.pack(_RAW_MAGIC, 1, c, t, session.sample_rate,
+                              channel_mask(session.channel_available))
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(session.samples, dtype="<f4").tobytes())
@@ -489,7 +493,7 @@ def read_session(path, session_id: str = "", patient_id: str = "") -> RawSession
         samples = np.frombuffer(fh.read(c * t * 4), dtype="<f4")
         if samples.size != c * t:
             raise DataError(f"{path}: truncated waveform payload")
-    avail = np.array([(mask >> i) & 1 == 1 for i in range(c)])
+    avail = channel_flags(mask, c)
     if not avail.any():
         raise DataError(f"{path}: no available channels")
     return RawSession(session_id=session_id or str(path),

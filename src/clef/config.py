@@ -304,36 +304,25 @@ def _coerce(key: str, current, raw):
                       f"got {type(raw).__name__} {raw!r}")
 
 
-def _set_path(profile: Profile, path: list[str], raw) -> None:
-    obj = profile
-    for key in path[:-1]:
-        if not dataclasses.is_dataclass(obj) or key not in {
-                f.name for f in dataclasses.fields(obj)}:
-            raise ConfigError(f"unknown config section {'.'.join(path)!r}")
-        obj = getattr(obj, key)
-    leaf = path[-1]
-    if not dataclasses.is_dataclass(obj) or leaf not in {
-            f.name for f in dataclasses.fields(obj)}:
-        raise ConfigError(f"unknown config key {'.'.join(path)!r}")
-    current = getattr(obj, leaf)
-    if dataclasses.is_dataclass(current):
-        raise ConfigError(f"{'.'.join(path)!r} is a section, not a value")
-    setattr(obj, leaf, _coerce('.'.join(path), current, raw))
-
-
 def apply_overrides(profile: Profile, overrides: dict) -> Profile:
     """Apply a possibly-nested dict of overrides; unknown keys raise."""
     if "name" in overrides:
         raise ConfigError("'name' is not settable: choose a profile with "
                           "--profile")
 
-    def walk(prefix: list[str], node) -> None:
-        if isinstance(node, dict):
-            for k, v in node.items():
-                walk(prefix + [k], v)
-        else:
-            _set_path(profile, prefix, node)
-    walk([], overrides)
+    def walk(obj, prefix: str, node: dict) -> None:
+        for key, raw in node.items():
+            path = prefix + key
+            if key not in {f.name for f in dataclasses.fields(obj)}:
+                raise ConfigError(f"unknown config key {path!r}")
+            current = getattr(obj, key)
+            if not dataclasses.is_dataclass(current):
+                setattr(obj, key, _coerce(path, current, raw))
+            elif isinstance(raw, dict):
+                walk(current, path + ".", raw)
+            else:
+                raise ConfigError(f"{path!r} is a section, not a value")
+    walk(profile, "", overrides)
     return profile
 
 
@@ -353,12 +342,17 @@ def load_profile(name: str, config_path: str | None = None) -> Profile:
 
 def check(profile: Profile) -> Profile:
     """``profile`` if every stage can run on it; else a ``ConfigError`` that
-    names the key: a step count below 1, a codebook size outside [2, 65536]
-    (a ``.tok`` stores indices as uint16), tokenizer level lists of
-    different lengths, or a spectrogram that the patch does not tile."""
+    names the key: a step count below 1, more than 32 channels (a ``.raw``
+    or ``.spc`` header holds their availability in one uint32), a codebook
+    size outside [2, 65536] (a ``.tok`` stores indices as uint16), tokenizer
+    level lists of different lengths, or a spectrogram that the patch does
+    not tile."""
     for section in ("tokenizer", "mim", "align"):
         if (steps := getattr(profile, section).steps) < 1:
             raise ConfigError(f"{section}.steps must be at least 1, got {steps}")
+    if (n := profile.cohort.n_channels) > 32:
+        raise ConfigError(f"cohort.channel_names has {n} channels, at most "
+                          "32 fit a session header")
     tok = profile.tokenizer
     if not 2 <= tok.codebook_size <= 1 << 16:
         raise ConfigError("tokenizer.codebook_size must be in [2, 65536], "

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import struct
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import signal
 from scipy.linalg import eigh_tridiagonal
 
+from .cohortgen import channel_flags, channel_mask
 from .config import DspConfig
 from .errors import DataError
 
@@ -120,7 +121,7 @@ def preprocess(session, cfg: DspConfig, bank: FilterBank | None = None):
     for c in range(samples.shape[0]):
         out[c] = zero_phase(sos, zi, samples[c], padlen) \
             if session.channel_available[c] else samples[c]
-    return session.replace_samples(out.astype(np.float32))
+    return replace(session, samples=out.astype(np.float32))
 
 
 def compute_dpss(length: int, nw: float, k_max: int,
@@ -239,12 +240,9 @@ _SPC_HEADER = struct.Struct("<8sIIIffffI20x")  # 60 bytes
 
 def write_spectrogram(path, spec: Spectrogram) -> None:
     c, h, w = spec.values.shape
-    mask = 0
-    for i, ok in enumerate(spec.channel_available):
-        if ok:
-            mask |= 1 << i
     header = _SPC_HEADER.pack(_SPC_MAGIC, c, h, w, spec.freq_res_hz,
-                              spec.frame_stride_s, spec.db_lo, spec.db_hi, mask)
+                              spec.frame_stride_s, spec.db_lo, spec.db_hi,
+                              channel_mask(spec.channel_available))
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(spec.values, dtype="<f4").tobytes())
@@ -261,7 +259,7 @@ def read_spectrogram(path) -> Spectrogram:
         values = np.frombuffer(fh.read(c * h * w * 4), dtype="<f4")
         if values.size != c * h * w:
             raise DataError(f"{path}: truncated spectrogram payload")
-    avail = np.array([(mask >> i) & 1 == 1 for i in range(c)])
     return Spectrogram(values=values.reshape(c, h, w).copy(), freq_res_hz=fres,
-                       frame_stride_s=stride_s, channel_available=avail,
+                       frame_stride_s=stride_s,
+                       channel_available=channel_flags(mask, c),
                        db_lo=db_lo, db_hi=db_hi)

@@ -1,5 +1,7 @@
-"""Shared exception types; the CLI maps these onto exit codes."""
+"""Shared exception types, and the JSON artifact reader and writer; the CLI
+maps the exceptions onto exit codes."""
 
+import json
 from contextlib import contextmanager
 
 
@@ -20,3 +22,9 @@ def parsing(path):
             yield fh
         except (ValueError, KeyError, TypeError) as exc:
             raise DataError(f"{path}: malformed ({exc!r})") from None
+
+
+def write_json(path, obj) -> None:
+    """``obj`` as every JSON artifact is written: keys sorted, indent 1."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=1, sort_keys=True)

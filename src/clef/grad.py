@@ -63,9 +63,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    def item(self) -> float:
-        return float(self.data)
-
     # operator sugar
     def __add__(self, other):
         return add(self, other)
@@ -77,20 +74,8 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return mul(self, -1.0)
-
     def __sub__(self, other):
         return add(self, mul(_wrap(other), -1.0))
-
-    def __rsub__(self, other):
-        return add(_wrap(other), mul(self, -1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __repr__(self):
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
     def backward(self, wrt: Sequence["Tensor"] = ()) -> list[np.ndarray | None]:
         """d(self)/d(p) in ``DTYPE`` for each p of ``wrt``, None where self
@@ -130,9 +115,8 @@ def _backward_table(root: Tensor, wrt: Sequence[Tensor]) -> dict[Tensor, np.ndar
     kept = {id(n) for n in wrt}
     table: dict[int, np.ndarray] = {id(root): np.ones_like(root.data)}
     for node in reversed(_topo_order(root)):
-        g = (table.get if id(node) in kept else table.pop)(id(node), None)
-        if g is None:
-            continue
+        # each node comes after every node it feeds: its gradient is in
+        g = (table.get if id(node) in kept else table.pop)(id(node))
         for parent, vjp in node._parents:
             pg = vjp(g)
             if id(parent) in table:
@@ -330,10 +314,9 @@ def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
     data = a.data.sum(axis=axis, keepdims=keepdims, dtype=np.float64).astype(DTYPE)
 
     def vjp(g):
-        if axis is None:
-            return np.broadcast_to(g, a.data.shape).astype(DTYPE).copy()
-        g_exp = g if keepdims else np.expand_dims(g, axis)
-        return np.broadcast_to(g_exp, a.data.shape).astype(DTYPE).copy()
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return np.broadcast_to(g, a.data.shape).astype(DTYPE).copy()
 
     return _make(data, [(a, vjp)])
 
@@ -1048,7 +1031,8 @@ def save_checkpoint(path, params: dict[str, Tensor],
             arrays[f"ema/{name}"] = arr
     arrays["__header__"] = np.frombuffer(
         json.dumps(header, sort_keys=True).encode(), dtype=np.uint8)
-    np.savez_compressed(path, **arrays)
+    with open(path, "wb") as fh:  # as named: numpy would append ".npz"
+        np.savez_compressed(fh, **arrays)
 
 
 def load_checkpoint(path) -> dict:

@@ -89,15 +89,18 @@ class _Attention(grad.Module):
 MLP_RATIO = 4
 
 
+def _ln_params(d):
+    return (grad.Tensor(np.ones(d, dtype=grad.DTYPE), requires_grad=True),
+            grad.Tensor(np.zeros(d, dtype=grad.DTYPE), requires_grad=True))
+
+
 class _Block(grad.Module):
     """Pre-norm transformer block: one ``grad.transformer_block`` node."""
 
     def __init__(self, d: int, n_heads: int, rng):
-        self.ln1_g = grad.Tensor(np.ones(d, dtype=grad.DTYPE), requires_grad=True)
-        self.ln1_b = grad.param((d,), rng, zeros=True)
+        self.ln1_g, self.ln1_b = _ln_params(d)
         self.attn = _Attention(d, n_heads, rng)
-        self.ln2_g = grad.Tensor(np.ones(d, dtype=grad.DTYPE), requires_grad=True)
-        self.ln2_b = grad.param((d,), rng, zeros=True)
+        self.ln2_g, self.ln2_b = _ln_params(d)
         self.w1 = grad.param((d, MLP_RATIO * d), rng)
         self.b1 = grad.param((MLP_RATIO * d,), rng, zeros=True)
         self.w2 = grad.param((MLP_RATIO * d, d), rng)
@@ -113,11 +116,6 @@ class _Block(grad.Module):
 
 def _stack(depth, d, n_heads, rng):
     return [_Block(d, n_heads, rng) for _ in range(depth)]
-
-
-def _ln_params(d):
-    return (grad.Tensor(np.ones(d, dtype=grad.DTYPE), requires_grad=True),
-            grad.Tensor(np.zeros(d, dtype=grad.DTYPE), requires_grad=True))
 
 
 class SessionEncoder(grad.Module):
@@ -186,9 +184,8 @@ class SessionEncoder(grad.Module):
         attends = np.concatenate(
             [np.ones((b, 1), dtype=bool), kept], axis=1)    # proxy always attends
         bias = _attention_bias(attends)
-        p_drop = self.cfg.dropout if train_rng is not None else 0.0
-        for block in self.blocks:
-            x = block(x, bias, p_drop, train_rng)
+        for block in self.blocks:   # no train_rng: eval mode, no dropout
+            x = block(x, bias, self.cfg.dropout, train_rng)
         return grad.layernorm(x, self.ln_g, self.ln_b), attends
 
     def __call__(self, ids: np.ndarray, patches: np.ndarray,
@@ -264,9 +261,8 @@ def mim_forward(model: MimModel, ids: np.ndarray, patches: np.ndarray,
     f = grad.Tensor(fill.astype(grad.DTYPE)[:, :, None])
     y = enc * grad.Tensor(1.0 - f.data) + proxy_rep * f
     y = y + grad.reshape(model.p_full, (1, n + 1, -1))
-    p_drop = model.eeg.cfg.dropout if train_rng is not None else 0.0
     for block in model.decoder:     # the decoder attends over every slot
-        y = block(y, None, p_drop, train_rng)
+        y = block(y, None, model.eeg.cfg.dropout, train_rng)
     y = grad.layernorm(y, model.dec_ln_g, model.dec_ln_b)
 
     rows, cols = np.nonzero(plan.masked)

@@ -59,12 +59,18 @@ def nearest_indices(latents: np.ndarray, entries: np.ndarray) -> np.ndarray:
     return out.reshape(latents.shape[:-1])
 
 
+def token_ids(latents: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """(B, H', W') nearest-entry ids of (B, d, H', W') encoder latents, in
+    training and in ``tokenize`` alike; non-finite latents are refused."""
+    if not np.all(np.isfinite(latents)):
+        raise NumericError("non-finite latents entering quantization")
+    return nearest_indices(latents.transpose(0, 2, 3, 1), entries)
+
+
 def quantize(latents: grad.Tensor, codebook: Codebook) -> TokenGrid:
     """Nearest codebook entry per grid position, straight-through backward."""
-    if not np.all(np.isfinite(latents.data)):
-        raise NumericError("non-finite latents entering quantization")
+    idx = token_ids(latents.data, codebook.entries.data)
     z = grad.transpose(latents, (0, 2, 3, 1))        # (B, H', W', d)
-    idx = nearest_indices(z.data, codebook.entries.data)
     selected = grad.getitem(codebook.entries, idx)
     # straight-through: forward value is the entry, gradient copies past it
     st = grad.add(z, grad.stop_gradient(grad.add(selected, grad.mul(z, -1.0))))
@@ -343,8 +349,7 @@ def tokenize_sessions(tokenizer: Tokenizer, values: np.ndarray,
         planes = encoder_planes(values[i:i + batch_size],
                                 available[i:i + batch_size])
         z = tokenizer.encode(grad.Tensor(planes))
-        out.append(nearest_indices(z.data.transpose(0, 2, 3, 1),
-                                   tokenizer.codebook.entries.data))
+        out.append(token_ids(z.data, tokenizer.codebook.entries.data))
     return np.concatenate(out, axis=0)
 
 

@@ -9,7 +9,9 @@ in tokenize and probe, the geometry and codebook-size checks, the
 external-cohort recipe, malformed JSON, token and waveform artifacts,
 sessions shorter than one DSP window or with a band edge above their
 Nyquist frequency, one filter design per sample rate, non-finite probe
-embeddings, manifest reproducibility, seed
+embeddings and tokenizer latents, directory stages that replace an earlier
+run's files, checkpoint paths without ".npz", manifests that refuse a
+missing output, the 32-channel limit, manifest reproducibility, seed
 splitting, config schema completeness, the shape walk of every profile and
 each profile's settings."""
 
@@ -235,6 +237,20 @@ def test_codebook_size_outside_uint16_range_exits_2(tmp_path, capsys, size):
                         "--out", str(tmp_path / "c")]) == climod.EXIT_CONFIG
     assert "tokenizer.codebook_size" in capsys.readouterr().err
     assert not (tmp_path / "c").exists()
+
+
+def test_more_than_32_channels_exit_2(tmp_path, capsys):
+    """A session header holds channel availability in one uint32: 33
+    channel names are refused when the profile loads, 32 are not."""
+    names = [f"E{i}" for i in range(33)]
+    bad = tmp_path / "wide.json"
+    bad.write_text(json.dumps({"cohort": {"channel_names": names}}))
+    assert climod.main(["--config", str(bad), "gen-cohort",
+                        "--out", str(tmp_path / "c")]) == climod.EXIT_CONFIG
+    assert "cohort.channel_names" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+    cfgmod.check(cfgmod.apply_overrides(cfgmod.get_profile("desk"), {
+        "cohort": {"channel_names": names[:32]}}))
 
 
 def test_channel_count_is_the_montage(tmp_path):
@@ -662,8 +678,8 @@ def test_session_shorter_than_one_window_exits_3(tmp_path, capsys, monkeypatch,
                                                   n_samples):
     base, cohort, bad = _four_patient_cohort(tmp_path)
     session = cohortgen.read_session(bad)
-    cohortgen.write_session(
-        bad, session.replace_samples(session.samples[:, :n_samples]))
+    cohortgen.write_session(bad, dataclasses.replace(
+        session, samples=session.samples[:, :n_samples]))
     filtered = []
     monkeypatch.setattr(dsp, "preprocess", lambda s, *_: filtered.append(
         s.session_id) or s)
@@ -780,6 +796,93 @@ def test_failed_tokenize_rerun_leaves_no_usable_tokens(pipeline, tmp_path,
         "--out", str(tmp_path / "mim.npz"), "--steps", "1"]) == climod.EXIT_DATA
     assert "manifest.json" in capsys.readouterr().err
     assert not (tmp_path / "mim.npz").exists()
+
+
+def test_gen_cohort_rerun_with_fewer_patients_replaces_the_sessions(
+        pipeline, tmp_path):
+    """Four patients into the ten-patient cohort's directory leave four
+    ``.raw``, one per record; a file that is not a session stays."""
+    cohort = tmp_path / "cohort"
+    shutil.copytree(pipeline["cohort"], cohort)
+    (cohort / "sessions" / "notes.txt").write_text("kept")
+    config = tmp_path / "four.json"
+    config.write_text(json.dumps({"cohort": {"n_patients": 4}}))
+    assert climod.main(["--config", str(config), "--seed", "3",
+                        "gen-cohort", "--out", str(cohort)]) == 0
+    records = cohortgen.read_records(cohort / "records.json")
+    assert sorted(p.stem for p in (cohort / "sessions").glob("*.raw")) \
+        == sorted(r.session_id for r in records) and len(records) == 4
+    assert (cohort / "sessions" / "notes.txt").read_text() == "kept"
+
+
+def test_dsp_rerun_with_fewer_sessions_replaces_the_spectrograms(
+        pipeline, tmp_path):
+    spec = tmp_path / "spec"
+    shutil.copytree(pipeline["spec"], spec)
+    base, cohort, _ = _four_patient_cohort(tmp_path)
+    assert climod.main(base + ["dsp", "--cohort", str(cohort),
+                               "--out", str(spec)]) == 0
+    assert sorted(p.stem for p in spec.glob("*.spc")) == sorted(
+        p.stem for p in (cohort / "sessions").glob("*.raw"))
+
+
+def test_tokenize_rerun_with_fewer_sessions_replaces_the_token_files(
+        pipeline, tmp_path):
+    tokens, spec = tmp_path / "tokens", tmp_path / "spec"
+    shutil.copytree(pipeline["tokens"], tokens)
+    spec.mkdir()
+    for path in sorted(pipeline["spec"].glob("*.spc"))[:4]:
+        shutil.copy(path, spec)
+    shutil.copy(pipeline["spec"] / "manifest.json", spec)
+    assert climod.main(pipeline["base"] + [
+        "tokenize", "--spectrograms", str(spec),
+        "--ckpt", str(pipeline["tok_ckpt"]), "--out", str(tokens)]) == 0
+    sids = sorted(p.stem for p in spec.glob("*.spc"))
+    assert sorted(p.stem for p in tokens.glob("*.tok")) == sids
+    assert json.loads((tokens / "tokens.json").read_text())["sessions"] == sids
+
+
+def test_tokenize_refuses_non_finite_tokenizer(pipeline, tmp_path, capsys):
+    """A NaN weight makes every latent NaN: tokenize exits 4 naming the
+    checkpoint, and leaves no index and no manifest."""
+    ckpt = grad.load_checkpoint(pipeline["tok_ckpt"])
+    ckpt["params"]["encoder.w_out"][:] = np.nan
+    bad = tmp_path / "nan.npz"
+    grad.save_checkpoint(bad, {k: grad.Tensor(v)
+                               for k, v in ckpt["params"].items()},
+                         meta=ckpt["meta"])
+    out = tmp_path / "tokens"
+    assert climod.main(pipeline["base"] + [
+        "tokenize", "--spectrograms", str(pipeline["spec"]),
+        "--ckpt", str(bad), "--out", str(out)]) == climod.EXIT_NUMERIC
+    assert str(bad) in capsys.readouterr().err
+    assert not (out / "tokens.json").exists()
+    assert not (out / "manifest.json").exists()
+
+
+def test_checkpoint_out_without_npz_suffix_is_written_as_given(pipeline,
+                                                               tmp_path):
+    out = tmp_path / "tok.ckpt"
+    assert climod.main(pipeline["base"] + [
+        "train-tokenizer", "--spectrograms", str(pipeline["spec"]),
+        "--out", str(out), "--steps", "1"]) == 0
+    assert out.exists() and not (tmp_path / "tok.ckpt.npz").exists()
+    manifest = json.loads((tmp_path / "tok.ckpt.manifest.json").read_text())
+    assert manifest["output_ids"]["tok.ckpt"]
+    assert climod.main(pipeline["base"] + [
+        "tokenize", "--spectrograms", str(pipeline["spec"]),
+        "--ckpt", str(out), "--out", str(tmp_path / "tokens")]) == 0
+
+
+def test_manifest_refuses_an_output_that_was_not_written(pipeline, tmp_path,
+                                                        monkeypatch, capsys):
+    monkeypatch.setattr(grad, "save_checkpoint", lambda *a, **k: None)
+    out = tmp_path / "tok.npz"
+    assert climod.main(pipeline["base"] + [
+        "train-tokenizer", "--spectrograms", str(pipeline["spec"]),
+        "--out", str(out), "--steps", "1"]) == climod.EXIT_DATA
+    assert str(out) in capsys.readouterr().err
+    assert not (tmp_path / "tok.npz.manifest.json").exists()
 
 
 def test_load_spectrograms_holds_one_copy(tmp_path):

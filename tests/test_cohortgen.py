@@ -1,6 +1,6 @@
 """Cohort generator tests: determinism, the synthesis against its numpy.fft
-oracle, planted band power, EHR/report consistency, and the waveform file
-format."""
+oracle, planted band power, EHR/report consistency, the waveform file format
+and the channel-availability codec it shares with ``.spc``."""
 
 import dataclasses
 
@@ -235,6 +235,18 @@ def test_waveform_roundtrip(tmp_path):
     assert np.array_equal(back.samples, s.samples)
     assert np.array_equal(back.channel_available, s.channel_available)
     assert back.sample_rate == s.sample_rate
+
+
+@pytest.mark.parametrize("n", [1, 8, 31, 32])
+def test_channel_mask_round_trip(n):
+    """``.raw`` and ``.spc`` share one availability codec; bit 31 is the
+    32nd channel and still fits the uint32 header field."""
+    rng = np.random.default_rng(n)
+    for available in (np.ones(n, bool), rng.random(n) < 0.5):
+        mask = cohortgen.channel_mask(available)
+        assert 0 <= mask < 1 << 32
+        assert mask == sum(1 << i for i in np.flatnonzero(available))
+        assert np.array_equal(cohortgen.channel_flags(mask, n), available)
 
 
 def test_waveform_rejects_corruption(tmp_path):

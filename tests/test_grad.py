@@ -688,14 +688,14 @@ def test_adamw_step_leaves_a_parameter_without_gradient_untouched():
 def test_uniform_ce_equals_log_k():
     logits = Tensor(np.zeros((5, 64)))
     loss = grad.cross_entropy_with_label_smoothing(logits, np.zeros(5, dtype=int), 0.1)
-    assert np.isclose(loss.item(), np.log(64), atol=1e-6)
+    assert np.isclose(float(loss.data), np.log(64), atol=1e-6)
 
 
 def test_ce_one_hot_no_smoothing_near_zero():
     logits = np.full((3, 4), -50.0)
     logits[np.arange(3), [0, 2, 1]] = 50.0
     loss = grad.cross_entropy_with_label_smoothing(Tensor(logits), np.array([0, 2, 1]), 0.0)
-    assert loss.item() < 1e-6
+    assert float(loss.data) < 1e-6
 
 
 def test_ce_smoothing_hand_case():
@@ -706,7 +706,7 @@ def test_ce_smoothing_hand_case():
     soft = np.array([0.925, 0.025, 0.025, 0.025])
     expected = -(soft * (x - lse)).sum()
     loss = grad.cross_entropy_with_label_smoothing(Tensor(logits), np.array([0]), 0.1)
-    assert np.isclose(loss.item(), expected, atol=1e-6)
+    assert np.isclose(float(loss.data), expected, atol=1e-6)
 
 
 def test_adam_descent_one_step():
@@ -1029,6 +1029,16 @@ def test_backward_and_grads_match_the_retain_all_walk(make):
         got = loss.backward(leaves + [out])
         assert all(np.array_equal(a, b) and a.dtype == b.dtype == np.float32
                    for a, b in zip(got, want))
+
+
+def test_checkpoint_is_written_at_the_path_given(tmp_path):
+    """No ".npz" is appended to a path without one."""
+    params = {"a": Tensor(np.arange(3, dtype=np.float32), requires_grad=True)}
+    path = tmp_path / "tok.ckpt"
+    grad.save_checkpoint(path, params)
+    assert [p.name for p in tmp_path.iterdir()] == ["tok.ckpt"]
+    assert np.array_equal(grad.load_checkpoint(path)["params"]["a"],
+                          params["a"].data)
 
 
 def test_checkpoint_roundtrip(tmp_path):

@@ -291,6 +291,25 @@ def test_stage1_dropout_is_seeded_and_applied():
     assert losses(0.5) != losses(0.0)
 
 
+def test_no_train_rng_is_eval_mode_at_any_dropout():
+    """The encoder and decoder pass ``cfg.dropout`` as it is: without a
+    ``train_rng`` (``grad._dropout_keep``'s eval mode) a rate of 0.5 drops
+    nothing, and with one the same rate changes the logits."""
+    model, cfg = _model()
+    rng = np.random.default_rng(16)
+    ids, patches = _batch(model, rng)
+    plan = mim.sample_mask_plan(32, cfg, rng, batch=2)
+    logits = mim.mim_forward(model, ids, patches, plan).logits.data
+    u = mim.session_embedding(model.eeg, ids, patches)
+    cfg.dropout = 0.5
+    assert np.array_equal(
+        mim.mim_forward(model, ids, patches, plan).logits.data, logits)
+    assert np.array_equal(mim.session_embedding(model.eeg, ids, patches), u)
+    assert not np.array_equal(mim.mim_forward(
+        model, ids, patches, plan, np.random.default_rng(0)).logits.data,
+        logits)
+
+
 def test_mim_model_holds_the_encoder_as_eeg():
     """Stage I names the encoder's weights ``eeg.*`` and draws them first,
     so a lone ``SessionEncoder`` from the same seed holds the same values;

@@ -1,6 +1,7 @@
-"""VQ tokenizer tests: quantization against a brute-force oracle, the
-decomposed reconstruction loss, stop-gradient semantics, masking statistics,
-the trainer's initial weights and codebook bookkeeping, and the token cache
+"""VQ tokenizer tests: quantization against a brute-force oracle, the one
+token-id step that training and ``tokenize`` share, the decomposed
+reconstruction loss, stop-gradient semantics, masking statistics, the
+trainer's initial weights and codebook bookkeeping, and the token cache
 format."""
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from clef import grad, vqtok
 from clef.config import TokenizerConfig
-from clef.errors import DataError
+from clef.errors import DataError, NumericError
 
 
 def _cfg(**kw):
@@ -59,6 +60,33 @@ def test_quantize_tie_breaks_low_index():
     grid = vqtok.quantize(grad.Tensor(z), book)
     # entries 0, 1, 2 are equidistant from the origin: lowest index wins
     assert grid.indices[0, 0, 0] == 0
+
+
+def test_training_and_tokenize_take_ids_from_one_step(monkeypatch):
+    """``quantize`` and ``tokenize_sessions`` both reach ``nearest_indices``
+    through ``token_ids``, which refuses non-finite latents for both."""
+    cfg = _cfg(level_channels=[4, 4, 4, 4, 4], latent_dim=4, codebook_size=8)
+    tok = vqtok.Tokenizer(2, cfg, np.random.default_rng(0))
+    values = np.random.default_rng(1).uniform(
+        -1, 1, size=(3, 2, 32, 16)).astype(np.float32)
+    avail = np.ones((3, 2), bool)
+    calls = []
+    token_ids = vqtok.token_ids
+    monkeypatch.setattr(vqtok, "token_ids",
+                        lambda z, e: calls.append(z.shape) or token_ids(z, e))
+    ids = vqtok.tokenize_sessions(tok, values, avail, batch_size=2)
+    for rows in (slice(0, 2), slice(2, 3)):  # the same batches, in training
+        z = tok.encode(grad.Tensor(vqtok.encoder_planes(values[rows],
+                                                        avail[rows])))
+        assert np.array_equal(vqtok.quantize(z, tok.codebook).indices,
+                              ids[rows])
+    assert calls == [(2, 4, 2, 2), (1, 4, 2, 2)] * 2
+    tok.encoder.w_out.data[:] = np.nan
+    with pytest.raises(NumericError, match="non-finite latents"):
+        vqtok.tokenize_sessions(tok, values, avail)
+    with pytest.raises(NumericError, match="non-finite latents"):
+        vqtok.quantize(tok.encode(grad.Tensor(
+            vqtok.encoder_planes(values, avail))), tok.codebook)
 
 
 def test_nearest_indices_exact_across_row_chunks(monkeypatch):
