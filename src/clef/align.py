@@ -21,8 +21,7 @@ import numpy as np
 
 from . import grad, mim
 from .config import (AlignConfig, EhrSlotConfig, N_AGE_BINS, RACE_CATEGORIES,
-                     SEX_CATEGORIES)
-from .errors import DataError
+                     SEX_CATEGORIES, age_bin)
 
 
 # ---------------------------------------------------------------------------
@@ -88,44 +87,28 @@ class HashedNgramProvider:
 Vocab = tuple[list[str], list[str]]  # cohortgen.vocabularies: (dx, med)
 
 
-@dataclass(frozen=True)
-class EhrInput:
-    age_bin: int
-    sex_id: int
-    race_id: int
-    dx_ids: tuple[int, ...]
-    med_ids: tuple[int, ...]
-
-    def canonical(self, slots: EhrSlotConfig) -> "EhrInput":
-        """Sorted, deduplicated, truncated to the lowest ids: set semantics
-        become exact bit-level invariance."""
-        dx = tuple(sorted(set(self.dx_ids))[: slots.dx_slots])
-        med = tuple(sorted(set(self.med_ids))[: slots.med_slots])
-        return replace(self, dx_ids=dx, med_ids=med)
-
-    def validate(self, n_dx: int, n_med: int) -> None:
-        if not 0 <= self.age_bin < N_AGE_BINS:
-            raise DataError(f"age bin {self.age_bin} outside [0, {N_AGE_BINS})")
-        if not 0 <= self.sex_id < len(SEX_CATEGORIES):
-            raise DataError(f"sex id {self.sex_id} invalid")
-        if not 0 <= self.race_id < len(RACE_CATEGORIES):
-            raise DataError(f"race id {self.race_id} invalid")
-        if any(i < 0 or i >= n_dx for i in self.dx_ids):
-            raise DataError("diagnosis id outside vocabulary")
-        if any(i < 0 or i >= n_med for i in self.med_ids):
-            raise DataError("medication id outside vocabulary")
-
-
-def ehr_input_from_record(record, dx_vocab: list[str], med_vocab: list[str]) -> EhrInput:
-    dx_index = {c: i for i, c in enumerate(dx_vocab)}
-    med_index = {c: i for i, c in enumerate(med_vocab)}
-    age_bin = min(record.age_years // 10, 9) if record.age_years >= 0 else 10
-    return EhrInput(
-        age_bin=age_bin,
-        sex_id=SEX_CATEGORIES.index(record.sex),
-        race_id=RACE_CATEGORIES.index(record.race),
-        dx_ids=tuple(dx_index[c] for c in sorted(record.diagnoses) if c in dx_index),
-        med_ids=tuple(med_index[c] for c in sorted(record.medications) if c in med_index))
+def ehr_slots(records, vocab: Vocab, slots: EhrSlotConfig
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Every record's EHR view, built once per run: slot ids (R, S) laid out
+    [age, sex, race] + ``dx_slots`` + ``med_slots``, and the mask of filled
+    slots.  Each code set is sorted by id, deduplicated and cut to its lowest
+    ids (set semantics become exact bit-level invariance); a code outside
+    ``vocab`` is left out."""
+    tables = [(3, slots.dx_slots, {c: i for i, c in enumerate(vocab[0])}),
+              (3 + slots.dx_slots, slots.med_slots,
+               {c: i for i, c in enumerate(vocab[1])})]
+    ids = np.zeros((len(records), 3 + slots.dx_slots + slots.med_slots), np.int64)
+    mask = np.zeros(ids.shape, dtype=bool)
+    mask[:, :3] = True
+    for row, rec in enumerate(records):
+        ids[row, :3] = (age_bin(rec.age_years), SEX_CATEGORIES.index(rec.sex),
+                        RACE_CATEGORIES.index(rec.race))
+        for (start, width, index), codes in zip(
+                tables, (rec.diagnoses, rec.medications)):
+            kept = sorted({index[c] for c in codes if c in index})[:width]
+            ids[row, start:start + len(kept)] = kept
+            mask[row, start:start + len(kept)] = True
+    return ids, mask
 
 
 # ---------------------------------------------------------------------------
@@ -163,38 +146,16 @@ class EhrEncoder(grad.Module):
         self.blocks = mim._stack(cfg.refiner_depth, d, cfg.n_heads, rng)
         self.ln_g, self.ln_b = mim._ln_params(d)
 
-    def assemble(self, inputs: list[EhrInput]) -> tuple[np.ndarray, ...]:
-        """Slot layout: [age, sex, race] + dx slots + med slots."""
-        v = self.slots
-        b = len(inputs)
-        n_slots = 3 + v.dx_slots + v.med_slots
-        age = np.empty(b, dtype=np.int64)
-        sex = np.empty(b, dtype=np.int64)
-        race = np.empty(b, dtype=np.int64)
-        dx = np.zeros((b, v.dx_slots), dtype=np.int64)
-        med = np.zeros((b, v.med_slots), dtype=np.int64)
-        mask = np.zeros((b, n_slots), dtype=bool)
-        mask[:, :3] = True
-        for i, raw in enumerate(inputs):
-            inp = raw.canonical(v)
-            inp.validate(self.e_dx.shape[0], self.e_med.shape[0])
-            age[i], sex[i], race[i] = inp.age_bin, inp.sex_id, inp.race_id
-            dx[i, :len(inp.dx_ids)] = inp.dx_ids
-            mask[i, 3:3 + len(inp.dx_ids)] = True
-            med[i, :len(inp.med_ids)] = inp.med_ids
-            mask[i, 3 + v.dx_slots:3 + v.dx_slots + len(inp.med_ids)] = True
-        return age, sex, race, dx, med, mask
-
-    def __call__(self, inputs: list[EhrInput]) -> grad.Tensor:
-        age, sex, race, dx, med, mask = self.assemble(inputs)
+    def __call__(self, ids: np.ndarray, mask: np.ndarray) -> grad.Tensor:
+        """``ehr_slots`` rows: ids and mask (B, S) -> (B, d)."""
+        b, dx_end = len(ids), 3 + self.slots.dx_slots
         demo = grad.concat([
-            grad.reshape(grad.getitem(self.e_age, age), (len(inputs), 1, -1)),
-            grad.reshape(grad.getitem(self.e_sex, sex), (len(inputs), 1, -1)),
-            grad.reshape(grad.getitem(self.e_race, race), (len(inputs), 1, -1)),
-        ], axis=1)
+            grad.reshape(grad.getitem(table, ids[:, i]), (b, 1, -1))
+            for i, table in enumerate((self.e_age, self.e_sex, self.e_race))],
+            axis=1)
         x = grad.concat([demo,
-                         grad.getitem(self.e_dx, dx),
-                         grad.getitem(self.e_med, med)], axis=1)
+                         grad.getitem(self.e_dx, ids[:, 3:dx_end]),
+                         grad.getitem(self.e_med, ids[:, dx_end:])], axis=1)
         # padded slots carry index-0 embeddings but are attention-masked and
         # excluded from pooling, so their content never reaches the output
         bias = mim._attention_bias(mask)
@@ -267,7 +228,8 @@ class AlignBatch:
     patches: np.ndarray         # (B, N, P)
     texts: list[str]            # "" where absent
     report_present: np.ndarray  # (B,)
-    ehr: list[EhrInput]
+    ehr: np.ndarray             # (B, S) ``ehr_slots`` ids
+    ehr_mask: np.ndarray        # (B, S)
 
 
 @dataclass
@@ -278,9 +240,11 @@ class AlignRows:
     ids: np.ndarray             # (R, N)
     patches: np.ndarray         # (R, N, P)
     vocab: Vocab
+    slots: EhrSlotConfig
 
     def __post_init__(self):
-        self.ehr = [ehr_input_from_record(r, *self.vocab) for r in self.records]
+        self.ehr, self.ehr_mask = ehr_slots(self.records, self.vocab,
+                                            self.slots)
 
     def batch(self, rows: np.ndarray) -> AlignBatch:
         return AlignBatch(
@@ -288,21 +252,13 @@ class AlignRows:
             texts=[self.records[i].report or "" for i in rows],
             report_present=np.array([self.records[i].report is not None
                                      for i in rows]),
-            ehr=[self.ehr[i] for i in rows])
-
-
-@dataclass
-class Stage2Losses:
-    total: float
-    report: float
-    ehr: float
-    report_absent_batch: bool
+            ehr=self.ehr[rows], ehr_mask=self.ehr_mask[rows])
 
 
 def stage2_step(align_model: AlignModel, provider: HashedNgramProvider,
                 batch: AlignBatch, rng: np.random.Generator | None = None
-                ) -> tuple[grad.Tensor, Stage2Losses]:
-    """L_Align = L_Report + L_EHR on one batch; returns the loss graph root."""
+                ) -> tuple[grad.Tensor, dict[str, float]]:
+    """L_Align = L_Report + L_EHR on one batch: the loss graph root and a row."""
     cfg = align_model.cfg
     keep = None
     if rng is not None and cfg.r_drop > 0.0:
@@ -316,15 +272,13 @@ def stage2_step(align_model: AlignModel, provider: HashedNgramProvider,
     rows = np.flatnonzero(batch.report_present)
     v_rep = report_embed([batch.texts[i] for i in rows], provider,
                          align_model.report_encoder)
-    v_ehr = align_model.ehr_encoder(batch.ehr)
+    v_ehr = align_model.ehr_encoder(batch.ehr, batch.ehr_mask)
     rep_loss = clip_loss(grad.getitem(grad.matmul(u, align_model.pi_rep), rows),
                          v_rep, cfg.tau)
     ehr_loss = clip_loss(grad.matmul(u, align_model.pi_ehr), v_ehr, cfg.tau)
     total = rep_loss + ehr_loss
-    return total, Stage2Losses(total=float(total.data),
-                               report=float(rep_loss.data),
-                               ehr=float(ehr_loss.data),
-                               report_absent_batch=rows.size == 0)
+    return total, {"total": float(total.data), "report": float(rep_loss.data),
+                   "ehr": float(ehr_loss.data)}
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +289,7 @@ def stage2_step(align_model: AlignModel, provider: HashedNgramProvider,
 class Stage2Result:
     align_model: AlignModel
     ema: grad.Ema
-    losses: list[Stage2Losses]
+    history: list[dict[str, float]]
 
 
 def stage2_train(encoder: mim.SessionEncoder, provider: HashedNgramProvider,
@@ -345,25 +299,22 @@ def stage2_train(encoder: mim.SessionEncoder, provider: HashedNgramProvider,
     drawn uniformly with replacement."""
     rng = np.random.default_rng(seed)
     align_model = AlignModel(cfg, encoder, rows.vocab, rng)
-    history = []
 
     def step_loss(step):
         batch = rows.batch(rng.integers(0, len(rows.records),
                                         size=cfg.batch_size))
-        loss, losses = stage2_step(align_model, provider, batch, rng)
-        history.append(losses)
-        return loss
+        return stage2_step(align_model, provider, batch, rng)
 
-    ema = grad.train(align_model.named_parameters(), cfg, step_loss,
-                     "Stage II")
-    return Stage2Result(align_model=align_model, ema=ema, losses=history)
+    ema, history = grad.train(align_model.named_parameters(), cfg, step_loss,
+                              "Stage II")
+    return Stage2Result(align_model=align_model, ema=ema, history=history)
 
 
 def retrieval_top1(align_model: AlignModel, batch: AlignBatch) -> float:
     """EEG -> EHR retrieval accuracy over the batch as candidate pool."""
     _enc, u = align_model.eeg(batch.ids, batch.patches)
     q = _l2_normalize(grad.matmul(u, align_model.pi_ehr)).data
-    v = _l2_normalize(align_model.ehr_encoder(batch.ehr)).data
+    v = _l2_normalize(align_model.ehr_encoder(batch.ehr, batch.ehr_mask)).data
     ranks = np.argmax(q @ v.T, axis=1)
     return float(np.mean(ranks == np.arange(len(batch.ehr))))
 

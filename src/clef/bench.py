@@ -17,7 +17,7 @@ import numpy as np
 from scipy.stats import rankdata
 
 from . import grad
-from .config import BenchConfig
+from .config import BenchConfig, age_bin
 from .errors import DataError
 
 AXES = ("disease", "medication", "feature")
@@ -150,7 +150,7 @@ def label_patients(task: TaskSpec, records, session_days: dict[str, int],
 
 
 def covariates(record) -> tuple[int, str, str, str]:
-    return (min(record.age_years // 10, 9), record.sex, record.site,
+    return (age_bin(record.age_years), record.sex, record.site,
             record.setting)
 
 

@@ -29,7 +29,7 @@ import numpy as np
 from . import align, bench, cohortgen, dsp, grad, mim, summarize, vqtok
 from .config import (ConfigError, PROFILE_NAMES, PSG_CHANNELS, Profile,
                      apply_overrides, check, load_profile)
-from .errors import DataError, NumericError, parsing, write_json
+from .errors import DataError, NumericError, parsing, short_id, write_json
 from .parallel import map_ordered
 
 EXIT_CONFIG = 2
@@ -54,7 +54,7 @@ def _sha256_file(path: Path) -> str:
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
-    return h.hexdigest()[:16]
+    return short_id(h)
 
 
 def _hash_input(path: Path) -> str:
@@ -64,7 +64,7 @@ def _hash_input(path: Path) -> str:
         for sub, digest in zip(files, list(map_ordered(_sha256_file, files))):
             h.update(str(sub.relative_to(path)).encode())
             h.update(digest.encode())
-        return h.hexdigest()[:16]
+        return short_id(h)
     return _sha256_file(path)
 
 
@@ -241,18 +241,19 @@ def _cohort_encoder(profile: Profile, cohort_dir: Path, tok_dir: Path,
 
 
 def _codebook_sha(entries: np.ndarray) -> str:
-    return hashlib.sha256(
-        np.ascontiguousarray(entries, dtype="<f4").tobytes()).hexdigest()[:16]
+    return short_id(hashlib.sha256(
+        np.ascontiguousarray(entries, dtype="<f4").tobytes()))
 
 
-def _echo_steps(n: int, line) -> None:
-    """About 20 progress lines over a trainer's ``n`` steps: step 1, every
-    ``max(1, n // 20)``-th step and step ``n``, each followed by ``line(i)``
-    for the step's index ``i``."""
-    every = max(1, n // 20)
-    for step in range(1, n + 1):
+def _echo_steps(history: list[dict[str, float]]) -> None:
+    """About 20 progress lines over a trainer's per-step rows: step 1, every
+    ``max(1, n // 20)``-th of the ``n`` steps and step ``n``, each followed
+    by the row's names and values."""
+    n, every = len(history), max(1, len(history) // 20)
+    for step, row in enumerate(history, 1):
         if step == 1 or step % every == 0 or step == n:
-            click.echo(f"step\t{step}\t{line(step - 1)}")
+            click.echo("\t".join([f"step\t{step}"] + [
+                f"{name}\t{value:.5f}" for name, value in row.items()]))
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +357,7 @@ def train_tokenizer_cmd(spec_dir, out):
                     if name in set(PSG_CHANNELS))
         trainer, history = vqtok.train_tokenizer(
             values, avail, profile.tokenizer, psg, seed)
-        _echo_steps(len(history), lambda i: f"recon\t{history[i].rec:.5f}"
-                                            f"\tvq\t{history[i].vq:.5f}")
+        _echo_steps(history)
         tokenizer = trainer.tokenizer
         grad.save_checkpoint(out, tokenizer.named_parameters(), meta={
             "kind": "tokenizer",
@@ -378,8 +378,7 @@ def tokenize_cmd(spec_dir, ckpt_path, out):
         tokenizer = vqtok.Tokenizer(profile.cohort.n_channels, profile.tokenizer,
                                     np.random.default_rng(0))
         grad.assign_parameters(tokenizer.named_parameters(), ckpt["params"])
-        for p in tokenizer.parameters():  # inference: no op records a tape
-            p.requires_grad = False
+        tokenizer.freeze()
         sha = _codebook_sha(tokenizer.codebook.entries.data)
         if sha != ckpt["meta"].get("codebook_sha"):
             raise DataError(f"{ckpt_path}: codebook hash mismatch "
@@ -419,9 +418,7 @@ def train_mim_cmd(tok_dir, spec_dir, out):
         ids, patches, codebook_size = _load_sessions(profile, tok_dir, spec_dir)
         result = mim.stage1_train(ids, patches, codebook_size,
                                   profile.grid_shape, profile.mim, seed)
-        _echo_steps(len(result.losses),
-                    lambda i: f"loss\t{result.losses[i]:.5f}"
-                              f"\tacc\t{result.masked_acc[i]:.4f}")
+        _echo_steps(result.history)
         grad.save_checkpoint(out, result.model.named_parameters(),
                              ema=result.ema,
                              meta={"kind": "mim",
@@ -450,14 +447,10 @@ def train_align_cmd(cohort_dir, tok_dir, spec_dir, init_path, out):
             profile, cohort_dir, tok_dir, spec_dir, ckpt)
         phenotypes = cohortgen.default_phenotypes(profile.cohort.channel_names)
         rows = align.AlignRows(records, ids, patches, cohortgen.vocabularies(
-            profile.cohort, phenotypes))
+            profile.cohort, phenotypes), profile.align.ehr)
         result = align.stage2_train(encoder, align.HashedNgramProvider(),
                                     rows, profile.align, seed)
-        losses = result.losses
-        _echo_steps(len(losses),
-                    lambda i: f"total\t{losses[i].total:.5f}"
-                              f"\treport\t{losses[i].report:.5f}"
-                              f"\tehr\t{losses[i].ehr:.5f}")
+        _echo_steps(result.history)
         grad.save_checkpoint(
             out, result.align_model.named_parameters(), ema=result.ema,
             meta={"kind": "align",
@@ -525,8 +518,7 @@ def probe_cmd(cohort_dir, tok_dir, spec_dir, ckpt_path, out):
         ckpt = _load_checkpoint(ckpt_path, ("mim", "align"), "encoder")
         records, ids, patches, encoder = _cohort_encoder(
             profile, cohort_dir, tok_dir, spec_dir, ckpt)
-        for p in encoder.parameters():  # inference: no op records a tape
-            p.requires_grad = False
+        encoder.freeze()
         for r in records:
             if type(session_days.get(r.patient_id)) is not int:
                 raise DataError(f"{days_path}: no integer session day for "

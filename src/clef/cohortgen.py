@@ -456,7 +456,10 @@ def read_records(path) -> list[PatientRecord]:
 
 def channel_mask(available) -> int:
     """The uint32 header field of a ``.raw`` or ``.spc``: bit i set when
-    channel i is available (at most 32 channels, see ``config.check``)."""
+    channel i is available; more than 32 channels do not fit."""
+    if len(available) > 32:
+        raise DataError(f"{len(available)} channels, at most 32 fit the "
+                        "availability mask of a session header")
     return sum(1 << i for i, ok in enumerate(available) if ok)
 
 

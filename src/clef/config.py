@@ -40,6 +40,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
+from .errors import short_id
+
 
 class ConfigError(ValueError):
     """Invalid or unknown configuration key/value."""
@@ -63,6 +65,11 @@ RACE_CATEGORIES = [
 ]
 SETTING_CATEGORIES = ["ICU", "EMU", "Routine"]
 N_AGE_BINS = 11  # ten decade-wide bins plus one N/A slot
+
+
+def age_bin(age_years: int) -> int:
+    """Decade bin 0-9 (90 and over share 9); a negative age is the N/A bin."""
+    return min(age_years // 10, 9) if age_years >= 0 else N_AGE_BINS - 1
 
 
 @dataclass
@@ -234,7 +241,7 @@ class Profile:
 
     def content_hash(self) -> str:
         payload = json.dumps(dataclasses.asdict(self), sort_keys=True, default=str)
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+        return short_id(hashlib.sha256(payload.encode()))
 
 
 def _desk() -> Profile:

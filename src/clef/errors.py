@@ -1,5 +1,5 @@
-"""Shared exception types, and the JSON artifact reader and writer; the CLI
-maps the exceptions onto exit codes."""
+"""Shared exception types, the JSON artifact reader and writer, and the
+16-hex id of a hash; the CLI maps the exceptions onto exit codes."""
 
 import json
 from contextlib import contextmanager
@@ -28,3 +28,8 @@ def write_json(path, obj) -> None:
     """``obj`` as every JSON artifact is written: keys sorted, indent 1."""
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=1, sort_keys=True)
+
+
+def short_id(h) -> str:
+    """The 16-hex id that manifests and checkpoints record for a sha256."""
+    return h.hexdigest()[:16]

@@ -894,6 +894,11 @@ class Module:
     def parameters(self) -> list[Tensor]:
         return list(self.named_parameters().values())
 
+    def freeze(self) -> None:
+        """Inference: no op on these parameters records a tape."""
+        for p in self.parameters():
+            p.requires_grad = False
+
 
 def param(shape, rng: np.random.Generator, scale: float | None = None,
           zeros: bool = False) -> Tensor:
@@ -987,23 +992,26 @@ def ema_update(shadow: np.ndarray, live: np.ndarray, decay: float) -> np.ndarray
             + (1.0 - decay) * live.astype(np.float64)).astype(live.dtype)
 
 
-def train(params: dict[str, Tensor], cfg,
-          step_loss: Callable[[int], Tensor], stage: str) -> Ema:
+def train(params: dict[str, Tensor], cfg, step_loss: Callable[[int], tuple],
+          stage: str) -> tuple[Ema, list[dict[str, float]]]:
     """``cfg.steps`` steps of AdamW + cosine LR + EMA, all from ``cfg``, over
-    ``step_loss(step)``; a non-finite loss raises before that step's update.
-    One tape at a time: each loss is dropped as soon as ``backward`` has run."""
+    ``step_loss(step)``: the loss and the step's row of named floats.  A
+    non-finite loss raises before that step's update.  Returns the EMA and
+    the rows; each loss is dropped as soon as ``backward`` has run."""
     opt = AdamW(params.values(), lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
                 weight_decay=cfg.weight_decay)
     ema = Ema(params, cfg.ema_decay)
+    history = []
     for step in range(cfg.steps):
-        loss = step_loss(step)
+        loss, row = step_loss(step)
         if not np.isfinite(loss.data):
             raise NumericError(f"non-finite {stage} loss at step {step}")
         grads = loss.backward(opt.params)
         del loss
         opt.step(grads, lr=cosine_lr(step, cfg.steps, cfg.lr, cfg.warmup_steps))
         ema.update(params)
-    return ema
+        history.append(row)
+    return ema, history
 
 
 # ---------------------------------------------------------------------------

@@ -292,8 +292,7 @@ def session_embedding(encoder: SessionEncoder, ids: np.ndarray,
 class Stage1Result:
     model: MimModel
     ema: grad.Ema
-    losses: list[float]
-    masked_acc: list[float]
+    history: list[dict[str, float]]  # per step: loss, masked-token acc
 
 
 def stage1_train(ids: np.ndarray, patches: np.ndarray, codebook_size: int,
@@ -306,7 +305,6 @@ def stage1_train(ids: np.ndarray, patches: np.ndarray, codebook_size: int,
     rng = np.random.default_rng(seed)
     model = MimModel(codebook_size, patches.shape[2], grid_hw, cfg, rng)
     batch_rng = np.random.default_rng(seed + 1)
-    losses, accs = [], []
     n = ids.shape[1]
 
     def step_loss(step):
@@ -315,10 +313,9 @@ def stage1_train(ids: np.ndarray, patches: np.ndarray, codebook_size: int,
         out = mim_forward(model, ids[pick], patches[pick], plan,
                           train_rng=batch_rng)
         loss = mim_loss(out.logits, out.targets, cfg.label_smoothing)
-        losses.append(float(loss.data))
-        accs.append(float(np.mean(
-            np.argmax(out.logits.data, axis=1) == out.targets)))
-        return loss
+        acc = np.mean(np.argmax(out.logits.data, axis=1) == out.targets)
+        return loss, {"loss": float(loss.data), "acc": float(acc)}
 
-    ema = grad.train(model.named_parameters(), cfg, step_loss, "Stage I")
-    return Stage1Result(model=model, ema=ema, losses=losses, masked_acc=accs)
+    ema, history = grad.train(model.named_parameters(), cfg, step_loss,
+                              "Stage I")
+    return Stage1Result(model=model, ema=ema, history=history)

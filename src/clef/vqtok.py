@@ -59,6 +59,11 @@ def nearest_indices(latents: np.ndarray, entries: np.ndarray) -> np.ndarray:
     return out.reshape(latents.shape[:-1])
 
 
+def latent_rows(latents: np.ndarray) -> np.ndarray:
+    """(B, d, H', W') encoder latents as (B·H'·W', d) rows in grid order."""
+    return latents.transpose(0, 2, 3, 1).reshape(-1, latents.shape[1])
+
+
 def token_ids(latents: np.ndarray, entries: np.ndarray) -> np.ndarray:
     """(B, H', W') nearest-entry ids of (B, d, H', W') encoder latents, in
     training and in ``tokenize`` alike; non-finite latents are refused."""
@@ -259,13 +264,6 @@ def encoder_planes(values: np.ndarray, available: np.ndarray) -> np.ndarray:
 # training
 
 
-@dataclass
-class StepLosses:
-    total: float
-    rec: float
-    vq: float
-
-
 class VqTrainer:
     def __init__(self, n_channels: int, cfg: TokenizerConfig,
                  psg_subset: tuple[int, ...], seed: int):
@@ -279,8 +277,9 @@ class VqTrainer:
         # the step at which each codebook entry was last picked or revived
         self.last_used = np.zeros(cfg.codebook_size, dtype=np.int64)
 
-    def step(self, values: np.ndarray, available: np.ndarray) -> StepLosses:
-        """One optimization step on a (B, C, H, W) batch.
+    def step(self, values: np.ndarray, available: np.ndarray) -> dict[str, float]:
+        """One optimization step on a (B, C, H, W) batch; returns the step's
+        row of ``recon`` and ``vq`` losses.
 
         ``available`` is the per-session channel availability (B, C); the
         curriculum mask is drawn on top of it, the reconstruction target
@@ -295,8 +294,7 @@ class VqTrainer:
         if self.step_count == 0:
             # seed the codebook from the first batch's latents so entries
             # start inside the latent distribution instead of near zero
-            flat = z.data.transpose(0, 2, 3, 1).reshape(
-                -1, tok.codebook.entries.shape[1])
+            flat = latent_rows(z.data)
             picks = self.rng.choice(flat.shape[0], size=tok.codebook.k,
                                     replace=flat.shape[0] < tok.codebook.k)
             tok.codebook.entries.data = flat[picks].astype(grad.DTYPE).copy()
@@ -310,8 +308,7 @@ class VqTrainer:
         self.opt.step(total.backward(self.opt.params))
         self._revive_dead_codes(grid)
         self.step_count += 1
-        return StepLosses(total=float(total.data), rec=float(l_rec.data),
-                          vq=float(l_vq.data))
+        return {"recon": float(l_rec.data), "vq": float(l_vq.data)}
 
     def _revive_dead_codes(self, grid: TokenGrid) -> None:
         """Reseed the entries that no batch has picked for
@@ -321,8 +318,7 @@ class VqTrainer:
         dead = np.flatnonzero(self.step_count - self.last_used
                               >= self.cfg.dead_code_steps)
         if dead.size:
-            flat = grid.latents.data.transpose(0, 2, 3, 1).reshape(
-                -1, book.entries.shape[1])
+            flat = latent_rows(grid.latents.data)
             picks = self.rng.integers(0, flat.shape[0], size=dead.size)
             book.entries.data[dead] = flat[picks]
             self.last_used[dead] = self.step_count
@@ -330,7 +326,7 @@ class VqTrainer:
 
 def train_tokenizer(values: np.ndarray, available: np.ndarray,
                     cfg: TokenizerConfig, psg_subset: tuple[int, ...],
-                    seed: int) -> tuple[VqTrainer, list[StepLosses]]:
+                    seed: int) -> tuple[VqTrainer, list[dict[str, float]]]:
     """Smoke-scale training loop over an in-memory (N, C, H, W) dataset."""
     trainer = VqTrainer(values.shape[1], cfg, psg_subset, seed)
     batch_rng = np.random.default_rng(seed + 2)

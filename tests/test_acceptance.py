@@ -134,13 +134,13 @@ def stage2(cohort, tokens, stage1):
     t0 = time.time()
     provider = align.HashedNgramProvider()
     rows = align.AlignRows(records, ids, patches,
-                           cohortgen.vocabularies(P.cohort, phenos))
+                           cohortgen.vocabularies(P.cohort, phenos), P.align.ehr)
     res2 = align.stage2_train(res1.model.eeg, provider, rows, P.align, seed=7)
     eval_batch = rows.batch(np.arange(0, len(records), 6)[:64])
     top1 = align.retrieval_top1(res2.align_model, eval_batch)
     emb_align = _batched_embeddings(res1.model.eeg, ids, patches)
     return {"result": res2, "top1": top1, "emb_recon": emb_recon,
-            "emb_align": emb_align, "ehr_inputs": rows.ehr,
+            "emb_align": emb_align,
             "elapsed": time.time() - t0}
 
 
@@ -382,7 +382,7 @@ def test_mask_ratio_and_ramp_statistics():
 
 def test_stage1_smoke(spectra, tokenizer_run, tokens, stage1):
     drop = 1.0 - tokenizer_run["rec_after"] / tokenizer_run["rec_before"]
-    acc = stage1["result"].masked_acc[-1]
+    acc = stage1["result"].history[-1]["acc"]
     elapsed = (spectra["elapsed"] + tokenizer_run["elapsed"]
                + tokens["elapsed"] + stage1["elapsed"])
     _verdict("stage I smoke", {
@@ -408,14 +408,17 @@ def test_stage2_smoke(stage2):
         paper_small.mim, np.random.default_rng(0))
     model = align.AlignModel(cfg512, encoder512, vocab, rng)
     u = grad.Tensor(rng.standard_normal((64, d512)).astype(grad.DTYPE))
-    ehr = [align.EhrInput(
-        age_bin=int(rng.integers(0, 10)), sex_id=int(rng.integers(0, 3)),
-        race_id=int(rng.integers(0, 8)),
-        dx_ids=tuple(int(x) for x in rng.choice(len(vocab[0]), 3, replace=False)),
-        med_ids=tuple(int(x) for x in rng.choice(len(vocab[1]), 2, replace=False)))
-        for _ in range(64)]
+    # 64 EHR slot rows: 3 diagnoses and 2 medications each, ids ascending
+    med0 = 3 + cfg512.ehr.dx_slots
+    ehr = np.zeros((64, med0 + cfg512.ehr.med_slots), np.int64)
+    mask = np.zeros(ehr.shape, bool)
+    mask[:, :6] = mask[:, med0:med0 + 2] = True
+    for row in ehr:
+        row[:3] = rng.integers(0, 10), rng.integers(0, 3), rng.integers(0, 8)
+        row[3:6] = np.sort(rng.choice(len(vocab[0]), 3, replace=False))
+        row[med0:med0 + 2] = np.sort(rng.choice(len(vocab[1]), 2, replace=False))
     loss = align.clip_loss(grad.matmul(u, model.pi_ehr),
-                           model.ehr_encoder(ehr), tau=cfg512.tau)
+                           model.ehr_encoder(ehr, mask), tau=cfg512.tau)
     rel = abs(float(loss.data) - np.log(64)) / np.log(64)
     _verdict("stage II smoke", {
         "random_init_near_ln64": rel <= 0.15,
@@ -484,7 +487,7 @@ def test_concept_holdout_transfer(cohort, tokens, stage1, stage2):
                                  tokens["patches"].shape[2], P.grid_shape,
                                  P.mim, np.random.default_rng(13))
     rows = align.AlignRows(filtered, tokens["ids"], tokens["patches"],
-                           cohortgen.vocabularies(P.cohort, phenos))
+                           cohortgen.vocabularies(P.cohort, phenos), P.align.ehr)
     mim.load_encoder(encoder, res1.ema.shadow)
     align.stage2_train(encoder, align.HashedNgramProvider(), rows,
                        dataclasses.replace(P.align, steps=60), seed=19)

@@ -3,12 +3,14 @@ invariance, the symmetric contrastive loss against hand-computed values and
 the row-deletion identity, Stage II wiring, and the concept-holdout scrub."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from clef import align, grad, mim
-from clef.config import AlignConfig, CohortConfig, MimConfig
+from clef.config import (AlignConfig, CohortConfig, MimConfig, RACE_CATEGORIES,
+                         SEX_CATEGORIES)
 from clef.cohortgen import default_phenotypes, generate_records, vocabularies
 from clef.errors import DataError
 
@@ -116,72 +118,88 @@ def _ehr_cfg():
     return _cfg(n_heads=4, refiner_depth=2)
 
 
+def _record(age=35, sex="F", race="White", dx=(), med=()):
+    """The fields of a cohort record that its EHR view reads."""
+    return SimpleNamespace(age_years=age, sex=sex, race=race,
+                           diagnoses=dx, medications=med)
+
+
+def _dx(*ids):
+    return [VOCAB[0][i] for i in ids]
+
+
+def _med(*ids):
+    return [VOCAB[1][i] for i in ids]
+
+
+def _slot_embeddings(cfg, seed, records):
+    ids, mask = align.ehr_slots(records, VOCAB, cfg.ehr)
+    enc = align.EhrEncoder(cfg, 32, VOCAB, np.random.default_rng(seed))
+    return ids, enc(ids, mask).data
+
+
 def test_ehr_permutation_invariance():
-    cfg = _ehr_cfg()
-    enc = align.EhrEncoder(cfg, 32, VOCAB, np.random.default_rng(3))
-    a = align.EhrInput(3, 0, 2, dx_ids=(5, 1, 3), med_ids=(7, 2, 9))
-    b = align.EhrInput(3, 0, 2, dx_ids=(1, 3, 5), med_ids=(9, 7, 2))
-    va = enc([a]).data
-    vb = enc([b]).data
-    assert np.array_equal(va, vb)
+    ids, v = _slot_embeddings(_ehr_cfg(), 3, [
+        _record(dx=_dx(5, 1, 3), med=_med(7, 2, 9)),
+        _record(dx=_dx(1, 3, 5), med=_med(9, 7, 2))])
+    assert np.array_equal(ids[0], ids[1]) and ids[0, 3:6].tolist() == [1, 3, 5]
+    assert np.array_equal(v[0], v[1])
 
 
 def test_ehr_dedup_default():
-    cfg = _ehr_cfg()
-    enc = align.EhrEncoder(cfg, 32, VOCAB, np.random.default_rng(4))
-    a = align.EhrInput(3, 1, 2, dx_ids=(5, 5, 1), med_ids=(7,))
-    b = align.EhrInput(3, 1, 2, dx_ids=(5, 1), med_ids=(7,))
-    assert np.array_equal(enc([a]).data, enc([b]).data)
+    ids, v = _slot_embeddings(_ehr_cfg(), 4, [
+        _record(dx=_dx(5, 5, 1), med=_med(7)),
+        _record(dx=_dx(5, 1), med=_med(7))])
+    assert np.array_equal(ids[0], ids[1])
+    assert np.array_equal(v[0], v[1])
 
 
 def test_ehr_truncation_keeps_lowest_ids():
     slots = _ehr_cfg().ehr
-    ids = tuple(range(slots.dx_slots + 4))
-    inp = align.EhrInput(1, 0, 0, dx_ids=ids[::-1], med_ids=())
-    canon = inp.canonical(slots)
-    assert canon.dx_ids == tuple(range(slots.dx_slots))
+    n = slots.dx_slots + 4
+    ids, mask = align.ehr_slots([_record(dx=_dx(*range(n)[::-1]))], VOCAB,
+                                slots)
+    assert ids[0, 3:3 + slots.dx_slots].tolist() == list(range(slots.dx_slots))
+    assert mask[0, 3:3 + slots.dx_slots].all()
 
 
 def test_ehr_empty_sets_demographics_only():
     cfg = _ehr_cfg()
     enc = align.EhrEncoder(cfg, 32, VOCAB, np.random.default_rng(5))
-    inp = align.EhrInput(2, 1, 3, dx_ids=(), med_ids=())
-    _, _, _, _, _, mask = enc.assemble([inp])
-    assert mask.sum() == 3
-    v = enc([inp]).data
-    assert np.all(np.isfinite(v))
-
-
-def test_ehr_validation():
-    with pytest.raises(DataError):
-        align.EhrInput(99, 0, 0, (), ()).validate(20, 20)
-    with pytest.raises(DataError, match="diagnosis"):
-        align.EhrInput(1, 0, 0, (20,), ()).validate(20, 20)
-    with pytest.raises(DataError, match="medication"):
-        align.EhrInput(1, 0, 0, (), (5,)).validate(20, 5)
-    align.EhrInput(1, 0, 0, (19,), (4,)).validate(20, 5)
+    ids, mask = align.ehr_slots([_record(age=25, sex="M", race="Multiracial")],
+                                VOCAB, cfg.ehr)
+    assert mask.sum() == 3 and ids[0, :3].tolist() == [2, 1, 3]
+    assert np.all(np.isfinite(enc(ids, mask).data))
 
 
 def test_ehr_tables_have_one_row_per_vocabulary_code():
-    """An id past the vocabulary fails in the encoder, whatever the
-    vocabulary's size."""
+    """Every slot id comes from the vocabulary, so each is a row of its
+    table, whatever the vocabulary's size: a code outside it is left out."""
     dx, med = ["dx_a", "dx_b", "dx_c"], ["med_a"]
-    enc = align.EhrEncoder(_ehr_cfg(), 32, (dx, med), np.random.default_rng(6))
+    cfg = _ehr_cfg()
+    enc = align.EhrEncoder(cfg, 32, (dx, med), np.random.default_rng(6))
     assert enc.e_dx.shape == (3, 32) and enc.e_med.shape == (1, 32)
-    enc([align.EhrInput(1, 0, 0, (2,), (0,))])
-    with pytest.raises(DataError, match="diagnosis"):
-        enc([align.EhrInput(1, 0, 0, (3,), ())])
+    ids, mask = align.ehr_slots(
+        [_record(dx=["dx_c", "dx_z"], med=["med_a", "med_b"])], (dx, med),
+        cfg.ehr)
+    assert mask.sum() == 5
+    assert ids[0, 3] == 2 and ids[0, 3 + cfg.ehr.dx_slots] == 0
+    enc(ids, mask)
 
 
-def test_ehr_input_from_record():
+def test_ehr_slots_from_records():
     cfg = CohortConfig(n_patients=10)
     records, phenos = generate_records(cfg, seed=6)
-    from clef.cohortgen import vocabularies
-    dx_vocab, med_vocab = vocabularies(cfg, phenos)
-    for rec in records:
-        inp = align.ehr_input_from_record(rec, dx_vocab, med_vocab)
-        inp.validate(len(dx_vocab), len(med_vocab))
-        assert len(inp.dx_ids) == len(rec.diagnoses & set(dx_vocab))
+    vocab = vocabularies(cfg, phenos)
+    slots = _ehr_cfg().ehr
+    ids, mask = align.ehr_slots(records, vocab, slots)
+    med0 = 3 + slots.dx_slots
+    for rec, row, filled in zip(records, ids, mask):
+        dx = sorted(rec.diagnoses & set(vocab[0]), key=vocab[0].index)
+        assert [vocab[0][i] for i in row[3:med0][filled[3:med0]]] == \
+            dx[:slots.dx_slots]
+        assert filled[med0:].sum() == min(
+            len(rec.medications & set(vocab[1])), slots.med_slots)
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +261,13 @@ def _batch(rng, b=4, with_reports=True):
     patches = rng.normal(size=(b, 32, 2 * 16 * 8)).astype(np.float32)
     texts = [f"report number {i} shows generalized slowing" for i in range(b)]
     present = np.full(b, with_reports)
-    ehr = [align.EhrInput(i % 10, i % 3, i % 8, (i % 20,), ((i + 1) % 20,))
-           for i in range(b)]
+    ehr, ehr_mask = align.ehr_slots(
+        [_record(age=10 * (i % 10), sex=SEX_CATEGORIES[i % 3],
+                 race=RACE_CATEGORIES[i % 8], dx=_dx(i % 20),
+                 med=_med((i + 1) % 20)) for i in range(b)],
+        VOCAB, AlignConfig().ehr)
     return align.AlignBatch(ids=ids, patches=patches, texts=texts,
-                            report_present=present, ehr=ehr)
+                            report_present=present, ehr=ehr, ehr_mask=ehr_mask)
 
 
 def test_stage2_step_additivity():
@@ -254,13 +275,14 @@ def test_stage2_step_additivity():
     amodel = align.AlignModel(acfg, encoder, VOCAB, np.random.default_rng(11))
     provider = align.HashedNgramProvider()
     batch = _batch(np.random.default_rng(12))
-    _, losses = align.stage2_step(amodel, provider, batch, rng=None)
-    assert abs(losses.total - (losses.report + losses.ehr)) < 1e-6
+    _, row = align.stage2_step(amodel, provider, batch, rng=None)
+    assert list(row) == ["total", "report", "ehr"]
+    assert abs(row["total"] - (row["report"] + row["ehr"])) < 1e-6
     # no reports in the batch: total collapses to the EHR term alone
     batch_none = _batch(np.random.default_rng(12), with_reports=False)
     _, l2 = align.stage2_step(amodel, provider, batch_none, rng=None)
-    assert l2.report == 0.0 and l2.report_absent_batch
-    assert abs(l2.total - l2.ehr) < 1e-6
+    assert l2["report"] == 0.0
+    assert abs(l2["total"] - l2["ehr"]) < 1e-6
 
 
 def test_stage2_encodes_only_report_rows(monkeypatch):
@@ -278,7 +300,7 @@ def test_stage2_encodes_only_report_rows(monkeypatch):
         return real(texts, *args)
 
     monkeypatch.setattr(align, "report_embed", spy)
-    _, losses = align.stage2_step(amodel, provider, batch, rng=None)
+    _, row = align.stage2_step(amodel, provider, batch, rng=None)
     monkeypatch.undo()
     assert seen == [[t for t, p in zip(batch.texts, batch.report_present) if p]]
     u = encoder(batch.ids, batch.patches)[1]
@@ -287,8 +309,7 @@ def test_stage2_encodes_only_report_rows(monkeypatch):
     rows = np.flatnonzero(batch.report_present)
     old = align.clip_loss(grad.getitem(grad.matmul(u, amodel.pi_rep), rows),
                           grad.getitem(every_row, rows), acfg.tau)
-    assert abs(losses.report - float(old.data)) <= 1e-5
-    assert not losses.report_absent_batch
+    assert abs(row["report"] - float(old.data)) <= 1e-5
 
 
 def test_stage2_random_init_loss_near_ln_b():
@@ -301,9 +322,9 @@ def test_stage2_random_init_loss_near_ln_b():
     amodel = align.AlignModel(acfg, encoder, VOCAB, np.random.default_rng(14))
     provider = align.HashedNgramProvider()
     batch = _batch(np.random.default_rng(15), b=64)
-    _, losses = align.stage2_step(amodel, provider, batch, rng=None)
-    assert abs(losses.ehr - np.log(64)) / np.log(64) < 0.15
-    assert abs(losses.report - np.log(64)) / np.log(64) < 0.15
+    _, row = align.stage2_step(amodel, provider, batch, rng=None)
+    assert abs(row["ehr"] - np.log(64)) / np.log(64) < 0.15
+    assert abs(row["report"] - np.log(64)) / np.log(64) < 0.15
 
 
 def test_stage2_requires_stage1_provenance():
@@ -333,14 +354,17 @@ def test_stage2_train_updates_and_ema():
     provider = align.HashedNgramProvider()
     b = _batch(np.random.default_rng(16))
     records, _ = generate_records(CohortConfig(n_patients=4), seed=16)
-    rows = align.AlignRows(records, b.ids, b.patches, VOCAB)
-    assert rows.ehr == [align.ehr_input_from_record(r, *VOCAB)
-                        for r in records]
+    rows = align.AlignRows(records, b.ids, b.patches, VOCAB, acfg.ehr)
+    ehr, ehr_mask = align.ehr_slots(records, VOCAB, acfg.ehr)
+    assert np.array_equal(rows.ehr, ehr) and np.array_equal(rows.ehr_mask,
+                                                            ehr_mask)
+    batch = rows.batch(np.array([3, 1, 3]))
+    assert np.array_equal(batch.ehr, ehr[[3, 1, 3]])
 
     before = {k: p.data.copy() for k, p in encoder.named_parameters().items()}
     result = align.stage2_train(encoder, provider, rows,
                                 replace(acfg, steps=3), seed=17)
-    assert len(result.losses) == 3
+    assert len(result.history) == 3
     # the alignment model trains the encoder it was given, under eeg.*
     assert result.align_model.eeg is encoder
     trained = result.align_model.named_parameters()
@@ -359,7 +383,7 @@ def test_report_features_are_built_once_per_text(monkeypatch):
     provider = align.HashedNgramProvider()
     b = _batch(np.random.default_rng(16))
     records, _ = generate_records(CohortConfig(n_patients=4), seed=16)
-    rows = align.AlignRows(records, b.ids, b.patches, VOCAB)
+    rows = align.AlignRows(records, b.ids, b.patches, VOCAB, acfg.ehr)
     texts, words = [], []
     embed, word_feature = (align.HashedNgramProvider.embed,
                            align.HashedNgramProvider._word_feature)

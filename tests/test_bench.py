@@ -1,17 +1,17 @@
 """Benchmark tests: splits, EHR/report label rules, exact matching with
-audit invariants, rank-based AUROC against a pair-counting oracle, BACC
-threshold selection, probe training on separable embeddings without a
-tape, the probe's closed-form gradients against grad's tape and finite
-differences, skips for splits AUROC cannot score, and a full cohort-scale
-run with synthetic embeddings."""
+audit invariants and the age bin it shares with the EHR view, rank-based
+AUROC against a pair-counting oracle, BACC threshold selection, probe
+training on separable embeddings without a tape, the probe's closed-form
+gradients against grad's tape and finite differences, skips for splits AUROC
+cannot score, and a full cohort-scale run with synthetic embeddings."""
 
 import numpy as np
 import pytest
 from fdcheck import fd_gradients, float64_mode
 
-from clef import bench, cohortgen, grad
+from clef import align, bench, cohortgen, grad
 from clef.cohortgen import DiagnosisEvent, MedicationEvent, PatientRecord
-from clef.config import CHANNELS_DESK, BenchConfig, CohortConfig
+from clef.config import CHANNELS_DESK, BenchConfig, CohortConfig, EhrSlotConfig
 from clef.errors import DataError
 
 CFG = BenchConfig()
@@ -177,6 +177,17 @@ def test_match_exact_covariates_and_cap():
     assert table.unmatched_cases == ["case_lonely"]
     lonely = [r for r in table.rows if r.patient_id == "case_lonely"]
     assert len(lonely) == 1 and lonely[0].label == 1
+
+
+def test_matching_and_the_ehr_view_share_one_age_bin():
+    """Decades 0-8, 90 and over in bin 9, and a negative age in the N/A
+    bin, in matching and in Stage II's EHR view alike."""
+    ages = [-3, 0, 9, 10, 47, 89, 90, 104]
+    bins = [10, 0, 0, 1, 4, 8, 9, 9]
+    records = [_rec(f"p{i}", age=a) for i, a in enumerate(ages)]
+    assert [bench.covariates(r)[0] for r in records] == bins
+    ids, _ = align.ehr_slots(records, ([], []), EhrSlotConfig())
+    assert ids[:, 0].tolist() == bins
 
 
 def test_match_without_replacement_across_cases():

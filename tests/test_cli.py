@@ -1,14 +1,14 @@
 """CLI tests: the full desk pipeline end to end on a tiny cohort, exit-code
-mapping, ``--steps`` as profile shorthand, the progress lines, an incomplete
-``days.json``, ``select-prompt``'s in-process scorer (no ``--llm``, no
-socket), sequential-training, codebook-hash, checkpoint-kind,
-checkpoint-geometry, checkpoint-naming, demographic-category,
-token-codebook, token-grid and partial-output refusals, the session-id
-join, the spectrogram and session loaders' memory, tape-free inference
-in tokenize and probe, the geometry and codebook-size checks, the
-external-cohort recipe, malformed JSON, token and waveform artifacts,
-sessions shorter than one DSP window or with a band edge above their
-Nyquist frequency, one filter design per sample rate, non-finite probe
+mapping, ``--steps`` as profile shorthand, the progress lines and each
+trainer's fields on them, an incomplete ``days.json``, ``select-prompt``'s
+in-process scorer (no ``--llm``, no socket), sequential-training,
+codebook-hash, checkpoint-kind, checkpoint-geometry, checkpoint-naming,
+demographic-category, token-codebook, token-grid and partial-output
+refusals, the session-id join, the spectrogram and session loaders' memory,
+tape-free inference in tokenize and probe, the geometry and codebook-size
+checks, the external-cohort recipe, malformed JSON, token and waveform
+artifacts, sessions shorter than one DSP window or with a band edge above
+their Nyquist frequency, one filter design per sample rate, non-finite probe
 embeddings and tokenizer latents, directory stages that replace an earlier
 run's files, checkpoint paths without ".npz", manifests that refuse a
 missing output, the 32-channel limit, manifest reproducibility, seed
@@ -17,6 +17,7 @@ each profile's settings."""
 
 import dataclasses
 import json
+import re
 import shutil
 import socket
 import tracemalloc
@@ -289,12 +290,32 @@ def test_progress_lines_end_on_the_last_step(capsys, n):
     """Step 1, every ``n // 20``-th step and step ``n``.  Where ``n`` is a
     multiple of that stride (3, 20 and 200 steps among them) step ``n`` is
     one of them: the lines train-tokenizer printed with its own loop."""
-    climod._echo_steps(n, lambda i: f"index\t{i}")
+    climod._echo_steps([{"index": float(i)} for i in range(n)])
     lines = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
     steps = [int(f[1]) for f in lines]
     every = max(1, n // 20)
     assert steps == sorted({1, n} | set(range(every, n + 1, every)))
-    assert all(int(f[3]) == int(f[1]) - 1 for f in lines)
+    assert all(float(f[3]) == int(f[1]) - 1 for f in lines)
+
+
+@pytest.mark.parametrize("command, fields", [
+    ("train-tokenizer", ["recon", "vq"]), ("train-mim", ["loss", "acc"]),
+    ("train-align", ["total", "report", "ehr"])])
+def test_step_lines_name_each_trainer_field_in_order(pipeline, tmp_path,
+                                                     capsys, command, fields):
+    """The ``step`` lines the benchmark reads its losses from: ``step``, the
+    step, then each field's name and its value to 5 decimals, in this order,
+    on the first and on the last step."""
+    assert climod.main(pipeline["base"] + _trainer_argv(
+        pipeline, command, tmp_path / "out.npz")) == 0
+    lines = [line.split("\t") for line in capsys.readouterr().out.splitlines()
+             if line.startswith("step\t")]
+    n = json.loads(pipeline["config"].read_text())[
+        command.removeprefix("train-")]["steps"]
+    assert [int(f[1]) for f in (lines[0], lines[-1])] == [1, n]
+    for f in (lines[0], lines[-1]):
+        assert f[2::2] == fields
+        assert all(re.fullmatch(r"-?\d+\.\d{5}", v) for v in f[3::2])
 
 
 def _select_prompt_refuses(pipeline, tmp_path, capsys, option, value):

@@ -1,6 +1,7 @@
 """Cohort generator tests: determinism, the synthesis against its numpy.fft
 oracle, planted band power, EHR/report consistency, the waveform file format
-and the channel-availability codec it shares with ``.spc``."""
+and the channel-availability codec it shares with ``.spc``, which refuses
+more than 32 channels."""
 
 import dataclasses
 
@@ -247,6 +248,21 @@ def test_channel_mask_round_trip(n):
         assert 0 <= mask < 1 << 32
         assert mask == sum(1 << i for i in np.flatnonzero(available))
         assert np.array_equal(cohortgen.channel_flags(mask, n), available)
+
+
+def test_more_than_32_channels_are_refused_below_the_cli(tmp_path):
+    """A 33-channel session or spectrogram written directly is a
+    ``DataError`` naming the channel count, not a ``struct`` failure."""
+    available = np.ones(33, bool)
+    session = cohortgen.RawSession("s", "p", np.zeros((33, 8), np.float32),
+                                   available, 1.0, 8.0)
+    spec = dsp.Spectrogram(np.zeros((33, 2, 2), np.float32), 1.0, 1.0,
+                           available, -1.0, 1.0)
+    with pytest.raises(DataError, match="33 channels"):
+        cohortgen.write_session(tmp_path / "s.raw", session)
+    with pytest.raises(DataError, match="33 channels"):
+        dsp.write_spectrogram(tmp_path / "s.spc", spec)
+    assert not list(tmp_path.iterdir())
 
 
 def test_waveform_rejects_corruption(tmp_path):

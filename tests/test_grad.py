@@ -862,6 +862,14 @@ def _bowl():
     return params, lambda step: grad.l2(params["w"] + params["b"], target)
 
 
+def _with_row(loss_at):
+    """``loss_at`` as a ``grad.train`` step: the loss and its one-entry row."""
+    def step_loss(step):
+        loss = loss_at(step)
+        return loss, {"loss": float(loss.data)}
+    return step_loss
+
+
 def _hand_rolled(cfg, total, run):
     """``run`` steps of a ``total``-step AdamW + cosine + EMA schedule."""
     params, loss_at = _bowl()
@@ -878,11 +886,14 @@ def _hand_rolled(cfg, total, run):
 def test_train_matches_hand_rolled_loop():
     cfg = MimConfig(lr=0.05, warmup_steps=2, ema_decay=0.8, steps=6)
     params, loss_at = _bowl()
-    ema = grad.train(params, cfg, loss_at, "test")
+    ema, history = grad.train(params, cfg, _with_row(loss_at), "test")
     ref, ref_ema = _hand_rolled(cfg, 6, 6)
     for k in params:
         assert np.array_equal(params[k].data, ref[k].data)
         assert np.array_equal(ema.shadow[k], ref_ema.shadow[k])
+    # one row per step, each the step's own: step 0 is the untrained loss
+    assert len(history) == 6 and list(history[0]) == ["loss"]
+    assert history[0]["loss"] == float(_bowl()[1](0).data)
 
 
 def test_train_raises_before_updating_on_a_non_finite_loss(monkeypatch):
@@ -904,7 +915,7 @@ def test_train_raises_before_updating_on_a_non_finite_loss(monkeypatch):
         return loss * float("nan") if step == 2 else loss
 
     with pytest.raises(NumericError, match="Stage T loss at step 2"):
-        grad.train(params, cfg, nan_at_two, "Stage T")
+        grad.train(params, cfg, _with_row(nan_at_two), "Stage T")
     assert len(emas) == 1
     for k in params:
         assert np.array_equal(params[k].data, ref[k].data)
@@ -925,7 +936,7 @@ def test_train_holds_one_tape_at_a_time():
         alive.append(weakref.ref(fresh))
         return loss_at(step) + grad.sum_(grad.mul(params["w"], Tensor(fresh)))
 
-    grad.train(params, cfg, step_loss, "test")
+    grad.train(params, cfg, _with_row(step_loss), "test")
     assert len(alive) == cfg.steps and alive[-1]() is None
 
 

@@ -271,8 +271,8 @@ def test_stage1_learns_deterministic_successor():
     cfg = _cfg(d_model=64, n_heads=4, depth=2, dec_depth=2, batch_size=16,
                steps=300)
     result = mim.stage1_train(ids, patches, k, (4, 8), cfg, seed=13)
-    assert np.mean(result.masked_acc[-20:]) >= 5.0 / k
-    assert result.losses[-1] < result.losses[0]
+    assert np.mean([row["acc"] for row in result.history[-20:]]) >= 5.0 / k
+    assert result.history[-1]["loss"] < result.history[0]["loss"]
     # EMA shadow tracks every parameter
     assert set(result.ema.shadow) == set(result.model.named_parameters())
 
@@ -285,7 +285,7 @@ def test_stage1_dropout_is_seeded_and_applied():
     def losses(p):
         cfg = _cfg(d_model=32, n_heads=4, depth=1, dec_depth=1, batch_size=4,
                    dropout=p, steps=2)
-        return mim.stage1_train(ids, patches, 16, (4, 8), cfg, seed=5).losses
+        return mim.stage1_train(ids, patches, 16, (4, 8), cfg, seed=5).history
 
     assert losses(0.5) == losses(0.5)
     assert losses(0.5) != losses(0.0)
