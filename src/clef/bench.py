@@ -413,6 +413,7 @@ def run_task(task: TaskSpec, table: CohortTable,
                if (ys[name] == 1).sum() < cfg.min_positives]
     reasons += [f"no negatives in {name}" for name in ("val", "test")
                 if not (ys[name] == 0).any()]
+    reasons += ["no rows in train"] if not len(ys["train"]) else []
     if reasons:
         return TaskResult(task.task_id, task.axis, len(table.rows),
                           int((ys["test"] == 1).sum()),

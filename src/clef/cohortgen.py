@@ -334,18 +334,16 @@ def _patient_record(config: CohortConfig, phenotypes: list[PhenotypeSpec],
         medication_events=sorted(med_events, key=lambda e: (e.code, e.day)))
 
 
-def _validate(config: CohortConfig, phenotypes: list[PhenotypeSpec]) -> None:
-    if config.n_patients < 1:
-        raise DataError(f"n_patients must be positive, got {config.n_patients}")
-    if not phenotypes:
-        raise DataError("phenotype list is empty")
-    nyq = config.sample_rate / 2.0
-    for p in phenotypes:
-        p.validate(nyq, config.channel_names)
-
-
 def _patient_seeds(seed: int, n: int) -> list[np.random.SeedSequence]:
     return np.random.SeedSequence(seed).spawn(n)
+
+
+def _patient_rng(config: CohortConfig, ss: np.random.SeedSequence
+                 ) -> tuple[np.random.Generator, int]:
+    """A patient's rng and session day: the day is its first draw, so
+    ``session_days`` needs none of the record's later draws."""
+    rng = np.random.default_rng(ss)
+    return rng, int(rng.integers(400, config.session_day_range))
 
 
 def generate_records(config: CohortConfig, seed: int,
@@ -354,15 +352,17 @@ def generate_records(config: CohortConfig, seed: int,
     """All patient records (no waveforms), deterministic in (config, seed)."""
     if phenotypes is None:
         phenotypes = default_phenotypes(config.channel_names)
-    _validate(config, phenotypes)
+    if not phenotypes:
+        raise DataError("phenotype list is empty")
+    for p in phenotypes:
+        p.validate(config.sample_rate / 2.0, config.channel_names)
     seeds = _patient_seeds(seed, config.n_patients)
     # report presence flips an independent seeded coin
     report_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(
         config.n_patients + 1)[-1])
     records = []
     for i, ss in enumerate(seeds):
-        rng = np.random.default_rng(ss)
-        session_day = int(rng.integers(400, config.session_day_range))
+        rng, session_day = _patient_rng(config, ss)
         rec = _patient_record(config, phenotypes, i, rng, session_day)
         if report_rng.random() < config.report_fraction:
             rec.report = make_report_text(rec, phenotypes, rng)
@@ -393,12 +393,8 @@ def build_session(config: CohortConfig, record: PatientRecord,
 def session_days(config: CohortConfig, seed: int,
                  records: list[PatientRecord]) -> dict[str, int]:
     """Patient id -> session day, without synthesizing any waveform."""
-    seeds = _patient_seeds(seed, len(records))
-    out = {}
-    for rec, ss in zip(records, seeds):
-        rng = np.random.default_rng(ss)
-        out[rec.patient_id] = int(rng.integers(400, config.session_day_range))
-    return out
+    return {rec.patient_id: _patient_rng(config, ss)[1] for rec, ss in
+            zip(records, _patient_seeds(seed, len(records)))}
 
 
 def iter_sessions(config: CohortConfig, seed: int,

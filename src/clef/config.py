@@ -1,20 +1,16 @@
 """Configuration profiles.
 
-Every hyperparameter used anywhere in the pipeline has exactly one home
-here.  A profile is a named bundle of per-stage configs; ``desk`` is small
-enough to train end-to-end on a laptop CPU, the ``paper-*`` profiles carry
-the full-scale constants.
+Every hyperparameter of the pipeline has its one home here, but for three
+fixed in code: the tokenizer's Adam betas (0, 0.99) in ``vqtok``, the
+probe's (0.9, 0.999) in ``bench``, and every block's MLP width ratio,
+``mim.MLP_RATIO``.  A profile is a named bundle of per-stage configs;
+``desk`` is small enough to train end-to-end on a laptop CPU, the
+``paper-*`` profiles carry the full-scale constants.
 
 Profiles are overridden from one nested JSON file (``--config``), and
 from nothing else.  An unknown key, or a value whose JSON type differs from
-the default's (an int is accepted for a float), is a ``ConfigError``.
-``dsp.sample_rate``, ``dsp.freq_res_hz``, ``mim.pool_includes_proxy``,
-``tokenizer.codebook_data_init``, ``mim.patch_h``, ``mim.patch_w``,
-``cohort.n_channels``, ``align.ehr.n_dx``, ``align.ehr.n_med``,
-``mim.mlp_ratio`` (every block's MLP is ``mim.MLP_RATIO`` times d wide) and
-the three keys of the tokenizer's adversarial term, which is not reproduced
-(layer widths, weight clamp and start step; the README's "Configuration"
-names them), are gone and refused like any unknown key.
+the default's (an int is accepted for a float), is a ``ConfigError``, and
+so is every key that the README's "Configuration" lists as removed.
 ``name`` is refused too: a profile is named by ``--profile`` alone, so
 ``Profile`` has 88 settable leaves.
 
@@ -26,10 +22,11 @@ in ``paper-*``).
 The DSP has no sample rate of its own: it reads the rate from each
 session's ``.raw`` header, and its bin width is that rate / ``dsp.window``.
 
-The Stage I patch behind each token is the tokenizer's total stride, and a
-spectrogram that it does not tile is a ``ConfigError`` at ``load_profile``
-(exit 2).  The CLI refuses a ``.tok`` of another grid, or a token directory
-without a manifest, with exit 3.
+``check`` is the one home of the rules on profile values: at
+``load_profile`` (exit 2) it refuses every value that a stage cannot run
+on, and a spectrogram that the Stage I patch (the tokenizer's total
+stride) does not tile.  The CLI refuses a ``.tok`` of another grid, or a
+token directory without a manifest, with exit 3.
 """
 
 from __future__ import annotations
@@ -39,6 +36,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .errors import short_id
 
@@ -347,26 +345,42 @@ def load_profile(name: str, config_path: str | None = None) -> Profile:
     return check(profile)
 
 
+# (key, what it must be, predicate) for each value no stage can run on, in
+# order: a rule runs once all above it hold (n_heads >= 1 before d % n_heads)
+_RULES = [(key, "at least 1", lambda p, key=key: attrgetter(key)(p) >= 1)
+          for key in """cohort.n_patients dsp.stride dsp.k_max tokenizer.steps
+          tokenizer.batch_size mim.steps mim.batch_size mim.n_heads align.steps
+          align.batch_size align.n_heads align.text_max_len bench.probe_epochs
+          bench.probe_batch_size bench.n_seeds""".split()] + [
+    ("cohort.sample_rate", "positive", lambda p: p.cohort.sample_rate > 0),
+    ("cohort.channel_names", "at most 32 names (one uint32 in a header)",
+     lambda p: p.cohort.n_channels <= 32),
+    ("dsp.window", "at least 8 (a taper)", lambda p: p.dsp.window >= 8),
+    ("dsp.nw", "in (0, dsp.window / 2)",
+     lambda p: 0 < p.dsp.nw < p.dsp.window / 2),
+    ("tokenizer.codebook_size", "in [2, 65536] (a .tok id is a uint16)",
+     lambda p: 2 <= p.tokenizer.codebook_size <= 1 << 16),
+    ("tokenizer.level_channels", "as long as tokenizer.level_strides",
+     lambda p: len(p.tokenizer.level_channels) ==
+     len(p.tokenizer.level_strides)),
+    ("mim.n_heads", "a divisor of mim.d_model",
+     lambda p: p.mim.d_model % p.mim.n_heads == 0),
+    ("align.n_heads", "a divisor of mim.d_model",
+     lambda p: p.mim.d_model % p.align.n_heads == 0),
+    ("mim.mask_lo", "at most mim.mask_hi",
+     lambda p: p.mim.mask_lo <= p.mim.mask_hi),
+    ("bench.split_val", "below 1 - bench.split_test (a train split)",
+     lambda p: p.bench.split_val + p.bench.split_test < 1)]
+
+
 def check(profile: Profile) -> Profile:
-    """``profile`` if every stage can run on it; else a ``ConfigError`` that
-    names the key: a step count below 1, more than 32 channels (a ``.raw``
-    or ``.spc`` header holds their availability in one uint32), a codebook
-    size outside [2, 65536] (a ``.tok`` stores indices as uint16), tokenizer
-    level lists of different lengths, or a spectrogram that the patch does
-    not tile."""
-    for section in ("tokenizer", "mim", "align"):
-        if (steps := getattr(profile, section).steps) < 1:
-            raise ConfigError(f"{section}.steps must be at least 1, got {steps}")
-    if (n := profile.cohort.n_channels) > 32:
-        raise ConfigError(f"cohort.channel_names has {n} channels, at most "
-                          "32 fit a session header")
-    tok = profile.tokenizer
-    if not 2 <= tok.codebook_size <= 1 << 16:
-        raise ConfigError("tokenizer.codebook_size must be in [2, 65536], "
-                          f"got {tok.codebook_size}")
-    if len(tok.level_channels) != len(tok.level_strides):
-        raise ConfigError(
-            f"tokenizer.level_channels has {len(tok.level_channels)} entries "
-            f"and tokenizer.level_strides {len(tok.level_strides)}")
+    """``profile`` if every stage can run on it (``_RULES``, then a
+    spectrogram that the patch tiles); else a ``ConfigError`` that names
+    the key.  Whether a DPSS taper passes ``dsp.eigen_threshold`` is known
+    only after the eigen-solve: ``dsp.compute_dpss`` refuses that."""
+    for key, needs, holds in _RULES:
+        if not holds(profile):
+            raise ConfigError(f"{key} must be {needs}, "
+                              f"got {attrgetter(key)(profile)}")
     profile.grid_shape
     return profile

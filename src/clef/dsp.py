@@ -17,7 +17,7 @@ from scipy import signal
 from scipy.linalg import eigh_tridiagonal
 
 from .cohortgen import channel_flags, channel_mask
-from .config import DspConfig
+from .config import ConfigError, DspConfig
 from .errors import DataError
 
 
@@ -131,12 +131,10 @@ def compute_dpss(length: int, nw: float, k_max: int,
     Tapers are eigenvectors of the standard symmetric tridiagonal Slepian
     operator, re-orthonormalized; concentrations are computed directly
     against the ideal band-limiting (sinc) kernel.  Exactly the tapers with
-    concentration > ``retain_threshold`` are kept, capped at ``k_max``.
+    concentration > ``retain_threshold`` are kept, capped at ``k_max``;
+    keeping none is a ``ConfigError``, the one profile rule that needs this
+    eigen-solve (``config.check`` holds the length and ``nw`` rules).
     """
-    if length < 8:
-        raise DataError(f"taper length {length} < 8")
-    if not 0.0 < nw < length / 2.0:
-        raise DataError(f"time-halfbandwidth {nw} outside (0, {length / 2})")
     w = nw / length
     n = np.arange(length)
     diag = ((length - 1 - 2.0 * n) / 2.0) ** 2 * np.cos(2.0 * np.pi * w)
@@ -148,25 +146,22 @@ def compute_dpss(length: int, nw: float, k_max: int,
     # re-orthonormalize (QR polish) and fix sign conventions
     q, r = np.linalg.qr(tapers.T)
     tapers = (q * np.sign(np.diag(r))).T
-    for k in range(tapers.shape[0]):
-        v = tapers[k]
-        if k % 2 == 0:                           # symmetric: positive mean
-            if v.sum() < 0:
-                tapers[k] = -v
-        else:                                    # antisymmetric: positive start
-            if v[: length // 2].sum() < 0:
-                tapers[k] = -v
+    for k, v in enumerate(tapers):
+        # symmetric (even k): positive mean; antisymmetric: positive start
+        if (v if k % 2 == 0 else v[: length // 2]).sum() < 0:
+            tapers[k] = -v
     # concentration against the ideal [-W, W] band-limiting kernel
-    concentrations = np.empty(tapers.shape[0])
     diff = n[:, None] - n[None, :]
     with np.errstate(invalid="ignore", divide="ignore"):
         kernel = np.sin(2.0 * np.pi * w * diff) / (np.pi * diff)
     kernel[np.arange(length), np.arange(length)] = 2.0 * w
-    for k, v in enumerate(tapers):
-        concentrations[k] = v @ kernel @ v
+    concentrations = np.array([v @ kernel @ v for v in tapers])
     order = np.argsort(concentrations)[::-1]
     tapers, concentrations = tapers[order], concentrations[order]
     keep = concentrations > retain_threshold
+    if not keep.any():
+        raise ConfigError("no DPSS taper passes dsp.eigen_threshold "
+                          f"{retain_threshold} at dsp.nw {nw}")
     tapers, concentrations = tapers[keep][:k_max], concentrations[keep][:k_max]
     return TaperSet(tapers=np.ascontiguousarray(tapers),
                     concentrations=concentrations)

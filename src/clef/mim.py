@@ -39,8 +39,6 @@ class MaskPlan:
 def sample_mask_ratio(mu: float, sigma: float, lo: float, hi: float,
                       rng: np.random.Generator) -> float:
     """Truncated Gaussian by rejection (exact, not clipped)."""
-    if not lo <= hi:
-        raise DataError(f"mask ratio bounds [{lo}, {hi}] invalid")
     if lo == hi:
         return float(lo)
     for _ in range(10_000):
@@ -76,8 +74,6 @@ class _Attention(grad.Module):
     """The attention weights of a ``_Block``, named ``attn.w*``."""
 
     def __init__(self, d: int, n_heads: int, rng):
-        if d % n_heads:
-            raise DataError(f"d_model {d} not divisible by {n_heads} heads")
         self.n_heads = n_heads
         self.wq = grad.param((d, d), rng)
         self.wk = grad.param((d, d), rng)

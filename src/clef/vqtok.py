@@ -29,8 +29,6 @@ class TokenGrid:
 
 class Codebook(grad.Module):
     def __init__(self, k: int, dim: int, rng: np.random.Generator):
-        if k < 2:
-            raise DataError(f"codebook size {k} < 2")
         self.entries = grad.param((k, dim), rng, scale=0.1)
 
     @property

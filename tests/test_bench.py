@@ -410,6 +410,24 @@ def test_run_task_skips_split_without_negatives(empty):
         "fewer than 2 positives in test"
 
 
+def test_run_task_skips_a_table_without_train_rows():
+    """Every matched row in val or test leaves no probe to train: the task
+    is skipped, where the probe used to meet 64-wide rows with a 1-wide
+    head; a shortfall in val or test keeps its reason first."""
+    rows = [bench.Row(f"p{i}", lab, i, split) for i, (lab, split) in
+            enumerate(zip([1, 1, 0] * 2, ["val"] * 3 + ["test"] * 3))]
+    table = bench.CohortTable("t", rows)
+    task = bench.TaskSpec("t", "disease", codes=frozenset({"dx"}))
+    emb = {r.patient_id: np.full(64, float(i), dtype=np.float32)
+           for i, r in enumerate(rows)}
+    cfg = BenchConfig(probe_hidden=4, probe_epochs=1, n_seeds=1)
+    result = bench.run_task(task, table, emb, cfg, seed_base=0)
+    assert result.skipped == "no rows in train" and result.n_rows == 6
+    rows[0].label = 0
+    assert bench.run_task(task, table, emb, cfg, 0).skipped == \
+        "fewer than 2 positives in val"
+
+
 # ---------------------------------------------------------------------------
 # cohort-scale run
 

@@ -11,9 +11,10 @@ artifacts, sessions shorter than one DSP window or with a band edge above
 their Nyquist frequency, one filter design per sample rate, non-finite probe
 embeddings and tokenizer latents, directory stages that replace an earlier
 run's files, checkpoint paths without ".npz", manifests that refuse a
-missing output, the 32-channel limit, manifest reproducibility, seed
-splitting, config schema completeness, the shape walk of every profile and
-each profile's settings."""
+missing output, the 32-channel limit and every other profile value that
+no stage runs on, a DPSS threshold that no taper passes, manifest
+reproducibility, seed splitting, config schema completeness, the shape walk
+and ``config.check`` of every profile and each profile's settings."""
 
 import dataclasses
 import json
@@ -754,6 +755,23 @@ def test_failed_dsp_rerun_removes_the_old_manifest(tmp_path):
     assert not (spec / "manifest.json").exists()
 
 
+def test_dsp_with_no_taper_above_the_threshold_exits_2(tmp_path, capsys):
+    """No DPSS taper at nw 2 is that concentrated: without the one rule that
+    needs the eigen-solve, dsp wrote all-NaN spectrograms and exited 0."""
+    base, cohort, _ = _four_patient_cohort(tmp_path)
+    strict = tmp_path / "strict.json"
+    strict.write_text(json.dumps({"cohort": {"n_patients": 4},
+                                  "dsp": {"eigen_threshold": 0.9999999}}))
+    spec = tmp_path / "spec"
+    assert climod.main(["--config", str(strict), "--seed", "3", "dsp",
+                        "--cohort", str(cohort), "--out", str(spec)]
+                       ) == climod.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "dsp.eigen_threshold" in err and "dsp.nw" in err
+    assert not list(spec.glob("*.spc"))
+    assert not (spec / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("command", ["dsp", "train-align", "select-prompt",
                                      "probe"])
 def test_failed_gen_cohort_rerun_is_refused(pipeline, tmp_path, monkeypatch,
@@ -1095,6 +1113,36 @@ def test_grid_that_does_not_tile_exits_2_at_load(tmp_path, capsys):
     assert not (tmp_path / "c").exists()
 
 
+@pytest.mark.parametrize("overrides, key", [
+    ({"cohort": {"sample_rate": 0}}, "cohort.sample_rate"),
+    ({"dsp": {"stride": 0}}, "dsp.stride"),
+    ({"dsp": {"k_max": 0}}, "dsp.k_max"),
+    ({"tokenizer": {"batch_size": 0}}, "tokenizer.batch_size"),
+    ({"mim": {"batch_size": 0}}, "mim.batch_size"),
+    ({"align": {"batch_size": 0}}, "align.batch_size"),
+    ({"align": {"text_max_len": 0}}, "align.text_max_len"),
+    ({"mim": {"n_heads": 3}}, "mim.n_heads"),
+    ({"mim": {"n_heads": 0}}, "mim.n_heads"),
+    ({"align": {"n_heads": 3}}, "align.n_heads"),
+    ({"bench": {"probe_batch_size": 0}}, "bench.probe_batch_size"),
+    ({"bench": {"probe_epochs": 0}}, "bench.probe_epochs"),
+    ({"bench": {"n_seeds": 0}}, "bench.n_seeds"),
+    ({"bench": {"split_val": 0.5, "split_test": 0.5}}, "bench.split_val"),
+])
+def test_value_no_stage_runs_on_exits_2_at_load(tmp_path, capsys, overrides,
+                                                 key):
+    """Each value once passed the load and then failed in a stage: a
+    division by zero at load, a crash (exit 1 or 4), a "data error" (exit 3)
+    or NaN AUROCs under exit 0.  ``config.check`` refuses it by name before
+    any stage runs, and a head count below 1 before it divides by it."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(overrides))
+    assert climod.main(["--config", str(bad), "gen-cohort",
+                        "--out", str(tmp_path / "c")]) == climod.EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
 def test_exit_codes(tmp_path, capsys):
     # unknown profile: usage error
     assert climod.main(["--profile", "nope", "gen-cohort",
@@ -1277,11 +1325,12 @@ def test_config_schema_completeness(path):
 
 
 def test_profiles_all_buildable():
-    """Every profile's geometry, walked through the tokenizer's conv
-    arithmetic (kernel 3, padding 1) without allocating a weight, and its
-    code vocabularies: 20/20 at desk, the paper's 178/205 at full scale."""
+    """Every profile passes ``config.check``; its geometry, walked through
+    the tokenizer's conv arithmetic (kernel 3, padding 1) without allocating
+    a weight, and its code vocabularies: 20/20 at desk, the paper's 178/205
+    at full scale."""
     for name in cfgmod.PROFILE_NAMES:
-        profile = cfgmod.get_profile(name)
+        profile = cfgmod.check(cfgmod.get_profile(name))
         assert profile.content_hash()
         phenotypes = cohortgen.default_phenotypes(profile.cohort.channel_names)
         dx, med = cohortgen.vocabularies(profile.cohort, phenotypes)

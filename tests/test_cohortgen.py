@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from clef import cohortgen, dsp
-from clef.config import CohortConfig, DspConfig
+from clef.config import (CohortConfig, ConfigError, DspConfig,
+                         apply_overrides, check, get_profile)
 from clef.errors import DataError
 
 
@@ -25,6 +26,21 @@ def test_records_deterministic():
         assert ra == rb
     c, _ = cohortgen.generate_records(cfg, seed=6)
     assert any(ra != rc for ra, rc in zip(a, c))
+
+
+def test_session_days_are_the_days_the_records_drew(monkeypatch):
+    """The labels in ``days.json`` read each patient's session day without
+    regenerating the record: the day its events were drawn around."""
+    drawn, patient_record = {}, cohortgen._patient_record
+
+    def spy(config, phenotypes, i, rng, day):
+        drawn[i] = day
+        return patient_record(config, phenotypes, i, rng, day)
+    monkeypatch.setattr(cohortgen, "_patient_record", spy)
+    cfg = _small_cfg()
+    records, _ = cohortgen.generate_records(cfg, seed=5)
+    assert cohortgen.session_days(cfg, 5, records) == {
+        r.patient_id: drawn[i] for i, r in enumerate(records)}
 
 
 def _sessions(cfg, seed):
@@ -220,8 +236,9 @@ def test_phenotype_validation():
         report_phrases=("x",), prevalence=0.1)
     with pytest.raises(DataError):
         cohortgen.generate_records(cfg, seed=0, phenotypes=[bad])
-    with pytest.raises(DataError):
-        cohortgen.generate_records(CohortConfig(n_patients=0), seed=0)
+    with pytest.raises(ConfigError, match="cohort.n_patients"):
+        check(apply_overrides(get_profile("desk"),
+                              {"cohort": {"n_patients": 0}}))
 
 
 def test_waveform_roundtrip(tmp_path):

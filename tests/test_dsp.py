@@ -15,7 +15,8 @@ from scipy import signal
 from scipy.signal import windows
 
 from clef import dsp
-from clef.config import DspConfig
+from clef.config import ConfigError, DspConfig, apply_overrides, check, \
+    get_profile
 from clef.cohortgen import RawSession
 from clef.errors import DataError
 
@@ -72,10 +73,13 @@ def test_dpss_various_lengths():
 
 
 def test_dpss_rejects_bad_args():
-    with pytest.raises(DataError):
-        dsp.compute_dpss(4, 2.0, 4, 0.9)
-    with pytest.raises(DataError):
-        dsp.compute_dpss(800, 0.0, 4, 0.9)
+    """A taper shorter than 8 and a time-halfbandwidth outside
+    (0, window / 2) are refused when the profile loads."""
+    for dsp_overrides, key in (({"window": 4}, "dsp.window"),
+                               ({"nw": 0.0}, "dsp.nw"),
+                               ({"nw": 400.0}, "dsp.nw")):
+        with pytest.raises(ConfigError, match=key):
+            check(apply_overrides(get_profile("desk"), {"dsp": dsp_overrides}))
 
 
 # ---------------------------------------------------------------------------

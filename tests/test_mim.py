@@ -8,7 +8,8 @@ import pytest
 from scipy import integrate
 
 from clef import grad, mim
-from clef.config import MimConfig
+from clef.config import ConfigError, MimConfig, apply_overrides, check, \
+    get_profile
 from clef.errors import DataError
 
 
@@ -65,8 +66,10 @@ def test_mask_plan_invariants():
 
 
 def test_bad_bounds_rejected():
-    with pytest.raises(DataError):
-        mim.sample_mask_ratio(0.5, 0.1, 0.9, 0.2, np.random.default_rng(0))
+    """Mask bounds with lo > hi are refused when the profile loads."""
+    with pytest.raises(ConfigError, match="mim.mask_lo"):
+        check(apply_overrides(get_profile("desk"), {
+            "mim": {"mask_lo": 0.9, "mask_hi": 0.2}}))
 
 
 # ---------------------------------------------------------------------------
