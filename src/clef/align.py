@@ -38,8 +38,8 @@ class HashedNgramProvider:
 
     dim = 768
 
-    def __init__(self, seed: int = 1234):
-        rng = np.random.default_rng(seed)
+    def __init__(self):
+        rng = np.random.default_rng(1234)
         self.projection = rng.normal(
             0.0, 1.0 / np.sqrt(self.dim), size=(self.dim, self.dim)
         ).astype(np.float32)
@@ -224,6 +224,7 @@ def report_embed(texts: list[str], provider: HashedNgramProvider,
 
 @dataclass
 class AlignBatch:
+    """Stage II inputs, one row per record; ``take`` slices a step's rows."""
     ids: np.ndarray             # (B, N) token grids
     patches: np.ndarray         # (B, N, P)
     texts: list[str]            # "" where absent
@@ -231,28 +232,23 @@ class AlignBatch:
     ehr: np.ndarray             # (B, S) ``ehr_slots`` ids
     ehr_mask: np.ndarray        # (B, S)
 
-
-@dataclass
-class AlignRows:
-    """Per-record Stage II inputs: row i of ``ids``, ``patches`` and ``ehr``
-    belongs to ``records[i]``, whose codes ``ehr`` reads through ``vocab``."""
-    records: list
-    ids: np.ndarray             # (R, N)
-    patches: np.ndarray         # (R, N, P)
-    vocab: Vocab
-    slots: EhrSlotConfig
-
-    def __post_init__(self):
-        self.ehr, self.ehr_mask = ehr_slots(self.records, self.vocab,
-                                            self.slots)
-
-    def batch(self, rows: np.ndarray) -> AlignBatch:
+    def take(self, rows: np.ndarray) -> AlignBatch:
         return AlignBatch(
             ids=self.ids[rows], patches=self.patches[rows],
-            texts=[self.records[i].report or "" for i in rows],
-            report_present=np.array([self.records[i].report is not None
-                                     for i in rows]),
+            texts=[self.texts[i] for i in rows],
+            report_present=self.report_present[rows],
             ehr=self.ehr[rows], ehr_mask=self.ehr_mask[rows])
+
+
+def align_rows(records, ids: np.ndarray, patches: np.ndarray, vocab: Vocab,
+               slots: EhrSlotConfig) -> AlignBatch:
+    """The table of ``records``: row i of ``ids`` (R, N) and ``patches``
+    (R, N, P) is ``records[i]``'s, whose codes ``vocab`` indexes."""
+    ehr, ehr_mask = ehr_slots(records, vocab, slots)
+    return AlignBatch(
+        ids=ids, patches=patches, texts=[r.report or "" for r in records],
+        report_present=np.array([r.report is not None for r in records]),
+        ehr=ehr, ehr_mask=ehr_mask)
 
 
 def stage2_step(align_model: AlignModel, provider: HashedNgramProvider,
@@ -293,16 +289,16 @@ class Stage2Result:
 
 
 def stage2_train(encoder: mim.SessionEncoder, provider: HashedNgramProvider,
-                 rows: AlignRows, cfg: AlignConfig, seed: int) -> Stage2Result:
+                 rows: AlignBatch, vocab: Vocab, cfg: AlignConfig,
+                 seed: int) -> Stage2Result:
     """``grad.train`` over an alignment model around ``encoder`` (Stage I
-    weights on entry); each step's batch is ``cfg.batch_size`` of ``rows``,
-    drawn uniformly with replacement."""
+    weights on entry) whose EHR tables are ``vocab``'s; each step's batch
+    is ``cfg.batch_size`` of ``rows``, drawn uniformly with replacement."""
     rng = np.random.default_rng(seed)
-    align_model = AlignModel(cfg, encoder, rows.vocab, rng)
+    align_model = AlignModel(cfg, encoder, vocab, rng)
 
     def step_loss(step):
-        batch = rows.batch(rng.integers(0, len(rows.records),
-                                        size=cfg.batch_size))
+        batch = rows.take(rng.integers(0, len(rows.ids), size=cfg.batch_size))
         return stage2_step(align_model, provider, batch, rng)
 
     ema, history = grad.train(align_model.named_parameters(), cfg, step_loss,

@@ -166,7 +166,6 @@ class Row:
 class CohortTable:
     task_id: str
     rows: list[Row] = field(default_factory=list)
-    unmatched_cases: list[str] = field(default_factory=list)
 
 
 def match_controls(task_id: str, cases: list[str], pool: list[str],
@@ -185,8 +184,7 @@ def match_controls(task_id: str, cases: list[str], pool: list[str],
         eligible = [p for p in by_cell.get(covariates(records_by_id[case]), [])
                     if p not in used]
         take = min(k, len(eligible))
-        if take == 0:
-            table.unmatched_cases.append(case)
+        if take == 0:  # the case keeps a group without controls
             continue
         picked = rng.choice(eligible, size=take, replace=False)
         for pid in sorted(picked):
@@ -328,7 +326,6 @@ class ProbeHead(grad.Module):
 class ProbeMetrics:
     auroc: float
     bacc: float
-    threshold: float
 
 
 def train_probe(x_train: np.ndarray, y_train: np.ndarray,
@@ -362,8 +359,7 @@ def evaluate_probe(head: ProbeHead, x_val, y_val, x_test, y_test) -> ProbeMetric
     threshold = bacc_threshold(head.scores(x_val), y_val)
     test_scores = head.scores(x_test)
     return ProbeMetrics(auroc=auroc(test_scores, y_test),
-                        bacc=balanced_accuracy(test_scores, y_test, threshold),
-                        threshold=threshold)
+                        bacc=balanced_accuracy(test_scores, y_test, threshold))
 
 
 # ---------------------------------------------------------------------------

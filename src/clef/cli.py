@@ -446,10 +446,10 @@ def train_align_cmd(cohort_dir, tok_dir, spec_dir, init_path, out):
         records, ids, patches, encoder = _cohort_encoder(
             profile, cohort_dir, tok_dir, spec_dir, ckpt)
         phenotypes = cohortgen.default_phenotypes(profile.cohort.channel_names)
-        rows = align.AlignRows(records, ids, patches, cohortgen.vocabularies(
-            profile.cohort, phenotypes), profile.align.ehr)
+        vocab = cohortgen.vocabularies(profile.cohort, phenotypes)
+        rows = align.align_rows(records, ids, patches, vocab, profile.align.ehr)
         result = align.stage2_train(encoder, align.HashedNgramProvider(),
-                                    rows, profile.align, seed)
+                                    rows, vocab, profile.align, seed)
         _echo_steps(result.history)
         grad.save_checkpoint(
             out, result.align_model.named_parameters(), ema=result.ema,

@@ -95,10 +95,8 @@ class PatientRecord:
 @dataclass
 class RawSession:
     session_id: str
-    patient_id: str
     samples: np.ndarray           # (C, T) float32 microvolts
     channel_available: np.ndarray  # (C,) bool
-    duration_s: float
     sample_rate: float
 
 
@@ -346,14 +344,10 @@ def _patient_rng(config: CohortConfig, ss: np.random.SeedSequence
     return rng, int(rng.integers(400, config.session_day_range))
 
 
-def generate_records(config: CohortConfig, seed: int,
-                     phenotypes: list[PhenotypeSpec] | None = None,
+def generate_records(config: CohortConfig, seed: int
                      ) -> tuple[list[PatientRecord], list[PhenotypeSpec]]:
-    """All patient records (no waveforms), deterministic in (config, seed)."""
-    if phenotypes is None:
-        phenotypes = default_phenotypes(config.channel_names)
-    if not phenotypes:
-        raise DataError("phenotype list is empty")
+    """Records (no waveforms) and phenotypes, deterministic in (config, seed)."""
+    phenotypes = default_phenotypes(config.channel_names)
     for p in phenotypes:
         p.validate(config.sample_rate / 2.0, config.channel_names)
     seeds = _patient_seeds(seed, config.n_patients)
@@ -384,10 +378,8 @@ def build_session(config: CohortConfig, record: PatientRecord,
     avail = np.ones(config.n_channels, dtype=bool)
     if config.n_channels > 1 and rng.random() < 0.05:
         avail[int(rng.integers(0, config.n_channels))] = False
-    return RawSession(
-        session_id=record.session_id, patient_id=record.patient_id,
-        samples=samples, channel_available=avail,
-        duration_s=config.duration_s, sample_rate=config.sample_rate)
+    return RawSession(session_id=record.session_id, samples=samples,
+                      channel_available=avail, sample_rate=config.sample_rate)
 
 
 def session_days(config: CohortConfig, seed: int,
@@ -478,7 +470,7 @@ def write_session(path, session: RawSession) -> None:
         fh.write(np.ascontiguousarray(session.samples, dtype="<f4").tobytes())
 
 
-def read_session(path, session_id: str = "", patient_id: str = "") -> RawSession:
+def read_session(path) -> RawSession:
     with open(path, "rb") as fh:
         raw = fh.read(_RAW_HEADER.size)
         if len(raw) < _RAW_HEADER.size:
@@ -495,7 +487,5 @@ def read_session(path, session_id: str = "", patient_id: str = "") -> RawSession
     avail = channel_flags(mask, c)
     if not avail.any():
         raise DataError(f"{path}: no available channels")
-    return RawSession(session_id=session_id or str(path),
-                      patient_id=patient_id,
-                      samples=samples.reshape(c, t).copy(),
-                      channel_available=avail, duration_s=t / fs, sample_rate=fs)
+    return RawSession(session_id=str(path), samples=samples.reshape(c, t).copy(),
+                      channel_available=avail, sample_rate=fs)

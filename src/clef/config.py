@@ -287,7 +287,7 @@ _BUILDERS = {
 PROFILE_NAMES = tuple(_BUILDERS)
 
 
-def get_profile(name: str = "desk") -> Profile:
+def get_profile(name: str) -> Profile:
     try:
         builder = _BUILDERS[name]
     except KeyError:
@@ -331,7 +331,7 @@ def apply_overrides(profile: Profile, overrides: dict) -> Profile:
     return profile
 
 
-def load_profile(name: str, config_path: str | None = None) -> Profile:
+def load_profile(name: str, config_path: str | None) -> Profile:
     profile = get_profile(name)
     if config_path:
         with open(config_path) as fh:
@@ -349,8 +349,9 @@ def load_profile(name: str, config_path: str | None = None) -> Profile:
 # order: a rule runs once all above it hold (n_heads >= 1 before d % n_heads)
 _RULES = [(key, "at least 1", lambda p, key=key: attrgetter(key)(p) >= 1)
           for key in """cohort.n_patients dsp.stride dsp.k_max tokenizer.steps
-          tokenizer.batch_size mim.steps mim.batch_size mim.n_heads align.steps
-          align.batch_size align.n_heads align.text_max_len bench.probe_epochs
+          tokenizer.batch_size tokenizer.latent_dim mim.steps mim.batch_size
+          mim.d_model mim.n_heads align.steps align.batch_size align.n_heads
+          align.text_max_len bench.probe_hidden bench.probe_epochs
           bench.probe_batch_size bench.n_seeds""".split()] + [
     ("cohort.sample_rate", "positive", lambda p: p.cohort.sample_rate > 0),
     ("cohort.channel_names", "at most 32 names (one uint32 in a header)",
@@ -363,6 +364,8 @@ _RULES = [(key, "at least 1", lambda p, key=key: attrgetter(key)(p) >= 1)
     ("tokenizer.level_channels", "as long as tokenizer.level_strides",
      lambda p: len(p.tokenizer.level_channels) ==
      len(p.tokenizer.level_strides)),
+    ("tokenizer.level_channels", "at least 1 in every entry",
+     lambda p: all(c >= 1 for c in p.tokenizer.level_channels)),
     ("mim.n_heads", "a divisor of mim.d_model",
      lambda p: p.mim.d_model % p.mim.n_heads == 0),
     ("align.n_heads", "a divisor of mim.d_model",

@@ -102,7 +102,7 @@ def zero_phase(sos: np.ndarray, zi: np.ndarray, x: np.ndarray,
     return y[::-1][padlen:padlen + x.size]
 
 
-def preprocess(session, cfg: DspConfig, bank: FilterBank | None = None):
+def preprocess(session, cfg: DspConfig, bank: FilterBank):
     """Zero-phase (forward-backward) filtering of every available channel.
 
     Returns a new session of identical shape; unavailable channels are passed
@@ -111,7 +111,7 @@ def preprocess(session, cfg: DspConfig, bank: FilterBank | None = None):
     samples = np.asarray(session.samples, dtype=np.float64)
     if not np.all(np.isfinite(samples)):
         raise DataError(f"session {session.session_id}: non-finite samples")
-    sos, zi = (bank or FilterBank(cfg)).get(session)
+    sos, zi = bank.get(session)
     # the low-edge highpass has a multi-second time constant; pad generously
     padlen = min(samples.shape[1] - 1,
                  int(3.0 * session.sample_rate / max(cfg.band_lo_hz, 1e-3)))
@@ -219,7 +219,7 @@ def _require_window(session, cfg: DspConfig) -> None:
 
 
 def session_spectrogram(session, cfg: DspConfig, tapers: TaperSet,
-                        bank: FilterBank | None = None) -> Spectrogram:
+                        bank: FilterBank) -> Spectrogram:
     """Preprocess + multitaper in one call (the standard path)."""
     _require_window(session, cfg)  # before the filter, which needs samples
     filtered = preprocess(session, cfg, bank)

@@ -343,7 +343,7 @@ def transpose(a, axes) -> Tensor:
     return _make(a.data.transpose(axes), [(a, lambda g: g.transpose(inv))])
 
 
-def concat(tensors: Sequence, axis: int = 0) -> Tensor:
+def concat(tensors: Sequence, axis: int) -> Tensor:
     ts = [_wrap(t) for t in tensors]
     data = np.concatenate([t.data for t in ts], axis=axis)
     sizes = [t.data.shape[axis] for t in ts]
@@ -418,7 +418,7 @@ def matmul(a, b) -> Tensor:
 # normalization / activation blocks
 
 
-def _softmax_(s: np.ndarray, axis: int = -1) -> np.ndarray:
+def _softmax_(s: np.ndarray, axis: int) -> np.ndarray:
     """Softmax of ``s`` along ``axis``, computed in place."""
     s -= s.max(axis=axis, keepdims=True)
     np.exp(s, out=s)
@@ -426,7 +426,7 @@ def _softmax_(s: np.ndarray, axis: int = -1) -> np.ndarray:
     return s
 
 
-def _softmax_vjp_(p: np.ndarray, g: np.ndarray, axis: int = -1) -> np.ndarray:
+def _softmax_vjp_(p: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
     """Pull ``g`` back through ``p = softmax(s)`` in place: p·(g − Σ g·p)."""
     dot = np.einsum("...i,...i->...",
                     np.moveaxis(g, axis, -1), np.moveaxis(p, axis, -1))
@@ -435,20 +435,21 @@ def _softmax_vjp_(p: np.ndarray, g: np.ndarray, axis: int = -1) -> np.ndarray:
     return g
 
 
-def softmax(a, axis: int = -1) -> Tensor:
+def softmax(a, axis: int) -> Tensor:
     a = _wrap(a)
     data = _softmax_(a.data.copy(), axis)
     return _make(data, [
         (a, lambda g: _softmax_vjp_(data, np.array(g, dtype=data.dtype), axis))])
 
 
-def _layernorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-               eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``layernorm``'s forward on arrays: the output, x̂ and 1/σ."""
+def _layernorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``layernorm``'s forward on arrays, with 1e-5 added to the variance:
+    the output, x̂ and 1/σ."""
     dt = x.dtype
     xhat = x - x.mean(axis=-1, keepdims=True, dtype=np.float64).astype(dt)
     var = np.square(xhat).mean(axis=-1, keepdims=True, dtype=np.float64)
-    inv = (1.0 / np.sqrt(var + eps)).astype(dt)
+    inv = (1.0 / np.sqrt(var + 1e-5)).astype(dt)
     xhat *= inv
     return xhat * gamma + beta, xhat, inv
 
@@ -465,12 +466,12 @@ def _layernorm_vjp_x(g: np.ndarray, gamma: np.ndarray, xhat: np.ndarray,
     return gh
 
 
-def layernorm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
+def layernorm(x, gamma, beta) -> Tensor:
     """Normalize over the last axis, then scale and shift.  The mean and
     variance (and the VJP's two row means) accumulate in float64 and are
     cast to the input's dtype; every elementwise term stays in that dtype."""
     x, gamma, beta = _wrap(x), _wrap(gamma), _wrap(beta)
-    data, xhat, inv = _layernorm(x.data, gamma.data, beta.data, eps)
+    data, xhat, inv = _layernorm(x.data, gamma.data, beta.data)
     return _make(data, [
         (x, lambda g: _layernorm_vjp_x(g, gamma.data, xhat, inv)),
         (gamma, lambda g: _sum_to_shape(g * xhat, gamma.data.shape)),
@@ -536,7 +537,7 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     return np.matmul(np.swapaxes(p_heads, -1, -2), vd), backward
 
 
-def scaled_dot_attention(q, k, v, mask_bias=None) -> Tensor:
+def scaled_dot_attention(q, k, v, mask_bias) -> Tensor:
     """softmax(q k^T / sqrt(d) + bias) v over the last two axes, as one
     primitive (``_attention``).
 
@@ -549,9 +550,8 @@ def scaled_dot_attention(q, k, v, mask_bias=None) -> Tensor:
     return _make(out, _joint_vjps([q, k, v], backward))
 
 
-def transformer_block(x, weights: Sequence, n_heads: int, mask_bias=None,
-                      p_drop: float = 0.0,
-                      rng: np.random.Generator | None = None) -> Tensor:
+def transformer_block(x, weights: Sequence, n_heads: int, mask_bias,
+                      p_drop: float, rng: np.random.Generator | None) -> Tensor:
     """A pre-norm Transformer block over x (B, L, d) as one primitive:
 
         h   = x + drop(attention(LN1(x)·Wq, LN1(x)·Wk, LN1(x)·Wv)·Wo)
@@ -583,7 +583,7 @@ def transformer_block(x, weights: Sequence, n_heads: int, mask_bias=None,
             a *= keep
         return keep
 
-    h1, xhat1, inv1 = _layernorm(x.data, ln1_g, ln1_b, 1e-5)
+    h1, xhat1, inv1 = _layernorm(x.data, ln1_g, ln1_b)
     h1 = h1.reshape(-1, d)
     att, att_backward = _attention(
         *((h1 @ w).reshape(shape_heads).transpose(0, 2, 1, 3)
@@ -593,7 +593,7 @@ def transformer_block(x, weights: Sequence, n_heads: int, mask_bias=None,
     a = (att @ wo).reshape(x.shape)
     keep1 = drop(a)
     x1 = x.data + a
-    h2, xhat2, inv2 = _layernorm(x1, ln2_g, ln2_b, 1e-5)
+    h2, xhat2, inv2 = _layernorm(x1, ln2_g, ln2_b)
     h2 = h2.reshape(-1, d)
     f = w1.shape[1]
     z = (h2 @ w1).reshape(b, l, f)
@@ -651,15 +651,14 @@ def mean_pool_masked(x, mask) -> Tensor:
 # losses
 
 
-def l1(a, b=None) -> Tensor:
-    """Mean absolute value of ``a`` (or of ``a - b``)."""
-    t = a if b is None else _wrap(a) - _wrap(b)
-    return mean(abs_(t))
+def l1(a, b) -> Tensor:
+    """Mean absolute value of ``a - b``."""
+    return mean(abs_(_wrap(a) - _wrap(b)))
 
 
-def l2(a, b=None) -> Tensor:
-    """Mean squared value of ``a`` (or of ``a - b``)."""
-    t = a if b is None else _wrap(a) - _wrap(b)
+def l2(a, b) -> Tensor:
+    """Mean squared value of ``a - b``."""
+    t = _wrap(a) - _wrap(b)
     return mean(mul(t, t))
 
 
@@ -919,13 +918,13 @@ class AdamW:
     """
 
     def __init__(self, params: Iterable[Tensor], lr: float, beta1: float,
-                 beta2: float, weight_decay: float, eps: float = 1e-8):
+                 beta2: float, weight_decay: float):
         self.params = list(params)
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.weight_decay = weight_decay
-        self.eps = eps
+        self.eps = 1e-8
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -967,7 +966,7 @@ class AdamW:
 
 
 def cosine_lr(step: int, total_steps: int, base_lr: float,
-              warmup_steps: int = 0) -> float:
+              warmup_steps: int) -> float:
     if warmup_steps and step < warmup_steps:
         return base_lr * (step + 1) / warmup_steps
     span = max(total_steps - warmup_steps, 1)
@@ -1020,9 +1019,8 @@ def train(params: dict[str, Tensor], cfg, step_loss: Callable[[int], tuple],
 CHECKPOINT_VERSION = 1
 
 
-def save_checkpoint(path, params: dict[str, Tensor],
-                    ema: Ema | None = None,
-                    meta: dict | None = None) -> None:
+def save_checkpoint(path, params: dict[str, Tensor], meta: dict,
+                    ema: Ema | None = None) -> None:
     """Named-parameter table with an optional EMA shadow and a versioned
     JSON header, in an npz container."""
     arrays: dict[str, np.ndarray] = {}
@@ -1030,7 +1028,7 @@ def save_checkpoint(path, params: dict[str, Tensor],
         "version": CHECKPOINT_VERSION,
         "param_names": sorted(params),
         "has_ema": ema is not None,
-        "meta": meta or {},
+        "meta": meta,
     }
     for name, p in params.items():
         arrays[f"param/{name}"] = p.data

@@ -33,7 +33,6 @@ _NEG_BIAS = -1e9
 class MaskPlan:
     masked: np.ndarray   # (B, N) bool
     dropped: np.ndarray  # (B, N) bool, subset of masked
-    ratios: np.ndarray   # (B,) sampled mask ratios
 
 
 def sample_mask_ratio(mu: float, sigma: float, lo: float, hi: float,
@@ -49,21 +48,20 @@ def sample_mask_ratio(mu: float, sigma: float, lo: float, hi: float,
 
 
 def sample_mask_plan(n: int, cfg: MimConfig, rng: np.random.Generator,
-                     batch: int = 1) -> MaskPlan:
+                     batch: int) -> MaskPlan:
     """Independent per-sample plans over ``n`` positions."""
     masked = np.zeros((batch, n), dtype=bool)
     dropped = np.zeros((batch, n), dtype=bool)
-    ratios = np.empty(batch)
     for b in range(batch):
-        ratios[b] = sample_mask_ratio(cfg.mask_mu, cfg.mask_sigma,
-                                      cfg.mask_lo, cfg.mask_hi, rng)
-        chosen = rng.choice(n, size=min(int(np.ceil(ratios[b] * n)), n),
+        ratio = sample_mask_ratio(cfg.mask_mu, cfg.mask_sigma, cfg.mask_lo,
+                                  cfg.mask_hi, rng)
+        chosen = rng.choice(n, size=min(int(np.ceil(ratio * n)), n),
                             replace=False)
         masked[b, chosen] = True
         n_drop = int(chosen.size * cfg.r_drop)
         if n_drop:
             dropped[b, rng.choice(chosen, size=n_drop, replace=False)] = True
-    return MaskPlan(masked=masked, dropped=dropped, ratios=ratios)
+    return MaskPlan(masked=masked, dropped=dropped)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +137,7 @@ class SessionEncoder(grad.Module):
         self.coord_w = pos % w
 
     def embed(self, ids: np.ndarray, patches: np.ndarray,
-              plan: MaskPlan | None = None) -> grad.Tensor:
+              plan: MaskPlan | None) -> grad.Tensor:
         """Summed embeddings with the proxy token prepended -> (B, N+1, d).
 
         Masked-but-not-dropped positions are replaced by the learnable mask
@@ -164,13 +162,13 @@ class SessionEncoder(grad.Module):
         return grad.concat([proxy, x], axis=1)
 
     def encode(self, ids: np.ndarray, patches: np.ndarray,
-               plan: MaskPlan | None = None, keep: np.ndarray | None = None,
-               train_rng: np.random.Generator | None = None
+               plan: MaskPlan | None, keep: np.ndarray | None,
+               train_rng: np.random.Generator | None
                ) -> tuple[grad.Tensor, np.ndarray]:
         """Encoder output (B, N+1, d) and the (B, N+1) mask of the slots
         that attend, the proxy first.
 
-        ``keep`` (B, N): positions the encoder sees (default all); a plan's
+        ``keep`` (B, N): positions the encoder sees (None: all); a plan's
         dropped positions are left out as well."""
         b, n = ids.shape
         x = self.embed(ids, patches, plan)
@@ -248,7 +246,7 @@ def mim_forward(model: MimModel, ids: np.ndarray, patches: np.ndarray,
     """Stage I's forward: encode under ``plan``, then decode its masked
     positions against the weight-tied token table."""
     b, n = ids.shape
-    enc, _attends = model.eeg.encode(ids, patches, plan, train_rng=train_rng)
+    enc, _attends = model.eeg.encode(ids, patches, plan, None, train_rng)
     # decoder: fill masked and dropped slots with the projected proxy
     proxy_rep = grad.matmul(grad.getitem(enc, (slice(None), slice(0, 1))),
                             model.w_proxy) + model.b_proxy   # (B, 1, d)
@@ -305,7 +303,7 @@ def stage1_train(ids: np.ndarray, patches: np.ndarray, codebook_size: int,
 
     def step_loss(step):
         pick = batch_rng.integers(0, ids.shape[0], size=cfg.batch_size)
-        plan = sample_mask_plan(n, cfg, batch_rng, batch=cfg.batch_size)
+        plan = sample_mask_plan(n, cfg, batch_rng, cfg.batch_size)
         out = mim_forward(model, ids[pick], patches[pick], plan,
                           train_rng=batch_rng)
         loss = mim_loss(out.logits, out.targets, cfg.label_smoothing)

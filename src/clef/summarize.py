@@ -171,9 +171,9 @@ class ScoreResult:
     failures: int = 0
 
 
-def _with_retries(fn, retries: int):
-    """``(fn(), True)``, or ``(None, False)`` once every try has raised."""
-    for _ in range(retries + 1):
+def _with_retries(fn):
+    """``(fn(), True)``, or ``(None, False)`` once both tries have raised."""
+    for _ in range(2):
         try:
             return fn(), True
         except (OSError, RuntimeError):
@@ -182,8 +182,7 @@ def _with_retries(fn, retries: int):
 
 
 def qa_consistency(reports: list[str], questions: list[Question],
-                   candidate: Candidate, client: LlmClient,
-                   retries: int = 1) -> ScoreResult:
+                   candidate: Candidate, client: LlmClient) -> ScoreResult:
     """S(p, l): mean agreement between raw-report and summary answers.
 
     Failed client calls are retried, then counted as zero agreement.
@@ -197,7 +196,7 @@ def qa_consistency(reports: list[str], questions: list[Question],
     for report in reports:
         summary, ok = _with_retries(
             lambda: client.summarize(report, candidate.prompt,
-                                     candidate.max_tokens), retries)
+                                     candidate.max_tokens))
         if not ok:
             failures += 1
             continue  # every question disagrees for this report
@@ -206,7 +205,7 @@ def qa_consistency(reports: list[str], questions: list[Question],
                 a_raw = client.answer(report, q)
                 a_sum = client.answer(summary, q)
                 return agreement(a_raw, a_sum, q.kind, client)
-            sigma, ok = _with_retries(score_one, retries)
+            sigma, ok = _with_retries(score_one)
             if not ok:
                 failures += 1
                 sigma = 0.0

@@ -59,10 +59,11 @@ def spectra(cohort):
     t0 = time.time()
     tapers = dsp.compute_dpss(P.dsp.window, P.dsp.nw, P.dsp.k_max,
                               P.dsp.eigen_threshold)
+    bank = dsp.FilterBank(P.dsp)
     vals, avail = [], []
     for sess in cohortgen.iter_sessions(P.cohort, 0, cohort["records"],
                                         cohort["phenos"]):
-        gram = dsp.session_spectrogram(sess, P.dsp, tapers)
+        gram = dsp.session_spectrogram(sess, P.dsp, tapers, bank)
         vals.append(gram.values)
         avail.append(gram.channel_available)
     return {"values": np.stack(vals), "avail": np.stack(avail),
@@ -133,10 +134,11 @@ def stage2(cohort, tokens, stage1):
 
     t0 = time.time()
     provider = align.HashedNgramProvider()
-    rows = align.AlignRows(records, ids, patches,
-                           cohortgen.vocabularies(P.cohort, phenos), P.align.ehr)
-    res2 = align.stage2_train(res1.model.eeg, provider, rows, P.align, seed=7)
-    eval_batch = rows.batch(np.arange(0, len(records), 6)[:64])
+    vocab = cohortgen.vocabularies(P.cohort, phenos)
+    rows = align.align_rows(records, ids, patches, vocab, P.align.ehr)
+    res2 = align.stage2_train(res1.model.eeg, provider, rows, vocab, P.align,
+                              seed=7)
+    eval_batch = rows.take(np.arange(0, len(records), 6)[:64])
     top1 = align.retrieval_top1(res2.align_model, eval_batch)
     emb_align = _batched_embeddings(res1.model.eeg, ids, patches)
     return {"result": res2, "top1": top1, "emb_recon": emb_recon,
@@ -238,7 +240,7 @@ def test_dsp_taper_and_spectrogram_properties():
     n = int(40.0 * 200.0)
     t = np.arange(n) / 200.0
     sine = cohortgen.RawSession(
-        session_id="sine", patient_id="p", duration_s=40.0, sample_rate=200.0,
+        session_id="sine", sample_rate=200.0,
         samples=(10.0 * np.sin(2 * np.pi * 8.0 * t))[None, :].astype(np.float32),
         channel_available=np.array([True]))
     gram = dsp.multitaper_spectrogram(sine, tapers, cfg)
@@ -247,7 +249,7 @@ def test_dsp_taper_and_spectrogram_properties():
     rng = np.random.default_rng(0)
     sigma = 5.0
     noise = cohortgen.RawSession(
-        session_id="wn", patient_id="p", duration_s=160.0, sample_rate=200.0,
+        session_id="wn", sample_rate=200.0,
         samples=(sigma * rng.standard_normal(
             (1, int(160 * 200.0)))).astype(np.float32),
         channel_available=np.array([True]))
@@ -486,10 +488,11 @@ def test_concept_holdout_transfer(cohort, tokens, stage1, stage2):
     encoder = mim.SessionEncoder(P.tokenizer.codebook_size,
                                  tokens["patches"].shape[2], P.grid_shape,
                                  P.mim, np.random.default_rng(13))
-    rows = align.AlignRows(filtered, tokens["ids"], tokens["patches"],
-                           cohortgen.vocabularies(P.cohort, phenos), P.align.ehr)
+    vocab = cohortgen.vocabularies(P.cohort, phenos)
+    rows = align.align_rows(filtered, tokens["ids"], tokens["patches"], vocab,
+                            P.align.ehr)
     mim.load_encoder(encoder, res1.ema.shadow)
-    align.stage2_train(encoder, align.HashedNgramProvider(), rows,
+    align.stage2_train(encoder, align.HashedNgramProvider(), rows, vocab,
                        dataclasses.replace(P.align, steps=60), seed=19)
     emb = _batched_embeddings(encoder, tokens["ids"], tokens["patches"])
     task = bench.TaskSpec(task_id="disease/spindle_dropout", axis="disease",

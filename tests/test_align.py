@@ -354,15 +354,18 @@ def test_stage2_train_updates_and_ema():
     provider = align.HashedNgramProvider()
     b = _batch(np.random.default_rng(16))
     records, _ = generate_records(CohortConfig(n_patients=4), seed=16)
-    rows = align.AlignRows(records, b.ids, b.patches, VOCAB, acfg.ehr)
+    rows = align.align_rows(records, b.ids, b.patches, VOCAB, acfg.ehr)
     ehr, ehr_mask = align.ehr_slots(records, VOCAB, acfg.ehr)
     assert np.array_equal(rows.ehr, ehr) and np.array_equal(rows.ehr_mask,
                                                             ehr_mask)
-    batch = rows.batch(np.array([3, 1, 3]))
+    batch = rows.take(np.array([3, 1, 3]))
     assert np.array_equal(batch.ehr, ehr[[3, 1, 3]])
+    assert batch.texts == [records[i].report or "" for i in (3, 1, 3)]
+    assert list(batch.report_present) == [records[i].report is not None
+                                          for i in (3, 1, 3)]
 
     before = {k: p.data.copy() for k, p in encoder.named_parameters().items()}
-    result = align.stage2_train(encoder, provider, rows,
+    result = align.stage2_train(encoder, provider, rows, VOCAB,
                                 replace(acfg, steps=3), seed=17)
     assert len(result.history) == 3
     # the alignment model trains the encoder it was given, under eeg.*
@@ -383,7 +386,7 @@ def test_report_features_are_built_once_per_text(monkeypatch):
     provider = align.HashedNgramProvider()
     b = _batch(np.random.default_rng(16))
     records, _ = generate_records(CohortConfig(n_patients=4), seed=16)
-    rows = align.AlignRows(records, b.ids, b.patches, VOCAB, acfg.ehr)
+    rows = align.align_rows(records, b.ids, b.patches, VOCAB, acfg.ehr)
     texts, words = [], []
     embed, word_feature = (align.HashedNgramProvider.embed,
                            align.HashedNgramProvider._word_feature)
@@ -393,7 +396,7 @@ def test_report_features_are_built_once_per_text(monkeypatch):
     monkeypatch.setattr(align.HashedNgramProvider, "_word_feature",
                         lambda self, word: words.append(word)
                         or word_feature(self, word))
-    align.stage2_train(encoder, provider, rows, replace(acfg, steps=3),
+    align.stage2_train(encoder, provider, rows, VOCAB, replace(acfg, steps=3),
                        seed=17)
     monkeypatch.undo()
     assert len(texts) > len(set(texts)) > 0

@@ -173,8 +173,9 @@ def test_match_exact_covariates_and_cap():
         for r in controls:
             assert bench.covariates(by_id[r.patient_id]) == \
                 bench.covariates(by_id[case.patient_id])
-    # zero-eligible case kept with an empty group and logged
-    assert table.unmatched_cases == ["case_lonely"]
+    # the zero-eligible case is kept, alone in its group
+    assert [rows[0].patient_id for rows in groups.values()
+            if len(rows) == 1] == ["case_lonely"]
     lonely = [r for r in table.rows if r.patient_id == "case_lonely"]
     assert len(lonely) == 1 and lonely[0].label == 1
 

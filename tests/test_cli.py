@@ -1128,6 +1128,11 @@ def test_grid_that_does_not_tile_exits_2_at_load(tmp_path, capsys):
     ({"bench": {"probe_epochs": 0}}, "bench.probe_epochs"),
     ({"bench": {"n_seeds": 0}}, "bench.n_seeds"),
     ({"bench": {"split_val": 0.5, "split_test": 0.5}}, "bench.split_val"),
+    ({"mim": {"d_model": 0}}, "mim.d_model"),
+    ({"tokenizer": {"latent_dim": 0}}, "tokenizer.latent_dim"),
+    ({"tokenizer": {"level_channels": [16, 24, 0, 32, 32]}},
+     "tokenizer.level_channels"),
+    ({"bench": {"probe_hidden": 0}}, "bench.probe_hidden"),
 ])
 def test_value_no_stage_runs_on_exits_2_at_load(tmp_path, capsys, overrides,
                                                  key):
@@ -1281,7 +1286,7 @@ def test_env_variables_leave_profile_unchanged(monkeypatch, tmp_path):
     before = cfgmod.load_profile("desk", str(config)).content_hash()
     monkeypatch.setenv("CLEF_TOKENIZER__STEPS", "17")
     monkeypatch.setenv("CLEF_TOKENIZER__NOT_A_KNOB", "1")
-    assert cfgmod.load_profile("desk").tokenizer.steps == 200
+    assert cfgmod.load_profile("desk", None).tokenizer.steps == 200
     assert cfgmod.load_profile("desk", str(config)).content_hash() == before
 
 

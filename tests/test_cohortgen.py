@@ -55,7 +55,7 @@ def test_sessions_deterministic_and_streaming_equivalent():
     for rec, s, t in zip(records, sessions, again):
         assert np.array_equal(s.samples, t.samples)
         assert np.array_equal(s.channel_available, t.channel_available)
-        assert (s.session_id, s.patient_id) == (rec.session_id, rec.patient_id)
+        assert s.session_id == rec.session_id
 
 
 def test_session_seed_matches_per_session_spawn():
@@ -174,9 +174,10 @@ def test_visible_effect_survives_spectrogram():
                               dcfg.eigen_threshold)
 
     def band_mean(x):
-        sess = cohortgen.RawSession("s", "p", x, np.ones(cfg.n_channels, bool),
-                                    cfg.duration_s, cfg.sample_rate)
-        spec = dsp.session_spectrogram(sess, dcfg, tapers)
+        sess = cohortgen.RawSession("s", x, np.ones(cfg.n_channels, bool),
+                                    cfg.sample_rate)
+        spec = dsp.session_spectrogram(sess, dcfg, tapers,
+                                       dsp.FilterBank(dcfg))
         bins = slice(int(1.0 / spec.freq_res_hz), int(4.0 / spec.freq_res_hz))
         return spec.values[:, bins, :].mean()
 
@@ -235,7 +236,7 @@ def test_phenotype_validation():
         dx_codes=("dx_x",), med_codes=("med_x",),
         report_phrases=("x",), prevalence=0.1)
     with pytest.raises(DataError):
-        cohortgen.generate_records(cfg, seed=0, phenotypes=[bad])
+        bad.validate(cfg.sample_rate / 2.0, cfg.channel_names)
     with pytest.raises(ConfigError, match="cohort.n_patients"):
         check(apply_overrides(get_profile("desk"),
                               {"cohort": {"n_patients": 0}}))
@@ -248,8 +249,7 @@ def test_waveform_roundtrip(tmp_path):
     s.channel_available[3] = False
     path = tmp_path / "w.raw"
     cohortgen.write_session(path, s)
-    back = cohortgen.read_session(path, session_id=s.session_id,
-                                  patient_id=s.patient_id)
+    back = cohortgen.read_session(path)
     assert np.array_equal(back.samples, s.samples)
     assert np.array_equal(back.channel_available, s.channel_available)
     assert back.sample_rate == s.sample_rate
@@ -271,8 +271,8 @@ def test_more_than_32_channels_are_refused_below_the_cli(tmp_path):
     """A 33-channel session or spectrogram written directly is a
     ``DataError`` naming the channel count, not a ``struct`` failure."""
     available = np.ones(33, bool)
-    session = cohortgen.RawSession("s", "p", np.zeros((33, 8), np.float32),
-                                   available, 1.0, 8.0)
+    session = cohortgen.RawSession("s", np.zeros((33, 8), np.float32),
+                                   available, 8.0)
     spec = dsp.Spectrogram(np.zeros((33, 2, 2), np.float32), 1.0, 1.0,
                            available, -1.0, 1.0)
     with pytest.raises(DataError, match="33 channels"):

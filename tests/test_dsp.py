@@ -25,9 +25,8 @@ def _session(samples, fs=200.0, avail=None):
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float32))
     if avail is None:
         avail = np.ones(samples.shape[0], dtype=bool)
-    return RawSession(session_id="t", patient_id="p", samples=samples,
-                      channel_available=np.asarray(avail, bool),
-                      duration_s=samples.shape[1] / fs, sample_rate=fs)
+    return RawSession(session_id="t", samples=samples,
+                      channel_available=np.asarray(avail, bool), sample_rate=fs)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +94,7 @@ _LEN_S = 60.0
 def test_preprocess_removes_dc():
     fs = 200.0
     x = np.full(int(_LEN_S * fs), 5.0)
-    out = dsp.preprocess(_session(x, fs), DspConfig())
+    out = dsp.preprocess(_session(x, fs), DspConfig(), dsp.FilterBank(DspConfig()))
     trim = int(_TRIM_S * fs)
     assert np.abs(out.samples[0, trim:-trim]).max() < 1e-3
 
@@ -104,7 +103,7 @@ def test_preprocess_preserves_10hz_zero_phase():
     fs = 200.0
     t = np.arange(int(_LEN_S * fs)) / fs
     x = np.sin(2 * np.pi * 10.0 * t)
-    out = dsp.preprocess(_session(x, fs), DspConfig())
+    out = dsp.preprocess(_session(x, fs), DspConfig(), dsp.FilterBank(DspConfig()))
     trim = int(_TRIM_S * fs)
     y = out.samples[0, trim:-trim].astype(np.float64)
     ref = x[trim:-trim]
@@ -118,7 +117,7 @@ def test_preprocess_attenuates_line_noise():
     fs = 200.0
     t = np.arange(int(_LEN_S * fs)) / fs
     x = np.sin(2 * np.pi * 60.0 * t)
-    out = dsp.preprocess(_session(x, fs), DspConfig())
+    out = dsp.preprocess(_session(x, fs), DspConfig(), dsp.FilterBank(DspConfig()))
     trim = int(_TRIM_S * fs)
     y = out.samples[0, trim:-trim].astype(np.float64)
     atten_db = 20 * np.log10(np.sqrt(np.mean(x[trim:-trim] ** 2))
@@ -130,7 +129,7 @@ def test_preprocess_skips_unavailable_channels():
     fs = 200.0
     x = np.tile(np.full(int(10 * fs), 3.0, dtype=np.float32), (2, 1))
     sess = _session(x, fs, avail=[True, False])
-    out = dsp.preprocess(sess, DspConfig())
+    out = dsp.preprocess(sess, DspConfig(), dsp.FilterBank(DspConfig()))
     assert np.array_equal(out.samples[1], x[1])
     assert not np.array_equal(out.samples[0], x[0])
 
@@ -139,7 +138,7 @@ def test_preprocess_rejects_nonfinite():
     x = np.zeros(4000, dtype=np.float32)
     x[100] = np.nan
     with pytest.raises(DataError):
-        dsp.preprocess(_session(x), DspConfig())
+        dsp.preprocess(_session(x), DspConfig(), dsp.FilterBank(DspConfig()))
 
 
 def _preprocess_sosfiltfilt(session, cfg):
@@ -171,7 +170,7 @@ def test_preprocess_matches_sosfiltfilt_oracle(fs, seconds):
     x = (30.0 * rng.normal(size=(3, int(seconds * fs)))).astype(np.float32)
     sess = _session(x, fs, avail=[True, False, True])
     bank = dsp.FilterBank(cfg)
-    for shared in (None, bank, bank):
+    for shared in (bank, bank):
         out = dsp.preprocess(sess, cfg, shared)
         assert out.samples.dtype == np.float32
         assert np.array_equal(out.samples, _preprocess_sosfiltfilt(sess, cfg))
@@ -211,7 +210,8 @@ def test_filter_bank_designs_each_rate_once_across_threads(monkeypatch):
 @pytest.mark.parametrize("fs", [150.0, 128.0])
 def test_band_edge_at_or_above_nyquist_is_a_data_error(fs):
     with pytest.raises(DataError, match=rf"band_hi_hz 75.0 Hz .* {fs / 2} Hz"):
-        dsp.preprocess(_session(np.zeros(4000), fs), DspConfig())
+        dsp.preprocess(_session(np.zeros(4000), fs), DspConfig(),
+                       dsp.FilterBank(DspConfig()))
 
 
 def test_notch_frequencies_respect_nyquist():

@@ -219,7 +219,7 @@ def test_fd_transformer_block(masked):
 
     def block(ts):
         bias = _key_bias(keep, np.float64) if masked else None
-        out = grad.transformer_block(ts[0], ts[1:], n_heads, bias)
+        out = grad.transformer_block(ts[0], ts[1:], n_heads, bias, 0.0, None)
         return grad.sum_(grad.mul(out, Tensor(np.linspace(-1.0, 1.0, out.data.size)
                                               .reshape(out.shape))))
 
@@ -767,7 +767,7 @@ def test_adamw_in_place_matches_out_of_place_formula(make):
     state = {"t": 0, "m": [np.zeros_like(a) for a in init],
              "v": [np.zeros_like(a) for a in init]}
     for step in range(5):
-        lr = opt.lr if step % 2 else grad.cosine_lr(step, 5, opt.lr)
+        lr = opt.lr if step % 2 else grad.cosine_lr(step, 5, opt.lr, 0)
         grads_ = [rng.normal(size=a.shape).astype(np.float32) for a in init]
         grads_[2] = None                   # a parameter with no gradient
         held = [p.data for p in ours]
@@ -810,7 +810,7 @@ def test_quadratic_bowl_converges():
     opt = grad.AdamW([x], lr=0.1, beta1=0.9, beta2=0.95, weight_decay=0.0)
     for t in range(500):
         opt.step(grad.sum_(grad.mul(x, x)).backward([x]),
-                 lr=grad.cosine_lr(t, 500, 0.1))
+                 lr=grad.cosine_lr(t, 500, 0.1, 0))
     assert np.linalg.norm(x.data) < 1e-3
 
 
@@ -846,7 +846,7 @@ def test_training_trajectory_deterministic():
                          weight_decay=0.1)
         for _ in range(20):
             x = Tensor(rng.normal(size=(2, 4)).astype(np.float32))
-            opt.step(grad.l2(grad.matmul(x, w)).backward([w]))
+            opt.step(grad.l2(grad.matmul(x, w), 0.0).backward([w]))
         return w.data.copy()
 
     assert np.array_equal(run(), run())
@@ -1003,7 +1003,8 @@ def _graph_block(op):
         arrays = _block_arrays(3, 19, 32, 128, 19, np.float32)
         keep = rng.random((3, 19)) > 0.3
         keep[:, 0] = True
-        return arrays, lambda ls: op(ls[0], ls[1:], 4, _key_bias(keep, np.float32))
+        return arrays, lambda ls: op(ls[0], ls[1:], 4,
+                                     _key_bias(keep, np.float32), 0.0, None)
     return build
 
 
@@ -1046,7 +1047,7 @@ def test_checkpoint_is_written_at_the_path_given(tmp_path):
     """No ".npz" is appended to a path without one."""
     params = {"a": Tensor(np.arange(3, dtype=np.float32), requires_grad=True)}
     path = tmp_path / "tok.ckpt"
-    grad.save_checkpoint(path, params)
+    grad.save_checkpoint(path, params, meta={})
     assert [p.name for p in tmp_path.iterdir()] == ["tok.ckpt"]
     assert np.array_equal(grad.load_checkpoint(path)["params"]["a"],
                           params["a"].data)
@@ -1078,7 +1079,7 @@ def test_checkpoint_roundtrip(tmp_path):
 def test_checkpoint_load_errors_name_the_file(tmp_path):
     params = {"a": Tensor(np.zeros((3, 2), np.float32), requires_grad=True)}
     path = tmp_path / "ckpt.npz"
-    grad.save_checkpoint(path, params)
+    grad.save_checkpoint(path, params, meta={})
     with pytest.raises(DataError, match=r"a: checkpoint shape \(3, 2\)"):
         grad.assign_parameters(
             {"a": Tensor(np.zeros((2, 3), np.float32))},

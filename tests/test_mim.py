@@ -54,15 +54,18 @@ def test_mask_plan_full_when_bounds_degenerate():
 
 
 def test_mask_plan_invariants():
+    """Each row masks ceil(ratio * 32) positions.  The ratio is the plan's
+    first draw from its rng, so the same seed replays it."""
     cfg = _cfg()
-    rng = np.random.default_rng(3)
-    plan = mim.sample_mask_plan(32, cfg, rng, batch=16)
-    for b in range(16):
-        m = plan.masked[b].sum()
-        assert m == int(np.ceil(plan.ratios[b] * 32))
-        assert np.all(plan.masked[b][plan.dropped[b]])
-        assert plan.dropped[b].sum() == int(m * cfg.r_drop)
-        assert 0.25 <= plan.ratios[b] <= 1.0
+    for seed in range(16):
+        plan = mim.sample_mask_plan(32, cfg, np.random.default_rng(seed), 1)
+        ratio = mim.sample_mask_ratio(cfg.mask_mu, cfg.mask_sigma, cfg.mask_lo,
+                                      cfg.mask_hi, np.random.default_rng(seed))
+        assert 0.25 <= ratio <= 1.0
+        m = plan.masked[0].sum()
+        assert m == int(np.ceil(ratio * 32))
+        assert np.all(plan.masked[0][plan.dropped[0]])
+        assert plan.dropped[0].sum() == int(m * cfg.r_drop)
 
 
 def test_bad_bounds_rejected():
@@ -107,7 +110,7 @@ def test_embed_is_token_row_when_rest_zero():
     enc.p_time.data[:] = 0.0
     ids = np.array([[3] * 32])
     patches = np.zeros((1, 32, 2 * 16 * 8), dtype=np.float32)
-    x = enc.embed(ids, patches)
+    x = enc.embed(ids, patches, None)
     assert np.allclose(x.data[0, 1:], enc.token_table.data[3], atol=1e-6)
 
 
@@ -115,7 +118,7 @@ def test_embed_time_positional_difference():
     enc = _model()[0].eeg
     ids = np.array([[0] * 32])
     patches = np.zeros((1, 32, 2 * 16 * 8), dtype=np.float32)
-    x = enc.embed(ids, patches)
+    x = enc.embed(ids, patches, None)
     # positions 0 and 1 share the frequency row, differ only in time column
     d01 = x.data[0, 1] - x.data[0, 2]
     expected = enc.p_time.data[0] - enc.p_time.data[1]
@@ -126,7 +129,7 @@ def test_sequence_length_includes_proxy():
     enc = _model()[0].eeg
     ids = np.zeros((2, 32), dtype=np.int64)
     patches = np.zeros((2, 32, 2 * 16 * 8), dtype=np.float32)
-    x = enc.embed(ids, patches)
+    x = enc.embed(ids, patches, None)
     assert x.shape == (2, 33, enc.cfg.d_model)
 
 
@@ -137,8 +140,7 @@ def test_masked_positions_use_mask_embedding():
     ids = np.zeros((1, 32), dtype=np.int64)
     patches = np.zeros((1, 32, 2 * 16 * 8), dtype=np.float32)
     plan = mim.MaskPlan(masked=np.zeros((1, 32), bool),
-                        dropped=np.zeros((1, 32), bool),
-                        ratios=np.array([0.5]))
+                        dropped=np.zeros((1, 32), bool))
     plan.masked[0, 5] = True
     x = enc.embed(ids, patches, plan)
     assert np.allclose(x.data[0, 6], enc.mask_emb.data, atol=1e-6)

@@ -180,12 +180,12 @@ class _FlakyClient(sm.MockLlmClient):
 
 def _score_flaky(failing, error):
     """(score, question count) of one report under ``_FlakyClient``, after
-    checking that the failing call was tried three times and counted once."""
+    checking that the failing call was tried twice and counted once."""
     questions = _questions()
     client = _FlakyClient(failing, error)
     result = sm.qa_consistency(["only report"], questions,
-                               sm.Candidate("p", "x", 100), client, retries=2)
-    assert client.calls == 3  # initial call plus two retries
+                               sm.Candidate("p", "x", 100), client)
+    assert client.calls == 2  # initial call plus one retry
     assert result.failures == 1
     return result.score, len(questions)
 
