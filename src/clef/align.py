@@ -1,6 +1,6 @@
 """Stage II cross-modal alignment.
 
-Report text runs through a frozen embedding provider (seeded
+Report text runs through the report encoder's frozen text features (seeded
 character-trigram hashing, one feature row per word), is cut to
 ``text_max_len`` words, and goes through a linear projection, a
 learnable-position self-attention refiner, and masked mean pooling.  EHR
@@ -115,8 +115,19 @@ def ehr_slots(records, vocab: Vocab, slots: EhrSlotConfig
 # encoders
 
 
+def _refine(view: ReportEncoder | EhrEncoder, x: grad.Tensor,
+            mask: np.ndarray) -> grad.Tensor:
+    """The view's refiner, layer norm and masked mean: (B, L, d) -> (B, d)."""
+    bias = mim._attention_bias(mask)
+    for block in view.blocks:
+        x = block(x, bias)
+    x = grad.layernorm(x, view.ln_g, view.ln_b)
+    return grad.mean_pool_masked(x, grad.Tensor(mask.astype(grad.DTYPE)))
+
+
 class ReportEncoder(grad.Module):
     def __init__(self, cfg: AlignConfig, d: int, rng: np.random.Generator):
+        self.provider = HashedNgramProvider()  # frozen: no weight, no draw
         self.w_in = grad.param((HashedNgramProvider.dim, d), rng)
         self.b_in = grad.param((d,), rng, zeros=True)
         self.pos = grad.param((cfg.text_max_len, d), rng, scale=0.02)
@@ -127,11 +138,7 @@ class ReportEncoder(grad.Module):
         """feats: (B, L, 768), mask: (B, L) -> (B, d)."""
         x = grad.matmul(grad.Tensor(feats), self.w_in) + self.b_in
         x = x + grad.reshape(self.pos, (1,) + self.pos.shape)
-        bias = mim._attention_bias(mask)
-        for block in self.blocks:
-            x = block(x, bias)
-        x = grad.layernorm(x, self.ln_g, self.ln_b)
-        return grad.mean_pool_masked(x, grad.Tensor(mask.astype(grad.DTYPE)))
+        return _refine(self, x, mask)
 
 
 class EhrEncoder(grad.Module):
@@ -158,11 +165,7 @@ class EhrEncoder(grad.Module):
                          grad.getitem(self.e_med, ids[:, dx_end:])], axis=1)
         # padded slots carry index-0 embeddings but are attention-masked and
         # excluded from pooling, so their content never reaches the output
-        bias = mim._attention_bias(mask)
-        for block in self.blocks:
-            x = block(x, bias)
-        x = grad.layernorm(x, self.ln_g, self.ln_b)
-        return grad.mean_pool_masked(x, grad.Tensor(mask.astype(grad.DTYPE)))
+        return _refine(self, x, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -209,14 +212,13 @@ class AlignModel(grad.Module):
         self.eeg = encoder
 
 
-def report_embed(texts: list[str], provider: HashedNgramProvider,
-                 encoder: ReportEncoder) -> grad.Tensor:
+def report_embed(texts: list[str], encoder: ReportEncoder) -> grad.Tensor:
     """Each text's first word rows, one per encoder position, padded."""
     max_len = encoder.pos.shape[0]
-    feats = np.zeros((len(texts), max_len, provider.dim), dtype=np.float32)
+    feats = np.zeros((len(texts), max_len, encoder.provider.dim), np.float32)
     mask = np.zeros((len(texts), max_len), dtype=bool)
     for i, text in enumerate(texts):
-        f = provider.embed(text)[:max_len]
+        f = encoder.provider.embed(text)[:max_len]
         feats[i, :len(f)] = f
         mask[i, :len(f)] = True
     return encoder(feats, mask)
@@ -251,8 +253,8 @@ def align_rows(records, ids: np.ndarray, patches: np.ndarray, vocab: Vocab,
         ehr=ehr, ehr_mask=ehr_mask)
 
 
-def stage2_step(align_model: AlignModel, provider: HashedNgramProvider,
-                batch: AlignBatch, rng: np.random.Generator | None = None
+def stage2_step(align_model: AlignModel, batch: AlignBatch,
+                rng: np.random.Generator | None
                 ) -> tuple[grad.Tensor, dict[str, float]]:
     """L_Align = L_Report + L_EHR on one batch: the loss graph root and a row."""
     cfg = align_model.cfg
@@ -262,11 +264,10 @@ def stage2_step(align_model: AlignModel, provider: HashedNgramProvider,
         # that loses every position keeps its first
         keep = rng.random(batch.ids.shape) >= cfg.r_drop
         keep[~keep.any(axis=1), 0] = True
-    _enc, u = align_model.eeg(batch.ids, batch.patches, keep=keep,
-                              train_rng=rng)
+    u = align_model.eeg(batch.ids, batch.patches, keep=keep, train_rng=rng)
     # only rows with a report reach the report loss, so only they are encoded
     rows = np.flatnonzero(batch.report_present)
-    v_rep = report_embed([batch.texts[i] for i in rows], provider,
+    v_rep = report_embed([batch.texts[i] for i in rows],
                          align_model.report_encoder)
     v_ehr = align_model.ehr_encoder(batch.ehr, batch.ehr_mask)
     rep_loss = clip_loss(grad.getitem(grad.matmul(u, align_model.pi_rep), rows),
@@ -281,16 +282,8 @@ def stage2_step(align_model: AlignModel, provider: HashedNgramProvider,
 # Stage II training
 
 
-@dataclass
-class Stage2Result:
-    align_model: AlignModel
-    ema: grad.Ema
-    history: list[dict[str, float]]
-
-
-def stage2_train(encoder: mim.SessionEncoder, provider: HashedNgramProvider,
-                 rows: AlignBatch, vocab: Vocab, cfg: AlignConfig,
-                 seed: int) -> Stage2Result:
+def stage2_train(encoder: mim.SessionEncoder, rows: AlignBatch, vocab: Vocab,
+                 cfg: AlignConfig, seed: int) -> grad.Trained:
     """``grad.train`` over an alignment model around ``encoder`` (Stage I
     weights on entry) whose EHR tables are ``vocab``'s; each step's batch
     is ``cfg.batch_size`` of ``rows``, drawn uniformly with replacement."""
@@ -299,16 +292,15 @@ def stage2_train(encoder: mim.SessionEncoder, provider: HashedNgramProvider,
 
     def step_loss(step):
         batch = rows.take(rng.integers(0, len(rows.ids), size=cfg.batch_size))
-        return stage2_step(align_model, provider, batch, rng)
+        return stage2_step(align_model, batch, rng)
 
-    ema, history = grad.train(align_model.named_parameters(), cfg, step_loss,
-                              "Stage II")
-    return Stage2Result(align_model=align_model, ema=ema, history=history)
+    return grad.Trained(align_model, *grad.train(
+        align_model.named_parameters(), cfg, step_loss, "Stage II"))
 
 
 def retrieval_top1(align_model: AlignModel, batch: AlignBatch) -> float:
     """EEG -> EHR retrieval accuracy over the batch as candidate pool."""
-    _enc, u = align_model.eeg(batch.ids, batch.patches)
+    u = align_model.eeg(batch.ids, batch.patches)
     q = _l2_normalize(grad.matmul(u, align_model.pi_ehr)).data
     v = _l2_normalize(align_model.ehr_encoder(batch.ehr, batch.ehr_mask)).data
     ranks = np.argmax(q @ v.T, axis=1)

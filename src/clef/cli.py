@@ -256,6 +256,14 @@ def _echo_steps(history: list[dict[str, float]]) -> None:
                 f"{name}\t{value:.5f}" for name, value in row.items()]))
 
 
+def _save_trained(out: Path, trained: grad.Trained, profile: Profile,
+                  **meta) -> None:
+    """Print a trainer's rows, then save its weights and EMA with ``meta``."""
+    _echo_steps(trained.history)
+    grad.save_checkpoint(out, trained.model.named_parameters(), {
+        **meta, "profile_hash": profile.content_hash()}, trained.ema)
+
+
 # ---------------------------------------------------------------------------
 # command group
 
@@ -290,12 +298,13 @@ _steps = click.option(
 @click.option("--config", "config_path", default=None, type=_IN_FILE,
               help="JSON override file applied on top of the profile.")
 @click.option("--seed", default=0, show_default=True,
+              type=click.IntRange(min=0),
               help="Root seed; every stage derives its own seed from it.")
 @click.pass_context
 def cli(ctx, profile_name, config_path, seed):
     ctx.ensure_object(dict)
     ctx.obj["profile"] = load_profile(profile_name, config_path)
-    ctx.obj["seed"] = int(seed)
+    ctx.obj["seed"] = seed
 
 
 @cli.command("gen-cohort")
@@ -304,9 +313,9 @@ def gen_cohort(out):
     """Synthesize patient records, reports, and raw EEG sessions."""
     with _stage("cohort", {}, out,
                 ["records.json", "sessions", "days.json"]) as (profile, seed):
+        records, phenotypes = cohortgen.generate_records(profile.cohort, seed)
         _fresh(out, "manifest.json")
         _fresh(out / "sessions", "*.raw")
-        records, phenotypes = cohortgen.generate_records(profile.cohort, seed)
         cohortgen.write_records(out / "records.json", records)
         for i, session in enumerate(cohortgen.iter_sessions(
                 profile.cohort, seed, records, phenotypes)):
@@ -355,15 +364,11 @@ def train_tokenizer_cmd(spec_dir, out):
         _, values, avail = _load_spectrograms(profile, spec_dir)
         psg = tuple(i for i, name in enumerate(profile.cohort.channel_names)
                     if name in set(PSG_CHANNELS))
-        trainer, history = vqtok.train_tokenizer(
-            values, avail, profile.tokenizer, psg, seed)
-        _echo_steps(history)
-        tokenizer = trainer.tokenizer
-        grad.save_checkpoint(out, tokenizer.named_parameters(), meta={
-            "kind": "tokenizer",
-            "profile_hash": profile.content_hash(),
-            "codebook_sha": _codebook_sha(tokenizer.codebook.entries.data),
-            "n_channels": tokenizer.n_channels})
+        trained = vqtok.train_tokenizer(values, avail, profile.tokenizer, psg,
+                                        seed)
+        sha = _codebook_sha(trained.model.codebook.entries.data)
+        _save_trained(out, trained, profile, kind="tokenizer",
+                      codebook_sha=sha, n_channels=trained.model.n_channels)
 
 
 @cli.command("tokenize")
@@ -416,14 +421,10 @@ def train_mim_cmd(tok_dir, spec_dir, out):
     with _stage("mim", {"tokens": tok_dir, "spectrograms": spec_dir},
                 out) as (profile, seed):
         ids, patches, codebook_size = _load_sessions(profile, tok_dir, spec_dir)
-        result = mim.stage1_train(ids, patches, codebook_size,
-                                  profile.grid_shape, profile.mim, seed)
-        _echo_steps(result.history)
-        grad.save_checkpoint(out, result.model.named_parameters(),
-                             ema=result.ema,
-                             meta={"kind": "mim",
-                                   "codebook_size": codebook_size,
-                                   "profile_hash": profile.content_hash()})
+        trained = mim.stage1_train(ids, patches, codebook_size,
+                                   profile.grid_shape, profile.mim, seed)
+        _save_trained(out, trained, profile, kind="mim",
+                      codebook_size=codebook_size)
 
 
 @cli.command("train-align")
@@ -448,14 +449,9 @@ def train_align_cmd(cohort_dir, tok_dir, spec_dir, init_path, out):
         phenotypes = cohortgen.default_phenotypes(profile.cohort.channel_names)
         vocab = cohortgen.vocabularies(profile.cohort, phenotypes)
         rows = align.align_rows(records, ids, patches, vocab, profile.align.ehr)
-        result = align.stage2_train(encoder, align.HashedNgramProvider(),
-                                    rows, vocab, profile.align, seed)
-        _echo_steps(result.history)
-        grad.save_checkpoint(
-            out, result.align_model.named_parameters(), ema=result.ema,
-            meta={"kind": "align",
-                  "codebook_size": encoder.token_table.shape[0],
-                  "profile_hash": profile.content_hash()})
+        trained = align.stage2_train(encoder, rows, vocab, profile.align, seed)
+        _save_trained(out, trained, profile, kind="align",
+                      codebook_size=encoder.token_table.shape[0])
 
 
 # select-prompt scores every candidate on the cohort's first 20 reports

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import fft
 
-from .config import (CohortConfig, RACE_CATEGORIES, SETTING_CATEGORIES,
-                     SEX_CATEGORIES)
+from .config import (CohortConfig, ConfigError, RACE_CATEGORIES,
+                     SETTING_CATEGORIES, SEX_CATEGORIES)
 from .errors import DataError, parsing, write_json
 from .parallel import map_ordered
 
@@ -45,18 +45,12 @@ class PhenotypeSpec:
     prevalence: float
     chronic: bool = True
 
-    def validate(self, nyquist_hz: float, channel_names: list[str]) -> None:
-        if not 0.0 < self.prevalence < 1.0 and self.prevalence != 0.0:
-            raise DataError(f"{self.name}: prevalence {self.prevalence} outside [0,1)")
+    def validate(self, nyquist_hz: float) -> None:
         for eff in self.spectral_effects:
             if not 0.0 <= eff.band_lo_hz < eff.band_hi_hz <= nyquist_hz:
-                raise DataError(
-                    f"{self.name}: band [{eff.band_lo_hz}, {eff.band_hi_hz}] invalid")
-            if not eff.channels:
-                raise DataError(f"{self.name}: empty channel subset")
-            unknown = set(eff.channels) - set(channel_names)
-            if unknown:
-                raise DataError(f"{self.name}: unknown channels {sorted(unknown)}")
+                raise ConfigError(
+                    f"cohort.sample_rate must be at least {2 * eff.band_hi_hz}"
+                    f", twice {self.name}'s band top, got {2 * nyquist_hz}")
 
 
 @dataclass
@@ -120,7 +114,7 @@ def default_phenotypes(channel_names: list[str]) -> list[PhenotypeSpec]:
     ~2 dB plants, each with its own diagnosis and medication codes and
     report phrases."""
     all_ch = tuple(channel_names)
-    front = tuple(c for c in channel_names if c.startswith(("Fp", "F")))
+    front = tuple(c for c in channel_names if c.startswith("F")) or all_ch[:2]
     occ = tuple(c for c in channel_names if c.startswith("O")) or all_ch[-2:]
     cen = tuple(c for c in channel_names if c.startswith("C")) or all_ch[:2]
 
@@ -349,7 +343,7 @@ def generate_records(config: CohortConfig, seed: int
     """Records (no waveforms) and phenotypes, deterministic in (config, seed)."""
     phenotypes = default_phenotypes(config.channel_names)
     for p in phenotypes:
-        p.validate(config.sample_rate / 2.0, config.channel_names)
+        p.validate(config.sample_rate / 2.0)
     seeds = _patient_seeds(seed, config.n_patients)
     # report presence flips an independent seeded coin
     report_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(

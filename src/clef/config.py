@@ -38,6 +38,8 @@ import math
 from dataclasses import dataclass, field
 from operator import attrgetter
 
+import numpy as np
+
 from .errors import short_id
 
 
@@ -119,6 +121,11 @@ class CohortConfig:
     @property
     def n_channels(self) -> int:
         return len(self.channel_names)
+
+    @property
+    def session_rate(self) -> float:
+        """The rate as the DSP reads it from a ``.raw`` header: a float32."""
+        return float(np.float32(self.sample_rate))
 
 
 @dataclass
@@ -348,17 +355,23 @@ def load_profile(name: str, config_path: str | None) -> Profile:
 # (key, what it must be, predicate) for each value no stage can run on, in
 # order: a rule runs once all above it hold (n_heads >= 1 before d % n_heads)
 _RULES = [(key, "at least 1", lambda p, key=key: attrgetter(key)(p) >= 1)
-          for key in """cohort.n_patients dsp.stride dsp.k_max tokenizer.steps
+          for key in """dsp.stride dsp.k_max tokenizer.steps
           tokenizer.batch_size tokenizer.latent_dim mim.steps mim.batch_size
           mim.d_model mim.n_heads align.steps align.batch_size align.n_heads
           align.text_max_len bench.probe_hidden bench.probe_epochs
           bench.probe_batch_size bench.n_seeds""".split()] + [
+    ("cohort.n_patients", "at least 3 (the probe's three splits)",
+     lambda p: p.cohort.n_patients >= 3),
     ("cohort.sample_rate", "positive", lambda p: p.cohort.sample_rate > 0),
-    ("cohort.channel_names", "at most 32 names (one uint32 in a header)",
-     lambda p: p.cohort.n_channels <= 32),
+    ("cohort.channel_names", "between 1 and 32 names (one uint32 in a header)",
+     lambda p: 1 <= p.cohort.n_channels <= 32),
     ("dsp.window", "at least 8 (a taper)", lambda p: p.dsp.window >= 8),
     ("dsp.nw", "in (0, dsp.window / 2)",
      lambda p: 0 < p.dsp.nw < p.dsp.window / 2),
+    ("dsp.band_hi_hz", "below cohort.sample_rate / 2 (Nyquist)",
+     lambda p: p.dsp.band_hi_hz < p.cohort.session_rate / 2.0),
+    ("dsp.band_top_hz", "at most cohort.sample_rate / 2 (Nyquist)", lambda p:
+     p.dsp.n_freq_bins(p.cohort.session_rate) <= p.dsp.window // 2 + 1),
     ("tokenizer.codebook_size", "in [2, 65536] (a .tok id is a uint16)",
      lambda p: 2 <= p.tokenizer.codebook_size <= 1 << 16),
     ("tokenizer.level_channels", "as long as tokenizer.level_strides",
@@ -379,8 +392,9 @@ _RULES = [(key, "at least 1", lambda p, key=key: attrgetter(key)(p) >= 1)
 def check(profile: Profile) -> Profile:
     """``profile`` if every stage can run on it (``_RULES``, then a
     spectrogram that the patch tiles); else a ``ConfigError`` that names
-    the key.  Whether a DPSS taper passes ``dsp.eigen_threshold`` is known
-    only after the eigen-solve: ``dsp.compute_dpss`` refuses that."""
+    the key.  Two rules need a stage's own work, so that stage refuses:
+    ``dsp.compute_dpss`` a ``dsp.eigen_threshold`` that no taper passes,
+    and ``cohortgen.generate_records`` a rate below a phenotype's band."""
     for key, needs, holds in _RULES:
         if not holds(profile):
             raise ConfigError(f"{key} must be {needs}, "

@@ -185,7 +185,7 @@ def multitaper_spectrogram(session, tapers: TaperSet, cfg: DspConfig) -> Spectro
     n_bins = cfg.n_freq_bins(fs)
     if n_bins > cfg.window // 2 + 1:
         raise DataError(f"session {session.session_id}: band top "
-                        f"{cfg.band_top_hz} Hz above Nyquist of {fs} Hz")
+                        f"{cfg.band_top_hz} Hz above the {fs / 2} Hz Nyquist")
     lam = tapers.concentrations
     norm = lam.sum() * fs
     values = np.full((n_ch, n_bins, n_frames), -1.0, dtype=np.float32)

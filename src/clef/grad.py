@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 import zipfile
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import erf as _erf
@@ -989,6 +989,13 @@ class Ema:
 def ema_update(shadow: np.ndarray, live: np.ndarray, decay: float) -> np.ndarray:
     return (decay * shadow.astype(np.float64)
             + (1.0 - decay) * live.astype(np.float64)).astype(live.dtype)
+
+
+class Trained(NamedTuple):
+    """Every trainer's result; ``ema`` is None where it keeps no EMA."""
+    model: Module
+    ema: Ema | None
+    history: list[dict[str, float]]
 
 
 def train(params: dict[str, Tensor], cfg, step_loss: Callable[[int], tuple],

@@ -10,7 +10,7 @@ mean-pooled encoder output is the patient embedding u.  The encoder is one
 module, ``SessionEncoder``, that ``MimModel`` and Stage II's
 ``align.AlignModel`` both hold as ``eeg``: both checkpoints name it ``eeg.*``.
 Stage I reads only the encoder output (``SessionEncoder.encode``); Stage II
-and the probe also take u (``SessionEncoder.__call__``).  Every Transformer
+and the probe read only u (``SessionEncoder.__call__``).  Every Transformer
 block, here and in Stage II's refiners, is ``_Block``: one
 ``grad.transformer_block`` node, whose weights ``_Block`` and ``_Attention``
 hold under their checkpoint names.
@@ -166,15 +166,11 @@ class SessionEncoder(grad.Module):
                train_rng: np.random.Generator | None
                ) -> tuple[grad.Tensor, np.ndarray]:
         """Encoder output (B, N+1, d) and the (B, N+1) mask of the slots
-        that attend, the proxy first.
-
-        ``keep`` (B, N): positions the encoder sees (None: all); a plan's
-        dropped positions are left out as well."""
+        that attend, the proxy first.  ``keep`` (B, N): the positions the
+        encoder sees (None: all); ``plan`` masks content, not positions."""
         b, n = ids.shape
         x = self.embed(ids, patches, plan)
         kept = np.ones((b, n), dtype=bool) if keep is None else keep
-        if plan is not None:
-            kept = kept & ~plan.dropped
         attends = np.concatenate(
             [np.ones((b, 1), dtype=bool), kept], axis=1)    # proxy always attends
         bias = _attention_bias(attends)
@@ -183,15 +179,13 @@ class SessionEncoder(grad.Module):
         return grad.layernorm(x, self.ln_g, self.ln_b), attends
 
     def __call__(self, ids: np.ndarray, patches: np.ndarray,
-                 plan: MaskPlan | None = None, keep: np.ndarray | None = None,
-                 train_rng: np.random.Generator | None = None
-                 ) -> tuple[grad.Tensor, grad.Tensor]:
-        """``encode``'s output and the embedding u (B, d) that pools the
-        session tokens it kept."""
-        enc, attends = self.encode(ids, patches, plan, keep, train_rng)
+                 keep: np.ndarray | None = None,
+                 train_rng: np.random.Generator | None = None) -> grad.Tensor:
+        """The embedding u (B, d): the mean of the session tokens that
+        ``encode`` keeps, under no mask plan."""
+        enc, attends = self.encode(ids, patches, None, keep, train_rng)
         attends[:, 0] = False       # u pools the session tokens, not the proxy
-        u = grad.mean_pool_masked(enc, grad.Tensor(attends.astype(grad.DTYPE)))
-        return enc, u
+        return grad.mean_pool_masked(enc, grad.Tensor(attends.astype(grad.DTYPE)))
 
 
 class MimModel(grad.Module):
@@ -242,11 +236,11 @@ class MimForward:
 
 def mim_forward(model: MimModel, ids: np.ndarray, patches: np.ndarray,
                 plan: MaskPlan,
-                train_rng: np.random.Generator | None = None) -> MimForward:
+                train_rng: np.random.Generator | None) -> MimForward:
     """Stage I's forward: encode under ``plan``, then decode its masked
     positions against the weight-tied token table."""
     b, n = ids.shape
-    enc, _attends = model.eeg.encode(ids, patches, plan, None, train_rng)
+    enc, _ = model.eeg.encode(ids, patches, plan, ~plan.dropped, train_rng)
     # decoder: fill masked and dropped slots with the projected proxy
     proxy_rep = grad.matmul(grad.getitem(enc, (slice(None), slice(0, 1))),
                             model.w_proxy) + model.b_proxy   # (B, 1, d)
@@ -275,23 +269,16 @@ def mim_loss(logits: grad.Tensor, targets: np.ndarray,
 def session_embedding(encoder: SessionEncoder, ids: np.ndarray,
                       patches: np.ndarray) -> np.ndarray:
     """Inference-mode pooled embedding u for a batch of sessions."""
-    return encoder(ids, patches)[1].data.copy()
+    return encoder(ids, patches).data.copy()
 
 
 # ---------------------------------------------------------------------------
 # Stage I training
 
 
-@dataclass
-class Stage1Result:
-    model: MimModel
-    ema: grad.Ema
-    history: list[dict[str, float]]  # per step: loss, masked-token acc
-
-
 def stage1_train(ids: np.ndarray, patches: np.ndarray, codebook_size: int,
                  grid_hw: tuple[int, int], cfg: MimConfig,
-                 seed: int) -> Stage1Result:
+                 seed: int) -> grad.Trained:
     """``grad.train`` over an in-memory token dataset.
 
     ``ids``: (M, N) token grids; ``patches``: (M, N, P) raw patches.
@@ -310,6 +297,5 @@ def stage1_train(ids: np.ndarray, patches: np.ndarray, codebook_size: int,
         acc = np.mean(np.argmax(out.logits.data, axis=1) == out.targets)
         return loss, {"loss": float(loss.data), "acc": float(acc)}
 
-    ema, history = grad.train(model.named_parameters(), cfg, step_loss,
-                              "Stage I")
-    return Stage1Result(model=model, ema=ema, history=history)
+    return grad.Trained(model, *grad.train(model.named_parameters(), cfg,
+                                           step_loss, "Stage I"))

@@ -324,7 +324,7 @@ class VqTrainer:
 
 def train_tokenizer(values: np.ndarray, available: np.ndarray,
                     cfg: TokenizerConfig, psg_subset: tuple[int, ...],
-                    seed: int) -> tuple[VqTrainer, list[dict[str, float]]]:
+                    seed: int) -> grad.Trained:
     """Smoke-scale training loop over an in-memory (N, C, H, W) dataset."""
     trainer = VqTrainer(values.shape[1], cfg, psg_subset, seed)
     batch_rng = np.random.default_rng(seed + 2)
@@ -332,7 +332,7 @@ def train_tokenizer(values: np.ndarray, available: np.ndarray,
     for _ in range(cfg.steps):
         pick = batch_rng.integers(0, values.shape[0], size=cfg.batch_size)
         history.append(trainer.step(values[pick], available[pick]))
-    return trainer, history
+    return grad.Trained(trainer.tokenizer, None, history)
 
 
 def tokenize_sessions(tokenizer: Tokenizer, values: np.ndarray,

@@ -89,10 +89,9 @@ def tokenizer_run(spectra):
     t0 = time.time()
     before = eval_rec(vqtok.VqTrainer(values.shape[1], P.tokenizer,
                                       psg, seed=1).tokenizer)
-    trainer, history = vqtok.train_tokenizer(values, avail, P.tokenizer,
-                                             psg, seed=1)
-    after = eval_rec(trainer.tokenizer)
-    return {"trainer": trainer, "history": history,
+    trained = vqtok.train_tokenizer(values, avail, P.tokenizer, psg, seed=1)
+    after = eval_rec(trained.model)
+    return {"tokenizer": trained.model, "history": trained.history,
             "rec_before": before, "rec_after": after,
             "elapsed": time.time() - t0}
 
@@ -100,7 +99,7 @@ def tokenizer_run(spectra):
 @pytest.fixture(scope="module")
 def tokens(tokenizer_run, spectra):
     t0 = time.time()
-    grids = vqtok.tokenize_sessions(tokenizer_run["trainer"].tokenizer,
+    grids = vqtok.tokenize_sessions(tokenizer_run["tokenizer"],
                                     spectra["values"], spectra["avail"])
     ids = grids.reshape(grids.shape[0], -1)
     patches = np.stack([mim.extract_patches(v, *P.patch_shape)
@@ -133,13 +132,11 @@ def stage2(cohort, tokens, stage1):
     emb_recon = _batched_embeddings(res1.model.eeg, ids, patches)
 
     t0 = time.time()
-    provider = align.HashedNgramProvider()
     vocab = cohortgen.vocabularies(P.cohort, phenos)
     rows = align.align_rows(records, ids, patches, vocab, P.align.ehr)
-    res2 = align.stage2_train(res1.model.eeg, provider, rows, vocab, P.align,
-                              seed=7)
+    res2 = align.stage2_train(res1.model.eeg, rows, vocab, P.align, seed=7)
     eval_batch = rows.take(np.arange(0, len(records), 6)[:64])
-    top1 = align.retrieval_top1(res2.align_model, eval_batch)
+    top1 = align.retrieval_top1(res2.model, eval_batch)
     emb_align = _batched_embeddings(res1.model.eeg, ids, patches)
     return {"result": res2, "top1": top1, "emb_recon": emb_recon,
             "emb_align": emb_align,
@@ -492,7 +489,7 @@ def test_concept_holdout_transfer(cohort, tokens, stage1, stage2):
     rows = align.align_rows(filtered, tokens["ids"], tokens["patches"], vocab,
                             P.align.ehr)
     mim.load_encoder(encoder, res1.ema.shadow)
-    align.stage2_train(encoder, align.HashedNgramProvider(), rows, vocab,
+    align.stage2_train(encoder, rows, vocab,
                        dataclasses.replace(P.align, steps=60), seed=19)
     emb = _batched_embeddings(encoder, tokens["ids"], tokens["patches"])
     task = bench.TaskSpec(task_id="disease/spindle_dropout", axis="disease",

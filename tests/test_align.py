@@ -1,4 +1,4 @@
-"""Alignment tests: provider determinism, EHR set-encoder permutation
+"""Alignment tests: text-feature determinism, EHR set-encoder permutation
 invariance, the symmetric contrastive loss against hand-computed values and
 the row-deletion identity, Stage II wiring, and the concept-holdout scrub."""
 
@@ -47,17 +47,16 @@ def test_provider_deterministic_and_bounded():
                                    text_max_len=16),
                               32, np.random.default_rng(0))
     assert np.array_equal(
-        align.report_embed([_words(100)], p, enc).data,
-        align.report_embed([_words(16)], p, enc).data)
+        align.report_embed([_words(100)], enc).data,
+        align.report_embed([_words(16)], enc).data)
 
 
 def test_report_embed_reads_up_to_text_max_len():
-    p = align.HashedNgramProvider()
     enc = align.ReportEncoder(_cfg(n_heads=4, refiner_depth=1,
                                    text_max_len=128),
                               32, np.random.default_rng(0))
-    full = align.report_embed([_words(100)], p, enc).data
-    head = align.report_embed([_words(64)], p, enc).data
+    full = align.report_embed([_words(100)], enc).data
+    head = align.report_embed([_words(64)], enc).data
     assert not np.allclose(full, head)
 
 
@@ -273,14 +272,13 @@ def _batch(rng, b=4, with_reports=True):
 def test_stage2_step_additivity():
     encoder, acfg = _tiny_stage2()
     amodel = align.AlignModel(acfg, encoder, VOCAB, np.random.default_rng(11))
-    provider = align.HashedNgramProvider()
     batch = _batch(np.random.default_rng(12))
-    _, row = align.stage2_step(amodel, provider, batch, rng=None)
+    _, row = align.stage2_step(amodel, batch, None)
     assert list(row) == ["total", "report", "ehr"]
     assert abs(row["total"] - (row["report"] + row["ehr"])) < 1e-6
     # no reports in the batch: total collapses to the EHR term alone
     batch_none = _batch(np.random.default_rng(12), with_reports=False)
-    _, l2 = align.stage2_step(amodel, provider, batch_none, rng=None)
+    _, l2 = align.stage2_step(amodel, batch_none, None)
     assert l2["report"] == 0.0
     assert abs(l2["total"] - l2["ehr"]) < 1e-6
 
@@ -290,7 +288,6 @@ def test_stage2_encodes_only_report_rows(monkeypatch):
     loss, and report_embed sees only the rows that have a report."""
     encoder, acfg = _tiny_stage2()
     amodel = align.AlignModel(acfg, encoder, VOCAB, np.random.default_rng(11))
-    provider = align.HashedNgramProvider()
     batch = _batch(np.random.default_rng(12), b=6)
     batch.report_present = np.array([True, False, True, True, False, True])
     seen, real = [], align.report_embed
@@ -300,12 +297,11 @@ def test_stage2_encodes_only_report_rows(monkeypatch):
         return real(texts, *args)
 
     monkeypatch.setattr(align, "report_embed", spy)
-    _, row = align.stage2_step(amodel, provider, batch, rng=None)
+    _, row = align.stage2_step(amodel, batch, None)
     monkeypatch.undo()
     assert seen == [[t for t, p in zip(batch.texts, batch.report_present) if p]]
-    u = encoder(batch.ids, batch.patches)[1]
-    every_row = align.report_embed(batch.texts, provider,
-                                   amodel.report_encoder)
+    u = encoder(batch.ids, batch.patches)
+    every_row = align.report_embed(batch.texts, amodel.report_encoder)
     rows = np.flatnonzero(batch.report_present)
     old = align.clip_loss(grad.getitem(grad.matmul(u, amodel.pi_rep), rows),
                           grad.getitem(every_row, rows), acfg.tau)
@@ -320,9 +316,8 @@ def test_stage2_random_init_loss_near_ln_b():
                                  np.random.default_rng(13))
     acfg = _cfg(n_heads=8, refiner_depth=1, text_max_len=16)
     amodel = align.AlignModel(acfg, encoder, VOCAB, np.random.default_rng(14))
-    provider = align.HashedNgramProvider()
     batch = _batch(np.random.default_rng(15), b=64)
-    _, row = align.stage2_step(amodel, provider, batch, rng=None)
+    _, row = align.stage2_step(amodel, batch, None)
     assert abs(row["ehr"] - np.log(64)) / np.log(64) < 0.15
     assert abs(row["report"] - np.log(64)) / np.log(64) < 0.15
 
@@ -351,7 +346,6 @@ def test_stage2_requires_stage1_provenance():
 
 def test_stage2_train_updates_and_ema():
     encoder, acfg = _tiny_stage2()
-    provider = align.HashedNgramProvider()
     b = _batch(np.random.default_rng(16))
     records, _ = generate_records(CohortConfig(n_patients=4), seed=16)
     rows = align.align_rows(records, b.ids, b.patches, VOCAB, acfg.ehr)
@@ -365,12 +359,12 @@ def test_stage2_train_updates_and_ema():
                                           for i in (3, 1, 3)]
 
     before = {k: p.data.copy() for k, p in encoder.named_parameters().items()}
-    result = align.stage2_train(encoder, provider, rows, VOCAB,
-                                replace(acfg, steps=3), seed=17)
+    result = align.stage2_train(encoder, rows, VOCAB, replace(acfg, steps=3),
+                                seed=17)
     assert len(result.history) == 3
     # the alignment model trains the encoder it was given, under eeg.*
-    assert result.align_model.eeg is encoder
-    trained = result.align_model.named_parameters()
+    assert result.model.eeg is encoder
+    trained = result.model.named_parameters()
     assert set(result.ema.shadow) == set(trained)
     assert {k for k in trained if k.startswith("eeg.")} == \
         set(encoder.named_parameters("eeg."))
@@ -380,10 +374,9 @@ def test_stage2_train_updates_and_ema():
 
 def test_report_features_are_built_once_per_text(monkeypatch):
     """A Stage II run looks each report's words up once, however many
-    batches draw the report; the provider hands back the same read-only
-    rows each time, equal to what a fresh provider builds."""
+    batches draw the report; the report encoder's provider hands back the
+    same read-only rows each time, equal to what a fresh provider builds."""
     encoder, acfg = _tiny_stage2()
-    provider = align.HashedNgramProvider()
     b = _batch(np.random.default_rng(16))
     records, _ = generate_records(CohortConfig(n_patients=4), seed=16)
     rows = align.align_rows(records, b.ids, b.patches, VOCAB, acfg.ehr)
@@ -396,8 +389,8 @@ def test_report_features_are_built_once_per_text(monkeypatch):
     monkeypatch.setattr(align.HashedNgramProvider, "_word_feature",
                         lambda self, word: words.append(word)
                         or word_feature(self, word))
-    align.stage2_train(encoder, provider, rows, VOCAB, replace(acfg, steps=3),
-                       seed=17)
+    provider = align.stage2_train(encoder, rows, VOCAB, replace(acfg, steps=3),
+                                  seed=17).model.report_encoder.provider
     monkeypatch.undo()
     assert len(texts) > len(set(texts)) > 0
     fresh = align.HashedNgramProvider()

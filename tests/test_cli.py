@@ -420,10 +420,10 @@ def test_inference_records_no_tape(pipeline, tmp_path, monkeypatch):
     so neither the tokenizer's encoder output nor the session embedding
     carries a tape.  The tokens and embeddings are those of weights that
     still require gradients."""
-    outputs = []
-    for owner, name in ((vqtok.Tokenizer, "encode"),
-                        (mim.SessionEncoder, "__call__")):
-        def record(*args, real=getattr(owner, name)):
+    encoded, pooled = [], []
+    for owner, name, outputs in ((vqtok.Tokenizer, "encode", encoded),
+                                 (mim.SessionEncoder, "__call__", pooled)):
+        def record(*args, real=getattr(owner, name), outputs=outputs):
             outputs.append(real(*args))
             return outputs[-1]
         monkeypatch.setattr(owner, name, record)
@@ -437,8 +437,6 @@ def test_inference_records_no_tape(pipeline, tmp_path, monkeypatch):
         "--ckpt", str(pipeline["align_ckpt"]),
         "--out", str(tmp_path / "results.json")]) == 0
     monkeypatch.undo()
-    encoded = [o for o in outputs if isinstance(o, grad.Tensor)]
-    pooled = [o[1] for o in outputs if isinstance(o, tuple)]
     assert encoded and pooled
     assert not any(t._parents for t in encoded + pooled)
 
@@ -456,7 +454,7 @@ def test_inference_records_no_tape(pipeline, tmp_path, monkeypatch):
     _, ids, patches, encoder = climod._cohort_encoder(
         profile, pipeline["cohort"], tokens, pipeline["spec"],
         grad.load_checkpoint(pipeline["align_ckpt"]))
-    u = encoder(ids[:32], patches[:32])[1]
+    u = encoder(ids[:32], patches[:32])
     assert u._parents and np.array_equal(u.data, pooled[0].data)
 
 
@@ -1133,6 +1131,13 @@ def test_grid_that_does_not_tile_exits_2_at_load(tmp_path, capsys):
     ({"tokenizer": {"level_channels": [16, 24, 0, 32, 32]}},
      "tokenizer.level_channels"),
     ({"bench": {"probe_hidden": 0}}, "bench.probe_hidden"),
+    # gen-cohort's phenotypes had no channel ("empty channel subset")
+    ({"cohort": {"channel_names": []}}, "cohort.channel_names"),
+    # dsp refused the cohort's sessions once gen-cohort had written them all
+    ({"cohort": {"sample_rate": 100}}, "cohort.sample_rate"),
+    ({"dsp": {"band_top_hz": 120}}, "dsp.band_top_hz"),
+    # the whole chain ran, then probe could not split the patients
+    ({"cohort": {"n_patients": 2}}, "cohort.n_patients"),
 ])
 def test_value_no_stage_runs_on_exits_2_at_load(tmp_path, capsys, overrides,
                                                  key):
@@ -1146,6 +1151,68 @@ def test_value_no_stage_runs_on_exits_2_at_load(tmp_path, capsys, overrides,
                         "--out", str(tmp_path / "c")]) == climod.EXIT_CONFIG
     assert key in capsys.readouterr().err
     assert not (tmp_path / "c").exists()
+
+
+def test_negative_seed_exits_2(tmp_path, capsys):
+    """A negative root seed is a usage error, not a ``SeedSequence``
+    traceback."""
+    assert climod.main(["--seed", "-1", "gen-cohort",
+                        "--out", str(tmp_path / "c")]) == climod.EXIT_CONFIG
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
+def test_phenotype_band_above_nyquist_exits_2(tmp_path, capsys):
+    """At 25 Hz the profile's own rules hold, but beta_excess's 15.5-Hz band
+    is above the 12.5-Hz Nyquist frequency: gen-cohort refuses
+    ``cohort.sample_rate`` before it writes anything."""
+    bad = tmp_path / "slow.json"
+    bad.write_text(json.dumps({"cohort": {"sample_rate": 25},
+                               "dsp": {"band_hi_hz": 10, "band_top_hz": 4}}))
+    assert climod.main(["--config", str(bad), "gen-cohort",
+                        "--out", str(tmp_path / "c")]) == climod.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "cohort.sample_rate must be at least 31.0" in err and "25.0" in err
+    assert not (tmp_path / "c").exists()
+
+
+def test_rate_rules_read_the_rate_a_session_holds(tmp_path):
+    """A ``.raw`` header holds the rate as a float32, and ``config.check``
+    tests the band edge against that rate: 150.000001 Hz is stored as 150.0,
+    whose 75-Hz Nyquist frequency the 75-Hz band edge reaches, and 150.0001
+    Hz is not.  The load refuses a profile exactly when dsp refuses the
+    profile's own session."""
+    for rate, accepted in ((150.000001, False), (150.0001, True)):
+        profile = cfgmod.get_profile("desk")
+        profile.cohort.sample_rate = rate
+        session = cohortgen.RawSession(
+            session_id="s", samples=np.zeros((1, 4000), np.float32),
+            channel_available=np.ones(1, bool), sample_rate=rate)
+        cohortgen.write_session(tmp_path / "s.raw", session)
+        bank = dsp.FilterBank(profile.dsp)
+        session = cohortgen.read_session(tmp_path / "s.raw")
+        if accepted:
+            bank.get(session)
+        else:
+            with pytest.raises(DataError, match="Nyquist"):
+                bank.get(session)
+        # neither rate tiles desk's patch, so the load refuses both; only
+        # the first for its band edge
+        with pytest.raises(cfgmod.ConfigError) as refusal:
+            cfgmod.check(profile)
+        assert ("dsp.band_hi_hz" in str(refusal.value)) != accepted
+
+
+def test_montage_without_frontal_channels_runs(tmp_path):
+    """beta_excess and spindle_dropout fall back to the first two channels
+    where the montage has no frontal one, as focal_trace does for central
+    ones."""
+    config = tmp_path / "back.json"
+    config.write_text(json.dumps({"cohort": {
+        "n_patients": 3, "channel_names": ["C3", "C4", "O1", "O2"]}}))
+    assert climod.main(["--config", str(config), "gen-cohort",
+                        "--out", str(tmp_path / "c")]) == 0
+    assert len(list((tmp_path / "c" / "sessions").glob("*.raw"))) == 3
 
 
 def test_exit_codes(tmp_path, capsys):

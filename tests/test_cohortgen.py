@@ -235,8 +235,9 @@ def test_phenotype_validation():
             cohortgen.SpectralEffect(10.0, 500.0, ("Fp1",), 3.0),),
         dx_codes=("dx_x",), med_codes=("med_x",),
         report_phrases=("x",), prevalence=0.1)
-    with pytest.raises(DataError):
-        bad.validate(cfg.sample_rate / 2.0, cfg.channel_names)
+    with pytest.raises(ConfigError, match="cohort.sample_rate must be at "
+                       "least 1000.0"):
+        bad.validate(cfg.sample_rate / 2.0)
     with pytest.raises(ConfigError, match="cohort.n_patients"):
         check(apply_overrides(get_profile("desk"),
                               {"cohort": {"n_patients": 0}}))

@@ -161,10 +161,11 @@ def test_forward_logit_shape():
     rng = np.random.default_rng(7)
     ids, patches = _batch(model, rng)
     plan = mim.sample_mask_plan(32, cfg, rng, batch=2)
-    out = mim.mim_forward(model, ids, patches, plan)
+    out = mim.mim_forward(model, ids, patches, plan, None)
     assert out.logits.shape == (plan.masked.sum(), 16)
     assert np.array_equal(out.targets, ids[plan.masked])
-    enc, u = model.eeg(ids, patches, plan)
+    enc, _ = model.eeg.encode(ids, patches, plan, None, None)
+    u = model.eeg(ids, patches)
     assert enc.shape == (2, 33, cfg.d_model) and u.shape == (2, cfg.d_model)
     assert np.all(np.isfinite(out.logits.data))
 
@@ -176,10 +177,10 @@ def test_weight_tying_column_sparsity():
     ids = rng.integers(0, 12, size=(1, 32))
     patches = rng.normal(size=(1, 32, 2 * 16 * 8)).astype(np.float32)
     plan = mim.sample_mask_plan(32, cfg, np.random.default_rng(9), batch=1)
-    base = mim.mim_forward(model, ids, patches, plan).logits.data.copy()
+    base = mim.mim_forward(model, ids, patches, plan, None).logits.data.copy()
     model.eeg.token_table.data[13] += rng.normal(
         0.0, 0.1, size=cfg.d_model).astype(np.float32)
-    pert = mim.mim_forward(model, ids, patches, plan).logits.data
+    pert = mim.mim_forward(model, ids, patches, plan, None).logits.data
     delta = np.abs(pert - base)
     assert np.all(delta[:, 13] > 0)
     others = np.delete(delta, 13, axis=1)
@@ -194,12 +195,12 @@ def test_padded_tail_permutation_invariance():
     ids, patches = _batch(model, rng, b=1)
     keep = np.ones((1, 32), dtype=bool)
     keep[0, 24:] = False
-    u1 = model.eeg(ids, patches, keep=keep)[1].data
+    u1 = model.eeg(ids, patches, keep=keep).data
     ids2 = ids.copy()
     ids2[0, 24:] = ids[0, 24:][::-1]
     patches2 = patches.copy()
     patches2[0, 24:] = patches[0, 24:][::-1]
-    u2 = model.eeg(ids2, patches2, keep=keep)[1].data
+    u2 = model.eeg(ids2, patches2, keep=keep).data
     assert np.array_equal(u1, u2)
     assert not np.allclose(u1, mim.session_embedding(model.eeg, ids, patches))
 
@@ -232,14 +233,14 @@ def test_stage1_forward_pools_nothing(monkeypatch):
     rng = np.random.default_rng(15)
     ids, patches = _batch(model, rng)
     plan = mim.sample_mask_plan(32, cfg, rng, batch=2)
-    expected = mim.mim_forward(model, ids, patches, plan).logits.data
+    expected = mim.mim_forward(model, ids, patches, plan, None).logits.data
 
     def refuse(*_args):
         raise AssertionError("Stage I pooled u")
 
     monkeypatch.setattr(grad, "mean_pool_masked", refuse)
     assert np.array_equal(
-        mim.mim_forward(model, ids, patches, plan).logits.data, expected)
+        mim.mim_forward(model, ids, patches, plan, None).logits.data, expected)
 
 
 def test_loss_zero_when_logits_detached():
@@ -247,7 +248,7 @@ def test_loss_zero_when_logits_detached():
     rng = np.random.default_rng(11)
     ids, patches = _batch(model, rng)
     plan = mim.sample_mask_plan(32, cfg, rng, batch=2)
-    out = mim.mim_forward(model, ids, patches, plan)
+    out = mim.mim_forward(model, ids, patches, plan, None)
     loss = mim.mim_loss(grad.stop_gradient(out.logits), out.targets, 0.1)
     assert all(g is None for g in loss.backward(model.parameters()))
 
@@ -304,11 +305,11 @@ def test_no_train_rng_is_eval_mode_at_any_dropout():
     rng = np.random.default_rng(16)
     ids, patches = _batch(model, rng)
     plan = mim.sample_mask_plan(32, cfg, rng, batch=2)
-    logits = mim.mim_forward(model, ids, patches, plan).logits.data
+    logits = mim.mim_forward(model, ids, patches, plan, None).logits.data
     u = mim.session_embedding(model.eeg, ids, patches)
     cfg.dropout = 0.5
     assert np.array_equal(
-        mim.mim_forward(model, ids, patches, plan).logits.data, logits)
+        mim.mim_forward(model, ids, patches, plan, None).logits.data, logits)
     assert np.array_equal(mim.session_embedding(model.eeg, ids, patches), u)
     assert not np.array_equal(mim.mim_forward(
         model, ids, patches, plan, np.random.default_rng(0)).logits.data,

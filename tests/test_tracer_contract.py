@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from clef import bench, cli, cohortgen, config, vqtok
+from clef import align, bench, cli, cohortgen, config, mim, summarize, vqtok
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -69,6 +69,63 @@ def test_tracer_installs_and_restores():
     finally:
         tracer.restore()
     assert grad.matmul is original
+
+
+class _DownOnSome(summarize.MockLlmClient):
+    """The mock, but summarizing a report that says "down" fails."""
+
+    def summarize(self, report, prompt, max_tokens):
+        if "down" in report:
+            raise ConnectionError(report)
+        return super().summarize(report, prompt, max_tokens)
+
+
+def test_observers_read_the_arguments_of_each_call():
+    """The tracer's observers read ``report_embed``'s texts as its first
+    argument, ``HashedNgramProvider.embed``'s text as its second and
+    ``qa_consistency``'s failures from its result: around one Stage II step
+    and one scored candidate they count what the batch and the reports
+    hold, so a moved argument fails here, not in a benchmark metric."""
+    spans = _spans()
+    layers = {mod for table in (spans.SPANNED, spans.COUNTED)
+              for mod, *_ in table}
+    modules = {m: importlib.import_module(f"clef.{m}") for m in layers}
+    cfg = config.AlignConfig(refiner_depth=1, n_heads=2, text_max_len=8)
+    encoder = mim.SessionEncoder(
+        8, 4, (2, 4), config.MimConfig(d_model=16, n_heads=2, depth=1),
+        np.random.default_rng(0))
+    model = align.AlignModel(cfg, encoder, (["dx_a"], ["med_a"]),
+                             np.random.default_rng(1))
+    rng = np.random.default_rng(2)
+    ehr_mask = np.zeros((5, 3 + cfg.ehr.dx_slots + cfg.ehr.med_slots), bool)
+    ehr_mask[:, :3] = True
+    batch = align.AlignBatch(
+        ids=rng.integers(0, 8, size=(5, 8)),
+        patches=rng.normal(size=(5, 8, 4)).astype(np.float32),
+        texts=["slowing seen", "", "slowing seen", "", "sharp waves"],
+        report_present=np.array([True, False, True, True, True]),
+        ehr=np.zeros(ehr_mask.shape, np.int64), ehr_mask=ehr_mask)
+    phenotypes = cohortgen.default_phenotypes(config.CHANNELS_DESK)
+    tracer = spans.Tracer("observers")
+    tracer.install(modules)
+    try:
+        align.stage2_step(model, batch, None)
+        score = summarize.qa_consistency(
+            ["generalized slowing.", "link down.", "down again."],
+            summarize.default_questions(phenotypes),
+            summarize.Candidate("p", "repeat the report", 128),
+            _DownOnSome())
+    finally:
+        tracer.restore()
+    # the four rows with a report reach report_embed, one with no words;
+    # each text is embedded once per row, three distinct texts in all
+    assert tracer.report_rows == [3, 4]
+    assert tracer.texts == {"slowing seen", "", "sharp waves"}
+    metrics = tracer.metrics(0, 0.0)
+    assert metrics["align.report_rows_present_frac"][0] == 3 / 4
+    assert metrics["align.text_embed_unique_frac"][0] == 3 / 4
+    assert tracer.qa_failures == score.failures == 2
+    assert metrics["summarize.failures"][0] == 2
 
 
 # ``perfbench/run.py`` also calls clef outside the tracer.  Each call below
