@@ -12,6 +12,7 @@ per-channel subset, giving exact control of band power.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import struct
 from dataclasses import dataclass, field
@@ -210,37 +211,60 @@ def make_report_text(record: PatientRecord, phenotypes: list[PhenotypeSpec],
 # signal synthesis
 
 
+@functools.lru_cache(maxsize=1)  # the cohort being generated
+def _synthesis_spectra(t: int, rate: float, slope: float,
+                       alpha_hz: float) -> tuple[np.ndarray, ...]:
+    """The read-only arrays a cohort's sessions share: the bin frequencies,
+    the 1/f shaping (flat below 0.5 Hz), rfft(sin), rfft(cos) of the alpha
+    ramp, and weights taking white power to shaped variance (Parseval)."""
+    freqs = fft.rfftfreq(t, 1.0 / rate)
+    shaping = (np.maximum(freqs, 0.5) / 0.5) ** (slope / 2.0)
+    ramp = 2.0 * np.pi * alpha_hz * np.arange(t) / rate
+    # a bin stands for itself and its mirror image, but for DC, the mean,
+    # which the variance leaves out, and an even t's Nyquist bin
+    weights = 2.0 * shaping ** 2 / float(t) ** 2
+    weights[0] = 0.0
+    if t % 2 == 0:
+        weights[-1] /= 2.0
+    spectra = (freqs, shaping, fft.rfft(np.sin(ramp)), fft.rfft(np.cos(ramp)),
+               weights)
+    for a in spectra:
+        a.setflags(write=False)
+    return spectra
+
+
 def synthesize_signal(config: CohortConfig, phenos: list[PhenotypeSpec],
                       rng: np.random.Generator) -> np.ndarray:
     """1/f background plus alpha oscillation, with phenotype band effects
-    applied multiplicatively in the frequency domain."""
-    n_ch = config.n_channels
-    t = int(round(config.duration_s * config.sample_rate))
-    freqs = np.fft.rfftfreq(t, 1.0 / config.sample_rate)
-    shaping = np.ones_like(freqs)
-    above = freqs >= 0.5  # clamp the 1/f ramp below 0.5 Hz
-    shaping[above] = (freqs[above] / 0.5) ** (config.noise_slope / 2.0)
-    out = np.empty((n_ch, t), dtype=np.float64)
+    applied multiplicatively in the frequency domain.  Each step is linear,
+    so a channel takes one rfft and one irfft: its white spectrum, shaped and
+    scaled to ``noise_rms_uv`` (the std by Parseval), plus its alpha's
+    spectrum at its phase, times its band gains."""
+    n_ch, t = config.n_channels, config.n_samples
+    freqs, shaping, sin_spec, cos_spec, weights = _synthesis_spectra(
+        t, config.sample_rate, config.noise_slope, config.alpha_freq_hz)
     name_to_idx = {name: i for i, name in enumerate(config.channel_names)}
-    gains = np.ones((n_ch, freqs.size))
+    bands = [[] for _ in range(n_ch)]  # per channel: (lo, hi, gain)
     for p in phenos:
         for eff in p.spectral_effects:
-            band = (freqs >= eff.band_lo_hz) & (freqs < eff.band_hi_hz)
-            amp = 10.0 ** (eff.power_delta_db / 20.0)
+            # the bins in [band_lo_hz, band_hi_hz) of the ascending freqs
+            lo, hi = np.searchsorted(freqs, (eff.band_lo_hz, eff.band_hi_hz))
             for ch in eff.channels:
-                gains[name_to_idx[ch], band] *= amp
-    ramp = 2.0 * np.pi * config.alpha_freq_hz * np.arange(t) / config.sample_rate
+                bands[name_to_idx[ch]].append(
+                    (lo, hi, 10.0 ** (eff.power_delta_db / 20.0)))
+    amp = config.alpha_amplitude_uv
+    out = np.empty((n_ch, t), dtype=np.float32)
     for c in range(n_ch):
-        white = rng.standard_normal(t)  # the values and draws of normal(0, 1)
-        spec = fft.rfft(white) * shaping
-        noise = fft.irfft(spec, n=t)
-        noise *= config.noise_rms_uv / max(noise.std(), 1e-12)
+        spec = fft.rfft(rng.standard_normal(t))
+        var = ((np.square(spec.real) + np.square(spec.imag)) * weights).sum()
+        spec *= shaping * (config.noise_rms_uv / max(np.sqrt(var), 1e-12))
         phase = rng.uniform(0.0, 2.0 * np.pi)
-        alpha = config.alpha_amplitude_uv * np.sin(ramp + phase)
-        x = noise + alpha
-        spec = fft.rfft(x) * gains[c]
+        spec += amp * np.cos(phase) * sin_spec
+        spec += amp * np.sin(phase) * cos_spec
+        for lo, hi, gain in bands[c]:
+            spec[lo:hi] *= gain
         out[c] = fft.irfft(spec, n=t)
-    return out.astype(np.float32)
+    return out
 
 
 # ---------------------------------------------------------------------------

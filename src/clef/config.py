@@ -123,6 +123,11 @@ class CohortConfig:
         return len(self.channel_names)
 
     @property
+    def n_samples(self) -> int:
+        """Samples in each channel of a session."""
+        return int(round(self.duration_s * self.sample_rate))
+
+    @property
     def session_rate(self) -> float:
         """The rate as the DSP reads it from a ``.raw`` header: a float32."""
         return float(np.float32(self.sample_rate))
@@ -233,9 +238,8 @@ class Profile:
     @property
     def grid_shape(self) -> tuple[int, int]:
         """Token grid (H', W'): the spectrogram tiled by ``patch_shape``."""
-        rate = self.cohort.sample_rate
-        h = self.dsp.n_freq_bins(rate)
-        w = self.dsp.n_frames(int(self.cohort.duration_s * rate))
+        h = self.dsp.n_freq_bins(self.cohort.session_rate)
+        w = self.dsp.n_frames(self.cohort.n_samples)
         ph, pw = self.patch_shape
         if min(h, w, ph, pw) <= 0 or h % ph or w % pw:
             raise ConfigError(

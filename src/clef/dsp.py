@@ -1,8 +1,8 @@
 """Signal preprocessing and multitaper spectrogram computation.
 
 The front end of the whole pipeline: zero-phase IIR band-pass plus notch
-cascade, DPSS (Slepian) tapers from the symmetric tridiagonal operator, and
-an eigenvalue-weighted multitaper spectrogram normalized into [-1, 1].
+cascade, DPSS (Slepian) tapers from ``scipy.signal.windows.dpss``, and an
+eigenvalue-weighted multitaper spectrogram normalized into [-1, 1].
 The sample rate is each session's own; the bin width is rate / window.
 """
 
@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import signal
-from scipy.linalg import eigh_tridiagonal
 
 from .cohortgen import channel_flags, channel_mask
 from .config import ConfigError, DspConfig
@@ -126,45 +125,17 @@ def preprocess(session, cfg: DspConfig, bank: FilterBank):
 
 def compute_dpss(length: int, nw: float, k_max: int,
                  retain_threshold: float) -> TaperSet:
-    """Discrete prolate spheroidal sequences.
-
-    Tapers are eigenvectors of the standard symmetric tridiagonal Slepian
-    operator, re-orthonormalized; concentrations are computed directly
-    against the ideal band-limiting (sinc) kernel.  Exactly the tapers with
-    concentration > ``retain_threshold`` are kept, capped at ``k_max``;
-    keeping none is a ``ConfigError``, the one profile rule that needs this
-    eigen-solve (``config.check`` holds the length and ``nw`` rules).
-    """
-    w = nw / length
-    n = np.arange(length)
-    diag = ((length - 1 - 2.0 * n) / 2.0) ** 2 * np.cos(2.0 * np.pi * w)
-    off = n[1:] * (length - n[1:]) / 2.0
-    # top k_max eigenvectors of the tridiagonal commuting operator
-    _, vecs = eigh_tridiagonal(
-        diag, off, select="i", select_range=(length - k_max, length - 1))
-    tapers = vecs[:, ::-1].T                     # (k_max, L), best first
-    # re-orthonormalize (QR polish) and fix sign conventions
-    q, r = np.linalg.qr(tapers.T)
-    tapers = (q * np.sign(np.diag(r))).T
-    for k, v in enumerate(tapers):
-        # symmetric (even k): positive mean; antisymmetric: positive start
-        if (v if k % 2 == 0 else v[: length // 2]).sum() < 0:
-            tapers[k] = -v
-    # concentration against the ideal [-W, W] band-limiting kernel
-    diff = n[:, None] - n[None, :]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        kernel = np.sin(2.0 * np.pi * w * diff) / (np.pi * diff)
-    kernel[np.arange(length), np.arange(length)] = 2.0 * w
-    concentrations = np.array([v @ kernel @ v for v in tapers])
-    order = np.argsort(concentrations)[::-1]
-    tapers, concentrations = tapers[order], concentrations[order]
+    """The first ``k_max`` DPSS tapers (``scipy.signal.windows.dpss``, unit
+    norm) whose concentration is above ``retain_threshold``; none is a
+    ``ConfigError``, the one profile rule that needs this eigen-solve
+    (``config.check`` holds the length and ``nw`` rules)."""
+    tapers, concentrations = signal.windows.dpss(length, nw, Kmax=k_max,
+                                                 norm=2, return_ratios=True)
     keep = concentrations > retain_threshold
     if not keep.any():
         raise ConfigError("no DPSS taper passes dsp.eigen_threshold "
                           f"{retain_threshold} at dsp.nw {nw}")
-    tapers, concentrations = tapers[keep][:k_max], concentrations[keep][:k_max]
-    return TaperSet(tapers=np.ascontiguousarray(tapers),
-                    concentrations=concentrations)
+    return TaperSet(tapers=tapers[keep], concentrations=concentrations[keep])
 
 
 def multitaper_spectrogram(session, tapers: TaperSet, cfg: DspConfig) -> Spectrogram:

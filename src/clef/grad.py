@@ -1027,7 +1027,7 @@ CHECKPOINT_VERSION = 1
 
 
 def save_checkpoint(path, params: dict[str, Tensor], meta: dict,
-                    ema: Ema | None = None) -> None:
+                    ema: Ema | None) -> None:
     """Named-parameter table with an optional EMA shadow and a versioned
     JSON header, in an npz container."""
     arrays: dict[str, np.ndarray] = {}

@@ -522,7 +522,7 @@ def test_probe_refuses_non_finite_embeddings(pipeline, tmp_path, capsys,
     bad = tmp_path / "nan.npz"
     grad.save_checkpoint(bad, {k: grad.Tensor(v)
                                for k, v in ckpt["params"].items()},
-                         meta=ckpt["meta"])
+                         meta=ckpt["meta"], ema=None)
     trained = []
     monkeypatch.setattr(bench, "train_probe",
                         lambda *a: trained.append(a) or None)
@@ -573,7 +573,7 @@ def test_checkpoint_of_unprefixed_encoder_names_exits_3(pipeline, tmp_path,
     rename = {k: _unprefixed(k) for k in ckpt["params"]}
     grad.save_checkpoint(
         old, {rename[k]: grad.Tensor(v) for k, v in ckpt["params"].items()},
-        meta=ckpt["meta"])
+        meta=ckpt["meta"], ema=None)
     assert "token_table" in grad.load_checkpoint(old)["params"]
     out = tmp_path / "out"
     flag = {"train-align": "--init", "probe": "--ckpt"}[command]
@@ -887,7 +887,7 @@ def test_tokenize_refuses_non_finite_tokenizer(pipeline, tmp_path, capsys):
     bad = tmp_path / "nan.npz"
     grad.save_checkpoint(bad, {k: grad.Tensor(v)
                                for k, v in ckpt["params"].items()},
-                         meta=ckpt["meta"])
+                         meta=ckpt["meta"], ema=None)
     out = tmp_path / "tokens"
     assert climod.main(pipeline["base"] + [
         "tokenize", "--spectrograms", str(pipeline["spec"]),
@@ -1108,6 +1108,22 @@ def test_grid_that_does_not_tile_exits_2_at_load(tmp_path, capsys):
                         "--out", str(tmp_path / "c")]) == climod.EXIT_CONFIG
     err = capsys.readouterr().err
     assert "cohort.sample_rate" in err and "tokenizer.level_strides" in err
+    assert not (tmp_path / "c").exists()
+
+
+def test_grid_bins_at_the_rate_a_session_holds(tmp_path, capsys):
+    """16 Hz × 800 / 775.7575765333333 Hz is 16.49999999 bins, but at the
+    float32 rate of a ``.raw`` header dsp bins 16.50000001, rounds to 17
+    rows and writes 17-row spectrograms that the 16-row patch does not tile.
+    The load refuses the profile by the rate dsp reads."""
+    bad = tmp_path / "rate.json"
+    bad.write_text(json.dumps({"cohort": {"sample_rate": 775.7575765333333,
+                                          "duration_s": 300.0,
+                                          "n_patients": 3},
+                               "dsp": {"band_hi_hz": 10.0}}))
+    assert climod.main(["--config", str(bad), "gen-cohort",
+                        "--out", str(tmp_path / "c")]) == climod.EXIT_CONFIG
+    assert "tokenizer.level_strides" in capsys.readouterr().err
     assert not (tmp_path / "c").exists()
 
 

@@ -104,25 +104,46 @@ def _synthesize_signal_numpy_fft(config, phenos, rng):
     return out.astype(np.float32)
 
 
-@pytest.mark.parametrize("duration", [320.0, 40.005])
+@pytest.mark.parametrize("duration", [320.0, 40.005, 120.0])
 def test_synthesis_matches_the_numpy_fft_oracle(duration):
-    """Same bits as the numpy.fft version, and the same draws after it: the
-    desk geometry (64,000 samples) and an odd sample count (8,001)."""
+    """Within one float32 ulp of the session's peak of the four-FFT numpy.fft
+    version, and the same draws after it: the one-pass synthesis sums in
+    another order.  The desk geometry (64,000 samples), an odd sample count
+    (8,001) and 24,000 samples."""
     cfg = _small_cfg(duration=duration)
     phenos = cohortgen.default_phenotypes(cfg.channel_names)
-    rng, ref_rng = np.random.default_rng(21), np.random.default_rng(21)
-    got = cohortgen.synthesize_signal(cfg, phenos, rng)
-    ref = _synthesize_signal_numpy_fft(cfg, phenos, ref_rng)
-    assert got.shape == (cfg.n_channels, int(round(duration * 200.0)))
-    assert got.dtype == ref.dtype and np.array_equal(got, ref)
-    assert rng.random() == ref_rng.random()
+    for seed in range(6):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = cohortgen.synthesize_signal(cfg, phenos, rng)
+        ref = _synthesize_signal_numpy_fft(cfg, phenos, ref_rng)
+        assert got.shape == ref.shape == (cfg.n_channels,
+                                          int(round(duration * 200.0)))
+        assert got.dtype == ref.dtype
+        bound = np.spacing(np.float32(np.abs(ref).max()))
+        assert np.abs(got.astype(np.float64) - ref).max() <= bound
+        assert rng.random() == ref_rng.random()
+
+
+def test_synthesis_spectra_are_cached_and_read_only():
+    """A cohort's sessions share one set of spectra, which none may write."""
+    cfg = _small_cfg(duration=20.0)
+    key = (cfg.n_samples, cfg.sample_rate, cfg.noise_slope, cfg.alpha_freq_hz)
+    cohortgen.synthesize_signal(cfg, [], np.random.default_rng(0))
+    before = cohortgen._synthesis_spectra.cache_info()
+    cohortgen.synthesize_signal(cfg, [], np.random.default_rng(1))
+    assert cohortgen._synthesis_spectra.cache_info().misses == before.misses
+    first = cohortgen._synthesis_spectra(*key)
+    assert first is cohortgen._synthesis_spectra(*key)
+    for a in first:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
 
 
 def test_session_geometry():
     cfg = _small_cfg(n=4)
     _, sessions = _sessions(cfg, seed=1)
     for s in sessions:
-        assert s.samples.shape == (cfg.n_channels, int(cfg.duration_s * cfg.sample_rate))
+        assert s.samples.shape == (cfg.n_channels, cfg.n_samples)
         assert s.samples.dtype == np.float32
         assert s.channel_available.any()
         assert np.all(np.isfinite(s.samples))

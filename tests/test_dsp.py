@@ -1,8 +1,8 @@
 """Filtering, DPSS taper, and multitaper spectrogram tests.
 
-scipy.signal.sosfiltfilt is the oracle for the zero-phase filter, and
-scipy.signal.windows.dpss the independent oracle for the taper
-construction; the white-noise PSD level and known-sinusoid bin checks pin
+scipy.signal.sosfiltfilt is the oracle for the zero-phase filter, and the
+ideal band-limiting (sinc) kernel the independent oracle for the taper
+concentrations; the white-noise PSD level and known-sinusoid bin checks pin
 the spectrogram normalization.
 """
 
@@ -12,7 +12,6 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 from scipy import signal
-from scipy.signal import windows
 
 from clef import dsp
 from clef.config import ConfigError, DspConfig, apply_overrides, check, \
@@ -53,15 +52,16 @@ def test_dpss_first_taper_positive_and_symmetric():
     assert np.abs(v0 - v0[::-1]).max() < 1e-10
 
 
-def test_dpss_matches_scipy_oracle():
-    ts = dsp.compute_dpss(800, 2.0, 4, 0.9)
-    ref, ratios = windows.dpss(800, 2.0, Kmax=ts.k, norm=2, return_ratios=True)
-    for k in range(ts.k):
-        v, r = ts.tapers[k], ref[k]
-        if np.dot(v, r) < 0:
-            r = -r
-        assert np.abs(v - r).max() < 1e-6
-        assert abs(ts.concentrations[k] - ratios[k]) < 1e-6
+def test_dpss_concentrations_match_the_sinc_kernel():
+    """Each kept taper's concentration is its energy in [-W, W]: v·K·v
+    with K the ideal band-limiting (sinc) kernel, built here."""
+    length, nw = 800, 2.0
+    ts = dsp.compute_dpss(length, nw, 4, 0.9)
+    w = nw / length
+    diff = np.subtract.outer(np.arange(length), np.arange(length))
+    kernel = 2.0 * w * np.sinc(2.0 * w * diff)
+    for v, ratio in zip(ts.tapers, ts.concentrations):
+        assert abs(v @ kernel @ v - ratio) < 1e-6
 
 
 def test_dpss_various_lengths():

@@ -1047,7 +1047,7 @@ def test_checkpoint_is_written_at_the_path_given(tmp_path):
     """No ".npz" is appended to a path without one."""
     params = {"a": Tensor(np.arange(3, dtype=np.float32), requires_grad=True)}
     path = tmp_path / "tok.ckpt"
-    grad.save_checkpoint(path, params, meta={})
+    grad.save_checkpoint(path, params, meta={}, ema=None)
     assert [p.name for p in tmp_path.iterdir()] == ["tok.ckpt"]
     assert np.array_equal(grad.load_checkpoint(path)["params"]["a"],
                           params["a"].data)
@@ -1079,7 +1079,7 @@ def test_checkpoint_roundtrip(tmp_path):
 def test_checkpoint_load_errors_name_the_file(tmp_path):
     params = {"a": Tensor(np.zeros((3, 2), np.float32), requires_grad=True)}
     path = tmp_path / "ckpt.npz"
-    grad.save_checkpoint(path, params, meta={})
+    grad.save_checkpoint(path, params, meta={}, ema=None)
     with pytest.raises(DataError, match=r"a: checkpoint shape \(3, 2\)"):
         grad.assign_parameters(
             {"a": Tensor(np.zeros((2, 3), np.float32))},
